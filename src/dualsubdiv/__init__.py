@@ -44,10 +44,6 @@ from .exactalg import (
     LaurentPoly,
     LinearSolution,
     RatMatrix,
-    Rational,
-    format_rational,
-    laurent_derivative_at_one,
-    laurent_mul,
     rat,
     rref_solve,
 )

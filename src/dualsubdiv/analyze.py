@@ -3,9 +3,6 @@
 Limit-function evaluation by exact iteration of the refinement equation,
 difference-scheme contractivity bounds with the derived Holder lower bound,
 polynomial reproduction degree, and curve subdivision.
-
-Evaluation stays in exact rationals until coefficient bit sizes pass a
-threshold, then falls back to double precision.
 """
 
 from __future__ import annotations
@@ -47,17 +44,11 @@ class LatticeFunction:
         j = i - self.offset
         if 0 <= j < len(self.values):
             return self.values[j]
-        return Fraction(0) if self.is_exact else 0.0
+        return Fraction(0)
 
     @property
     def is_exact(self) -> bool:
         return not self.values or isinstance(self.values[0], Fraction)
-
-    def points(self) -> list[tuple[float, float]]:
-        return [
-            (float(Fraction(self.offset + i, self.denominator)), float(v))
-            for i, v in enumerate(self.values)
-        ]
 
 
 @dataclass(frozen=True)
@@ -82,46 +73,14 @@ class Polyline:
     points: tuple[tuple[float, float], ...]
 
 
-def _max_bits(values: Sequence[Fraction]) -> int:
-    bits = 0
-    for v in values:
-        bits = max(bits, v.numerator.bit_length(), v.denominator.bit_length())
-    return bits
-
-
-def _check_seed(mask: Mask, seed: SampleSet, t: int) -> None:
-    lo, hi = limit_support(mask)
-    s_lo, s_hi = seed.support
-    if seed.values and (s_lo < lo or s_hi > hi):
-        raise SeedInconsistent(
-            f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
-        )
-    T = seed.T
-    for alpha in range(math.ceil(lo * T), math.floor(hi * T) + 1):
-        lhs = seed.value_at_index(alpha)
-        rhs = Fraction(0)
-        for j, a in enumerate(mask.coeffs):
-            k = mask.offset + j
-            rhs += a * seed.value_at_index(mask.arity * alpha + t - k * T)
-        if lhs != rhs:
-            raise SeedInconsistent(
-                f"refinement equation fails at {alpha}/{T}: {lhs} != {rhs}"
-            )
-
-
-def refine_values(
-    mask: Mask,
-    seed: SampleSet,
-    depth: int,
-    *,
-    bit_limit: int = 4096,
-    check_seed: bool = True,
-) -> LatticeFunction:
+def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     """Values of the limit function on Z/(T m^depth) via the refinement equation.
 
     Each level evaluates phi(x) = sum_k a_k phi(m x - k + tau) for x on the
     next finer lattice, reading the previous level.  Depth 0 returns the seed
-    as a LatticeFunction.
+    as a LatticeFunction.  Raises SeedInconsistent when the seed leaves the
+    limit support or when the first level does not reproduce the seed at the
+    seed's own lattice points; depth 0 runs that level for the check alone.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -131,35 +90,41 @@ def refine_values(
     if tau_T.denominator != 1:
         raise ValueError(f"tau*T = {tau_T} is not an integer")
     t = int(tau_T)
-    if check_seed:
-        _check_seed(mask, seed, t)
 
     lo, hi = limit_support(mask)
+    s_lo, s_hi = seed.support
+    if seed.values and (s_lo < lo or s_hi > hi):
+        raise SeedInconsistent(
+            f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
+        )
     Q = seed.T
     n_lo = math.ceil(lo * Q)
-    n_hi = math.floor(hi * Q)
-    values: list = [seed.value_at_index(i) for i in range(n_lo, n_hi + 1)]
+    values = [seed.value_at_index(i) for i in range(n_lo, math.floor(hi * Q) + 1)]
 
-    exact = True
-    for _ in range(depth):
+    for level in range(max(depth, 1)):
         shift = t * (Q // seed.T)
         Q2 = Q * m
         n_lo2 = math.ceil(lo * Q2)
-        n_hi2 = math.floor(hi * Q2)
-        weights = list(mask.coeffs) if exact else [float(a) for a in mask.coeffs]
-        new: list = []
-        for q in range(n_lo2, n_hi2 + 1):
-            acc = Fraction(0) if exact else 0.0
-            for j, a in enumerate(weights):
+        new = []
+        for q in range(n_lo2, math.floor(hi * Q2) + 1):
+            acc = Fraction(0)
+            for j, a in enumerate(mask.coeffs):
                 k = mask.offset + j
                 idx = q + shift - k * Q - n_lo
                 if 0 <= idx < len(values):
                     acc += a * values[idx]
             new.append(acc)
-        values, Q, n_lo, n_hi = new, Q2, n_lo2, n_hi2
-        if exact and _max_bits(values) > bit_limit:
-            values = [float(v) for v in values]
-            exact = False
+        if level == 0:
+            for i, v in enumerate(values):
+                alpha = n_lo + i
+                if new[m * alpha - n_lo2] != v:
+                    raise SeedInconsistent(
+                        f"refinement equation fails at {alpha}/{Q}:"
+                        f" {v} != {new[m * alpha - n_lo2]}"
+                    )
+            if depth == 0:
+                break
+        values, Q, n_lo = new, Q2, n_lo2
     return LatticeFunction(Q, n_lo, tuple(values))
 
 
@@ -337,12 +302,10 @@ def reproduction_degree(
             # k with p - k*Q inside the stored window
             k_lo = math.ceil(Fraction(p - hi_i, Q))
             k_hi = math.floor(Fraction(p - lo_i, Q))
-            acc = Fraction(0) if lf.is_exact else 0.0
+            acc = Fraction(0)
             for k in range(k_lo, k_hi + 1):
                 acc += (k**e) * lf.value_at_index(p - k * Q)
-            x = Fraction(p, Q)
-            err = abs(acc - x**e) if lf.is_exact else abs(acc - float(x) ** e)
-            if err > tol:
+            if abs(acc - Fraction(p, Q) ** e) > tol:
                 return e - 1
     return max_degree
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import catalog
 from .analyze import (
     NoContractivePoint,
+    SeedInconsistent,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
@@ -43,7 +42,7 @@ from .construct import (
     derive,
 )
 from .samples import SampleSet, samples_from_shorthand
-from .scheme import Mask
+from .scheme import Mask, NotDivisible
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -95,23 +94,6 @@ def _emit(text: str, out: str | None) -> None:
                 fh.write("\n")
 
 
-def _thread_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("DUALSUBDIV_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_derive(args) -> int:
     samples = _resolve_samples(args.samples)
     try:
@@ -156,7 +138,10 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     mask = _load_mask(args.mask)
     samples = _resolve_samples(args.samples)
-    lattice = refine_values(mask, samples, args.depth)
+    try:
+        lattice = refine_values(mask, samples, args.depth)
+    except (SeedInconsistent, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     rows = ["numerator,denominator,x,value"]
     for i, v in enumerate(lattice.values):
         p = lattice.offset + i
@@ -168,7 +153,10 @@ def cmd_eval(args) -> int:
 
 def cmd_regularity(args) -> int:
     mask = _load_mask(args.mask)
-    report = contractivity_bound(mask, args.order, args.levels)
+    try:
+        report = contractivity_bound(mask, args.order, args.levels)
+    except (NotDivisible, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     payload = {
         "order": report.order,
         "levels": report.levels,
@@ -198,26 +186,22 @@ def cmd_sweep(args) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad family file {args.family}: {exc}") from exc
     lo, hi = _parse_range(args.range)
-    if args.bisect:
-        try:
+    if args.grid < 2:
+        raise CliError(f"--grid must be at least 2, got {args.grid}")
+    try:
+        if args.bisect:
             left, right = contractivity_range(
                 family, args.order, args.levels, (lo, hi), grid=args.grid
             )
-        except NoContractivePoint as exc:
-            raise CliError(str(exc)) from exc
-        payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
-        _emit(json.dumps(payload, indent=2), args.out)
-        return EXIT_OK
-    ts = [lo + (hi - lo) * i / (args.grid - 1) for i in range(args.grid)]
-    threads = _thread_count(args.threads)
-    chunks = _ordered_map(
-        lambda t: contractivity_profile(family, args.order, args.levels, [t])[0],
-        ts,
-        threads,
-    )
-    payload = [
-        {"t": t, "bound": bound, "contractive": bound < 1.0} for t, bound in chunks
-    ]
+            payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
+        else:
+            ts = [lo + (hi - lo) * i / (args.grid - 1) for i in range(args.grid)]
+            payload = [
+                {"t": t, "bound": bound, "contractive": bound < 1.0}
+                for t, bound in contractivity_profile(family, args.order, args.levels, ts)
+            ]
+    except (NoContractivePoint, NotDivisible, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     _emit(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
 
@@ -225,7 +209,10 @@ def cmd_sweep(args) -> int:
 def cmd_reproduce(args) -> int:
     mask = _load_mask(args.mask)
     samples = _resolve_samples(args.samples)
-    degree = reproduction_degree(mask, samples, args.maxdeg, args.depth, args.tol)
+    try:
+        degree = reproduction_degree(mask, samples, args.maxdeg, args.depth, args.tol)
+    except (SeedInconsistent, ValueError) as exc:
+        raise CliError(str(exc)) from exc
     _emit(json.dumps({"degree": degree}), args.out)
     return EXIT_OK
 
@@ -352,20 +339,12 @@ def _corpus_checks():
 
 
 def cmd_corpus(args) -> int:
-    checks = _corpus_checks()
-    threads = _thread_count(args.threads)
-
-    def run(item):
-        name, fn = item
+    all_ok = True
+    for name, fn in _corpus_checks():
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failed check, not a CLI crash
-            return name, False, f"error: {exc}"
-        return name, ok, detail
-
-    results = _ordered_map(run, checks, threads)
-    all_ok = True
-    for name, ok, detail in results:
+            ok, detail = False, f"error: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         all_ok = all_ok and ok
     return EXIT_OK if all_ok else EXIT_INFEASIBLE
@@ -421,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="parameter interval a:b")
     p.add_argument("--bisect", action="store_true", help="bisect the contractive interval")
     p.add_argument("--grid", type=int, default=129)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
 
@@ -443,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("corpus", help="re-derive the reference schemes and report")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=cmd_corpus)
 
     return parser

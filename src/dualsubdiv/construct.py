@@ -269,6 +269,20 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
     )
 
 
+def _with_dual_shift(system: AssembledSystem) -> tuple[RatMatrix, tuple[Fraction, ...]]:
+    """The system plus the row tau = 1/2, on the system's columns.
+
+    With a = m^{1-d} (1+...+z^{m-1})^d b, tau = (1/m) sum_k k a_k equals
+    sum_beta (beta + d(m-1)/2) b_beta, so tau = 1/2 reads
+    sum_beta (2 beta + d(m-1)) b_beta = 1.  Symmetry and the residue sums
+    imply it; the other constraints of a non-symmetric problem may not.
+    """
+    p = system.problem
+    c = p.d * (p.m - 1)
+    row = [sum(2 * beta + c for beta in pair) for pair in system.col_labels]
+    return system.matrix.vstack(RatMatrix([row])), system.rhs + (Fraction(1),)
+
+
 def _unfold(system: AssembledSystem, vector: Sequence[Fraction]) -> list[Fraction]:
     """Expand a solved column vector back to the full b-window."""
     b_lo, b_hi = system.problem.beta_window
@@ -318,7 +332,7 @@ class SolutionFamily:
         return Mask(self.problem.m, poly.offset, poly.coeffs)
 
     def contains(self, mask: Mask) -> bool:
-        """Exact membership: the mask solves the assembled system."""
+        """Exact membership: the mask solves the assembled system and has tau = 1/2."""
         problem = self.problem
         if mask.arity != problem.m:
             return False
@@ -338,7 +352,8 @@ class SolutionFamily:
             if len(vals) > 1:
                 return False
             folded.append(vals.pop())
-        return system.matrix.matvec(folded) == system.rhs
+        matrix, rhs = _with_dual_shift(system)
+        return matrix.matvec(folded) == rhs
 
     def to_dict(self) -> dict:
         return {
@@ -366,7 +381,7 @@ class SolutionFamily:
 
 
 def derive(problem: ConstructionProblem) -> SolutionFamily:
-    """Solve the assembled system exactly.
+    """Solve the assembled system, with tau = 1/2 imposed, exactly.
 
     Returns the full affine solution set as a SolutionFamily (dimension 0
     means a unique mask) or raises InfeasibleProblem when no mask with the
@@ -374,7 +389,7 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     """
     system = assemble(problem)
     try:
-        solution = rref_solve(system.matrix, system.rhs)
+        solution = rref_solve(*_with_dual_shift(system))
     except InfeasibleSystem:
         raise InfeasibleProblem(
             f"no dual interpolatory mask with arity {problem.m}, smoothing order"

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -31,11 +29,6 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
     return Fraction(value)
-
-
-def format_rational(q: Fraction) -> str:
-    """Serialize as ``"p/q"``, or just ``"p"`` when the denominator is 1."""
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -184,6 +177,7 @@ class LaurentPoly:
         return sum(self.coeffs, Fraction(0))
 
     def derivative_at_one(self) -> Fraction:
+        """The exact value of p'(1), i.e. sum_k k * p_k."""
         return sum(
             ((self.offset + i) * c for i, c in enumerate(self.coeffs)),
             Fraction(0),
@@ -240,16 +234,6 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Exact product; offsets add and the result is normalized."""
-    return p * q
-
-
-def laurent_derivative_at_one(p: LaurentPoly) -> Fraction:
-    """The exact value of p'(1), i.e. sum_k k * p_k."""
-    return p.derivative_at_one()
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Dense matrix of Fractions.  Immutable; all products are exact."""
@@ -277,12 +261,6 @@ class RatMatrix:
         return cls(
             [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def scale(self, c: RationalLike) -> "RatMatrix":
         f = rat(c)

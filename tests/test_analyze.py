@@ -71,26 +71,18 @@ def test_lattice_nesting(mask, seed):
         assert fine.value_at_index((coarse.offset + i) * m) == v
 
 
-def test_inconsistent_seed_rejected():
+@pytest.mark.parametrize("depth", [0, 1])
+def test_inconsistent_seed_rejected(depth):
     with pytest.raises(SeedInconsistent):
-        refine_values(CANTOR, CANTOR_SAMPLES.perturbed(1, F(1, 100)), 1)
+        refine_values(CANTOR, CANTOR_SAMPLES.perturbed(1, F(1, 100)), depth)
     oversized = SampleSet(2, -3, [F(1, 7), 0, F(1, 2), 1, F(1, 2), 0, F(1, 7)])
     with pytest.raises(SeedInconsistent):
-        refine_values(CANTOR, oversized, 1)
+        refine_values(CANTOR, oversized, depth)
 
 
 def test_fractional_shift_lattice_rejected():
     with pytest.raises(ValueError):
         refine_values(CANTOR, SampleSet(1, 0, [1]), 1)
-
-
-def test_float_fallback_after_bit_limit():
-    exact = refine_values(TERNARY, DD4, 2)
-    assert exact.is_exact
-    floaty = refine_values(TERNARY, DD4, 2, bit_limit=4)
-    assert not floaty.is_exact
-    for i, v in enumerate(floaty.values):
-        assert math.isclose(v, float(exact.values[i]), abs_tol=1e-12)
 
 
 def test_difference_scheme_cantor():

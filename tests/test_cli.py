@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from dualsubdiv import catalog
+from dualsubdiv.analyze import contractivity_profile
 from dualsubdiv.cli import main
-from dualsubdiv.construct import SolutionFamily
+from dualsubdiv.construct import SolutionFamily, derive
 from dualsubdiv.scheme import Mask
 
 
@@ -144,6 +145,20 @@ def test_sweep_grid(tmp_path, capsys):
     assert all(r["contractive"] for r in rows)
 
 
+def test_sweep_grid_matches_pointwise_profile(tmp_path, capsys):
+    family = catalog.quinary_reference_family()
+    family_file = write_json(tmp_path / "family.json", family.to_dict())
+    code = main([
+        "sweep", "--family", family_file, "--order", "1", "--levels", "3",
+        "--range=-8:4", "--grid", "9",
+    ])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    expected = [contractivity_profile(family, 1, 3, [r["t"]])[0] for r in rows]
+    assert [(r["t"], r["bound"]) for r in rows] == expected
+    assert [r["contractive"] for r in rows] == [bound < 1.0 for _, bound in expected]
+
+
 def test_reproduce(cantor_mask_file, cantor_samples_file, capsys):
     code = main([
         "reproduce", "--mask", cantor_mask_file, "--samples", cantor_samples_file,
@@ -174,14 +189,6 @@ def test_corpus_all_pass(capsys):
     assert all(line.startswith("PASS") for line in out)
 
 
-def test_corpus_deterministic_across_thread_counts(capsys):
-    assert main(["corpus", "--threads", "1"]) == 0
-    sequential = capsys.readouterr().out
-    assert main(["corpus", "--threads", "4"]) == 0
-    threaded = capsys.readouterr().out
-    assert threaded == sequential
-
-
 def test_missing_file_is_input_error(capsys):
     code = main(["verify", "--mask", "no/such/file.json", "--samples", "dd4"])
     assert code == 2
@@ -205,3 +212,49 @@ def test_bad_range_is_input_error(tmp_path, capsys):
         "--range", "oops",
     ])
     assert code == 2
+
+
+@pytest.fixture
+def bad_input_files(tmp_path, cantor_mask_file):
+    bad_seed = catalog.cantor_samples().perturbed(1, F(1, 100))
+    return {
+        "mask": cantor_mask_file,
+        "bad_seed": write_json(tmp_path / "bad_seed.json", bad_seed.to_dict()),
+        "line": write_json(
+            tmp_path / "line.json", catalog.quinary_reference_family().to_dict()
+        ),
+        "plane": write_json(
+            tmp_path / "plane.json", derive(catalog.quaternary_problem(0)).to_dict()
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--mask", "{mask}", "--samples", "dd:2", "--depth", "-1"],
+        ["eval", "--mask", "{mask}", "--samples", "{bad_seed}", "--depth", "2"],
+        ["regularity", "--mask", "{mask}", "--order", "9"],
+        ["regularity", "--mask", "{mask}", "--levels", "0"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1", "--bisect"],
+        ["sweep", "--family", "{plane}", "--range=-1:1", "--grid", "5"],
+        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--depth", "-2"],
+    ],
+    ids=[
+        "eval-negative-depth",
+        "eval-inconsistent-seed",
+        "regularity-order-too-high",
+        "regularity-zero-levels",
+        "sweep-grid-1",
+        "bisect-grid-1",
+        "sweep-plane-family",
+        "reproduce-negative-depth",
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
+    code = main([a.format(**bad_input_files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

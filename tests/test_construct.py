@@ -18,9 +18,11 @@ from dualsubdiv.construct import (
     o_power,
     smoothing_coeffs,
 )
-from dualsubdiv.exactalg import RatMatrix
+from dualsubdiv.charax import verify_dual_interpolatory
+from dualsubdiv.exactalg import LaurentPoly, RatMatrix, rref_solve
 from dualsubdiv.samples import dd_samples
 from dualsubdiv.scheme import (
+    Mask,
     Symmetry,
     classify_symmetry,
     shift_parameter,
@@ -193,6 +195,27 @@ def test_derive_quaternary_families():
         else:
             v, u = catalog.quaternary_cubic_params(w)
             assert family.contains(catalog.quaternary_family_mask(w, v, u))
+
+
+def test_derive_imposes_dual_shift_when_other_rows_leave_it_free():
+    problem = ConstructionProblem(6, 1, 16, dd_samples(3), False)
+    family = derive(problem)
+    assert family.dimension == 14
+    samples = problem.samples
+    members = [family.particular] + [
+        family.member([int(i == j) for j in range(family.dimension)])
+        for i in range(family.dimension)
+    ]
+    for mask in members:
+        assert shift_parameter(mask) == F(1, 2)
+        assert verify_dual_interpolatory(mask, samples).satisfied
+    # the assembled system alone admits masks with tau != 1/2; contains rejects them
+    system = assemble(problem)
+    b = LaurentPoly(problem.beta_window[0], rref_solve(system.matrix, system.rhs).particular)
+    free = b * smoothing_coeffs(6, 1)
+    free_mask = Mask(6, free.offset, free.coeffs)
+    assert shift_parameter(free_mask) != F(1, 2)
+    assert not family.contains(free_mask)
 
 
 def test_family_membership_is_affine():
