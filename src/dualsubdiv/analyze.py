@@ -149,6 +149,8 @@ def _iterated_norms(offset: int, coeffs: Sequence, m: int, levels: int) -> list:
     norm is the largest absolute coefficient sum over residue classes mod m^L.
     Works for exact (Fraction) and float coefficients alike.
     """
+    if levels < 1:
+        raise ValueError(f"need at least one level, got {levels}")
     base = {offset + i: c for i, c in enumerate(coeffs) if c != 0}
     norms = []
     q = dict(base)
@@ -180,8 +182,6 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     Contractivity of any level certifies C^order membership with Holder lower
     bound order - log_m(best bound).
     """
-    if levels < 1:
-        raise ValueError("need at least one level")
     p = factor_smoothing(mask, order + 1)
     norms = _iterated_norms(p.offset, p.coeffs, mask.arity, levels)
     bounds = tuple(float(n) ** (1.0 / L) for L, n in enumerate(norms, start=1))

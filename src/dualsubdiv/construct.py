@@ -1,10 +1,14 @@
 """Assembly and exact solution of the dual interpolatory construction system.
 
-The refinement equation evaluated on the half-integer lattice, together with
-the per-residue sum conditions and the smoothing-factor change of unknowns,
-yields a finite rational linear system in the reduced coefficients b.  Solving
-it exactly gives a mask, an affine family of masks, or a proof of
-infeasibility for the requested (arity, smoothing order, support, samples).
+Every condition of the construction is a linear functional of the mask a:
+the refinement equation evaluated on the half-integer lattice (rows M), the
+per-residue sum conditions (rows N) and the dual shift tau = 1/2.  The
+smoothing-factor change of unknowns a = m^{1-d} (1+...+z^{m-1})^d b makes
+each unknown, one b_beta or one mirror pair of them under symmetry, stand for
+a column mask; the system entries are the functionals applied to the column
+masks, and a solution x is the mask sum_i x_i column_i.  Solving it exactly
+gives a mask, an affine family of masks, or a proof of infeasibility for the
+requested (arity, smoothing order, support, samples).
 """
 
 from __future__ import annotations
@@ -171,26 +175,17 @@ def build_O(m: int, rows: tuple[int, int], cols: tuple[int, int]) -> RatMatrix:
     )
 
 
-def o_power(m: int, d: int, rows: tuple[int, int], cols: tuple[int, int]) -> RatMatrix:
-    """Window of O^d; its entries are the coefficients of (1+...+z^{m-1})^d."""
-    s = smoothing_coeffs(m, d)
-    return RatMatrix(
-        [
-            [s.coefficient(r - c) for c in range(cols[0], cols[1] + 1)]
-            for r in range(rows[0], rows[1] + 1)
-        ]
-    )
-
-
 RowLabel = tuple[str, int]
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Finite exact system matrix * b = rhs plus bookkeeping.
+    """Finite exact system matrix * x = rhs plus bookkeeping.
 
     ``col_labels`` lists, per column, the b-indices the column stands for
-    (two indices when symmetry folded a mirror pair onto one unknown).
+    (two indices when symmetry folded a mirror pair onto one unknown), and
+    ``columns`` the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta
+    that the unknown multiplies: a solution x is the mask sum_i x_i columns_i.
     ``dropped`` records pruned rows with the reason, for auditability.
     """
 
@@ -199,7 +194,47 @@ class AssembledSystem:
     rhs: tuple[Fraction, ...]
     row_labels: tuple[RowLabel, ...]
     col_labels: tuple[tuple[int, ...], ...]
+    columns: tuple[LaurentPoly, ...]
     dropped: tuple[tuple[RowLabel, str], ...]
+
+
+def _column_pairs(problem: ConstructionProblem) -> tuple[tuple[int, ...], ...]:
+    """The b-indices per unknown; under symmetry the mirror pairs, innermost first."""
+    b_lo, b_hi = problem.beta_window
+    if not problem.symmetric:
+        return tuple((beta,) for beta in range(b_lo, b_hi + 1))
+    return tuple(
+        (b_lo + i,) if 2 * i == b_hi - b_lo else (b_lo + i, b_hi - i)
+        for i in reversed(range((b_hi - b_lo) // 2 + 1))
+    )
+
+
+def _mask_functionals(
+    problem: ConstructionProblem,
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...], tuple[RowLabel, ...]]:
+    """Rows of [M; N] on the mask window [1-k*, k*], their rhs and labels."""
+    m, k_star = problem.m, problem.k_star
+    rows = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
+    a_lo, a_hi = problem.alpha_window
+    labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)]
+    labels += [("N", gamma) for gamma in range(1, m + 1)]
+    return rows, build_rhs(problem.samples, m, k_star), tuple(labels)
+
+
+def _apply(row: Sequence[Fraction], mask: LaurentPoly, k_star: int) -> Fraction:
+    """A row functional on the mask window applied to a mask inside that window."""
+    start = mask.offset - (1 - k_star)
+    window = row[start : start + len(mask.coeffs)]
+    return sum((r * c for r, c in zip(window, mask.coeffs) if r), Fraction(0))
+
+
+def _dual_shift(mask: LaurentPoly) -> Fraction:
+    """sum_k 2k a_k, which equals m exactly when tau = (1/m) sum_k k a_k = 1/2.
+
+    Symmetry and the residue sums imply tau = 1/2; the other rows of a
+    non-symmetric problem may leave it free, so derive and contains impose it.
+    """
+    return 2 * mask.derivative_at_one()
 
 
 def assemble(problem: ConstructionProblem) -> AssembledSystem:
@@ -207,46 +242,26 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
 
     Without symmetry this is the plain windowed system (no pruning), of
     dimension (alpha_hi - alpha_lo + 1 + m) x (2k* - d(m-1)).  With symmetry,
-    mirror columns are folded onto single unknowns (innermost pair first) and
+    each mirror pair of b-indices is one column (innermost pair first) and
     zero or duplicate rows are pruned.
     """
-    m, d, k_star = problem.m, problem.d, problem.k_star
-    b_lo, b_hi = problem.beta_window
-    M = build_M(m, problem.samples, k_star)
-    N = build_N(m, k_star)
-    P = o_power(m, d, (1 - k_star, k_star), (b_lo, b_hi))
-    scale = Fraction(m) ** (1 - d)
-    full = M.vstack(N).matmul(P).scale(scale)
-    rhs = build_rhs(problem.samples, m, k_star)
-    a_lo, a_hi = problem.alpha_window
-    labels: list[RowLabel] = [("M", alpha) for alpha in range(a_lo, a_hi + 1)]
-    labels += [("N", gamma) for gamma in range(1, m + 1)]
+    unit = smoothing_coeffs(problem.m, problem.d) * Fraction(problem.m) ** (1 - problem.d)
+    pairs = _column_pairs(problem)
+    columns = tuple(
+        sum((unit.shift(beta) for beta in pair), LaurentPoly.zero()) for pair in pairs
+    )
+    rows, rhs, labels = _mask_functionals(problem)
+    full = [[_apply(row, column, problem.k_star) for column in columns] for row in rows]
 
     if not problem.symmetric:
-        cols = tuple((beta,) for beta in range(b_lo, b_hi + 1))
-        return AssembledSystem(problem, full, rhs, tuple(labels), cols, ())
-
-    # fold mirror columns b and (b_lo + b_hi) - b; innermost pair first
-    pairs: list[tuple[int, ...]] = []
-    lo, hi = b_lo, b_hi
-    while lo <= hi:
-        pairs.append((lo,) if lo == hi else (lo, hi))
-        lo += 1
-        hi -= 1
-    pairs.reverse()
-
-    folded_rows = []
-    for row in full.entries:
-        folded_rows.append(
-            [sum(row[beta - b_lo] for beta in pair) for pair in pairs]
-        )
+        return AssembledSystem(problem, RatMatrix(full), rhs, labels, pairs, columns, ())
 
     kept_rows: list[list[Fraction]] = []
     kept_rhs: list[Fraction] = []
     kept_labels: list[RowLabel] = []
     dropped: list[tuple[RowLabel, str]] = []
     seen: dict[tuple, RowLabel] = {}
-    for row, rhs_v, label in zip(folded_rows, rhs, labels):
+    for row, rhs_v, label in zip(full, rhs, labels):
         if all(x == 0 for x in row) and rhs_v == 0:
             dropped.append((label, "zero"))
             continue
@@ -264,40 +279,15 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
         RatMatrix(kept_rows),
         tuple(kept_rhs),
         tuple(kept_labels),
-        tuple(pairs),
+        pairs,
+        columns,
         tuple(dropped),
     )
 
 
-def _with_dual_shift(system: AssembledSystem) -> tuple[RatMatrix, tuple[Fraction, ...]]:
-    """The system plus the row tau = 1/2, on the system's columns.
-
-    With a = m^{1-d} (1+...+z^{m-1})^d b, tau = (1/m) sum_k k a_k equals
-    sum_beta (beta + d(m-1)/2) b_beta, so tau = 1/2 reads
-    sum_beta (2 beta + d(m-1)) b_beta = 1.  Symmetry and the residue sums
-    imply it; the other constraints of a non-symmetric problem may not.
-    """
-    p = system.problem
-    c = p.d * (p.m - 1)
-    row = [sum(2 * beta + c for beta in pair) for pair in system.col_labels]
-    return system.matrix.vstack(RatMatrix([row])), system.rhs + (Fraction(1),)
-
-
-def _unfold(system: AssembledSystem, vector: Sequence[Fraction]) -> list[Fraction]:
-    """Expand a solved column vector back to the full b-window."""
-    b_lo, b_hi = system.problem.beta_window
-    full = [Fraction(0)] * (b_hi - b_lo + 1)
-    for pair, value in zip(system.col_labels, vector):
-        for beta in pair:
-            full[beta - b_lo] = value
-    return full
-
-
-def _mask_coeffs_from_b(problem: ConstructionProblem, b: Sequence[Fraction]) -> LaurentPoly:
-    """a = m^{1-d} * (1+...+z^{m-1})^d * b, as a coefficient polynomial."""
-    b_poly = LaurentPoly(problem.beta_window[0], b)
-    scale = Fraction(problem.m) ** (1 - problem.d)
-    return b_poly * smoothing_coeffs(problem.m, problem.d) * scale
+def _combination(columns: Sequence[LaurentPoly], x: Sequence[Fraction]) -> LaurentPoly:
+    """The mask sum_i x_i columns_i."""
+    return sum((column * c for column, c in zip(columns, x) if c), LaurentPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -332,7 +322,8 @@ class SolutionFamily:
         return Mask(self.problem.m, poly.offset, poly.coeffs)
 
     def contains(self, mask: Mask) -> bool:
-        """Exact membership: the mask solves the assembled system and has tau = 1/2."""
+        """Exact membership: the mask lies in the span of the system's columns,
+        satisfies every row of [M; N] and has tau = 1/2."""
         problem = self.problem
         if mask.arity != problem.m:
             return False
@@ -345,15 +336,14 @@ class SolutionFamily:
         b_lo, b_hi = problem.beta_window
         if not b_poly.is_zero and (b_poly.degree_low < b_lo or b_poly.degree_high > b_hi):
             return False
-        system = assemble(problem)
-        folded = []
-        for pair in system.col_labels:
-            vals = {b_poly.coefficient(beta) for beta in pair}
-            if len(vals) > 1:
+        for pair in _column_pairs(problem):
+            if len({b_poly.coefficient(beta) for beta in pair}) > 1:
                 return False
-            folded.append(vals.pop())
-        matrix, rhs = _with_dual_shift(system)
-        return matrix.matvec(folded) == rhs
+        a = mask.coeff_poly()
+        rows, rhs, _ = _mask_functionals(problem)
+        if any(_apply(row, a, problem.k_star) != c for row, c in zip(rows, rhs)):
+            return False
+        return _dual_shift(a) == problem.m
 
     def to_dict(self) -> dict:
         return {
@@ -388,17 +378,18 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     requested constraints exists.
     """
     system = assemble(problem)
+    shift_row = RatMatrix([[_dual_shift(column) for column in system.columns]])
     try:
-        solution = rref_solve(*_with_dual_shift(system))
+        solution = rref_solve(
+            system.matrix.vstack(shift_row), system.rhs + (Fraction(problem.m),)
+        )
     except InfeasibleSystem:
         raise InfeasibleProblem(
             f"no dual interpolatory mask with arity {problem.m}, smoothing order"
             f" {problem.d}, k* = {problem.k_star}"
             f"{' and symmetry' if problem.symmetric else ''} for these samples"
         ) from None
-    particular_poly = _mask_coeffs_from_b(problem, _unfold(system, solution.particular))
-    particular = Mask(problem.m, particular_poly.offset, particular_poly.coeffs)
-    basis = tuple(
-        _mask_coeffs_from_b(problem, _unfold(system, v)) for v in solution.nullbasis
-    )
-    return SolutionFamily(problem, particular, basis)
+    particular = _combination(system.columns, solution.particular)
+    basis = tuple(_combination(system.columns, v) for v in solution.nullbasis)
+    mask = Mask(problem.m, particular.offset, particular.coeffs)
+    return SolutionFamily(problem, mask, basis)

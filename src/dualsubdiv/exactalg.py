@@ -262,10 +262,6 @@ class RatMatrix:
             [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
 
-    def scale(self, c: RationalLike) -> "RatMatrix":
-        f = rat(c)
-        return RatMatrix([[f * x for x in row] for row in self.entries])
-
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

@@ -160,6 +160,18 @@ def test_profile_needs_one_dimensional_family():
         contractivity_profile(two_dim, 0, 3, [0.0])
 
 
+def test_contractivity_entries_reject_zero_levels():
+    family = catalog.quinary_reference_family()
+    calls = [
+        lambda: contractivity_bound(catalog.quinary_family_mask(0), 0, 0),
+        lambda: contractivity_profile(family, 0, 0, [0.0]),
+        lambda: contractivity_range(family, 0, 0, (-1.0, 1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need at least one level, got 0"):
+            call()
+
+
 def test_reproduction_degrees():
     assert reproduction_degree(TERNARY, DD4, 5, 3, 1e-8) == 3
     assert reproduction_degree(CANTOR, CANTOR_SAMPLES, 3, 3, 1e-8) == 0

@@ -239,6 +239,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1"],
         ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1", "--bisect"],
         ["sweep", "--family", "{plane}", "--range=-1:1", "--grid", "5"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--levels", "0"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--levels", "0", "--bisect"],
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--depth", "-2"],
     ],
     ids=[
@@ -249,6 +251,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "sweep-grid-1",
         "bisect-grid-1",
         "sweep-plane-family",
+        "sweep-zero-levels",
+        "bisect-zero-levels",
         "reproduce-negative-depth",
     ],
 )
@@ -258,3 +262,5 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if "--levels" in argv:
+        assert "at least one level, got 0" in err

@@ -15,12 +15,11 @@ from dualsubdiv.construct import (
     build_O,
     build_rhs,
     derive,
-    o_power,
     smoothing_coeffs,
 )
 from dualsubdiv.charax import verify_dual_interpolatory
 from dualsubdiv.exactalg import LaurentPoly, RatMatrix, rref_solve
-from dualsubdiv.samples import dd_samples
+from dualsubdiv.samples import dd_samples, samples_from_shorthand
 from dualsubdiv.scheme import (
     Mask,
     Symmetry,
@@ -104,19 +103,73 @@ def test_build_O_band():
     assert o.entries == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
 
 
-def test_o_power_matches_repeated_band_product():
-    # oracle: multiply the plain band matrix twice over a generous window
-    band = build_O(3, (-8, 8), (-8, 8))
-    twice = band @ band
-    window = o_power(3, 2, (-4, 4), (-4, 4))
-    inner = RatMatrix([row[4:13] for row in twice.entries[4:13]])
-    assert window == inner
+def test_smoothing_coeffs_values():
+    assert smoothing_coeffs(3, 2).coeffs == (1, 2, 3, 2, 1)
+    assert smoothing_coeffs(4, 0).coeffs == (1,)
 
 
-def test_o_power_column_is_smoothing_coeffs():
-    col = o_power(3, 2, (0, 4), (0, 0))
-    assert tuple(row[0] for row in col.entries) == (1, 2, 3, 2, 1)
-    assert list(smoothing_coeffs(3, 2).coeffs) == [1, 2, 3, 2, 1]
+def _oracle_system(problem):
+    """m^{1-d} [build_M; build_N] @ (build_O band)^d on the b-window, dense."""
+    m, d, k_star = problem.m, problem.d, problem.k_star
+    window = (1 - k_star, k_star)
+    band = build_O(m, window, window)
+    power = RatMatrix.identity(2 * k_star)
+    for _ in range(d):
+        power = power @ band
+    b_lo, b_hi = problem.beta_window
+    n_cols = b_hi - b_lo + 1
+    o_d = RatMatrix([row[:n_cols] for row in power.entries])
+    scale = F(m) ** (1 - d)
+    product = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)) @ o_d
+    matrix = [[x * scale for x in row] for row in product.entries]
+    columns = [[row[j] * scale for row in o_d.entries] for j in range(n_cols)]
+    return matrix, columns
+
+
+@pytest.mark.parametrize(
+    "m,d,k_star,samples",
+    [
+        (2, 0, 2, "dd:2"),
+        (2, 1, 3, "dd4"),
+        (3, 0, 4, "dd4"),
+        (3, 2, 5, "dd4"),
+        (3, 4, 7, "dd4"),
+        (4, 1, 8, "mix:1/3"),
+        (5, 3, 10, "dd4"),
+        (6, 2, 13, "mix:3/5"),
+    ],
+)
+def test_assemble_matches_dense_band_power_oracle(m, d, k_star, samples):
+    sample_set = samples_from_shorthand(samples)
+    plain = assemble(ConstructionProblem(m, d, k_star, sample_set, False))
+    matrix, columns = _oracle_system(plain.problem)
+    assert [list(row) for row in plain.matrix.entries] == matrix
+    assert plain.rhs == build_rhs(sample_set, m, k_star)
+    b_lo, b_hi = plain.problem.beta_window
+    assert plain.col_labels == tuple((beta,) for beta in range(b_lo, b_hi + 1))
+    # each column is the mask m^{1-d} (1+...+z^{m-1})^d z^beta
+    for column, oracle in zip(plain.columns, columns):
+        assert column == LaurentPoly(1 - k_star, oracle)
+        assert column * F(m) ** (d - 1) == smoothing_coeffs(m, d).shift(column.offset)
+
+    folded = assemble(ConstructionProblem(m, d, k_star, sample_set, True))
+    pairs = sorted({tuple(sorted({beta, b_lo + b_hi - beta})) for beta in range(b_lo, b_hi + 1)})
+    pairs.sort(key=lambda pair: pair[-1] - pair[0])
+    assert folded.col_labels == tuple(pairs)
+    for pair, column in zip(pairs, folded.columns):
+        assert column == sum((plain.columns[beta - b_lo] for beta in pair), LaurentPoly.zero())
+    kept, kept_rhs, seen = [], [], set()
+    for row, rhs_v in zip(matrix, plain.rhs):
+        row = [sum(row[beta - b_lo] for beta in pair) for pair in pairs]
+        if (all(x == 0 for x in row) and rhs_v == 0) or (tuple(row), rhs_v) in seen:
+            continue
+        seen.add((tuple(row), rhs_v))
+        kept.append(row)
+        kept_rhs.append(rhs_v)
+    assert [list(row) for row in folded.matrix.entries] == kept
+    assert list(folded.rhs) == kept_rhs
+    assert len(folded.row_labels) + len(folded.dropped) == len(plain.row_labels)
+    assert set(folded.row_labels) | {label for label, _ in folded.dropped} == set(plain.row_labels)
 
 
 PRINTED_MATRIX = (

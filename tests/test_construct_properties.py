@@ -1,0 +1,99 @@
+"""Property tests of derive and SolutionFamily.contains on random small problems."""
+
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from dualsubdiv.charax import verify_dual_interpolatory
+from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, assemble, derive
+from dualsubdiv.samples import dd_samples, mix_samples
+from dualsubdiv.scheme import Mask, shift_parameter
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def sample_sets(draw):
+    kind = draw(st.sampled_from(["dd4", "dd6", "mix"]))
+    if kind == "dd4":
+        return dd_samples(2)
+    if kind == "dd6":
+        return dd_samples(3)
+    return mix_samples(dd_samples(2), dd_samples(3), draw(rationals))
+
+
+def smallest_k_star(m, d, samples):
+    k_star = 1
+    while True:
+        try:
+            ConstructionProblem(m, d, k_star, samples, True)
+            return k_star
+        except ValueError:
+            k_star += 1
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.integers(3, 7))
+    d = draw(st.integers(1, 3))
+    samples = draw(sample_sets())
+    k_star = smallest_k_star(m, d, samples) + draw(st.integers(0, 3))
+    return ConstructionProblem(m, d, k_star, samples, draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.data())
+def test_members_are_dual_interpolatory_and_perturbations_are_not(problem, data):
+    try:
+        family = derive(problem)
+    except InfeasibleProblem:
+        return
+    t = data.draw(st.lists(rationals, min_size=family.dimension, max_size=family.dimension))
+    mask = family.member(t)
+    assert family.contains(mask)
+    assert verify_dual_interpolatory(mask, problem.samples).satisfied
+    assert shift_parameter(mask) == F(1, 2)
+
+    i = data.draw(st.integers(0, len(mask.coeffs) - 1))
+    delta = data.draw(rationals.filter(lambda x: x != 0))
+    coeffs = list(mask.coeffs)
+    coeffs[i] += delta
+    assert not family.contains(Mask(problem.m, mask.offset, coeffs))
+
+
+@settings(max_examples=20, deadline=None)
+@given(problems(), st.data())
+def test_contains_checks_mirror_symmetry_and_every_row(problem, data):
+    symmetric = replace(problem, symmetric=True)
+    try:
+        family = derive(symmetric)
+        plain = derive(replace(problem, symmetric=False))
+    except InfeasibleProblem:
+        return
+    # folded and unfolded solution sets agree on the palindromes about 1/2
+    t = data.draw(st.lists(rationals, min_size=plain.dimension, max_size=plain.dimension))
+    mask = plain.member(t)
+    palindrome = all(
+        mask.coefficient(k) == mask.coefficient(1 - k) for k in range(1, problem.k_star + 1)
+    )
+    assert family.contains(mask) == palindrome
+    member = family.member(
+        data.draw(st.lists(rationals, min_size=family.dimension, max_size=family.dimension))
+    )
+    assert plain.contains(member)
+
+    # moving along a difference of two mirror-pair columns keeps the span and
+    # tau = 1/2; the result stays a member iff the assembled rows allow it
+    system = assemble(symmetric)
+    pairs = [i for i, label in enumerate(system.col_labels) if len(label) == 2]
+    if len(pairs) < 2:
+        return
+    i, j = data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2, unique=True))
+    solves = all(row[i] == row[j] for row in system.matrix.entries)
+    step = (system.columns[i] - system.columns[j]) * data.draw(rationals.filter(bool))
+    moved = member.coeff_poly() + step
+    assert family.contains(Mask(problem.m, moved.offset, moved.coeffs)) == solves
