@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .construct import SolutionFamily
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, convolve
 from .samples import SampleSet
 from .scheme import (
     Mask,
@@ -76,11 +76,13 @@ class Polyline:
 def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     """Values of the limit function on Z/(T m^depth) via the refinement equation.
 
-    Each level evaluates phi(x) = sum_k a_k phi(m x - k + tau) for x on the
-    next finer lattice, reading the previous level.  Depth 0 returns the seed
-    as a LatticeFunction.  Raises SeedInconsistent when the seed leaves the
-    limit support or when the first level does not reproduce the seed at the
-    seed's own lattice points; depth 0 runs that level for the check alone.
+    On the lattice Z/Q the refinement equation phi(x) = sum_k a_k
+    phi(m x - k + tau) reads V'(z) = z^{-tau Q} A(z^Q) V(z), where
+    V(z) = sum_q phi(q/Q) z^q, V' the same on Z/(mQ), A(z) = sum_k a_k z^k;
+    each level is that one product.  Depth 0 returns the seed as a
+    LatticeFunction.  Raises SeedInconsistent when the seed leaves the limit
+    support or when the first level does not reproduce the seed at the seed's
+    own lattice points; depth 0 runs that level for the check alone.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -89,7 +91,6 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     tau_T = tau * seed.T
     if tau_T.denominator != 1:
         raise ValueError(f"tau*T = {tau_T} is not an integer")
-    t = int(tau_T)
 
     lo, hi = limit_support(mask)
     s_lo, s_hi = seed.support
@@ -102,26 +103,16 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     values = [seed.value_at_index(i) for i in range(n_lo, math.floor(hi * Q) + 1)]
 
     for level in range(max(depth, 1)):
-        shift = t * (Q // seed.T)
         Q2 = Q * m
         n_lo2 = math.ceil(lo * Q2)
-        new = []
-        for q in range(n_lo2, math.floor(hi * Q2) + 1):
-            acc = Fraction(0)
-            for j, a in enumerate(mask.coeffs):
-                k = mask.offset + j
-                idx = q + shift - k * Q - n_lo
-                if 0 <= idx < len(values):
-                    acc += a * values[idx]
-            new.append(acc)
+        # it starts at k_l Q + n_lo - tau Q = n_lo2; pad an empty window's end
+        new = convolve(mask.coeffs, values, Q)
+        new += [Fraction(0)] * (math.floor(hi * Q2) + 1 - n_lo2 - len(new))
         if level == 0:
-            for i, v in enumerate(values):
-                alpha = n_lo + i
-                if new[m * alpha - n_lo2] != v:
-                    raise SeedInconsistent(
-                        f"refinement equation fails at {alpha}/{Q}:"
-                        f" {v} != {new[m * alpha - n_lo2]}"
-                    )
+            # the seed point alpha/Q is entry m alpha - n_lo2 of the new level
+            for alpha, (v, w) in enumerate(zip(values, new[m * n_lo - n_lo2 :: m]), n_lo):
+                if w != v:
+                    raise SeedInconsistent(f"refinement equation fails at {alpha}/{Q}: {v} != {w}")
             if depth == 0:
                 break
         values, Q, n_lo = new, Q2, n_lo2
@@ -142,36 +133,23 @@ def difference_scheme(mask: Mask, order: int) -> Mask:
     return Mask(mask.arity, scaled.offset, scaled.coeffs)
 
 
-def _iterated_norms(offset: int, coeffs: Sequence, m: int, levels: int) -> list:
+def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> list:
     """Infinity norms of the L-times iterated scheme, L = 1..levels.
 
     The iterate's symbol is the product p(z) p(z^m) ... p(z^{m^{L-1}}); the
     norm is the largest absolute coefficient sum over residue classes mod m^L.
+    A shift of p only permutes those classes, so its offset does not matter.
     Works for exact (Fraction) and float coefficients alike.
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    base = {offset + i: c for i, c in enumerate(coeffs) if c != 0}
-    norms = []
-    q = dict(base)
+    norms, q = [], [1]
     for level in range(1, levels + 1):
-        if level > 1:
-            stride = m ** (level - 1)
-            nxt: dict = {}
-            for e1, c1 in q.items():
-                for e2, c2 in base.items():
-                    e = e1 + stride * e2
-                    if e in nxt:
-                        nxt[e] += c1 * c2
-                    else:
-                        nxt[e] = c1 * c2
-            q = nxt
+        q = convolve(coeffs, q, m ** (level - 1))
         modulus = m**level
-        sums: dict = {}
-        for e, c in q.items():
-            r = e % modulus
-            sums[r] = sums.get(r, 0) + abs(c)
-        norms.append(max(sums.values()) if sums else 0)
+        # a class sum starts from its first entry, so no zero is added
+        classes = range(min(modulus, len(q)))
+        norms.append(max(sum(map(abs, q[r + modulus :: modulus]), abs(q[r])) for r in classes))
     return norms
 
 
@@ -182,8 +160,10 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     Contractivity of any level certifies C^order membership with Holder lower
     bound order - log_m(best bound).
     """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     p = factor_smoothing(mask, order + 1)
-    norms = _iterated_norms(p.offset, p.coeffs, mask.arity, levels)
+    norms = _iterated_norms(p.coeffs, mask.arity, levels)
     bounds = tuple(float(n) ** (1.0 / L) for L, n in enumerate(norms, start=1))
     contractive = any(n < 1 for n in norms)
     holder = None
@@ -195,11 +175,13 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
 def _family_difference_parts(
     family: SolutionFamily, order: int
 ) -> tuple[LaurentPoly, LaurentPoly]:
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     if family.dimension != 1:
         raise ValueError("parameter sweeps need a one-dimensional family")
     m = family.problem.m
-    dp = factor_smoothing(family.particular, order)
-    dv = divide_smoothing(family.basis[0] * Fraction(1, m), m, order)
+    dp = factor_smoothing(family.particular, order + 1)
+    dv = divide_smoothing(family.basis[0] * Fraction(1, m), m, order + 1)
     return dp, dv
 
 
@@ -212,7 +194,7 @@ def _line_best_bound(
     coeffs = [
         float(dp.coefficient(e)) + t * float(dv.coefficient(e)) for e in range(lo, hi)
     ]
-    norms = _iterated_norms(lo, coeffs, m, levels)
+    norms = _iterated_norms(coeffs, m, levels)
     return min(n ** (1.0 / L) for L, n in enumerate(norms, start=1))
 
 
@@ -223,7 +205,7 @@ def contractivity_profile(
     parameters: Sequence[float],
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family."""
-    dp, dv = _family_difference_parts(family, order + 1)
+    dp, dv = _family_difference_parts(family, order)
     m = family.problem.m
     return [(t, _line_best_bound(dp, dv, m, levels, t)) for t in parameters]
 
@@ -245,7 +227,7 @@ def contractivity_range(
     to the requested parameter tolerance.  Endpoints clamp to the search
     interval when the contractive region touches it.
     """
-    dp, dv = _family_difference_parts(family, order + 1)
+    dp, dv = _family_difference_parts(family, order)
     m = family.problem.m
 
     def contractive(t: float) -> bool:
@@ -292,6 +274,8 @@ def reproduction_degree(
 
     Returns -1 when even constants are not reproduced within tolerance.
     """
+    if max_degree < 0:
+        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
     lf = refine_values(mask, seed, depth)
     Q = lf.denominator
     lo_i = lf.offset
@@ -313,28 +297,20 @@ def reproduction_degree(
 def _subdivide_once(
     mask: Mask, pts: list[tuple[float, ...]], first: int, closed: bool
 ) -> tuple[list[tuple[float, ...]], int]:
+    """One step c'(z) = A(z) c(z^m) per coordinate, A(z) = sum_k a_k z^k.
+
+    Open polygons index c' from m*first + k_l.  A closed polygon of n points
+    is periodic: c' is the product mod z^{mn} - 1, indexed from 0.
+    """
     m = mask.arity
-    dim = len(pts[0])
     weights = [float(c) for c in mask.coeffs]
-    if closed:
-        n_out = m * len(pts)
-        out = [[0.0] * dim for _ in range(n_out)]
-        for k, pt in enumerate(pts):
-            for j, w in enumerate(weights):
-                target = (m * k + mask.offset + j) % n_out
-                for c in range(dim):
-                    out[target][c] += w * pt[c]
-        return [tuple(p) for p in out], 0
-    new_first = m * first + mask.k_left
-    n_out = m * (first + len(pts) - 1) + mask.k_right - new_first + 1
-    out = [[0.0] * dim for _ in range(n_out)]
-    for k_rel, pt in enumerate(pts):
-        k = first + k_rel
-        for j, w in enumerate(weights):
-            target = m * k + mask.offset + j - new_first
-            for c in range(dim):
-                out[target][c] += w * pt[c]
-    return [tuple(p) for p in out], new_first
+    columns = [convolve(coords, weights, m) for coords in zip(*pts)]
+    if not closed:
+        return list(zip(*columns)), m * first + mask.k_left
+    n = m * len(pts)
+    # column entry i is the coefficient of z^(i + k_l)
+    padded = [[0.0] * (mask.k_left % n) + c for c in columns]
+    return [tuple(sum(c[r::n], 0.0) for c in padded) for r in range(n)], 0
 
 
 def subdivide_points(
@@ -346,6 +322,8 @@ def subdivide_points(
     parameter (n - tau (m^j - 1)/(m - 1)) / m^j, the fixed point of the
     refinement parameter map; consecutive parameters differ by m^{-j}.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     if len(control) < 2:
         raise ValueError("need at least two control points")
     pts = [tuple(float(x) for x in p) for p in control]

@@ -241,7 +241,10 @@ def _read_points(path: str) -> list[tuple[float, float]]:
 def cmd_curve(args) -> int:
     mask = _load_mask(args.mask)
     control = _read_points(args.points)
-    line = subdivide_curve(mask, control, args.steps, closed=args.closed)
+    try:
+        line = subdivide_curve(mask, control, args.steps, closed=args.closed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     rows = ["t,x,y"]
     for t, (x, y) in zip(line.parameters, line.points):
         rows.append(f"{t},{x},{y}")

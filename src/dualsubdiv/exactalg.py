@@ -2,7 +2,8 @@
 
 Everything in this module computes over ``fractions.Fraction``; no floating
 point is ever introduced here.  Floats only appear downstream in the analysis
-code, after the exact objects have been built.
+code, after the exact objects have been built.  The product kernel ``convolve``
+is type-generic: it keeps the coefficient type it is given and adds no floats.
 """
 
 from __future__ import annotations
@@ -28,7 +29,34 @@ def rat(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:
+    """Coefficients of A(z^stride) B(z): entry stride*i + j sums a[i] * b[j].
+
+    Type-generic: ints, Fractions and floats keep their type, and an entry no
+    product reaches is the unsigned zero ``type(b[0])()``.  A row a[i] * b is
+    stored where no earlier row reached and added only where one did.  Empty
+    inputs give [].
+    """
+    if not a or not b:
+        return []
+    n = len(b)
+    out = [type(b[0])()] * (stride * (len(a) - 1) + n)
+    end = 0  # out[end:] holds no product yet
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        lo = stride * i
+        k = max(end - lo, 0)
+        out[lo : lo + k] = [o + x * y for o, y in zip(out[lo : lo + k], b)]
+        out[lo + k : lo + n] = [x * y for y in b[k:]]
+        end = lo + n
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,15 +159,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            if self.is_zero or other.is_zero:
-                return LaurentPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return LaurentPoly(self.offset + other.offset, out)
+            return LaurentPoly(self.offset + other.offset, convolve(self.coeffs, other.coeffs))
         c = rat(other)
         return LaurentPoly(self.offset, tuple(c * x for x in self.coeffs))
 
@@ -166,11 +186,8 @@ class LaurentPoly:
         """Substitute z -> z^factor (factor >= 1)."""
         if factor < 1:
             raise ValueError("exponent scale factor must be >= 1")
-        if factor == 1 or self.is_zero:
-            return self
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * factor + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * factor] = c
+        out = [Fraction(0)] * (factor * len(self.coeffs) - factor + 1)
+        out[::factor] = self.coeffs
         return LaurentPoly(self.offset * factor, out)
 
     def value_at_one(self) -> Fraction:

@@ -17,7 +17,14 @@ from dualsubdiv.analyze import (
     subdivide_points,
 )
 from dualsubdiv.samples import SampleSet, dd_samples
-from dualsubdiv.scheme import Mask, NotDivisible, smoothing_factor, symbol
+from dualsubdiv.scheme import (
+    Mask,
+    NotDivisible,
+    limit_support,
+    shift_parameter,
+    smoothing_factor,
+    symbol,
+)
 
 
 CANTOR = catalog.cantor_mask()
@@ -51,6 +58,53 @@ def test_interpolation_preserved_at_every_depth(depth):
     for n in range(-4, 5):
         expected = 1 if n == 0 else 0
         assert lattice.value_at_index(n * q) == expected
+
+
+CATALOG_PAIRS = {
+    "cantor": (CANTOR, CANTOR_SAMPLES),
+    "ternary": (TERNARY, DD4),
+    "quinary": (catalog.quinary_family_mask(F(-7, 5)), DD4),
+    "quartic": (catalog.quaternary_quartic_mask(), catalog.blended_samples(1)),
+}
+
+
+def cascade(mask, seed, depth):
+    """Lattice values read point by point off the refinement equation:
+    phi(q/(mQ)) = sum_k a_k phi((q - kQ + tau Q)/Q) on the limit support."""
+    lo, hi = limit_support(mask)
+    shift = shift_parameter(mask) * seed.T
+    Q = seed.T
+    values = {i: seed.value_at_index(i) for i in range(math.ceil(lo * Q), math.floor(hi * Q) + 1)}
+    for _ in range(depth):
+        tQ = int(shift * Q / seed.T)
+        Q2 = Q * mask.arity
+        values = {
+            q: sum(
+                (a * values.get(q - k * Q + tQ, 0) for k, a in enumerate(mask.coeffs, mask.offset)),
+                F(0),
+            )
+            for q in range(math.ceil(lo * Q2), math.floor(hi * Q2) + 1)
+        }
+        Q = Q2
+    return Q, values
+
+
+LATTICE_CASES = {
+    **CATALOG_PAIRS,
+    # no point of Z/2 lies in the support [1/8, 3/8]; Z/10 has two
+    "empty-seed-window": (Mask(5, 1, [F(1, 2), 1]), SampleSet(2, 0, [])),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(LATTICE_CASES))
+def test_refine_values_matches_pointwise_cascade(name, depth):
+    mask, seed = LATTICE_CASES[name]
+    lattice = refine_values(mask, seed, depth)
+    Q, values = cascade(mask, seed, depth)
+    assert lattice.denominator == Q
+    assert lattice.offset == min(values)
+    assert lattice.values == tuple(values[q] for q in sorted(values))
 
 
 def test_ternary_peak_and_support():
@@ -172,6 +226,23 @@ def test_contractivity_entries_reject_zero_levels():
             call()
 
 
+def test_negative_orders_degrees_and_steps_rejected():
+    family = catalog.quinary_reference_family()
+    calls = {
+        "order": [
+            lambda: contractivity_bound(CANTOR, -1, 3),
+            lambda: contractivity_profile(family, -1, 3, [0.0]),
+            lambda: contractivity_range(family, -1, 3, (-1.0, 1.0)),
+        ],
+        "max degree": [lambda: reproduction_degree(CANTOR, CANTOR_SAMPLES, -1, 2, 1e-8)],
+        "steps": [lambda: subdivide_points(CANTOR, [(0.0,), (1.0,)], -1)],
+    }
+    for what, entries in calls.items():
+        for call in entries:
+            with pytest.raises(ValueError, match=f"{what} must be nonnegative, got -1"):
+                call()
+
+
 def test_reproduction_degrees():
     assert reproduction_degree(TERNARY, DD4, 5, 3, 1e-8) == 3
     assert reproduction_degree(CANTOR, CANTOR_SAMPLES, 3, 3, 1e-8) == 0
@@ -230,3 +301,49 @@ def test_two_point_data_approaches_endpoint_values():
 def test_curve_requires_two_points():
     with pytest.raises(ValueError):
         subdivide_curve(CANTOR, [(0.0, 0.0)], 1)
+
+
+def exact_subdivision(mask, control, steps, closed):
+    """c'_n = sum_k a_{n-mk} c_k in Fractions; closed indices wrap mod m n."""
+    pts = {i: tuple(F(x) for x in p) for i, p in enumerate(control)}
+    n = len(control)
+    for _ in range(steps):
+        new = {}
+        for k, c in pts.items():
+            for j, a in enumerate(mask.coeffs, mask.offset):
+                idx = mask.arity * k + j
+                if closed:
+                    idx %= mask.arity * n
+                old = new.get(idx, (F(0),) * len(c))
+                new[idx] = tuple(s + a * x for s, x in zip(old, c))
+        pts = new
+        n *= mask.arity
+    first = min(pts)
+    return first, [pts[i] for i in range(first, first + len(pts))]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("name", sorted(CATALOG_PAIRS))
+def test_subdivide_points_matches_exact_oracle(name, closed):
+    mask = CATALOG_PAIRS[name][0]
+    control = [(0.25, -1.5), (1.0, 0.125), (2.75, 3.0), (-0.5, 2.0), (1.5, -0.75)]
+    steps = 3
+    params, pts = subdivide_points(mask, control, steps, closed=closed)
+    first, exact = exact_subdivision(mask, control, steps, closed)
+    assert len(pts) == len(exact)
+    # error relative to the largest exact coordinate (points near 0 carry no scale)
+    scale = max(abs(x) for p in exact for x in p)
+    for got, want in zip(pts, exact):
+        for x, e in zip(got, want):
+            assert abs(x - e) <= 1e-12 * scale
+    m = mask.arity
+    drift = shift_parameter(mask) * (m**steps - 1) / (m - 1)
+    assert params == [float((n - drift) / m**steps) for n in range(first, first + len(exact))]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_flat_coordinate_stays_unsigned_zero(closed):
+    # the leading coefficient -7/2000 is negative; y = 0 must not print as -0.0
+    mask = catalog.quinary_family_mask(F(-7, 5))
+    _, pts = subdivide_points(mask, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 2, closed=closed)
+    assert all(math.copysign(1.0, y) == 1.0 for _, y in pts)

@@ -217,7 +217,16 @@ def test_bad_range_is_input_error(tmp_path, capsys):
 @pytest.fixture
 def bad_input_files(tmp_path, cantor_mask_file):
     bad_seed = catalog.cantor_samples().perturbed(1, F(1, 100))
+    zero_den_mask = catalog.cantor_mask().to_dict()
+    zero_den_mask["coeffs"][1] = "1/0"
+    zero_den_family = catalog.quinary_reference_family().to_dict()
+    zero_den_family["basis"][0]["coeffs"][0] = "3/0"
+    points = tmp_path / "points.csv"
+    points.write_text("0,0\n1,0\n1,1\n")
     return {
+        "points": str(points),
+        "zero_den_mask": write_json(tmp_path / "zero_den_mask.json", zero_den_mask),
+        "zero_den_family": write_json(tmp_path / "zero_den_family.json", zero_den_family),
         "mask": cantor_mask_file,
         "bad_seed": write_json(tmp_path / "bad_seed.json", bad_seed.to_dict()),
         "line": write_json(
@@ -242,6 +251,14 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["sweep", "--family", "{line}", "--range=-1:1", "--levels", "0"],
         ["sweep", "--family", "{line}", "--range=-1:1", "--levels", "0", "--bisect"],
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--depth", "-2"],
+        ["eval", "--mask", "{mask}", "--samples", "mix:1/0"],
+        ["eval", "--mask", "{zero_den_mask}", "--samples", "dd:2"],
+        ["sweep", "--family", "{zero_den_family}", "--range=-1:1"],
+        ["regularity", "--mask", "{mask}", "--order", "-1"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--order", "-1"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--order", "-1", "--bisect"],
+        ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "-1"],
+        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--maxdeg", "-1"],
     ],
     ids=[
         "eval-negative-depth",
@@ -254,6 +271,14 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "sweep-zero-levels",
         "bisect-zero-levels",
         "reproduce-negative-depth",
+        "eval-zero-denominator-samples",
+        "eval-zero-denominator-mask",
+        "sweep-zero-denominator-family",
+        "regularity-negative-order",
+        "sweep-negative-order",
+        "bisect-negative-order",
+        "curve-negative-steps",
+        "reproduce-negative-maxdeg",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -264,3 +289,5 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
     assert "Traceback" not in err
     if "--levels" in argv:
         assert "at least one level, got 0" in err
+    if "/0" in " ".join(argv) or "zero_den" in " ".join(argv):
+        assert "zero denominator" in err

@@ -23,6 +23,12 @@ def test_rat_rejects_floats():
         rat(0.1)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_rat_rejects_zero_denominators(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat(text)
+
+
 def test_laurent_normalization_trims_zero_ends():
     p = LaurentPoly(-2, [0, 1, 2, 0, 0])
     assert p.offset == -1
