@@ -73,16 +73,26 @@ class Polyline:
     points: tuple[tuple[float, float], ...]
 
 
+def _numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d x for x in fractions]) with d the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for x in fractions))
+    return d, [x.numerator * (d // x.denominator) for x in fractions]
+
+
 def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     """Values of the limit function on Z/(T m^depth) via the refinement equation.
 
     On the lattice Z/Q the refinement equation phi(x) = sum_k a_k
     phi(m x - k + tau) reads V'(z) = z^{-tau Q} A(z^Q) V(z), where
     V(z) = sum_q phi(q/Q) z^q, V' the same on Z/(mQ), A(z) = sum_k a_k z^k;
-    each level is that one product.  Depth 0 returns the seed as a
-    LatticeFunction.  Raises SeedInconsistent when the seed leaves the limit
-    support or when the first level does not reproduce the seed at the seed's
-    own lattice points; depth 0 runs that level for the check alone.
+    each level is that one product.  It runs on integer numerators over one
+    common denominator: with D the lcm of the mask's denominators and S that
+    of the seed's, level L holds ints over S D^L, and the product of the
+    integer mask D a_k with level L is level L+1.  The returned values are
+    reduced Fractions.  Depth 0 returns the seed as a LatticeFunction.
+    Raises SeedInconsistent when the seed leaves the limit support or when the
+    first level does not reproduce the seed at the seed's own lattice points;
+    depth 0 runs that level for the check alone.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -98,25 +108,31 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
+    D, coeffs = _numerators(mask.coeffs)
     Q = seed.T
     n_lo = math.ceil(lo * Q)
-    values = [seed.value_at_index(i) for i in range(n_lo, math.floor(hi * Q) + 1)]
+    scale, values = _numerators(
+        [seed.value_at_index(i) for i in range(n_lo, math.floor(hi * Q) + 1)]
+    )
 
     for level in range(max(depth, 1)):
         Q2 = Q * m
         n_lo2 = math.ceil(lo * Q2)
         # it starts at k_l Q + n_lo - tau Q = n_lo2; pad an empty window's end
-        new = convolve(mask.coeffs, values, Q)
-        new += [Fraction(0)] * (math.floor(hi * Q2) + 1 - n_lo2 - len(new))
+        new = convolve(coeffs, values, Q)
+        new += [0] * (math.floor(hi * Q2) + 1 - n_lo2 - len(new))
         if level == 0:
             # the seed point alpha/Q is entry m alpha - n_lo2 of the new level
             for alpha, (v, w) in enumerate(zip(values, new[m * n_lo - n_lo2 :: m]), n_lo):
-                if w != v:
-                    raise SeedInconsistent(f"refinement equation fails at {alpha}/{Q}: {v} != {w}")
+                if w != v * D:
+                    raise SeedInconsistent(
+                        f"refinement equation fails at {alpha}/{Q}: "
+                        f"{Fraction(v, scale)} != {Fraction(w, scale * D)}"
+                    )
             if depth == 0:
                 break
-        values, Q, n_lo = new, Q2, n_lo2
-    return LatticeFunction(Q, n_lo, tuple(values))
+        values, Q, n_lo, scale = new, Q2, n_lo2, scale * D
+    return LatticeFunction(Q, n_lo, tuple(Fraction(v, scale) for v in values))
 
 
 def difference_scheme(mask: Mask, order: int) -> Mask:
@@ -139,7 +155,8 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> list:
     The iterate's symbol is the product p(z) p(z^m) ... p(z^{m^{L-1}}); the
     norm is the largest absolute coefficient sum over residue classes mod m^L.
     A shift of p only permutes those classes, so its offset does not matter.
-    Works for exact (Fraction) and float coefficients alike.
+    Type-generic: integer numerators over a common denominator D give the
+    norms as ints over D^L, and float coefficients give float norms.
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
@@ -157,13 +174,18 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     """Contraction analysis of the order-(order+1) difference scheme.
 
     Exact arithmetic throughout; only the reported L-th roots are floats.
-    Contractivity of any level certifies C^order membership with Holder lower
-    bound order - log_m(best bound).
+    The iterated norms run on the integer numerators D p_k of the difference
+    symbol, D the lcm of its denominators, so the level-L norm is an int over
+    D^L.  Contractivity of any level certifies C^order membership with Holder
+    lower bound order - log_m(best bound).
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    p = factor_smoothing(mask, order + 1)
-    norms = _iterated_norms(p.coeffs, mask.arity, levels)
+    D, coeffs = _numerators(factor_smoothing(mask, order + 1).coeffs)
+    norms = [
+        Fraction(n, D**L)
+        for L, n in enumerate(_iterated_norms(coeffs, mask.arity, levels), start=1)
+    ]
     bounds = tuple(float(n) ** (1.0 / L) for L, n in enumerate(norms, start=1))
     contractive = any(n < 1 for n in norms)
     holder = None
@@ -272,24 +294,25 @@ def reproduction_degree(
     """Largest D <= max_degree with sum_k k^e phi(x-k) = x^e within tol for
     all e <= D at every lattice point of refine_values(depth).
 
-    Returns -1 when even constants are not reproduced within tolerance.
+    The comb sums run on the lattice's integer numerators over their common
+    denominator; each point's sum is compared with x^e exactly.  Returns -1
+    when even constants are not reproduced within tolerance.  tol must be
+    finite and nonnegative; 0 asks for exact reproduction.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     lf = refine_values(mask, seed, depth)
     Q = lf.denominator
-    lo_i = lf.offset
-    hi_i = lf.offset + len(lf.values) - 1
+    scale, nums = _numerators(lf.values)
+    n = len(nums)
     for e in range(max_degree + 1):
-        for i, _ in enumerate(lf.values):
-            p = lo_i + i
-            # k with p - k*Q inside the stored window
-            k_lo = math.ceil(Fraction(p - hi_i, Q))
-            k_hi = math.floor(Fraction(p - lo_i, Q))
-            acc = Fraction(0)
-            for k in range(k_lo, k_hi + 1):
-                acc += (k**e) * lf.value_at_index(p - k * Q)
-            if abs(acc - Fraction(p, Q) ** e) > tol:
+        for i in range(n):
+            p = lf.offset + i
+            # entry j = i - kQ of the window holds phi(p/Q - k)
+            acc = sum(((i - j) // Q) ** e * nums[j] for j in range(i % Q, n, Q))
+            if abs(Fraction(acc, scale) - Fraction(p, Q) ** e) > tol:
                 return e - 1
     return max_degree
 

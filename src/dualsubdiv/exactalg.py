@@ -1,9 +1,10 @@
 """Exact rational scalars, Laurent polynomials and dense rational linear algebra.
 
-Everything in this module computes over ``fractions.Fraction``; no floating
-point is ever introduced here.  Floats only appear downstream in the analysis
-code, after the exact objects have been built.  The product kernel ``convolve``
-is type-generic: it keeps the coefficient type it is given and adds no floats.
+Laurent polynomials and matrices hold ``fractions.Fraction``s; no floating
+point is ever introduced here.  The product kernel ``convolve`` is
+type-generic: it keeps the coefficient type it is given, so the analysis code
+runs it on integer numerators over a common denominator, and on floats only
+where it asks for them.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from dualsubdiv.samples import SampleSet, dd_samples
 from dualsubdiv.scheme import (
     Mask,
     NotDivisible,
+    factor_smoothing,
     limit_support,
     shift_parameter,
     smoothing_factor,
@@ -105,6 +106,9 @@ def test_refine_values_matches_pointwise_cascade(name, depth):
     assert lattice.denominator == Q
     assert lattice.offset == min(values)
     assert lattice.values == tuple(values[q] for q in sorted(values))
+    # the integer numerators leave the kernel as reduced Fractions
+    assert lattice.is_exact
+    assert all(type(v) is F and math.gcd(v.numerator, v.denominator) == 1 for v in lattice.values)
 
 
 def test_ternary_peak_and_support():
@@ -241,6 +245,70 @@ def test_negative_orders_degrees_and_steps_rejected():
         for call in entries:
             with pytest.raises(ValueError, match=f"{what} must be nonnegative, got -1"):
                 call()
+
+
+def fraction_norms(coeffs, m, levels):
+    """Infinity norms of p(z) p(z^m) ... p(z^{m^{L-1}}), one Fraction product
+    at a time, as max over residue classes r mod m^L of sum |q_{r + j m^L}|."""
+    norms, q = [], {0: F(1)}
+    for level in range(1, levels + 1):
+        step = m ** (level - 1)
+        new = {}
+        for i, a in enumerate(coeffs):
+            for e, c in q.items():
+                new[step * i + e] = new.get(step * i + e, F(0)) + a * c
+        q = new
+        sums = {}
+        for e, c in q.items():
+            sums[e % m**level] = sums.get(e % m**level, F(0)) + abs(c)
+        norms.append(max(sums.values()))
+    return norms
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CATALOG_PAIRS))
+def test_contractivity_bound_matches_fraction_norms(name, order):
+    mask = CATALOG_PAIRS[name][0]
+    levels = 4
+    try:
+        p = factor_smoothing(mask, order + 1)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            contractivity_bound(mask, order, levels)
+        return
+    norms = fraction_norms(p.coeffs, mask.arity, levels)
+    report = contractivity_bound(mask, order, levels)
+    assert report.bounds == tuple(float(n) ** (1.0 / L) for L, n in enumerate(norms, 1))
+    assert report.contractive == any(n < 1 for n in norms)
+
+
+def fraction_reproduction_degree(mask, seed, max_degree, depth, tol):
+    """Largest D with sum_k k^e phi(p/Q - k) = (p/Q)^e within tol for all
+    e <= D, summed in Fractions over the pointwise cascade."""
+    Q, values = cascade(mask, seed, depth)
+    lo, hi = min(values), max(values)
+    for e in range(max_degree + 1):
+        for p in values:
+            ks = range(-((hi - p) // Q), (p - lo) // Q + 1)
+            acc = sum((F(k) ** e * values[p - k * Q] for k in ks), F(0))
+            if abs(acc - F(p, Q) ** e) > tol:
+                return e - 1
+    return max_degree
+
+
+@pytest.mark.parametrize("tol", [0, 1e-8])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CATALOG_PAIRS))
+def test_reproduction_degree_matches_fraction_comb_sum(name, depth, tol):
+    mask, seed = CATALOG_PAIRS[name]
+    expected = fraction_reproduction_degree(mask, seed, 5, depth, tol)
+    assert reproduction_degree(mask, seed, 5, depth, tol) == expected
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_reproduction_rejects_tolerance_that_certifies_nothing(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        reproduction_degree(TERNARY, DD4, 5, 1, tol)
 
 
 def test_reproduction_degrees():

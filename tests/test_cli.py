@@ -259,6 +259,9 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["sweep", "--family", "{line}", "--range=-1:1", "--order", "-1", "--bisect"],
         ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "-1"],
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--maxdeg", "-1"],
+        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "nan"],
+        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "inf"],
+        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "-1"],
     ],
     ids=[
         "eval-negative-depth",
@@ -279,6 +282,9 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "bisect-negative-order",
         "curve-negative-steps",
         "reproduce-negative-maxdeg",
+        "reproduce-nan-tol",
+        "reproduce-infinite-tol",
+        "reproduce-negative-tol",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -291,3 +297,5 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "at least one level, got 0" in err
     if "/0" in " ".join(argv) or "zero_den" in " ".join(argv):
         assert "zero denominator" in err
+    if "--tol" in argv:
+        assert "tolerance must be finite and nonnegative" in err
