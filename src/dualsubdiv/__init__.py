@@ -32,10 +32,6 @@ from .construct import (
     InvalidWindow,
     SolutionFamily,
     assemble,
-    build_M,
-    build_N,
-    build_O,
-    build_rhs,
     derive,
     smoothing_coeffs,
 )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .construct import SolutionFamily
-from .exactalg import LaurentPoly, convolve
+from .exactalg import LaurentPoly, convolve, numerators
 from .samples import SampleSet
 from .scheme import (
     Mask,
@@ -73,12 +73,6 @@ class Polyline:
     points: tuple[tuple[float, float], ...]
 
 
-def _numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d x for x in fractions]) with d the lcm of the denominators."""
-    d = math.lcm(*(x.denominator for x in fractions))
-    return d, [x.numerator * (d // x.denominator) for x in fractions]
-
-
 def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     """Values of the limit function on Z/(T m^depth) via the refinement equation.
 
@@ -108,10 +102,10 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
-    D, coeffs = _numerators(mask.coeffs)
+    D, coeffs = numerators(mask.coeffs)
     Q = seed.T
     n_lo = math.ceil(lo * Q)
-    scale, values = _numerators(
+    scale, values = numerators(
         [seed.value_at_index(i) for i in range(n_lo, math.floor(hi * Q) + 1)]
     )
 
@@ -181,7 +175,7 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    D, coeffs = _numerators(factor_smoothing(mask, order + 1).coeffs)
+    D, coeffs = numerators(factor_smoothing(mask, order + 1).coeffs)
     norms = [
         Fraction(n, D**L)
         for L, n in enumerate(_iterated_norms(coeffs, mask.arity, levels), start=1)
@@ -305,7 +299,7 @@ def reproduction_degree(
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     lf = refine_values(mask, seed, depth)
     Q = lf.denominator
-    scale, nums = _numerators(lf.values)
+    scale, nums = numerators(lf.values)
     n = len(nums)
     for e in range(max_degree + 1):
         for i in range(n):

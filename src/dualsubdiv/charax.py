@@ -2,17 +2,24 @@
 and dual interpolatory schemes.
 
 All identities are compared coefficient-wise as formal Laurent polynomials;
-"satisfied" is a symbolic zero test, never a numeric tolerance.
+"satisfied" is a symbolic zero test, never a numeric tolerance.  They run on
+integer numerators: with A(z) = sum_k a_k z^k over the lcm of the mask's
+denominators and the sample polynomial V(z) = sum_i phi(i/T) z^i over the
+lcm of the samples', each sum of sub-symbols A_b(z^T) times residue-class
+sample polynomials Phi_{T,g}(z) is one residue-class slice of the product
+A(z^T) V(z), a single ``exactalg.convolve``.  Fractions are formed only for
+the nonzero terms of the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .exactalg import LaurentPoly
-from .samples import SampleSet, phi_poly
-from .scheme import Mask, shift_parameter, sub_symbol
+from .exactalg import LaurentPoly, convolve, numerators
+from .samples import SampleSet
+from .scheme import Mask, shift_parameter
 
 
 class ShiftLatticeMismatch(ValueError):
@@ -41,6 +48,32 @@ class IdentityResidual:
         return self.residual.terms()
 
 
+def _residual(
+    mask: Mask, offset: int, values: Sequence[int], scale: int, T: int, t: int
+) -> IdentityResidual:
+    """(V(z^m) - z^{-t} [A(z^T) V(z)]_{== t (mod m)}) / T, with V the polynomial
+    sum_i values[i] z^{offset+i} / scale.
+
+    This is sum_g Phi_{T,g}(z^m) - m z^{-t} sum_b sum_{g + bT == t (mod m)}
+    A_b(z^T) Phi_{T,g}(z), where Phi_{T,g} is the part of V/T on exponents
+    == g (mod mT): a term a_k z^{kT} of A_b times a term z^n of Phi_{T,g}
+    meets the condition exactly when kT + n == t (mod m).
+    """
+    m = mask.arity
+    den, a = numerators(mask.coeffs)
+    terms = {m * e: den * v for e, v in enumerate(values, offset) if v}
+    low = T * mask.offset + offset  # the exponent of the product's first entry
+    first = (t - low) % m
+    for e, c in enumerate(convolve(a, values, T)[first::m]):
+        if c:
+            key = low + first + m * e - t
+            terms[key] = terms.get(key, 0) - c
+    total = T * den * scale
+    return IdentityResidual(
+        LaurentPoly.from_terms((e, Fraction(c, total)) for e, c in terms.items() if c)
+    )
+
+
 def verify_refinability(mask: Mask, s: SampleSet, T: int | None = None) -> IdentityResidual:
     """Residual of the lattice refinability identity at density T.
 
@@ -51,34 +84,17 @@ def verify_refinability(mask: Mask, s: SampleSet, T: int | None = None) -> Ident
         T = s.T
     if T != s.T:
         raise ValueError(f"sample set lives on Z/{s.T}, not Z/{T}")
-    m = mask.arity
-    tau = shift_parameter(mask)
-    tau_T = tau * T
+    tau_T = shift_parameter(mask) * T
     if tau_T.denominator != 1:
         raise ShiftLatticeMismatch(f"tau*T = {tau_T} is not an integer")
-    t = int(tau_T)
-
-    phis = [phi_poly(s, m, g) for g in range(m * T)]
-
-    lhs = LaurentPoly.zero()
-    for g in range(m * T):
-        lhs = lhs + phis[g].scale_exponents(m)
-
-    rhs = LaurentPoly.zero()
-    for b in range(m):
-        a_b = sub_symbol(mask, b).scale_exponents(T)
-        if a_b.is_zero:
-            continue
-        acc = LaurentPoly.zero()
-        for g in range(m * T):
-            if (g + b * T - t) % m == 0:
-                acc = acc + phis[g]
-        rhs = rhs + a_b * acc
-    rhs = (rhs * m).shift(-t)
-    return IdentityResidual(lhs - rhs)
+    scale, values = numerators(s.values)
+    return _residual(mask, s.offset, values, scale, T, int(tau_T))
 
 
-def _dual_preconditions(mask: Mask, s: SampleSet) -> None:
+def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:
+    """The dual forms as _residual with T = 2, tau T = 1 and V(z) = 1 + V_odd(z),
+    the half-integer samples plus the constant 1: z^{-1}/2 times the slice of
+    A(z^2) (1 + V_odd(z)) on exponents == 1 (mod m)."""
     if mask.arity == 2:
         raise ArityTwoUnsupported(
             "arity 2 admits no convergent dual interpolatory scheme: the"
@@ -90,16 +106,14 @@ def _dual_preconditions(mask: Mask, s: SampleSet) -> None:
     tau = shift_parameter(mask)
     if tau != Fraction(1, 2):
         raise ShiftMismatch(f"dual forms require tau = 1/2, got {tau}")
-
-
-def _odd_phi_half_sum(mask: Mask, s: SampleSet) -> tuple[list[LaurentPoly], LaurentPoly]:
-    """The odd-residue Phi polynomials and the shared left-hand side."""
-    m = mask.arity
-    phis = [phi_poly(s, m, 2 * g + 1) for g in range(m)]
-    lhs = LaurentPoly.constant(Fraction(1, 2))
-    for p in phis:
-        lhs = lhs + p.scale_exponents(m)
-    return phis, lhs
+    scale, values = numerators(s.values)
+    low = min(s.offset, 0)
+    odd = [0] * (max(s.offset + len(values), 1) - low)
+    for i, v in enumerate(values, s.offset):
+        if i % 2:
+            odd[i - low] = v
+    odd[-low] = scale
+    return _residual(mask, low, odd, scale, 2, 1)
 
 
 def verify_lemma_form(mask: Mask, s: SampleSet) -> IdentityResidual:
@@ -108,22 +122,12 @@ def verify_lemma_form(mask: Mask, s: SampleSet) -> IdentityResidual:
     1/2 + sum_g Phi_{2,2g+1}(z^m)
         = m z^{-1} ( sum_{2b == 1 (m)} A_b(z^2)/2
                      + sum_{2(b+g) == 0 (m)} A_b(z^2) Phi_{2,2g+1}(z) )
-    """
-    _dual_preconditions(mask, s)
-    m = mask.arity
-    phis, lhs = _odd_phi_half_sum(mask, s)
 
-    subs = [sub_symbol(mask, b).scale_exponents(2) for b in range(m)]
-    rhs = LaurentPoly.zero()
-    for b in range(m):
-        if (2 * b - 1) % m == 0:
-            rhs = rhs + subs[b] * Fraction(1, 2)
-    for b in range(m):
-        for g in range(m):
-            if (2 * (b + g)) % m == 0:
-                rhs = rhs + subs[b] * phis[g]
-    rhs = (rhs * m).shift(-1)
-    return IdentityResidual(lhs - rhs)
+    A term a_k z^{2k} of A_b times a term z^n of Phi_{2,2g+1} meets
+    2(b+g) == 0 (mod m) exactly when 2k + n == 1 (mod m), and A_b(z^2)/2
+    meets 2b == 1 (mod m) when 2k == 1 (mod m).
+    """
+    return _dual_residual(mask, s)
 
 
 def verify_dual_interpolatory(mask: Mask, s: SampleSet) -> IdentityResidual:
@@ -134,21 +138,10 @@ def verify_dual_interpolatory(mask: Mask, s: SampleSet) -> IdentityResidual:
                            + sum_g A_{m-g}(z^2) Phi_{2,2g+1}(z) )
     Even m: 1/2 + sum_g Phi_{2,2g+1}(z^m)
               = m z^{-1} sum_g ( A_{m/2-g}(z^2) + A_{m-g}(z^2) ) Phi_{2,2g+1}(z)
-    """
-    _dual_preconditions(mask, s)
-    m = mask.arity
-    phis, lhs = _odd_phi_half_sum(mask, s)
 
-    rhs = LaurentPoly.zero()
-    if m % 2 == 1:
-        rhs = rhs + sub_symbol(mask, (m + 1) // 2).scale_exponents(2) * Fraction(1, 2)
-        for g in range(m):
-            rhs = rhs + sub_symbol(mask, m - g).scale_exponents(2) * phis[g]
-    else:
-        for g in range(m):
-            weight = (
-                sub_symbol(mask, m // 2 - g) + sub_symbol(mask, m - g)
-            ).scale_exponents(2)
-            rhs = rhs + weight * phis[g]
-    rhs = (rhs * m).shift(-1)
-    return IdentityResidual(lhs - rhs)
+    sum_g A_{m-g}(z^2) Phi_{2,2g+1}(z) is the slice of A(z^2) V_odd(z) on
+    exponents == 1 (mod 2m); the A_{m/2-g} terms of even m add those == m+1
+    (mod 2m).  Both are the odd exponents == 1 (mod m), and A_{(m+1)/2}(z^2)
+    the even ones, so this is the lemma form with its conditions solved.
+    """
+    return _dual_residual(mask, s)

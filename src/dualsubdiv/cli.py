@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -174,6 +176,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise CliError(f"bad range {text!r}, expected a:b") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"bad range {text!r}: bounds must be finite")
     if not lo < hi:
         raise CliError(f"bad range {text!r}: lower bound must be below upper")
     return lo, hi
@@ -353,7 +357,9 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if all_ok else EXIT_INFEASIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dualsubdiv",
         description="Construct, verify and analyze dual interpolatory subdivision schemes.",

@@ -9,10 +9,18 @@ a column mask; the system entries are the functionals applied to the column
 masks, and a solution x is the mask sum_i x_i column_i.  Solving it exactly
 gives a mask, an affine family of masks, or a proof of infeasibility for the
 requested (arity, smoothing order, support, samples).
+
+The work runs on Python ints over one common denominator: the functionals
+are read off integer products (``exactalg.convolve``) of the smoothing
+coefficients or the mask's numerators with the sample numerators, and a
+solution mask is one product of the solution's numerators with the smoothing
+coefficients.  ``Fraction`` appears only at the boundary: the assembled
+system, the solve and the returned masks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +31,8 @@ from .exactalg import (
     LaurentPoly,
     RatMatrix,
     RationalLike,
+    convolve,
+    numerators,
     rat,
     rref_solve,
 )
@@ -118,61 +128,12 @@ def alpha_window(m: int, k_star: int) -> tuple[int, int]:
     )
 
 
-def smoothing_coeffs(m: int, d: int) -> LaurentPoly:
-    """(1 + z + ... + z^{m-1})^d with integer coefficients."""
-    return LaurentPoly(0, [Fraction(1)] * m) ** d
-
-
-def build_M(m: int, samples: SampleSet, k_star: int) -> RatMatrix:
-    """Refinement-evaluation matrix M(a, b) = phi((m a + 1)/2 - b).
-
-    Rows run over the nonzero window a in [alpha_lo, alpha_hi]; columns over
-    the full mask support b in [1-k*, k*].
-    """
-    a_lo, a_hi = alpha_window(m, k_star)
-    rows = []
-    for alpha in range(a_lo, a_hi + 1):
-        # on the Z/2 lattice, (m*alpha + 1)/2 - beta has numerator m*alpha + 1 - 2*beta
-        rows.append(
-            [
-                samples.value_at_index(m * alpha + 1 - 2 * beta)
-                for beta in range(1 - k_star, k_star + 1)
-            ]
-        )
-    return RatMatrix(rows)
-
-
-def build_rhs(samples: SampleSet, m: int, k_star: int) -> tuple[Fraction, ...]:
-    """c(a) = phi(a/2) on the row window, followed by the m ones."""
-    a_lo, a_hi = alpha_window(m, k_star)
-    c = [samples.value_at_index(alpha) for alpha in range(a_lo, a_hi + 1)]
-    return tuple(c + [Fraction(1)] * m)
-
-
-def build_N(m: int, k_star: int) -> RatMatrix:
-    """Per-residue sum conditions: N(g, b) = 1 iff b == g (mod m), g = 1..m."""
-    return RatMatrix(
-        [
-            [
-                Fraction(1) if (beta - gamma) % m == 0 else Fraction(0)
-                for beta in range(1 - k_star, k_star + 1)
-            ]
-            for gamma in range(1, m + 1)
-        ]
-    )
-
-
-def build_O(m: int, rows: tuple[int, int], cols: tuple[int, int]) -> RatMatrix:
-    """Window of the banded all-ones matrix O(a, b) = 1 iff 0 <= a - b <= m-1."""
-    return RatMatrix(
-        [
-            [
-                Fraction(1) if 0 <= r - c <= m - 1 else Fraction(0)
-                for c in range(cols[0], cols[1] + 1)
-            ]
-            for r in range(rows[0], rows[1] + 1)
-        ]
-    )
+def smoothing_coeffs(m: int, d: int) -> list[int]:
+    """The integer coefficients of (1 + z + ... + z^{m-1})^d."""
+    s = [1]
+    for _ in range(d):
+        s = convolve([1] * m, s)
+    return s
 
 
 RowLabel = tuple[str, int]
@@ -186,6 +147,7 @@ class AssembledSystem:
     (two indices when symmetry folded a mirror pair onto one unknown), and
     ``columns`` the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta
     that the unknown multiplies: a solution x is the mask sum_i x_i columns_i.
+    ``smoothing`` holds the integer coefficients of (1+...+z^{m-1})^d.
     ``dropped`` records pruned rows with the reason, for auditability.
     """
 
@@ -194,8 +156,16 @@ class AssembledSystem:
     rhs: tuple[Fraction, ...]
     row_labels: tuple[RowLabel, ...]
     col_labels: tuple[tuple[int, ...], ...]
-    columns: tuple[LaurentPoly, ...]
+    smoothing: tuple[int, ...]
     dropped: tuple[tuple[RowLabel, str], ...]
+
+    @functools.cached_property
+    def columns(self) -> tuple[LaurentPoly, ...]:
+        n = len(self.col_labels)
+        return tuple(
+            _mask(self.problem, self.smoothing, self.col_labels, [int(i == j) for j in range(n)])
+            for i in range(n)
+        )
 
 
 def _column_pairs(problem: ConstructionProblem) -> tuple[tuple[int, ...], ...]:
@@ -209,32 +179,48 @@ def _column_pairs(problem: ConstructionProblem) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _mask_functionals(
-    problem: ConstructionProblem,
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...], tuple[RowLabel, ...]]:
-    """Rows of [M; N] on the mask window [1-k*, k*], their rhs and labels."""
-    m, k_star = problem.m, problem.k_star
-    rows = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
-    a_lo, a_hi = problem.alpha_window
-    labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)]
-    labels += [("N", gamma) for gamma in range(1, m + 1)]
-    return rows, build_rhs(problem.samples, m, k_star), tuple(labels)
+def _functionals(problem: ConstructionProblem, u: Sequence[int]):
+    """The rows of [M; N] at u(z) z^shift for integer coefficients u.
 
-
-def _apply(row: Sequence[Fraction], mask: LaurentPoly, k_star: int) -> Fraction:
-    """A row functional on the mask window applied to a mask inside that window."""
-    start = mask.offset - (1 - k_star)
-    window = row[start : start + len(mask.coeffs)]
-    return sum((r * c for r, c in zip(window, mask.coeffs) if r), Fraction(0))
-
-
-def _dual_shift(mask: LaurentPoly) -> Fraction:
-    """sum_k 2k a_k, which equals m exactly when tau = (1/m) sum_k k a_k = 1/2.
-
-    Symmetry and the residue sums imply tau = 1/2; the other rows of a
-    non-symmetric problem may leave it free, so derive and contains impose it.
+    With P the sample numerators over D, the M row alpha at u(z) z^shift is
+    entry m alpha + 1 - 2 shift of u(z^2) P(z) over D, and the N row gamma the
+    residue-class sum of u at gamma - shift (mod m).  Returns D, the rhs
+    numerators over D, and values(shift): the row values numerators over D.
     """
-    return 2 * mask.derivative_at_one()
+    m = problem.m
+    a_lo, a_hi = problem.alpha_window
+    D, P = numerators(problem.samples.values)
+    o = problem.samples.offset
+    product = convolve(u, P, 2)
+    residues = [sum(u[r::m]) for r in range(m)]
+
+    def values(shift: int) -> list[int]:
+        start = m * a_lo + 1 - 2 * shift - o
+        stop = m * a_hi + 2 - 2 * shift - o
+        rows = [product[i] if 0 <= i < len(product) else 0 for i in range(start, stop, m)]
+        return rows + [D * residues[(gamma - shift) % m] for gamma in range(1, m + 1)]
+
+    rhs = [P[a - o] if 0 <= a - o < len(P) else 0 for a in range(a_lo, a_hi + 1)]
+    return D, rhs + [D] * m, values
+
+
+def _mask(
+    problem: ConstructionProblem,
+    smoothing: Sequence[int],
+    pairs: Sequence[tuple[int, ...]],
+    x: Sequence[RationalLike],
+) -> LaurentPoly:
+    """The mask m^{1-d} (1+...+z^{m-1})^d b(z), b carrying x_i at the b-indices of pairs[i]."""
+    b_lo, b_hi = problem.beta_window
+    den, nums = numerators(x)
+    b = [0] * (b_hi - b_lo + 1)
+    for pair, v in zip(pairs, nums):
+        for beta in pair:
+            b[beta - b_lo] = v
+    scale = Fraction(problem.m) ** (1 - problem.d) / den
+    return LaurentPoly(
+        b_lo, [Fraction(c * scale.numerator, scale.denominator) for c in convolve(b, smoothing)]
+    )
 
 
 def assemble(problem: ConstructionProblem) -> AssembledSystem:
@@ -243,51 +229,47 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
     Without symmetry this is the plain windowed system (no pruning), of
     dimension (alpha_hi - alpha_lo + 1 + m) x (2k* - d(m-1)).  With symmetry,
     each mirror pair of b-indices is one column (innermost pair first) and
-    zero or duplicate rows are pruned.
+    zero or duplicate rows are pruned.  The column of b-index beta is the mask
+    m^{1-d} z^beta s(z) with s = smoothing_coeffs(m, d), so every entry is
+    m^{1-d}/D times an integer read off the one product s(z^2) P(z).
     """
-    unit = smoothing_coeffs(problem.m, problem.d) * Fraction(problem.m) ** (1 - problem.d)
+    m = problem.m
+    smoothing = smoothing_coeffs(m, problem.d)
+    D, rhs, values = _functionals(problem, smoothing)
     pairs = _column_pairs(problem)
-    columns = tuple(
-        sum((unit.shift(beta) for beta in pair), LaurentPoly.zero()) for pair in pairs
-    )
-    rows, rhs, labels = _mask_functionals(problem)
-    full = [[_apply(row, column, problem.k_star) for column in columns] for row in rows]
+    columns = [[sum(v) for v in zip(*(values(beta) for beta in pair))] for pair in pairs]
+    a_lo, a_hi = problem.alpha_window
+    labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)]
+    labels += [("N", gamma) for gamma in range(1, m + 1)]
 
-    if not problem.symmetric:
-        return AssembledSystem(problem, RatMatrix(full), rhs, labels, pairs, columns, ())
-
-    kept_rows: list[list[Fraction]] = []
-    kept_rhs: list[Fraction] = []
-    kept_labels: list[RowLabel] = []
+    # all entries share the scale m^{1-d}/D and all rhs entries 1/D, so the
+    # integer rows compare as the Fraction rows do
+    kept: list[tuple[tuple[int, ...], int, RowLabel]] = []
     dropped: list[tuple[RowLabel, str]] = []
     seen: dict[tuple, RowLabel] = {}
-    for row, rhs_v, label in zip(full, rhs, labels):
-        if all(x == 0 for x in row) and rhs_v == 0:
-            dropped.append((label, "zero"))
-            continue
-        key = (tuple(row), rhs_v)
-        if key in seen:
-            dropped.append((label, f"duplicate of {seen[key][0]}[{seen[key][1]}]"))
-            continue
-        seen[key] = label
-        kept_rows.append(row)
-        kept_rhs.append(rhs_v)
-        kept_labels.append(label)
+    for row, rhs_v, label in zip(zip(*columns), rhs, labels):
+        if problem.symmetric:
+            if not any(row) and rhs_v == 0:
+                dropped.append((label, "zero"))
+                continue
+            first = seen.setdefault((row, rhs_v), label)
+            if first != label:
+                dropped.append((label, f"duplicate of {first[0]}[{first[1]}]"))
+                continue
+        kept.append((row, rhs_v, label))
 
+    scale = Fraction(m) ** (1 - problem.d) / D
     return AssembledSystem(
         problem,
-        RatMatrix(kept_rows),
-        tuple(kept_rhs),
-        tuple(kept_labels),
+        RatMatrix(
+            [Fraction(x * scale.numerator, scale.denominator) for x in row] for row, _, _ in kept
+        ),
+        tuple(Fraction(v, D) for _, v, _ in kept),
+        tuple(label for _, _, label in kept),
         pairs,
-        columns,
+        tuple(smoothing),
         tuple(dropped),
     )
-
-
-def _combination(columns: Sequence[LaurentPoly], x: Sequence[Fraction]) -> LaurentPoly:
-    """The mask sum_i x_i columns_i."""
-    return sum((column * c for column, c in zip(columns, x) if c), LaurentPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -339,11 +321,11 @@ class SolutionFamily:
         for pair in _column_pairs(problem):
             if len({b_poly.coefficient(beta) for beta in pair}) > 1:
                 return False
-        a = mask.coeff_poly()
-        rows, rhs, _ = _mask_functionals(problem)
-        if any(_apply(row, a, problem.k_star) != c for row, c in zip(rows, rhs)):
+        a_den, a = numerators(mask.coeffs)
+        _, rhs, values = _functionals(problem, a)
+        if values(mask.offset) != [v * a_den for v in rhs]:
             return False
-        return _dual_shift(a) == problem.m
+        return sum(2 * k * c for k, c in enumerate(a, mask.offset)) == problem.m * a_den
 
     def to_dict(self) -> dict:
         return {
@@ -375,13 +357,17 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
 
     Returns the full affine solution set as a SolutionFamily (dimension 0
     means a unique mask) or raises InfeasibleProblem when no mask with the
-    requested constraints exists.
+    requested constraints exists.  Symmetry and the residue sums imply
+    tau = 1/2, but the other rows of a non-symmetric problem may leave it
+    free, so the row sum_k 2k a_k = m joins the system: on the column of
+    b-index beta it is m (2 beta + d(m-1)).
     """
     system = assemble(problem)
-    shift_row = RatMatrix([[_dual_shift(column) for column in system.columns]])
+    m, d = problem.m, problem.d
+    shift_row = [sum(m * (2 * beta + d * (m - 1)) for beta in pair) for pair in system.col_labels]
     try:
         solution = rref_solve(
-            system.matrix.vstack(shift_row), system.rhs + (Fraction(problem.m),)
+            system.matrix.vstack(RatMatrix([shift_row])), system.rhs + (Fraction(m),)
         )
     except InfeasibleSystem:
         raise InfeasibleProblem(
@@ -389,7 +375,8 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
             f" {problem.d}, k* = {problem.k_star}"
             f"{' and symmetry' if problem.symmetric else ''} for these samples"
         ) from None
-    particular = _combination(system.columns, solution.particular)
-    basis = tuple(_combination(system.columns, v) for v in solution.nullbasis)
+    pairs = system.col_labels
+    particular = _mask(problem, system.smoothing, pairs, solution.particular)
+    basis = tuple(_mask(problem, system.smoothing, pairs, v) for v in solution.nullbasis)
     mask = Mask(problem.m, particular.offset, particular.coeffs)
     return SolutionFamily(problem, mask, basis)

@@ -1,14 +1,16 @@
 """Exact rational scalars, Laurent polynomials and dense rational linear algebra.
 
 Laurent polynomials and matrices hold ``fractions.Fraction``s; no floating
-point is ever introduced here.  The product kernel ``convolve`` is
-type-generic: it keeps the coefficient type it is given, so the analysis code
-runs it on integer numerators over a common denominator, and on floats only
-where it asks for them.
+point is ever introduced here.  ``Fraction`` is the boundary type: the work
+runs on Python ints over one common denominator (``numerators``).  The
+product kernel ``convolve`` keeps the coefficient type it is given, so the
+callers run it on integer numerators, and on floats only where they ask for
+them; ``rref`` eliminates fraction-free on the integer-scaled rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -34,6 +36,12 @@ def rat(value: RationalLike) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d x for x in fractions]) with d the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for x in fractions))
+    return d, [x.numerator * (d // x.denominator) for x in fractions]
 
 
 def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:
@@ -333,42 +341,49 @@ class LinearSolution:
 
 
 def rref(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Reduced row echelon form of [matrix | rhs]; returns (R, r, pivot_cols)."""
-    m = [list(row) for row in matrix.entries]
+    """Reduced row echelon form of [matrix | rhs]; returns (R, r, pivot_cols).
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the rows of
+    [matrix | rhs] scaled to integers: a step on pivot p replaces every other
+    row by (p row - f pivot_row) / p_prev, an exact division (the entries are
+    integer minors), which leaves p on the diagonal of every pivot row.  The
+    pivots are those of Gauss-Jordan on Fractions, so the result is too: the
+    pivot rows over the last pivot p, a row below the rank scaled by s on
+    input over s p.
+    """
     b = [rat(x) for x in rhs]
     if len(b) != matrix.rows:
         raise ValueError("rhs length does not match row count")
-    n_rows = len(m)
+    n_rows = len(b)
     n_cols = matrix.cols
+    scaled = [numerators(row + (y,)) for row, y in zip(matrix.entries, b)]
+    scales = [scale for scale, _ in scaled]
+    m = [row for _, row in scaled]
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        p = m[r][c]
-        if p != 1:
-            m[r] = [x / p for x in m[r]]
-            b[r] = b[r] / p
+        scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
+        top = m[r]
+        p = top[c]
         for i in range(n_rows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if f == 0:
-                continue
-            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            b[i] = b[i] - f * b[r]
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
-    return m, b, pivots
+    reduced = [[Fraction(x, prev) for x in row[:n_cols]] for row in m[:r]]
+    column = [Fraction(row[n_cols], prev) for row in m[:r]]
+    column += [Fraction(row[n_cols], prev * s) for row, s in zip(m[r:], scales[r:])]
+    reduced += [[Fraction(0)] * n_cols for _ in m[r:]]
+    return reduced, column, pivots
 
 
 def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution:

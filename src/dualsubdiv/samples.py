@@ -8,6 +8,7 @@ interpolatory scheme such as the Dubuc-Deslauriers family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,8 +117,11 @@ def _lagrange_basis_at(nodes: list[int], j: int, x: Fraction) -> Fraction:
     return out
 
 
+@functools.cache
 def dd_samples(n: int) -> SampleSet:
     """Lattice values of the binary 2n-point interpolatory limit function on Z/2.
+
+    Cached: a SampleSet is immutable, so every caller may share one.
 
     Integers carry the delta data; the value at k + 1/2 is the degree-(2n-1)
     Lagrange interpolant of the deltas on the 2n nearest integers, evaluated

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import LaurentPoly, RationalLike, rat
+from .exactalg import LaurentPoly, RationalLike, numerators, rat
 
 
 class NotDivisible(Exception):
@@ -105,8 +105,9 @@ def sub_symbols(mask: Mask) -> list[LaurentPoly]:
 
 
 def shift_parameter(mask: Mask) -> Fraction:
-    """tau = A'(1) = (1/m) sum_k k a_k."""
-    return symbol(mask).derivative_at_one()
+    """tau = A'(1) = (1/m) sum_k k a_k, summed on the coefficients' numerators."""
+    den, a = numerators(mask.coeffs)
+    return Fraction(sum(k * c for k, c in enumerate(a, mask.offset)), mask.arity * den)
 
 
 def _is_palindrome(coeffs: tuple[Fraction, ...]) -> bool:

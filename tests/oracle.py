@@ -1,0 +1,167 @@
+"""Fraction reference implementations that the integer paths are tested against.
+
+These are the straightforward forms: the dense construction matrices M, N
+and the band O, the identities of ``charax`` as sums of sub-symbol times
+residue-class sample polynomials, Gauss-Jordan elimination on Fractions, and
+membership in a derived family as row functionals applied to the mask.
+Every product and sum here is a ``Fraction`` operation.
+"""
+
+from fractions import Fraction as F
+
+from dualsubdiv.construct import _column_pairs, alpha_window
+from dualsubdiv.exactalg import LaurentPoly, RatMatrix
+from dualsubdiv.samples import phi_poly
+from dualsubdiv.scheme import NotDivisible, divide_smoothing, sub_symbol, symbol
+
+
+def build_M(m, samples, k_star):
+    """Refinement-evaluation matrix M(a, b) = phi((m a + 1)/2 - b): rows a in
+    the alpha window, columns b over the mask support [1-k*, k*]."""
+    a_lo, a_hi = alpha_window(m, k_star)
+    # on the Z/2 lattice, (m*alpha + 1)/2 - beta has numerator m*alpha + 1 - 2*beta
+    return RatMatrix(
+        [samples.value_at_index(m * alpha + 1 - 2 * beta) for beta in range(1 - k_star, k_star + 1)]
+        for alpha in range(a_lo, a_hi + 1)
+    )
+
+
+def build_rhs(samples, m, k_star):
+    """c(a) = phi(a/2) on the row window, followed by the m ones."""
+    a_lo, a_hi = alpha_window(m, k_star)
+    return tuple([samples.value_at_index(alpha) for alpha in range(a_lo, a_hi + 1)] + [F(1)] * m)
+
+
+def build_N(m, k_star):
+    """Per-residue sum conditions: N(g, b) = 1 iff b == g (mod m), g = 1..m."""
+    return RatMatrix(
+        [int((beta - gamma) % m == 0) for beta in range(1 - k_star, k_star + 1)]
+        for gamma in range(1, m + 1)
+    )
+
+
+def build_O(m, rows, cols):
+    """Window of the banded all-ones matrix O(a, b) = 1 iff 0 <= a - b <= m-1."""
+    return RatMatrix(
+        [int(0 <= r - c <= m - 1) for c in range(cols[0], cols[1] + 1)]
+        for r in range(rows[0], rows[1] + 1)
+    )
+
+
+def verify_refinability(mask, s, T):
+    """sum_g Phi_{T,g}(z^m) - m z^{-tau T} sum_b sum_{g + bT == tau T (m)} A_b(z^T) Phi_{T,g}(z)."""
+    m = mask.arity
+    t = int(symbol(mask).derivative_at_one() * T)
+    phis = [phi_poly(s, m, g) for g in range(m * T)]
+    lhs = LaurentPoly.zero()
+    for g in range(m * T):
+        lhs = lhs + phis[g].scale_exponents(m)
+    rhs = LaurentPoly.zero()
+    for b in range(m):
+        a_b = sub_symbol(mask, b).scale_exponents(T)
+        if a_b.is_zero:
+            continue
+        acc = LaurentPoly.zero()
+        for g in range(m * T):
+            if (g + b * T - t) % m == 0:
+                acc = acc + phis[g]
+        rhs = rhs + a_b * acc
+    return lhs - (rhs * m).shift(-t)
+
+
+def _odd_phi_half_sum(mask, s):
+    phis = [phi_poly(s, mask.arity, 2 * g + 1) for g in range(mask.arity)]
+    lhs = LaurentPoly.constant(F(1, 2))
+    for p in phis:
+        lhs = lhs + p.scale_exponents(mask.arity)
+    return phis, lhs
+
+
+def verify_lemma_form(mask, s):
+    """1/2 + sum_g Phi_{2,2g+1}(z^m) - m z^{-1} (sum_{2b == 1 (m)} A_b(z^2)/2
+    + sum_{2(b+g) == 0 (m)} A_b(z^2) Phi_{2,2g+1}(z))."""
+    m = mask.arity
+    phis, lhs = _odd_phi_half_sum(mask, s)
+    subs = [sub_symbol(mask, b).scale_exponents(2) for b in range(m)]
+    rhs = LaurentPoly.zero()
+    for b in range(m):
+        if (2 * b - 1) % m == 0:
+            rhs = rhs + subs[b] * F(1, 2)
+    for b in range(m):
+        for g in range(m):
+            if (2 * (b + g)) % m == 0:
+                rhs = rhs + subs[b] * phis[g]
+    return lhs - (rhs * m).shift(-1)
+
+
+def verify_dual_interpolatory(mask, s):
+    """The arity-specific form: A_{(m+1)/2}(z^2)/2 + sum_g A_{m-g}(z^2) Phi_{2,2g+1}(z)
+    for odd m, sum_g (A_{m/2-g}(z^2) + A_{m-g}(z^2)) Phi_{2,2g+1}(z) for even m."""
+    m = mask.arity
+    phis, lhs = _odd_phi_half_sum(mask, s)
+    rhs = LaurentPoly.zero()
+    if m % 2 == 1:
+        rhs = rhs + sub_symbol(mask, (m + 1) // 2).scale_exponents(2) * F(1, 2)
+        for g in range(m):
+            rhs = rhs + sub_symbol(mask, m - g).scale_exponents(2) * phis[g]
+    else:
+        for g in range(m):
+            weight = (sub_symbol(mask, m // 2 - g) + sub_symbol(mask, m - g)).scale_exponents(2)
+            rhs = rhs + weight * phis[g]
+    return lhs - (rhs * m).shift(-1)
+
+
+def rref(rows, rhs):
+    """Gauss-Jordan on Fractions: (reduced rows, rhs column, pivot columns)."""
+    m = [[F(x) for x in row] for row in rows]
+    b = [F(x) for x in rhs]
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        b[r], b[pivot_row] = b[pivot_row], b[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        b[r] = b[r] / p
+        for i in range(n_rows):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                b[i] = b[i] - f * b[r]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, b, pivots
+
+
+def apply_row(row, mask, k_star):
+    """A row functional on the mask window [1-k*, k*] applied to a mask inside it."""
+    start = mask.offset - (1 - k_star)
+    window = row[start : start + len(mask.coeffs)]
+    return sum((r * c for r, c in zip(window, mask.coeffs)), F(0))
+
+
+def contains(problem, mask):
+    """Membership as the span, symmetry, row and tau = 1/2 conditions on Fractions."""
+    m, k_star = problem.m, problem.k_star
+    if mask.arity != m or mask.k_left < 1 - k_star or mask.k_right > k_star:
+        return False
+    try:
+        b_poly = divide_smoothing(symbol(mask), m, problem.d)
+    except NotDivisible:
+        return False
+    b_lo, b_hi = problem.beta_window
+    if not b_poly.is_zero and (b_poly.degree_low < b_lo or b_poly.degree_high > b_hi):
+        return False
+    if any(len({b_poly.coefficient(beta) for beta in pair}) > 1 for pair in _column_pairs(problem)):
+        return False
+    rows = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
+    a = mask.coeff_poly()
+    if any(apply_row(row, a, k_star) != c for row, c in zip(rows, build_rhs(problem.samples, m, k_star))):
+        return False
+    return 2 * a.derivative_at_one() == m

@@ -262,6 +262,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "nan"],
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "inf"],
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "-1"],
+        ["sweep", "--family", "{line}", "--range=0:inf", "--grid", "2"],
+        ["sweep", "--family", "{line}", "--range=nan:1", "--grid", "2"],
     ],
     ids=[
         "eval-negative-depth",
@@ -285,6 +287,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "reproduce-nan-tol",
         "reproduce-infinite-tol",
         "reproduce-negative-tol",
+        "sweep-infinite-range",
+        "sweep-nan-range",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -299,3 +303,42 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "zero denominator" in err
     if "--tol" in argv:
         assert "tolerance must be finite and nonnegative" in err
+    if any(a.startswith("--range=") and ("inf" in a or "nan" in a) for a in argv):
+        assert "bounds must be finite" in err
+
+
+def _fresh_process(argv, cwd):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import dualsubdiv
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualsubdiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualsubdiv.cli", *argv],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, cantor_mask_file, capsys, monkeypatch):
+    from dualsubdiv.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    assert build_parser() is build_parser()
+    calls = [
+        ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:2", "--symmetric"],
+        ["derive", "--arity", "three", "--smoothing", "1", "--kstar", "2", "--samples", "dd:2"],
+        ["verify", "--mask", cantor_mask_file, "--samples", "dd:2", "--form", "lemma"],
+        ["derive", "--arity", "3", "--smoothing", "4", "--kstar", "5", "--samples", "dd4", "--symmetric"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(argv, tmp_path)

@@ -8,8 +8,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import oracle
+
 from dualsubdiv.charax import verify_dual_interpolatory
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, assemble, derive
+from dualsubdiv.exactalg import LaurentPoly, rref_solve
 from dualsubdiv.samples import dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, shift_parameter
 
@@ -97,3 +100,47 @@ def test_contains_checks_mirror_symmetry_and_every_row(problem, data):
     step = (system.columns[i] - system.columns[j]) * data.draw(rationals.filter(bool))
     moved = member.coeff_poly() + step
     assert family.contains(Mask(problem.m, moved.offset, moved.coeffs)) == solves
+
+
+@st.composite
+def shift_free_problems(draw):
+    """Non-symmetric d = 1 problems, whose other rows mostly leave tau free."""
+    m = draw(st.integers(5, 7))
+    samples = draw(st.sampled_from([dd_samples(2), dd_samples(3)]))
+    k_star = smallest_k_star(m, 1, samples) + draw(st.integers(0, 3))
+    return ConstructionProblem(m, 1, k_star, samples, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(problems(), shift_free_problems()), st.data())
+def test_contains_matches_the_fraction_row_functionals(problem, data):
+    try:
+        family = derive(problem)
+    except InfeasibleProblem:
+        return
+    member = family.member(
+        data.draw(st.lists(rationals, min_size=family.dimension, max_size=family.dimension))
+    )
+    coeffs = list(member.coeffs)
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    coeffs[i] += data.draw(rationals.filter(bool))
+    perturbed = Mask(problem.m, member.offset, coeffs)
+    shifted = Mask(problem.m, member.offset + data.draw(st.sampled_from([-1, 1])), member.coeffs)
+    # a step along one column keeps the span but may break rows, symmetry or tau
+    system = assemble(problem)
+    column = system.columns[data.draw(st.integers(0, len(system.columns) - 1))]
+    moved = member.coeff_poly() + column * data.draw(rationals.filter(bool))
+    stepped = Mask(problem.m, moved.offset, moved.coeffs)
+    # a solution of the assembled rows alone: where they leave tau free, it
+    # misses tau = 1/2 and nothing else
+    bare = rref_solve(system.matrix, system.rhs)
+    x = list(bare.particular)
+    for v in bare.nullbasis:
+        t = data.draw(rationals)
+        x = [a + t * b for a, b in zip(x, v)]
+    free = sum((column * c for column, c in zip(system.columns, x)), LaurentPoly.zero())
+    masks = [member, perturbed, shifted, stepped]
+    if not free.is_zero:
+        masks.append(Mask(problem.m, free.offset, free.coeffs))
+    for mask in masks:
+        assert family.contains(mask) == oracle.contains(problem, mask)
