@@ -7,6 +7,7 @@ polynomial reproduction degree, and curve subdivision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,11 +35,23 @@ class NoContractivePoint(Exception):
 
 @dataclass(frozen=True)
 class LatticeFunction:
-    """Values phi((offset + i)/denominator); zero outside the stored window."""
+    """Values phi((offset + i)/denominator) = numerators[i]/scale; zero outside
+    the stored window.
+
+    The lattice is integer numerators over one scale with
+    gcd(scale, *numerators) == 1, so the pair equals
+    ``exactalg.numerators(values)`` and equality of lattices is equality of
+    values.  ``values`` builds the reduced Fractions on its first read.
+    """
 
     denominator: int
     offset: int
-    values: tuple
+    scale: int
+    numerators: tuple[int, ...]
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.numerators)
 
     def value_at_index(self, i: int):
         j = i - self.offset
@@ -82,8 +95,10 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     each level is that one product.  It runs on integer numerators over one
     common denominator: with D the lcm of the mask's denominators and S that
     of the seed's, level L holds ints over S D^L, and the product of the
-    integer mask D a_k with level L is level L+1.  The returned values are
-    reduced Fractions.  Depth 0 returns the seed as a LatticeFunction.
+    integer mask D a_k with level L is level L+1.  The returned lattice keeps
+    the last level's numerators, divided with their scale by their gcd; no
+    Fraction is built until a caller reads ``values``.  Depth 0 returns the
+    seed as a LatticeFunction.
     Raises SeedInconsistent when the seed leaves the limit support or when the
     first level does not reproduce the seed at the seed's own lattice points;
     depth 0 runs that level for the check alone.
@@ -126,7 +141,8 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
             if depth == 0:
                 break
         values, Q, n_lo, scale = new, Q2, n_lo2, scale * D
-    return LatticeFunction(Q, n_lo, tuple(Fraction(v, scale) for v in values))
+    g = math.gcd(scale, *values)
+    return LatticeFunction(Q, n_lo, scale // g, tuple(v // g for v in values))
 
 
 def difference_scheme(mask: Mask, order: int) -> Mask:
@@ -288,25 +304,31 @@ def reproduction_degree(
     """Largest D <= max_degree with sum_k k^e phi(x-k) = x^e within tol for
     all e <= D at every lattice point of refine_values(depth).
 
-    The comb sums run on the lattice's integer numerators over their common
-    denominator; each point's sum is compared with x^e exactly.  Returns -1
-    when even constants are not reproduced within tolerance.  tol must be
-    finite and nonnegative; 0 asks for exact reproduction.
+    The comb sums run on the lattice's integer numerators N over their scale
+    S: for each degree e they are one ``convolve`` of (k^e) for |k| <= K, K
+    the largest shift inside the window, with N at stride Q.  Each point's
+    sum is compared with x^e exactly, as |acc Q^e - p^e S| t_den >
+    t_num S Q^e for tol = t_num/t_den.  Returns -1 when even constants are
+    not reproduced within tolerance.  tol must be finite and nonnegative; 0
+    asks for exact reproduction.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     lf = refine_values(mask, seed, depth)
-    Q = lf.denominator
-    scale, nums = numerators(lf.values)
+    Q, scale, nums = lf.denominator, lf.scale, lf.numerators
     n = len(nums)
+    K = (n - 1) // Q
+    t_num, t_den = tol.as_integer_ratio()
+    points = range(lf.offset, lf.offset + n)
     for e in range(max_degree + 1):
-        for i in range(n):
-            p = lf.offset + i
-            # entry j = i - kQ of the window holds phi(p/Q - k)
-            acc = sum(((i - j) // Q) ** e * nums[j] for j in range(i % Q, n, Q))
-            if abs(Fraction(acc, scale) - Fraction(p, Q) ** e) > tol:
+        # entry K Q + i sums k^e nums[i - k Q], i.e. k^e phi(p/Q - k)
+        combs = convolve([k**e for k in range(-K, K + 1)], nums, Q)[K * Q : K * Q + n]
+        Qe = Q**e
+        bound = t_num * scale * Qe
+        for p, acc in zip(points, combs):
+            if abs(acc * Qe - p**e * scale) * t_den > bound:
                 return e - 1
     return max_degree
 
@@ -353,8 +375,12 @@ def subdivide_points(
     for _ in range(steps):
         pts, first = _subdivide_once(mask, pts, first, closed)
     drift = tau * (m**steps - 1) / (m - 1)
-    scale = Fraction(m) ** steps
-    params = [float((n - drift) / scale) for n in range(first, first + len(pts))]
+    # (n - drift) / m^steps as one correctly rounded int division
+    den = drift.denominator * m**steps
+    params = [
+        (n * drift.denominator - drift.numerator) / den
+        for n in range(first, first + len(pts))
+    ]
     return params, pts
 
 

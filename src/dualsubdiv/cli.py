@@ -145,10 +145,10 @@ def cmd_eval(args) -> int:
     except (SeedInconsistent, ValueError) as exc:
         raise CliError(str(exc)) from exc
     rows = ["numerator,denominator,x,value"]
-    for i, v in enumerate(lattice.values):
+    for i, v in enumerate(lattice.numerators):
         p = lattice.offset + i
         x = p / lattice.denominator
-        rows.append(f"{p},{lattice.denominator},{x},{float(v)}")
+        rows.append(f"{p},{lattice.denominator},{x},{v / lattice.scale}")
     _emit("\n".join(rows), args.out)
     return EXIT_OK
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from dualsubdiv import catalog
 from dualsubdiv.analyze import (
+    LatticeFunction,
     NoContractivePoint,
     SeedInconsistent,
     contractivity_bound,
@@ -16,6 +18,7 @@ from dualsubdiv.analyze import (
     subdivide_curve,
     subdivide_points,
 )
+from dualsubdiv.exactalg import numerators
 from dualsubdiv.samples import SampleSet, dd_samples
 from dualsubdiv.scheme import (
     Mask,
@@ -106,9 +109,22 @@ def test_refine_values_matches_pointwise_cascade(name, depth):
     assert lattice.denominator == Q
     assert lattice.offset == min(values)
     assert lattice.values == tuple(values[q] for q in sorted(values))
-    # the integer numerators leave the kernel as reduced Fractions
+    assert_canonical(lattice)
+    # reading values builds reduced Fractions, once
     assert lattice.is_exact
     assert all(type(v) is F and math.gcd(v.numerator, v.denominator) == 1 for v in lattice.values)
+    assert lattice.values is lattice.values
+    # equal values are equal lattices: the oracle's values over their lcm
+    scale, nums = numerators([values[q] for q in sorted(values)])
+    expected = LatticeFunction(Q, lattice.offset, scale, tuple(nums))
+    assert lattice == expected and hash(lattice) == hash(expected)
+
+
+def assert_canonical(lattice):
+    """The numerators and scale are the values over their lcm, in lowest terms."""
+    assert (lattice.scale, list(lattice.numerators)) == numerators(lattice.values)
+    assert math.gcd(lattice.scale, *lattice.numerators) == 1
+    assert all(type(v) is int for v in lattice.numerators)
 
 
 def test_ternary_peak_and_support():
@@ -282,27 +298,69 @@ def test_contractivity_bound_matches_fraction_norms(name, order):
     assert report.contractive == any(n < 1 for n in norms)
 
 
-def fraction_reproduction_degree(mask, seed, max_degree, depth, tol):
-    """Largest D with sum_k k^e phi(p/Q - k) = (p/Q)^e within tol for all
-    e <= D, summed in Fractions over the pointwise cascade."""
-    Q, values = cascade(mask, seed, depth)
+# a skewed cubic-type ternary mask (1 + z + z^2)^2 (1 + 2z) / 9, with phi on
+# Z/3 solved from the refinement equation: its support [-4/3, 7/6] is not
+# centred, and the comb sum at each point runs over negative shifts k
+SKEWED = (
+    Mask(3, 0, [F(c, 9) for c in (1, 4, 7, 8, 5, 2)]),
+    SampleSet(3, -3, [F(2, 27), F(1, 3), F(2, 3), F(23, 27), F(2, 3), F(1, 3), F(2, 27)]),
+)
+REPRODUCTION_PAIRS = {**CATALOG_PAIRS, "skewed": SKEWED}
+
+
+@functools.cache
+def fraction_residuals(name, depth, max_degree=5):
+    """Largest |sum_k k^e phi(p/Q - k) - (p/Q)^e| over the lattice for
+    e = 0..max_degree, summed in Fractions over the pointwise cascade."""
+    Q, values = cascade(*REPRODUCTION_PAIRS[name], depth)
     lo, hi = min(values), max(values)
+    residuals = []
     for e in range(max_degree + 1):
+        worst = F(0)
         for p in values:
             ks = range(-((hi - p) // Q), (p - lo) // Q + 1)
             acc = sum((F(k) ** e * values[p - k * Q] for k in ks), F(0))
-            if abs(acc - F(p, Q) ** e) > tol:
-                return e - 1
-    return max_degree
+            worst = max(worst, abs(acc - F(p, Q) ** e))
+        residuals.append(worst)
+    return tuple(residuals)
 
 
-@pytest.mark.parametrize("tol", [0, 1e-8])
+def fraction_reproduction_degree(residuals, tol):
+    """Largest D with every residual up to degree D within tol."""
+    return next((e - 1 for e, r in enumerate(residuals) if r > tol), len(residuals) - 1)
+
+
+def boundary_tolerances(residuals):
+    """The floats around the largest residual r of the first inexact degree:
+    below r the answer is one lower than at or above it."""
+    e = next(e for e, r in enumerate(residuals) if r)
+    r = float(residuals[e])
+    return e, {
+        "below-r": math.nextafter(r, -math.inf),
+        "r": r,
+        "above-r": math.nextafter(r, math.inf),
+    }
+
+
+@pytest.mark.parametrize("tol", [0, 1e-8, 5e-324, "below-r", "r", "above-r"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(CATALOG_PAIRS))
+@pytest.mark.parametrize("name", sorted(REPRODUCTION_PAIRS))
 def test_reproduction_degree_matches_fraction_comb_sum(name, depth, tol):
-    mask, seed = CATALOG_PAIRS[name]
-    expected = fraction_reproduction_degree(mask, seed, 5, depth, tol)
+    mask, seed = REPRODUCTION_PAIRS[name]
+    residuals = fraction_residuals(name, depth)
+    if isinstance(tol, str):
+        tol = boundary_tolerances(residuals)[1][tol]
+    expected = fraction_reproduction_degree(residuals, tol)
     assert reproduction_degree(mask, seed, 5, depth, tol) == expected
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REPRODUCTION_PAIRS))
+def test_reproduction_degree_flips_at_the_largest_residual(name, depth):
+    mask, seed = REPRODUCTION_PAIRS[name]
+    e, tols = boundary_tolerances(fraction_residuals(name, depth))
+    assert reproduction_degree(mask, seed, 5, depth, tols["below-r"]) == e - 1
+    assert reproduction_degree(mask, seed, 5, depth, tols["above-r"]) >= e
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])

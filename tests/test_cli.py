@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from dualsubdiv import catalog
-from dualsubdiv.analyze import contractivity_profile
+from dualsubdiv.analyze import contractivity_profile, refine_values
 from dualsubdiv.cli import main
 from dualsubdiv.construct import SolutionFamily, derive
-from dualsubdiv.scheme import Mask
+from dualsubdiv.samples import samples_from_shorthand
+from dualsubdiv.scheme import Mask, shift_parameter
 
 
 def write_json(path, payload):
@@ -106,6 +107,53 @@ def test_eval_csv(tmp_path, cantor_mask_file, cantor_samples_file):
     assert float(rows[0][3]) == 1.0
     assert all(int(r[1]) == 18 for r in rows.values())
     assert len(rows) == 2 * 13 + 1  # numerators -13..13 on [-3/4, 3/4]
+
+
+@pytest.mark.parametrize(
+    "mask,spec,depth",
+    [
+        (catalog.cantor_mask(), "dd:2", 3),
+        (catalog.quinary_family_mask(F(-7, 5)), "dd4", 2),
+        (catalog.quaternary_quartic_mask(), "dd6", 2),
+    ],
+    ids=["cantor", "quinary", "quartic"],
+)
+def test_eval_values_are_the_lattice_fractions_rounded(tmp_path, mask, spec, depth):
+    mask_file = write_json(tmp_path / "mask.json", mask.to_dict())
+    out = tmp_path / "values.csv"
+    code = main([
+        "eval", "--mask", mask_file, "--samples", spec, "--depth", str(depth), "--out", str(out),
+    ])
+    assert code == 0
+    column = [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
+    lattice = refine_values(mask, samples_from_shorthand(spec), depth)
+    assert column == [repr(float(v)) for v in lattice.values]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize(
+    "mask", [catalog.cantor_mask(), catalog.quinary_family_mask(F(-7, 5))], ids=["cantor", "quinary"]
+)
+def test_curve_parameters_are_the_exact_parameters_rounded(tmp_path, mask, closed):
+    points = tmp_path / "pentagon.csv"
+    points.write_text("0,0\n2,0\n3,1.5\n1,2.5\n-1,1.5\n")
+    out = tmp_path / "curve.csv"
+    m, steps = mask.arity, 3
+    code = main([
+        "curve", "--mask", write_json(tmp_path / "mask.json", mask.to_dict()),
+        "--points", str(points), "--steps", str(steps), "--out", str(out),
+        *(["--closed"] if closed else []),
+    ])
+    assert code == 0
+    column = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+    # level j indices of an open polygon start at m * (its level j-1 start) + k_l
+    first = 0
+    for _ in range(steps if not closed else 0):
+        first = m * first + mask.k_left
+    drift = shift_parameter(mask) * (m**steps - 1) / (m - 1)
+    assert drift.denominator == 2
+    expected = [float((n - drift) / F(m) ** steps) for n in range(first, first + len(column))]
+    assert column == [repr(t) for t in expected]
 
 
 def test_regularity_json(cantor_mask_file, capsys):
@@ -223,8 +271,11 @@ def bad_input_files(tmp_path, cantor_mask_file):
     zero_den_family["basis"][0]["coeffs"][0] = "3/0"
     points = tmp_path / "points.csv"
     points.write_text("0,0\n1,0\n1,1\n")
+    no_offset_mask = catalog.cantor_mask().to_dict()
+    del no_offset_mask["offset"]
     return {
         "points": str(points),
+        "no_offset_mask": write_json(tmp_path / "no_offset_mask.json", no_offset_mask),
         "zero_den_mask": write_json(tmp_path / "zero_den_mask.json", zero_den_mask),
         "zero_den_family": write_json(tmp_path / "zero_den_family.json", zero_den_family),
         "mask": cantor_mask_file,
@@ -264,6 +315,10 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "-1"],
         ["sweep", "--family", "{line}", "--range=0:inf", "--grid", "2"],
         ["sweep", "--family", "{line}", "--range=nan:1", "--grid", "2"],
+        ["derive", "--arity", "1", "--smoothing", "1", "--kstar", "2", "--samples", "dd4"],
+        ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "0", "--samples", "dd4"],
+        ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:0"],
+        ["verify", "--mask", "{no_offset_mask}", "--samples", "dd:2"],
     ],
     ids=[
         "eval-negative-depth",
@@ -289,6 +344,10 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "reproduce-negative-tol",
         "sweep-infinite-range",
         "sweep-nan-range",
+        "derive-arity-1",
+        "derive-kstar-0",
+        "derive-zero-point-samples",
+        "verify-mask-without-offset",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -305,6 +364,8 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "tolerance must be finite and nonnegative" in err
     if any(a.startswith("--range=") and ("inf" in a or "nan" in a) for a in argv):
         assert "bounds must be finite" in err
+    if "{no_offset_mask}" in argv:
+        assert "bad mask file" in err and "'offset'" in err
 
 
 def _fresh_process(argv, cwd):

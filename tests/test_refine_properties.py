@@ -9,11 +9,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from dualsubdiv.analyze import SeedInconsistent, refine_values
+from dualsubdiv.analyze import LatticeFunction, SeedInconsistent, refine_values
+from dualsubdiv.exactalg import numerators
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
 from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, limit_support, shift_parameter
-from test_analyze import cascade
+from test_analyze import assert_canonical, cascade
 from test_construct_properties import smallest_k_star
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -101,3 +102,7 @@ def test_refine_values_matches_cascade_or_raises_its_seed_error(pair, depth):
     if values:
         assert lattice.offset == min(values)
     assert all(type(v) is F for v in lattice.values)
+    # S D^L may share a factor with every numerator; the lattice is in lowest terms
+    assert_canonical(lattice)
+    scale, nums = numerators([values[q] for q in sorted(values)])
+    assert lattice == LatticeFunction(Q, lattice.offset, scale, tuple(nums))
