@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .construct import SolutionFamily
-from .exactalg import LaurentPoly, convolve, numerators
+from .exactalg import convolve, numerators
 from .samples import SampleSet
 from .scheme import (
     Mask,
@@ -159,25 +160,36 @@ def difference_scheme(mask: Mask, order: int) -> Mask:
     return Mask(mask.arity, scaled.offset, scaled.coeffs)
 
 
-def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> list:
-    """Infinity norms of the L-times iterated scheme, L = 1..levels.
+def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
+    """Infinity norms of the L-times iterated scheme, yielded for L = 1..levels.
 
     The iterate's symbol is the product p(z) p(z^m) ... p(z^{m^{L-1}}); the
     norm is the largest absolute coefficient sum over residue classes mod m^L.
     A shift of p only permutes those classes, so its offset does not matter.
+    Each level takes ``abs`` once and adds the m^L-long blocks of the
+    iterate in order, so class r sums |q_r| + |q_{r+m^L}| + ... from left to
+    right, starting from its first entry.  Lazy, so a caller may stop after
+    any level; the callers check ``levels`` first.
     Type-generic: integer numerators over a common denominator D give the
     norms as ints over D^L, and float coefficients give float norms.
     """
-    if levels < 1:
-        raise ValueError(f"need at least one level, got {levels}")
-    norms, q = [], [1]
+    q = [1]
     for level in range(1, levels + 1):
         q = convolve(coeffs, q, m ** (level - 1))
         modulus = m**level
-        # a class sum starts from its first entry, so no zero is added
-        classes = range(min(modulus, len(q)))
-        norms.append(max(sum(map(abs, q[r + modulus :: modulus]), abs(q[r])) for r in classes))
-    return norms
+        a = list(map(abs, q))
+        sums = a[:modulus]
+        for start in range(modulus, len(a), modulus):
+            block = a[start : start + modulus]
+            sums[: len(block)] = map(operator.add, sums, block)
+        yield max(sums)
+
+
+def _check_order_levels(order: int, levels: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if levels < 1:
+        raise ValueError(f"need at least one level, got {levels}")
 
 
 def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport:
@@ -189,8 +201,7 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     D^L.  Contractivity of any level certifies C^order membership with Holder
     lower bound order - log_m(best bound).
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    _check_order_levels(order, levels)
     D, coeffs = numerators(factor_smoothing(mask, order + 1).coeffs)
     norms = [
         Fraction(n, D**L)
@@ -206,28 +217,28 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
 
 def _family_difference_parts(
     family: SolutionFamily, order: int
-) -> tuple[LaurentPoly, LaurentPoly]:
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+) -> tuple[list[float], list[float]]:
+    """Float coefficients of the particular and direction difference symbols
+    on their common window; the member at t has coefficients a + t b."""
     if family.dimension != 1:
         raise ValueError("parameter sweeps need a one-dimensional family")
     m = family.problem.m
     dp = factor_smoothing(family.particular, order + 1)
     dv = divide_smoothing(family.basis[0] * Fraction(1, m), m, order + 1)
-    return dp, dv
-
-
-def _line_best_bound(
-    dp: LaurentPoly, dv: LaurentPoly, m: int, levels: int, t: float
-) -> float:
-    """Best (smallest) rooted norm over levels for the member at parameter t."""
     lo = min(dp.offset, dv.offset)
     hi = max(dp.offset + len(dp.coeffs), dv.offset + len(dv.coeffs))
-    coeffs = [
-        float(dp.coefficient(e)) + t * float(dv.coefficient(e)) for e in range(lo, hi)
-    ]
-    norms = _iterated_norms(coeffs, m, levels)
-    return min(n ** (1.0 / L) for L, n in enumerate(norms, start=1))
+    return (
+        [float(dp.coefficient(e)) for e in range(lo, hi)],
+        [float(dv.coefficient(e)) for e in range(lo, hi)],
+    )
+
+
+def _line_norms(
+    dp: list[float], dv: list[float], m: int, levels: int, t: float
+) -> Iterator[float]:
+    """Rooted norms, level by level, of the member at parameter t."""
+    norms = _iterated_norms([a + t * b for a, b in zip(dp, dv)], m, levels)
+    return (n ** (1.0 / L) for L, n in enumerate(norms, start=1))
 
 
 def contractivity_profile(
@@ -237,9 +248,10 @@ def contractivity_profile(
     parameters: Sequence[float],
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family."""
+    _check_order_levels(order, levels)
     dp, dv = _family_difference_parts(family, order)
     m = family.problem.m
-    return [(t, _line_best_bound(dp, dv, m, levels, t)) for t in parameters]
+    return [(t, min(_line_norms(dp, dv, m, levels, t))) for t in parameters]
 
 
 def contractivity_range(
@@ -256,14 +268,17 @@ def contractivity_range(
     Samples the search interval, requires the contractive set to be one
     contiguous block (raises NoContractivePoint when empty, ValueError when
     split), then bisects each crossing of the best level bound through 1 down
-    to the requested parameter tolerance.  Endpoints clamp to the search
-    interval when the contractive region touches it.
+    to the requested parameter tolerance.  A parameter is contractive once
+    one level's rooted norm is below 1; the later levels are not computed.
+    Endpoints clamp to the search interval when the contractive region
+    touches it.
     """
+    _check_order_levels(order, levels)
     dp, dv = _family_difference_parts(family, order)
     m = family.problem.m
 
     def contractive(t: float) -> bool:
-        return _line_best_bound(dp, dv, m, levels, t) < 1.0
+        return any(b < 1.0 for b in _line_norms(dp, dv, m, levels, t))
 
     a, b = search_interval
     if not a < b:

@@ -64,12 +64,18 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _bad_file(what: str, exc: Exception) -> CliError:
+    """The CliError for a JSON file whose content ``from_dict`` rejected."""
+    detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+    return CliError(f"{what}: {detail}")
+
+
 def _load_mask(path: str) -> Mask:
     data = _load_json(path)
     try:
         return Mask.from_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad mask file {path}: {exc}") from exc
+        raise _bad_file(f"bad mask file {path}", exc) from exc
 
 
 def _resolve_samples(text: str) -> SampleSet:
@@ -83,7 +89,7 @@ def _resolve_samples(text: str) -> SampleSet:
     try:
         return SampleSet.from_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad sample file {text}: {exc}") from exc
+        raise _bad_file(f"bad sample file {text}", exc) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -188,7 +194,7 @@ def cmd_sweep(args) -> int:
     try:
         family = SolutionFamily.from_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad family file {args.family}: {exc}") from exc
+        raise _bad_file(f"bad family file {args.family}", exc) from exc
     lo, hi = _parse_range(args.range)
     if args.grid < 2:
         raise CliError(f"--grid must be at least 2, got {args.grid}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import LaurentPoly, RationalLike, numerators, rat
+from .exactalg import LaurentPoly, RationalLike, convolve, numerators, rat
 
 
 class NotDivisible(Exception):
@@ -120,15 +120,30 @@ def smoothing_factor(m: int) -> LaurentPoly:
 
 
 def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
-    """Exact division of a Laurent polynomial by smoothing_factor(m)**order."""
+    """Exact division of a Laurent polynomial by smoothing_factor(m)**order.
+
+    Runs on the integer numerators c of poly over their common denominator.
+    Each order divides c by 1 + z + ... + z^{m-1} with the recurrence
+    q_k = c_k - c_{k-1} + q_{k-m} and multiplies q back with ``convolve``
+    to check that no remainder is left; the quotient is then scaled by m per
+    order.  Raises NotDivisible when a division is not exact.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order == 0:
+    if order == 0 or poly.is_zero:
         return poly
-    quotient, remainder = poly.divide(smoothing_factor(m) ** order)
-    if not remainder.is_zero:
-        raise NotDivisible(f"no factorization of order {order} for arity {m}")
-    return quotient
+    den, c = numerators(poly.coeffs)
+    ones = [1] * m
+    for _ in range(order):
+        q: list[int] = []
+        for k in range(len(c) - m + 1):
+            v = c[k] - c[k - 1] if k else c[0]
+            q.append(v + q[k - m] if k >= m else v)
+        if convolve(ones, q) != c:
+            raise NotDivisible(f"no factorization of order {order} for arity {m}")
+        c = q
+    scale = m**order
+    return LaurentPoly(poly.offset, [Fraction(x * scale, den) for x in c])
 
 
 def factor_smoothing(mask: Mask, d: int) -> LaurentPoly:

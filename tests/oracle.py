@@ -2,17 +2,23 @@
 
 These are the straightforward forms: the dense construction matrices M, N
 and the band O, the identities of ``charax`` as sums of sub-symbol times
-residue-class sample polynomials, Gauss-Jordan elimination on Fractions, and
-membership in a derived family as row functionals applied to the mask.
-Every product and sum here is a ``Fraction`` operation.
+residue-class sample polynomials, Gauss-Jordan elimination on Fractions,
+membership in a derived family as row functionals applied to the mask, and
+smoothing-factor division as ``LaurentPoly.divide``'s long division.  Every
+product and sum there is a ``Fraction`` operation.  The float contractivity
+references below keep the per-class norm sums and the per-parameter
+``Fraction`` conversions that the family-line kernel replaced.
 """
 
+import functools
+import math
+import operator
 from fractions import Fraction as F
 
 from dualsubdiv.construct import _column_pairs, alpha_window
-from dualsubdiv.exactalg import LaurentPoly, RatMatrix
+from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve
 from dualsubdiv.samples import phi_poly
-from dualsubdiv.scheme import NotDivisible, divide_smoothing, sub_symbol, symbol
+from dualsubdiv.scheme import NotDivisible, smoothing_factor, sub_symbol, symbol
 
 
 def build_M(m, samples, k_star):
@@ -165,3 +171,97 @@ def contains(problem, mask):
     if any(apply_row(row, a, k_star) != c for row, c in zip(rows, build_rhs(problem.samples, m, k_star))):
         return False
     return 2 * a.derivative_at_one() == m
+
+
+def divide_smoothing(poly, m, order):
+    """poly / smoothing_factor(m)**order by Fraction long division."""
+    if order == 0:
+        return poly
+    quotient, remainder = poly.divide(smoothing_factor(m) ** order)
+    if not remainder.is_zero:
+        raise NotDivisible(f"no factorization of order {order} for arity {m}")
+    return quotient
+
+
+def iterated_norms(coeffs, m, levels):
+    """Norms of p(z) p(z^m) ... p(z^{m^{L-1}}), L = 1..levels, one residue
+    class at a time: class r adds |q_r|, |q_{r+m^L}|, ... from left to right.
+
+    The left-to-right fold is ``sum(..., abs(q[r]))`` on Python 3.10 and
+    3.11; from 3.12 ``sum`` compensates float rounding, so it is spelled out.
+    """
+    norms, q = [], [1]
+    for level in range(1, levels + 1):
+        q = convolve(coeffs, q, m ** (level - 1))
+        modulus = m**level
+        norms.append(max(
+            functools.reduce(operator.add, map(abs, q[r + modulus :: modulus]), abs(q[r]))
+            for r in range(min(modulus, len(q)))
+        ))
+    return norms
+
+
+def rooted_bounds(norms):
+    return [float(n) ** (1.0 / L) for L, n in enumerate(norms, start=1)]
+
+
+def contractivity_bounds(mask, order, levels):
+    """Rooted norms of the order-(order+1) difference scheme, as floats of
+    the exact norms over the lcm of the difference symbol's denominators."""
+    p = divide_smoothing(symbol(mask), mask.arity, order + 1)
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    norms = [F(n, den**L) for L, n in enumerate(iterated_norms(ints, mask.arity, levels), 1)]
+    return rooted_bounds(norms)
+
+
+def family_difference_parts(family, order):
+    """(particular, direction) difference symbols of a one-parameter family."""
+    m = family.problem.m
+    return (
+        divide_smoothing(symbol(family.particular), m, order + 1),
+        divide_smoothing(family.basis[0] * F(1, m), m, order + 1),
+    )
+
+
+def line_best_bound(dp, dv, m, levels, t):
+    """Best rooted norm of the member at t, converting each coefficient of
+    both difference symbols to float for this t."""
+    lo = min(dp.offset, dv.offset)
+    hi = max(dp.offset + len(dp.coeffs), dv.offset + len(dv.coeffs))
+    coeffs = [float(dp.coefficient(e)) + t * float(dv.coefficient(e)) for e in range(lo, hi)]
+    return min(rooted_bounds(iterated_norms(coeffs, m, levels)))
+
+
+def contractivity_profile(family, order, levels, parameters):
+    dp, dv = family_difference_parts(family, order)
+    return [(t, line_best_bound(dp, dv, family.problem.m, levels, t)) for t in parameters]
+
+
+def contractivity_range(family, order, levels, search_interval, grid=129, tol=1e-6):
+    """Sample, then bisect each crossing on ``line_best_bound(t) < 1``; the
+    endpoints, or None when the sampled contractive set is empty or split."""
+    dp, dv = family_difference_parts(family, order)
+
+    def contractive(t):
+        return line_best_bound(dp, dv, family.problem.m, levels, t) < 1.0
+
+    a, b = search_interval
+    ts = [a + (b - a) * i / (grid - 1) for i in range(grid)]
+    inside = [i for i, t in enumerate(ts) if contractive(t)]
+    if not inside or inside != list(range(inside[0], inside[-1] + 1)):
+        return None
+
+    def bisect(lo, hi, lo_state):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if contractive(mid) == lo_state:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    first, last = inside[0], inside[-1]
+    left = ts[first] if first == 0 else bisect(ts[first - 1], ts[first], False)
+    right = ts[last] if last == grid - 1 else bisect(ts[last], ts[last + 1], True)
+    return left, right

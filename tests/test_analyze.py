@@ -239,7 +239,10 @@ def test_contractivity_entries_reject_zero_levels():
     calls = [
         lambda: contractivity_bound(catalog.quinary_family_mask(0), 0, 0),
         lambda: contractivity_profile(family, 0, 0, [0.0]),
+        lambda: contractivity_profile(family, 0, 0, []),
         lambda: contractivity_range(family, 0, 0, (-1.0, 1.0)),
+        # the levels are checked before the empty interval and the sampling
+        lambda: contractivity_range(family, 0, 0, (1.0, 1.0)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="need at least one level, got 0"):

@@ -273,9 +273,17 @@ def bad_input_files(tmp_path, cantor_mask_file):
     points.write_text("0,0\n1,0\n1,1\n")
     no_offset_mask = catalog.cantor_mask().to_dict()
     del no_offset_mask["offset"]
+    no_smoothing_family = catalog.quinary_reference_family().to_dict()
+    del no_smoothing_family["problem"]["smoothing"]
+    no_T_samples = catalog.cantor_samples().to_dict()
+    del no_T_samples["T"]
     return {
         "points": str(points),
         "no_offset_mask": write_json(tmp_path / "no_offset_mask.json", no_offset_mask),
+        "no_smoothing_family": write_json(
+            tmp_path / "no_smoothing_family.json", no_smoothing_family
+        ),
+        "no_T_samples": write_json(tmp_path / "no_T_samples.json", no_T_samples),
         "zero_den_mask": write_json(tmp_path / "zero_den_mask.json", zero_den_mask),
         "zero_den_family": write_json(tmp_path / "zero_den_family.json", zero_den_family),
         "mask": cantor_mask_file,
@@ -319,6 +327,9 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "0", "--samples", "dd4"],
         ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:0"],
         ["verify", "--mask", "{no_offset_mask}", "--samples", "dd:2"],
+        ["regularity", "--mask", "{no_offset_mask}"],
+        ["sweep", "--family", "{no_smoothing_family}", "--range=-1:1"],
+        ["eval", "--mask", "{mask}", "--samples", "{no_T_samples}"],
     ],
     ids=[
         "eval-negative-depth",
@@ -348,6 +359,9 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "derive-kstar-0",
         "derive-zero-point-samples",
         "verify-mask-without-offset",
+        "regularity-mask-without-offset",
+        "sweep-family-without-smoothing",
+        "eval-samples-without-T",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -365,7 +379,11 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
     if any(a.startswith("--range=") and ("inf" in a or "nan" in a) for a in argv):
         assert "bounds must be finite" in err
     if "{no_offset_mask}" in argv:
-        assert "bad mask file" in err and "'offset'" in err
+        assert "bad mask file" in err and "missing key 'offset'" in err
+    if "{no_smoothing_family}" in argv:
+        assert "bad family file" in err and "missing key 'smoothing'" in err
+    if "{no_T_samples}" in argv:
+        assert "bad sample file" in err and "missing key 'T'" in err
 
 
 def _fresh_process(argv, cwd):
