@@ -186,6 +186,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise CliError(f"bad range {text!r}: bounds must be finite")
     if not lo < hi:
         raise CliError(f"bad range {text!r}: lower bound must be below upper")
+    if not math.isfinite(hi - lo):
+        raise CliError(f"bad range {text!r}: width must be finite")
     return lo, hi
 
 

@@ -12,10 +12,12 @@ requested (arity, smoothing order, support, samples).
 
 The work runs on Python ints over one common denominator: the functionals
 are read off integer products (``exactalg.convolve``) of the smoothing
-coefficients or the mask's numerators with the sample numerators, and a
-solution mask is one product of the solution's numerators with the smoothing
-coefficients.  ``Fraction`` appears only at the boundary: the assembled
-system, the solve and the returned masks.
+coefficients or the mask's numerators with the sample numerators, the
+assembled rows go to ``RatMatrix`` as integers over the shared scale
+m^{1-d}/D, the solve eliminates on them, and a solution mask is one product of
+the solution's numerators with the smoothing coefficients.  ``Fraction``
+appears only at the boundary: the assembled rhs, the returned masks, and the
+matrix entries and solution vectors, which are views built when read.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class AssembledSystem:
     def columns(self) -> tuple[LaurentPoly, ...]:
         n = len(self.col_labels)
         return tuple(
-            _mask(self.problem, self.smoothing, self.col_labels, [int(i == j) for j in range(n)])
+            _mask(self.problem, self.smoothing, self.col_labels, [int(i == j) for j in range(n)], 1)
             for i in range(n)
         )
 
@@ -204,23 +206,27 @@ def _functionals(problem: ConstructionProblem, u: Sequence[int]):
     return D, rhs + [D] * m, values
 
 
+def _column_scale(m: int, d: int) -> tuple[int, int]:
+    """The factor m^{1-d} of every column mask, as (numerator, denominator)."""
+    return (m, 1) if d == 0 else (1, m ** (d - 1))
+
+
 def _mask(
     problem: ConstructionProblem,
     smoothing: Sequence[int],
     pairs: Sequence[tuple[int, ...]],
-    x: Sequence[RationalLike],
+    x: Sequence[int],
+    den: int,
 ) -> LaurentPoly:
-    """The mask m^{1-d} (1+...+z^{m-1})^d b(z), b carrying x_i at the b-indices of pairs[i]."""
+    """The mask m^{1-d} (1+...+z^{m-1})^d b(z), b carrying x_i / den at the
+    b-indices of pairs[i]."""
     b_lo, b_hi = problem.beta_window
-    den, nums = numerators(x)
     b = [0] * (b_hi - b_lo + 1)
-    for pair, v in zip(pairs, nums):
+    for pair, v in zip(pairs, x):
         for beta in pair:
             b[beta - b_lo] = v
-    scale = Fraction(problem.m) ** (1 - problem.d) / den
-    return LaurentPoly(
-        b_lo, [Fraction(c * scale.numerator, scale.denominator) for c in convolve(b, smoothing)]
-    )
+    s_num, s_den = _column_scale(problem.m, problem.d)
+    return LaurentPoly(b_lo, [Fraction(c * s_num, s_den * den) for c in convolve(b, smoothing)])
 
 
 def assemble(problem: ConstructionProblem) -> AssembledSystem:
@@ -258,12 +264,10 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
                 continue
         kept.append((row, rhs_v, label))
 
-    scale = Fraction(m) ** (1 - problem.d) / D
+    s_num, s_den = _column_scale(m, problem.d)
     return AssembledSystem(
         problem,
-        RatMatrix(
-            [Fraction(x * scale.numerator, scale.denominator) for x in row] for row, _, _ in kept
-        ),
+        RatMatrix.from_numerators(([s_num * x for x in row] for row, _, _ in kept), s_den * D),
         tuple(Fraction(v, D) for _, v, _ in kept),
         tuple(label for _, _, label in kept),
         pairs,
@@ -367,7 +371,7 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     shift_row = [sum(m * (2 * beta + d * (m - 1)) for beta in pair) for pair in system.col_labels]
     try:
         solution = rref_solve(
-            system.matrix.vstack(RatMatrix([shift_row])), system.rhs + (Fraction(m),)
+            system.matrix.vstack(RatMatrix.from_numerators([shift_row])), system.rhs + (m,)
         )
     except InfeasibleSystem:
         raise InfeasibleProblem(
@@ -376,7 +380,10 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
             f"{' and symmetry' if problem.symmetric else ''} for these samples"
         ) from None
     pairs = system.col_labels
-    particular = _mask(problem, system.smoothing, pairs, solution.particular)
-    basis = tuple(_mask(problem, system.smoothing, pairs, v) for v in solution.nullbasis)
+    den = solution.denominator
+    particular = _mask(problem, system.smoothing, pairs, solution.particular_numerators, den)
+    basis = tuple(
+        _mask(problem, system.smoothing, pairs, v, den) for v in solution.nullbasis_numerators
+    )
     mask = Mask(problem.m, particular.offset, particular.coeffs)
     return SolutionFamily(problem, mask, basis)

@@ -1,15 +1,19 @@
 """Exact rational scalars, Laurent polynomials and dense rational linear algebra.
 
-Laurent polynomials and matrices hold ``fractions.Fraction``s; no floating
-point is ever introduced here.  ``Fraction`` is the boundary type: the work
-runs on Python ints over one common denominator (``numerators``).  The
-product kernel ``convolve`` keeps the coefficient type it is given, so the
-callers run it on integer numerators, and on floats only where they ask for
-them; ``rref`` eliminates fraction-free on the integer-scaled rows.
+Laurent polynomials hold ``fractions.Fraction``s; no floating point is ever
+introduced here.  ``Fraction`` is the boundary type: the work runs on Python
+ints over one common denominator (``numerators``).  The product kernel
+``convolve`` keeps the coefficient type it is given, so the callers run it on
+integer numerators, and on floats only where they ask for them.  A
+``RatMatrix`` stores each row as integer numerators over one denominator, and
+``rref``/``rref_solve`` share one fraction-free elimination on those rows; a
+``LinearSolution`` is numerators over the last pivot.  The matrix entries and
+the solution vectors are Fraction views, built when first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,9 +203,6 @@ class LaurentPoly:
         out[::factor] = self.coeffs
         return LaurentPoly(self.offset * factor, out)
 
-    def value_at_one(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
-
     def derivative_at_one(self) -> Fraction:
         """The exact value of p'(1), i.e. sum_k k * p_k."""
         return sum(
@@ -260,109 +261,122 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RatMatrix:
-    """Dense matrix of Fractions.  Immutable; all products are exact."""
+    """Dense exact matrix, immutable.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Row i is the integer numerators ``numerators[i]`` over the positive
+    denominator ``denominators[i]``, in lowest terms (gcd(den, *row) == 1),
+    so equal matrices have equal fields.  ``entries``, the Fractions, is
+    built on its first read.
+    """
+
+    numerators: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        data = tuple(tuple(rat(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", data)
+        scaled = [numerators([rat(x) for x in row]) for row in rows]
+        self._store([row for _, row in scaled], [den for den, _ in scaled])
+
+    @classmethod
+    def from_numerators(cls, rows: Iterable[Sequence[int]], den: int = 1) -> "RatMatrix":
+        """The matrix whose rows are the integer rows over ``den``."""
+        rows = list(rows)
+        matrix = object.__new__(cls)
+        matrix._store(rows, [den] * len(rows))
+        return matrix
+
+    def _store(self, rows: Sequence[Sequence[int]], dens: Sequence[int]) -> None:
+        nums, lowest = [], []
+        for row, den in zip(rows, dens):
+            g = math.gcd(den, *row) if den > 0 else -math.gcd(den, *row)
+            nums.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+            lowest.append(den // g)
+        if nums and any(len(row) != len(nums[0]) for row in nums):
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominators", tuple(lowest))
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(x, den) for x in row)
+            for row, den in zip(self.numerators, self.denominators)
+        )
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.numerators)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = other.cols
-        out = []
-        for row in self.entries:
-            out_row = [Fraction(0)] * cols
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                other_row = other.entries[k]
-                for j in range(cols):
-                    out_row[j] += a * other_row[j]
-            out.append(out_row)
-        return RatMatrix(out)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return self.matmul(other)
-
-    def matvec(self, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        vv = [rat(x) for x in v]
-        if self.cols != len(vv):
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((a * x for a, x in zip(row, vv) if a != 0), Fraction(0))
-            for row in self.entries
-        )
+        return len(self.numerators[0]) if self.numerators else 0
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.entries and other.entries and self.cols != other.cols:
+        if self.rows and other.rows and self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return RatMatrix(list(self.entries) + list(other.entries))
+        stacked = object.__new__(RatMatrix)
+        stacked._store(self.numerators + other.numerators, self.denominators + other.denominators)
+        return stacked
 
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """Canonical solution of M x = rhs.
+    """Canonical solution of M x = rhs, as integer numerators over one
+    denominator, the last Bareiss pivot.
 
     ``particular`` has zeros in every free coordinate; ``nullbasis`` holds the
     reduced-row-echelon kernel basis, one vector per free column in ascending
-    column order (the free column carries the 1).
+    column order (the free column carries the 1).  Both are Fraction views of
+    ``particular_numerators`` and ``nullbasis_numerators``, built on first read.
     """
 
-    particular: tuple[Fraction, ...]
-    nullbasis: tuple[tuple[Fraction, ...], ...]
     pivot_cols: tuple[int, ...]
+    denominator: int
+    particular_numerators: tuple[int, ...]
+    nullbasis_numerators: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def particular(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.particular_numerators)
+
+    @functools.cached_property
+    def nullbasis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(x, self.denominator) for x in v) for v in self.nullbasis_numerators
+        )
 
     @property
     def dimension(self) -> int:
-        return len(self.nullbasis)
+        return len(self.nullbasis_numerators)
 
 
-def rref(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Reduced row echelon form of [matrix | rhs]; returns (R, r, pivot_cols).
+def _eliminate(matrix: RatMatrix, rhs: Sequence[RationalLike]):
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on [matrix | rhs].
 
-    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the rows of
-    [matrix | rhs] scaled to integers: a step on pivot p replaces every other
+    Row i of [matrix | rhs] is scaled to integers by s_i, the lcm of the row's
+    denominator and the rhs entry's.  A step on pivot p replaces every other
     row by (p row - f pivot_row) / p_prev, an exact division (the entries are
     integer minors), which leaves p on the diagonal of every pivot row.  The
-    pivots are those of Gauss-Jordan on Fractions, so the result is too: the
-    pivot rows over the last pivot p, a row below the rank scaled by s on
-    input over s p.
+    pivots are those of Gauss-Jordan on Fractions.  Returns the integer rows,
+    the scales s_i (permuted with the rows), the pivot columns and the last
+    pivot.
     """
-    b = [rat(x) for x in rhs]
-    if len(b) != matrix.rows:
+    if len(rhs) != matrix.rows:
         raise ValueError("rhs length does not match row count")
-    n_rows = len(b)
-    n_cols = matrix.cols
-    scaled = [numerators(row + (y,)) for row, y in zip(matrix.entries, b)]
-    scales = [scale for scale, _ in scaled]
-    m = [row for _, row in scaled]
+    m: list[list[int]] = []
+    scales: list[int] = []
+    for row, den, y in zip(matrix.numerators, matrix.denominators, rhs):
+        y = y if isinstance(y, int) else rat(y)
+        s = math.lcm(den, y.denominator)
+        k = s // den
+        m.append([x * k for x in row] + [y.numerator * (s // y.denominator)])
+        scales.append(s)
+    n_rows = len(m)
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(n_cols):
+    for c in range(matrix.cols):
         if r == n_rows:
             break
         pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
@@ -379,6 +393,19 @@ def rref(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> tuple[list[list[Frac
         prev = p
         pivots.append(c)
         r += 1
+    return m, scales, pivots, prev
+
+
+def rref(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
+    """Reduced row echelon form of [matrix | rhs]; returns (R, r, pivot_cols).
+
+    The result is that of Gauss-Jordan on Fractions: the pivot rows of the
+    integer elimination over the last pivot p, and a row below the rank,
+    scaled by s on input, over s p.
+    """
+    m, scales, pivots, prev = _eliminate(matrix, rhs)
+    n_cols = matrix.cols
+    r = len(pivots)
     reduced = [[Fraction(x, prev) for x in row[:n_cols]] for row in m[:r]]
     column = [Fraction(row[n_cols], prev) for row in m[:r]]
     column += [Fraction(row[n_cols], prev * s) for row, s in zip(m[r:], scales[r:])]
@@ -390,23 +417,24 @@ def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution
     """Solve M x = rhs exactly.
 
     Raises InfeasibleSystem when inconsistent.  Otherwise returns the
-    canonical particular solution together with the RREF nullspace basis.
+    canonical particular solution together with the RREF nullspace basis,
+    both over the last pivot p: the particular solution is the rhs column of
+    the pivot rows, and the basis vector of free column f carries p there and
+    minus column f of the pivot rows in the pivot coordinates.
     """
-    m, b, pivots = rref(matrix, rhs)
-    rank = len(pivots)
-    for i in range(rank, len(b)):
-        if b[i] != 0:
-            raise InfeasibleSystem("inconsistent linear system")
+    m, _, pivots, prev = _eliminate(matrix, rhs)
     n_cols = matrix.cols
-    free_cols = [c for c in range(n_cols) if c not in set(pivots)]
-    particular = [Fraction(0)] * n_cols
-    for row_i, col in enumerate(pivots):
-        particular[col] = b[row_i]
+    rank = len(pivots)
+    if any(row[n_cols] for row in m[rank:]):
+        raise InfeasibleSystem("inconsistent linear system")
+    particular = [0] * n_cols
+    for row, col in zip(m, pivots):
+        particular[col] = row[n_cols]
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for row_i, col in enumerate(pivots):
-            v[col] = -m[row_i][f]
+    for f in sorted(set(range(n_cols)) - set(pivots)):
+        v = [0] * n_cols
+        v[f] = prev
+        for row, col in zip(m, pivots):
+            v[col] = -row[f]
         basis.append(tuple(v))
-    return LinearSolution(tuple(particular), tuple(basis), tuple(pivots))
+    return LinearSolution(tuple(pivots), prev, tuple(particular), tuple(basis))

@@ -1,7 +1,7 @@
 """Fraction reference implementations that the integer paths are tested against.
 
-These are the straightforward forms: the dense construction matrices M, N
-and the band O, the identities of ``charax`` as sums of sub-symbol times
+These are the straightforward forms: dense matrix products, the dense
+construction matrices M, N and the band O, the identities of ``charax`` as sums of sub-symbol times
 residue-class sample polynomials, Gauss-Jordan elimination on Fractions,
 membership in a derived family as row functionals applied to the mask, and
 smoothing-factor division as ``LaurentPoly.divide``'s long division.  Every
@@ -19,6 +19,34 @@ from dualsubdiv.construct import _column_pairs, alpha_window
 from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve
 from dualsubdiv.samples import phi_poly
 from dualsubdiv.scheme import NotDivisible, smoothing_factor, sub_symbol, symbol
+
+
+def identity(n):
+    """The n x n identity ``RatMatrix``."""
+    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a, b):
+    """The product of two ``RatMatrix``es, entry by entry on Fractions."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    return RatMatrix(
+        [sum((x * row[j] for x, row in zip(a_row, b.entries)), F(0)) for j in range(b.cols)]
+        for a_row in a.entries
+    )
+
+
+def matvec(matrix, v):
+    """The product of a ``RatMatrix`` with a vector of rationals, as Fractions."""
+    vv = [F(x) for x in v]
+    if matrix.cols != len(vv):
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((a * x for a, x in zip(row, vv)), F(0)) for row in matrix.entries)
+
+
+def value_at_one(poly):
+    """p(1), the sum of the coefficients of a ``LaurentPoly``."""
+    return sum(poly.coeffs, F(0))
 
 
 def build_M(m, samples, k_star):

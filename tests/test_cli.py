@@ -323,6 +323,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "-1"],
         ["sweep", "--family", "{line}", "--range=0:inf", "--grid", "2"],
         ["sweep", "--family", "{line}", "--range=nan:1", "--grid", "2"],
+        ["sweep", "--family", "{line}", "--range=-1e308:1e308", "--grid", "3"],
+        ["sweep", "--family", "{line}", "--range=-1e308:1e308", "--grid", "3", "--bisect"],
         ["derive", "--arity", "1", "--smoothing", "1", "--kstar", "2", "--samples", "dd4"],
         ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "0", "--samples", "dd4"],
         ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:0"],
@@ -355,6 +357,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "reproduce-negative-tol",
         "sweep-infinite-range",
         "sweep-nan-range",
+        "sweep-overflowing-range",
+        "bisect-overflowing-range",
         "derive-arity-1",
         "derive-kstar-0",
         "derive-zero-point-samples",
@@ -378,6 +382,8 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "tolerance must be finite and nonnegative" in err
     if any(a.startswith("--range=") and ("inf" in a or "nan" in a) for a in argv):
         assert "bounds must be finite" in err
+    if "--range=-1e308:1e308" in argv:
+        assert "bad range" in err and "width must be finite" in err
     if "{no_offset_mask}" in argv:
         assert "bad mask file" in err and "missing key 'offset'" in err
     if "{no_smoothing_family}" in argv:

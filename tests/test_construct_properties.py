@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from oracle import build_M, build_N, build_rhs
 
 from dualsubdiv.charax import verify_dual_interpolatory
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, assemble, derive
@@ -40,9 +41,9 @@ def smallest_k_star(m, d, samples):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, min_d=1):
     m = draw(st.integers(3, 7))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(min_d, 3))
     samples = draw(sample_sets())
     k_star = smallest_k_star(m, d, samples) + draw(st.integers(0, 3))
     return ConstructionProblem(m, d, k_star, samples, draw(st.booleans()))
@@ -144,3 +145,55 @@ def test_contains_matches_the_fraction_row_functionals(problem, data):
         masks.append(Mask(problem.m, free.offset, free.coeffs))
     for mask in masks:
         assert family.contains(mask) == oracle.contains(problem, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(min_d=0))
+def test_derive_matches_fraction_gauss_jordan(problem):
+    """derive equals Gauss-Jordan on Fractions: the rows of [M; N] that
+    assemble keeps and tau = 1/2 (sum_k 2k a_k = m), applied to the column
+    masks m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta, with the masks
+    formed as sum_i x_i columns_i; infeasible exactly when that elimination
+    leaves a nonzero rhs below the rank."""
+    m, d, k_star = problem.m, problem.d, problem.k_star
+    system = assemble(problem)
+    smoothing = LaurentPoly(0, [1] * m) ** d * F(m) ** (1 - d)
+    columns = [
+        sum((smoothing.shift(beta) for beta in pair), LaurentPoly.zero())
+        for pair in system.col_labels
+    ]
+    assert list(system.columns) == columns
+    a_lo = problem.alpha_window[0]
+    functionals = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
+    rhs_all = build_rhs(problem.samples, m, k_star)
+    index = [alpha - a_lo if kind == "M" else len(functionals) - m + alpha - 1
+             for kind, alpha in system.row_labels]
+    rows = [[oracle.apply_row(functionals[i], column, k_star) for column in columns] for i in index]
+    assert [list(row) for row in system.matrix.entries] == rows
+    assert list(system.rhs) == [rhs_all[i] for i in index]
+
+    tau_row = [2 * column.derivative_at_one() for column in columns]
+    reduced, rhs, pivots = oracle.rref(rows + [tau_row], list(system.rhs) + [m])
+    feasible = not any(rhs[len(pivots):])
+    try:
+        family = derive(problem)
+    except InfeasibleProblem:
+        assert not feasible
+        return
+    assert feasible
+
+    def combination(x):
+        return sum((column * c for column, c in zip(columns, x)), LaurentPoly.zero())
+
+    particular = [F(0)] * len(columns)
+    for i, col in enumerate(pivots):
+        particular[col] = rhs[i]
+    assert family.particular.coeff_poly() == combination(particular)
+    basis = []
+    for free in sorted(set(range(len(columns))) - set(pivots)):
+        v = [F(0)] * len(columns)
+        v[free] = F(1)
+        for i, col in enumerate(pivots):
+            v[col] = -reduced[i][free]
+        basis.append(combination(v))
+    assert family.basis == tuple(basis)

@@ -10,6 +10,8 @@ from dualsubdiv.exactalg import (
     rref_solve,
 )
 
+from oracle import identity, matmul, matvec
+
 
 def test_rat_parsing_and_formatting_round_trip():
     for text in ["3/4", "-1/16", "5", "0", "-107/1296", "137/144"]:
@@ -128,7 +130,7 @@ def test_scale_exponents_and_shift():
 
 
 def test_rref_solve_identity():
-    sol = rref_solve(RatMatrix.identity(3), [1, 0, 0])
+    sol = rref_solve(identity(3), [1, 0, 0])
     assert sol.particular == (F(1), F(0), F(0))
     assert sol.nullbasis == ()
 
@@ -148,7 +150,7 @@ def test_rref_solve_ternary_system_unique():
     sol = rref_solve(RatMatrix(PRINTED_SYSTEM), PRINTED_RHS)
     assert sol.nullbasis == ()
     assert sol.particular == (B1, B2, B3)
-    assert RatMatrix(PRINTED_SYSTEM).matvec(sol.particular) == tuple(PRINTED_RHS)
+    assert matvec(RatMatrix(PRINTED_SYSTEM), sol.particular) == tuple(PRINTED_RHS)
 
 
 def test_rref_solve_one_free_variable():
@@ -173,15 +175,77 @@ def test_rref_solve_infeasible():
 def test_rref_solution_remultiplies(rows, rhs):
     m = RatMatrix(rows)
     sol = rref_solve(m, rhs)
-    assert m.matvec(sol.particular) == tuple(rat(x) for x in rhs)
+    assert matvec(m, sol.particular) == tuple(rat(x) for x in rhs)
     zero = tuple(F(0) for _ in range(m.rows))
     for v in sol.nullbasis:
-        assert m.matvec(v) == zero
+        assert matvec(m, v) == zero
 
 
 def test_matmul_shapes_and_values():
     a = RatMatrix([[1, 2], [3, 4]])
     b = RatMatrix([[0, 1], [1, 0]])
-    assert (a @ b).entries == ((F(2), F(1)), (F(4), F(3)))
+    assert matmul(a, b).entries == ((F(2), F(1)), (F(4), F(3)))
     with pytest.raises(ValueError):
-        a.matmul(RatMatrix([[1, 2]]))
+        matmul(a, RatMatrix([[1, 2]]))
+
+
+# rows over 12, 35 and 1: the Fraction rows mix the denominators 2, 3, 4, 5, 6 and 7
+MIXED_NUMERATORS = [[2, -3, 0], [14, -10, 35], [4, 0, -1]]
+MIXED_DENOMINATORS = [12, 35, 1]
+MIXED_FRACTIONS = [
+    [F(1, 6), F(-1, 4), F(0)],
+    [F(2, 5), F(-2, 7), F(1)],
+    [F(4), F(0), F(-1)],
+]
+
+
+def test_ratmatrix_from_integer_rows_matches_fraction_rows():
+    from_ints = RatMatrix.from_numerators(MIXED_NUMERATORS[:1], 12).vstack(
+        RatMatrix.from_numerators(MIXED_NUMERATORS[1:2], 35)
+    ).vstack(RatMatrix.from_numerators(MIXED_NUMERATORS[2:]))
+    from_fractions = RatMatrix(MIXED_FRACTIONS)
+    assert (from_ints.rows, from_ints.cols) == (from_fractions.rows, from_fractions.cols) == (3, 3)
+    # both are stored in lowest terms, so the integer fields agree as well
+    assert from_ints.numerators == from_fractions.numerators == ((2, -3, 0), (14, -10, 35), (4, 0, -1))
+    assert from_ints.denominators == from_fractions.denominators == (12, 35, 1)
+    assert from_ints == from_fractions
+    assert from_ints.entries == from_fractions.entries == tuple(map(tuple, MIXED_FRACTIONS))
+
+
+def test_ratmatrix_reduces_each_row_over_a_positive_denominator():
+    scaled = RatMatrix.from_numerators([[4, -6, 0], [0, 0, 0], [8, 2, 6]], -24)
+    assert scaled.numerators == ((-2, 3, 0), (0, 0, 0), (-4, -1, -3))
+    assert scaled.denominators == (12, 1, 12)
+    assert scaled == RatMatrix([[F(-1, 6), F(1, 4), 0], [0, 0, 0], [F(-1, 3), F(-1, 12), F(-1, 4)]])
+
+
+def test_ratmatrix_vstack_keeps_rows_and_checks_columns():
+    top = RatMatrix(MIXED_FRACTIONS[:2])
+    bottom = RatMatrix.from_numerators([MIXED_NUMERATORS[2]])
+    stacked = top.vstack(bottom)
+    assert stacked == RatMatrix(MIXED_FRACTIONS)
+    assert stacked.entries == top.entries + bottom.entries
+    assert RatMatrix([]).vstack(bottom) == bottom == bottom.vstack(RatMatrix([]))
+    assert (RatMatrix([]).rows, RatMatrix([]).cols) == (0, 0)
+    with pytest.raises(ValueError, match="column count"):
+        top.vstack(RatMatrix([[1, 2]]))
+    with pytest.raises(ValueError, match="ragged"):
+        RatMatrix.from_numerators([[1, 2], [3]], 5)
+
+
+def test_ratmatrix_shape_reads_build_no_fractions():
+    matrix = RatMatrix.from_numerators(MIXED_NUMERATORS, 12)
+    assert (matrix.rows, matrix.cols) == (3, 3)
+    assert "entries" not in vars(matrix)
+    matrix.vstack(matrix)
+    assert "entries" not in vars(matrix)
+
+
+def test_linear_solution_numerators_over_the_last_pivot():
+    sol = rref_solve(RatMatrix([[2, 4, 6], [1, 1, F(1, 2)]]), [F(1, 3), 5])
+    den = sol.denominator
+    assert sol.particular == tuple(F(x, den) for x in sol.particular_numerators)
+    assert sol.nullbasis == tuple(tuple(F(x, den) for x in v) for v in sol.nullbasis_numerators)
+    assert sol.pivot_cols == (0, 1) and sol.dimension == 1
+    assert sol.particular == (F(59, 6), F(-29, 6), F(0))
+    assert sol.nullbasis == ((F(2), F(-5, 2), F(1)),)

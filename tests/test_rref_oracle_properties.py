@@ -1,6 +1,8 @@
 """Property test of the fraction-free exactalg.rref against Gauss-Jordan on
 Fractions, on rows whose entries mix coprime denominators."""
 
+import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -57,3 +59,19 @@ def test_rref_solve_solutions_remultiply(system):
         assert sum((x * y for x, y in zip(row, solution.particular)), F(0)) == b
         for v in solution.nullbasis:
             assert sum((x * y for x, y in zip(row, v)), F(0)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_integer_rows_match_fraction_rows(system):
+    matrix, rhs = system
+    fractions = RatMatrix(matrix)
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append(RatMatrix.from_numerators([[x.numerator * (den // x.denominator) for x in row]], den))
+    from_ints = functools.reduce(RatMatrix.vstack, rows)
+    assert (from_ints.rows, from_ints.cols) == (fractions.rows, fractions.cols)
+    assert from_ints == fractions
+    assert from_ints.entries == fractions.entries == tuple(map(tuple, matrix))
+    assert rref(from_ints, rhs) == rref(fractions, rhs)
