@@ -14,6 +14,8 @@ import csv
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -93,13 +95,31 @@ def _resolve_samples(text: str) -> SampleSet:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Print the text, or write it with a final newline to the file ``out``.
+
+    An existing file is overwritten in place: it is opened without O_TRUNC
+    and, when it is a regular file longer than the new text, its tail is cut
+    after the write.  Truncating to zero first would make ext4
+    (auto_da_alloc) start writeback of the file on close.  Outputs are never
+    fsynced, so a crash just after a command may leave the old, the new or
+    mixed bytes (truncating first could leave it empty); after a write error
+    the content is unspecified.  Pipes and devices such as /dev/null are
+    written without the cut; symlinks are followed, and the mode and owner
+    of an existing file are kept.
+    """
     if out is None:
         print(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    try:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            old = os.fstat(fh.fileno())
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+            if stat.S_ISREG(old.st_mode) and fh.tell() < old.st_size:
+                fh.truncate()  # cuts the old file's tail after the new text
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_derive(args) -> int:
@@ -208,13 +228,19 @@ def cmd_sweep(args) -> int:
             payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
         else:
             ts = [lo + (hi - lo) * i / (args.grid - 1) for i in range(args.grid)]
+            if not all(map(math.isfinite, ts)):
+                raise CliError(f"bad range {args.range!r}: a grid point overflows")
             payload = [
                 {"t": t, "bound": bound, "contractive": bound < 1.0}
                 for t, bound in contractivity_profile(family, args.order, args.levels, ts)
             ]
     except (NoContractivePoint, NotDivisible, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    _emit(json.dumps(payload, indent=2), args.out)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CliError(f"a bound on range {args.range!r} is not finite: {exc}") from exc
+    _emit(text, args.out)
     return EXIT_OK
 
 

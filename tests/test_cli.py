@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from fractions import Fraction as F
 
 import pytest
@@ -294,6 +296,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "plane": write_json(
             tmp_path / "plane.json", derive(catalog.quaternary_problem(0)).to_dict()
         ),
+        "missing_dir": str(tmp_path / "no_such_dir"),
+        "out_dir": str(tmp_path),
     }
 
 
@@ -332,6 +336,14 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["regularity", "--mask", "{no_offset_mask}"],
         ["sweep", "--family", "{no_smoothing_family}", "--range=-1:1"],
         ["eval", "--mask", "{mask}", "--samples", "{no_T_samples}"],
+        ["sweep", "--family", "{line}", "--range=-1.7e308:0", "--grid", "3"],
+        ["sweep", "--family", "{line}", "--range=1e307:1.7e308", "--grid", "2", "--order", "2"],
+        ["regularity", "--mask", "{mask}", "--out", "{missing_dir}/x.json"],
+        ["regularity", "--mask", "{mask}", "--out", "{out_dir}"],
+        ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:2",
+         "--symmetric", "--out", "{missing_dir}/x.json"],
+        ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:2",
+         "--symmetric", "--out", "{out_dir}"],
     ],
     ids=[
         "eval-negative-depth",
@@ -366,6 +378,12 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "regularity-mask-without-offset",
         "sweep-family-without-smoothing",
         "eval-samples-without-T",
+        "sweep-overflowing-grid",
+        "sweep-overflowing-bound",
+        "regularity-out-missing-dir",
+        "regularity-out-directory",
+        "derive-out-missing-dir",
+        "derive-out-directory",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -390,6 +408,61 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "bad family file" in err and "missing key 'smoothing'" in err
     if "{no_T_samples}" in argv:
         assert "bad sample file" in err and "missing key 'T'" in err
+    if "--range=-1.7e308:0" in argv:
+        assert "bad range" in err and "a grid point overflows" in err
+    if "--range=1e307:1.7e308" in argv:
+        assert "is not finite" in err
+    if "--out" in argv:
+        out = argv[argv.index("--out") + 1].format(**bad_input_files)
+        assert err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--arity", "3", "--smoothing", "4", "--kstar", "7", "--samples", "dd4", "--symmetric"],
+        ["eval", "--mask", "{mask}", "--samples", "dd:2", "--depth", "2"],
+        ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "2", "--closed"],
+    ],
+    ids=["derive", "eval", "curve"],
+)
+def test_out_is_overwritten_in_place(argv, tmp_path, cantor_mask_file, capsys):
+    points = tmp_path / "square.csv"
+    points.write_text("0,0\n1,0\n1,1\n0,1\n")
+    argv = [a.format(mask=cantor_mask_file, points=points) for a in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+
+    # an existing longer file ends up holding exactly the printed bytes, and
+    # keeps its mode
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"x" * (len(printed) + 4096))
+    out.chmod(0o600)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == printed
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    # a symlink is followed: its target is rewritten and the link kept
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"y" * (len(printed) + 1))
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == printed
+
+    # a device is written, not cut
+    assert main([*argv, "--out", os.devnull]) == 0
+
+    # a fresh path is created with mode 0o666 & ~umask
+    fresh = tmp_path / "fresh.txt"
+    umask = os.umask(0o027)
+    try:
+        assert main([*argv, "--out", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~0o027
+    assert fresh.read_bytes() == printed
+    assert capsys.readouterr() == ("", "")
 
 
 def _fresh_process(argv, cwd):

@@ -103,6 +103,46 @@ def test_contains_checks_mirror_symmetry_and_every_row(problem, data):
     assert family.contains(Mask(problem.m, moved.offset, moved.coeffs)) == solves
 
 
+@settings(max_examples=40, deadline=None)
+@given(problems(min_d=0))
+def test_symmetric_problems_are_feasible_iff_their_twins_are(problem):
+    """On symmetric samples the system is mirror-invariant about 1/2, so the
+    mirror image a_{1-k} of a solution of the non-symmetric twin solves it
+    too: the twin is feasible iff the symmetric problem is, and the mirror
+    average of the twin's particular mask lies in the symmetric family."""
+    samples = problem.samples
+    assert samples.offset == 1 - samples.offset - len(samples.values)
+    assert samples.values == samples.values[::-1]
+    symmetric = replace(problem, symmetric=True)
+    try:
+        twin = derive(replace(problem, symmetric=False))
+    except InfeasibleProblem:
+        with pytest.raises(InfeasibleProblem):
+            derive(symmetric)
+        return
+    family = derive(symmetric)
+    a = twin.particular
+    mirrored = Mask(a.arity, 1 - a.k_right, a.coeffs[::-1])
+    assert twin.contains(mirrored)
+    average = (a.coeff_poly() + mirrored.coeff_poly()) * F(1, 2)
+    assert family.contains(Mask(a.arity, average.offset, average.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 3), sample_sets(), st.integers(16, 48))
+def test_unfolded_system_shape_beyond_the_criterion_10_grid(m, d, samples, k_star):
+    """The non-symmetric system keeps every row: it is (a_hi - a_lo + 1 + m)
+    x (2k* - d(m-1)), here for k* from 16 on (criterion 10 stops at 15)."""
+    k_star = max(k_star, smallest_k_star(m, d, samples))
+    problem = ConstructionProblem(m, d, k_star, samples, False)
+    system = assemble(problem)
+    a_lo, a_hi = problem.alpha_window
+    shape = (a_hi - a_lo + 1 + m, 2 * k_star - d * (m - 1))
+    assert (system.matrix.rows, system.matrix.cols) == shape
+    assert (len(system.row_labels), len(system.col_labels)) == shape
+    assert system.dropped == ()
+
+
 @st.composite
 def shift_free_problems(draw):
     """Non-symmetric d = 1 problems, whose other rows mostly leave tau free."""
