@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .construct import SolutionFamily
-from .exactalg import convolve, numerators
+from .exactalg import convolve
 from .samples import SampleSet
 from .scheme import (
     Mask,
@@ -93,10 +93,10 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     On the lattice Z/Q the refinement equation phi(x) = sum_k a_k
     phi(m x - k + tau) reads V'(z) = z^{-tau Q} A(z^Q) V(z), where
     V(z) = sum_q phi(q/Q) z^q, V' the same on Z/(mQ), A(z) = sum_k a_k z^k;
-    each level is that one product.  It runs on integer numerators over one
-    common denominator: with D the lcm of the mask's denominators and S that
-    of the seed's, level L holds ints over S D^L, and the product of the
-    integer mask D a_k with level L is level L+1.  The returned lattice keeps
+    each level is that one product.  It runs on the stored integer
+    numerators: with D the mask's denominator and S the seed's, level L
+    holds ints over S D^L, and the product of the integer mask D a_k with
+    level L is level L+1.  The returned lattice keeps
     the last level's numerators, divided with their scale by their gcd; no
     Fraction is built until a caller reads ``values``.  Depth 0 returns the
     seed as a LatticeFunction.
@@ -114,16 +114,16 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
 
     lo, hi = limit_support(mask)
     s_lo, s_hi = seed.support
-    if seed.values and (s_lo < lo or s_hi > hi):
+    if not seed.poly.is_zero and (s_lo < lo or s_hi > hi):
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
-    D, coeffs = numerators(mask.coeffs)
+    D, coeffs = mask.poly.denominator, mask.poly.numerators
     Q = seed.T
     n_lo = math.ceil(lo * Q)
-    scale, values = numerators(
-        [seed.value_at_index(i) for i in range(n_lo, math.floor(hi * Q) + 1)]
-    )
+    scale, start = seed.poly.denominator, seed.offset - n_lo
+    values = [0] * (math.floor(hi * Q) + 1 - n_lo)
+    values[start : start + len(seed.poly.numerators)] = seed.poly.numerators
 
     for level in range(max(depth, 1)):
         Q2 = Q * m
@@ -155,9 +155,7 @@ def difference_scheme(mask: Mask, order: int) -> Mask:
     """
     if order == 0:
         return mask
-    b = factor_smoothing(mask, order)
-    scaled = b * mask.arity
-    return Mask(mask.arity, scaled.offset, scaled.coeffs)
+    return Mask.from_poly(mask.arity, factor_smoothing(mask, order) * mask.arity)
 
 
 def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
@@ -197,18 +195,17 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
 
     Exact arithmetic throughout; only the reported L-th roots are floats.
     The iterated norms run on the integer numerators D p_k of the difference
-    symbol, D the lcm of its denominators, so the level-L norm is an int over
-    D^L.  Contractivity of any level certifies C^order membership with Holder
-    lower bound order - log_m(best bound).
+    symbol over its denominator D, so the level-L norm is an int n over D^L,
+    and contractivity is n < D^L, decided exactly.  Contractivity of any
+    level certifies C^order membership with Holder lower bound
+    order - log_m(best bound).  Raises OverflowError when a norm n / D^L is
+    beyond the float range.
     """
     _check_order_levels(order, levels)
-    D, coeffs = numerators(factor_smoothing(mask, order + 1).coeffs)
-    norms = [
-        Fraction(n, D**L)
-        for L, n in enumerate(_iterated_norms(coeffs, mask.arity, levels), start=1)
-    ]
-    bounds = tuple(float(n) ** (1.0 / L) for L, n in enumerate(norms, start=1))
-    contractive = any(n < 1 for n in norms)
+    p = factor_smoothing(mask, order + 1)
+    norms = list(enumerate(_iterated_norms(p.numerators, mask.arity, levels), start=1))
+    contractive = any(n < p.denominator**L for L, n in norms)
+    bounds = tuple((n / p.denominator**L) ** (1.0 / L) for L, n in norms)
     holder = None
     if contractive:
         holder = order - math.log(min(bounds)) / math.log(mask.arity)
@@ -226,10 +223,12 @@ def _family_difference_parts(
     dp = factor_smoothing(family.particular, order + 1)
     dv = divide_smoothing(family.basis[0] * Fraction(1, m), m, order + 1)
     lo = min(dp.offset, dv.offset)
-    hi = max(dp.offset + len(dp.coeffs), dv.offset + len(dv.coeffs))
-    return (
-        [float(dp.coefficient(e)) for e in range(lo, hi)],
-        [float(dv.coefficient(e)) for e in range(lo, hi)],
+    hi = max(dp.offset + len(dp.numerators), dv.offset + len(dv.numerators))
+    return tuple(
+        [0.0] * (p.offset - lo)
+        + [x / p.denominator for x in p.numerators]
+        + [0.0] * (hi - p.offset - len(p.numerators))
+        for p in (dp, dv)
     )
 
 
@@ -357,7 +356,7 @@ def _subdivide_once(
     is periodic: c' is the product mod z^{mn} - 1, indexed from 0.
     """
     m = mask.arity
-    weights = [float(c) for c in mask.coeffs]
+    weights = [x / mask.poly.denominator for x in mask.poly.numerators]
     columns = [convolve(coords, weights, m) for coords in zip(*pts)]
     if not closed:
         return list(zip(*columns)), m * first + mask.k_left

@@ -2,22 +2,21 @@
 and dual interpolatory schemes.
 
 All identities are compared coefficient-wise as formal Laurent polynomials;
-"satisfied" is a symbolic zero test, never a numeric tolerance.  They run on
-integer numerators: with A(z) = sum_k a_k z^k over the lcm of the mask's
-denominators and the sample polynomial V(z) = sum_i phi(i/T) z^i over the
-lcm of the samples', each sum of sub-symbols A_b(z^T) times residue-class
-sample polynomials Phi_{T,g}(z) is one residue-class slice of the product
-A(z^T) V(z), a single ``exactalg.convolve``.  Fractions are formed only for
-the nonzero terms of the residual.
+"satisfied" is a symbolic zero test, never a numeric tolerance.  With
+A(z) = sum_k a_k z^k and the sample polynomial V(z) = sum_i phi(i/T) z^i,
+each sum of sub-symbols A_b(z^T) times residue-class sample polynomials
+Phi_{T,g}(z) is one residue-class slice of the product A(z^T) V(z).  The
+polynomials are the stored ``exactalg.LaurentPoly``s, integer numerators
+over one denominator, so the product is one integer ``convolve``;
+Fractions are formed only when the residual's nonzero terms are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exactalg import LaurentPoly, convolve, numerators
+from .exactalg import LaurentPoly, convolve
 from .samples import SampleSet
 from .scheme import Mask, shift_parameter
 
@@ -48,30 +47,24 @@ class IdentityResidual:
         return self.residual.terms()
 
 
-def _residual(
-    mask: Mask, offset: int, values: Sequence[int], scale: int, T: int, t: int
-) -> IdentityResidual:
-    """(V(z^m) - z^{-t} [A(z^T) V(z)]_{== t (mod m)}) / T, with V the polynomial
-    sum_i values[i] z^{offset+i} / scale.
+def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
+    """(V(z^m) - z^{-t} [A(z^T) V(z)]_{== t (mod m)}) / T for the polynomial V.
 
     This is sum_g Phi_{T,g}(z^m) - m z^{-t} sum_b sum_{g + bT == t (mod m)}
     A_b(z^T) Phi_{T,g}(z), where Phi_{T,g} is the part of V/T on exponents
     == g (mod mT): a term a_k z^{kT} of A_b times a term z^n of Phi_{T,g}
     meets the condition exactly when kT + n == t (mod m).
     """
-    m = mask.arity
-    den, a = numerators(mask.coeffs)
-    terms = {m * e: den * v for e, v in enumerate(values, offset) if v}
-    low = T * mask.offset + offset  # the exponent of the product's first entry
+    m, a = mask.arity, mask.poly
+    low = T * a.offset + v.offset  # the exponent of the product's first entry
     first = (t - low) % m
-    for e, c in enumerate(convolve(a, values, T)[first::m]):
-        if c:
-            key = low + first + m * e - t
-            terms[key] = terms.get(key, 0) - c
-    total = T * den * scale
-    return IdentityResidual(
-        LaurentPoly.from_terms((e, Fraction(c, total)) for e, c in terms.items() if c)
-    )
+    rows = convolve(a.numerators, v.numerators, T)[first::m]
+    # both sides sit on exponents == 0 (mod m); in units of m, a.den V(z^m)
+    # starts at v.offset and the slice times z^{-t} at (low + first - t) / m
+    lhs = LaurentPoly.from_numerators(v.offset, [a.denominator * x for x in v.numerators])
+    rhs = LaurentPoly.from_numerators((low + first - t) // m, rows)
+    residual = (lhs - rhs) * Fraction(1, T * a.denominator * v.denominator)
+    return IdentityResidual(residual.scale_exponents(m))
 
 
 def verify_refinability(mask: Mask, s: SampleSet, T: int | None = None) -> IdentityResidual:
@@ -87,8 +80,7 @@ def verify_refinability(mask: Mask, s: SampleSet, T: int | None = None) -> Ident
     tau_T = shift_parameter(mask) * T
     if tau_T.denominator != 1:
         raise ShiftLatticeMismatch(f"tau*T = {tau_T} is not an integer")
-    scale, values = numerators(s.values)
-    return _residual(mask, s.offset, values, scale, T, int(tau_T))
+    return _residual(mask, s.poly, T, int(tau_T))
 
 
 def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:
@@ -106,14 +98,7 @@ def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:
     tau = shift_parameter(mask)
     if tau != Fraction(1, 2):
         raise ShiftMismatch(f"dual forms require tau = 1/2, got {tau}")
-    scale, values = numerators(s.values)
-    low = min(s.offset, 0)
-    odd = [0] * (max(s.offset + len(values), 1) - low)
-    for i, v in enumerate(values, s.offset):
-        if i % 2:
-            odd[i - low] = v
-    odd[-low] = scale
-    return _residual(mask, low, odd, scale, 2, 1)
+    return _residual(mask, s.poly.residue_part(1, 2) + LaurentPoly.constant(1), 2, 1)
 
 
 def verify_lemma_form(mask: Mask, s: SampleSet) -> IdentityResidual:

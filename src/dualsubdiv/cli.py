@@ -477,6 +477,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OverflowError as exc:  # an exact value that no float can hold
+        print(f"error: a value is beyond the float range: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

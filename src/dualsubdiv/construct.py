@@ -15,9 +15,9 @@ are read off integer products (``exactalg.convolve``) of the smoothing
 coefficients or the mask's numerators with the sample numerators, the
 assembled rows go to ``RatMatrix`` as integers over the shared scale
 m^{1-d}/D, the solve eliminates on them, and a solution mask is one product of
-the solution's numerators with the smoothing coefficients.  ``Fraction``
-appears only at the boundary: the assembled rhs, the returned masks, and the
-matrix entries and solution vectors, which are views built when read.
+the solution's numerators with the smoothing coefficients, kept as integers.
+``Fraction`` appears only at the boundary: the assembled rhs, and the views
+of the masks, matrix entries and solution vectors, built when read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .exactalg import (
     RatMatrix,
     RationalLike,
     convolve,
-    numerators,
+    json_field,
     rat,
     rref_solve,
 )
@@ -113,11 +113,11 @@ class ConstructionProblem:
     @classmethod
     def from_dict(cls, data: dict) -> "ConstructionProblem":
         return cls(
-            int(data["arity"]),
-            int(data["smoothing"]),
-            int(data["kstar"]),
+            json_field(data, "arity", int),
+            json_field(data, "smoothing", int),
+            json_field(data, "kstar", int),
             SampleSet.from_dict(data["samples"]),
-            bool(data["symmetric"]),
+            json_field(data, "symmetric", bool),
         )
 
 
@@ -191,8 +191,8 @@ def _functionals(problem: ConstructionProblem, u: Sequence[int]):
     """
     m = problem.m
     a_lo, a_hi = problem.alpha_window
-    D, P = numerators(problem.samples.values)
-    o = problem.samples.offset
+    samples = problem.samples.poly
+    D, P, o = samples.denominator, samples.numerators, samples.offset
     product = convolve(u, P, 2)
     residues = [sum(u[r::m]) for r in range(m)]
 
@@ -226,7 +226,7 @@ def _mask(
         for beta in pair:
             b[beta - b_lo] = v
     s_num, s_den = _column_scale(problem.m, problem.d)
-    return LaurentPoly(b_lo, [Fraction(c * s_num, s_den * den) for c in convolve(b, smoothing)])
+    return LaurentPoly.from_numerators(b_lo, convolve(b, [s_num * c for c in smoothing]), s_den * den)
 
 
 def assemble(problem: ConstructionProblem) -> AssembledSystem:
@@ -302,10 +302,10 @@ class SolutionFamily:
     def member(self, coefficients: Sequence[RationalLike]) -> Mask:
         if len(coefficients) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates")
-        poly = self.particular.coeff_poly()
+        poly = self.particular.poly
         for t, direction in zip(coefficients, self.basis):
             poly = poly + direction * rat(t)
-        return Mask(self.problem.m, poly.offset, poly.coeffs)
+        return Mask.from_poly(self.problem.m, poly)
 
     def contains(self, mask: Mask) -> bool:
         """Exact membership: the mask lies in the span of the system's columns,
@@ -322,27 +322,21 @@ class SolutionFamily:
         b_lo, b_hi = problem.beta_window
         if not b_poly.is_zero and (b_poly.degree_low < b_lo or b_poly.degree_high > b_hi):
             return False
+        b = dict(enumerate(b_poly.numerators, b_poly.offset))
         for pair in _column_pairs(problem):
-            if len({b_poly.coefficient(beta) for beta in pair}) > 1:
+            if len({b.get(beta, 0) for beta in pair}) > 1:
                 return False
-        a_den, a = numerators(mask.coeffs)
-        _, rhs, values = _functionals(problem, a)
-        if values(mask.offset) != [v * a_den for v in rhs]:
+        a = mask.poly
+        _, rhs, values = _functionals(problem, a.numerators)
+        if values(a.offset) != [v * a.denominator for v in rhs]:
             return False
-        return sum(2 * k * c for k, c in enumerate(a, mask.offset)) == problem.m * a_den
+        return 2 * a.derivative_at_one() == problem.m
 
     def to_dict(self) -> dict:
         return {
             "problem": self.problem.to_dict(),
             "particular": self.particular.to_dict(),
-            "basis": [
-                {
-                    "arity": self.problem.m,
-                    "offset": p.offset,
-                    "coeffs": [str(c) for c in p.coeffs],
-                }
-                for p in self.basis
-            ],
+            "basis": [Mask.from_poly(self.problem.m, p).to_dict() for p in self.basis],
         }
 
     @classmethod
@@ -350,8 +344,8 @@ class SolutionFamily:
         problem = ConstructionProblem.from_dict(data["problem"])
         particular = Mask.from_dict(data["particular"])
         basis = tuple(
-            LaurentPoly(int(p["offset"]), [rat(c) for c in p["coeffs"]])
-            for p in data["basis"]
+            LaurentPoly(json_field(p, "offset", int), json_field(p, "coeffs", list))
+            for p in json_field(data, "basis", list)
         )
         return cls(problem, particular, basis)
 
@@ -385,5 +379,4 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     basis = tuple(
         _mask(problem, system.smoothing, pairs, v, den) for v in solution.nullbasis_numerators
     )
-    mask = Mask(problem.m, particular.offset, particular.coeffs)
-    return SolutionFamily(problem, mask, basis)
+    return SolutionFamily(problem, Mask.from_poly(problem.m, particular), basis)

@@ -1,14 +1,14 @@
 """Exact rational scalars, Laurent polynomials and dense rational linear algebra.
 
-Laurent polynomials hold ``fractions.Fraction``s; no floating point is ever
-introduced here.  ``Fraction`` is the boundary type: the work runs on Python
-ints over one common denominator (``numerators``).  The product kernel
-``convolve`` keeps the coefficient type it is given, so the callers run it on
-integer numerators, and on floats only where they ask for them.  A
-``RatMatrix`` stores each row as integer numerators over one denominator, and
-``rref``/``rref_solve`` share one fraction-free elimination on those rows; a
-``LinearSolution`` is numerators over the last pivot.  The matrix entries and
-the solution vectors are Fraction views, built when first read.
+No floating point is ever introduced here.  ``Fraction`` is the boundary
+type: the work runs on Python ints over one common denominator.  A
+``LaurentPoly`` (a mask, a sample set, a symbol) and each ``RatMatrix`` row
+are integer numerators over one denominator, and ``rref``/``rref_solve``
+share one fraction-free elimination on the rows; a ``LinearSolution`` is
+numerators over the last pivot.  Their Fractions are views, built when first
+read.  The product kernel ``convolve`` keeps the coefficient type it is
+given, so the callers run it on integer numerators, and on floats only where
+they ask for them.
 """
 
 from __future__ import annotations
@@ -30,16 +30,25 @@ def rat(value: RationalLike) -> Fraction:
     """Coerce an int, a Fraction or a string like ``"-3/4"`` to a Fraction.
 
     Floats are rejected: silently converting them would smuggle binary
-    rounding artifacts into computations that must stay exact.
+    rounding artifacts into computations that must stay exact.  So are bools,
+    which are ints to Python but no number in JSON.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing to coerce {type(value).__name__} {value!r} to an exact rational")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def json_field(data: dict, key: str, kind: type):
+    """data[key], which must have the JSON type ``kind`` itself, never converted."""
+    value = data[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -72,32 +81,55 @@ def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaurentPoly:
     """A finitely supported sequence c_k z^k with integer exponents k.
 
-    ``offset`` is the lowest stored exponent.  The stored window is trimmed so
-    that the first and last coefficients are nonzero; the zero polynomial is
-    stored as ``offset=0, coeffs=()``.
+    ``offset`` is the lowest stored exponent; the coefficients are the
+    integer ``numerators`` over the positive ``denominator`` in lowest
+    terms, trimmed to nonzero ends (the zero polynomial is offset 0,
+    denominator 1, no numerators), so equal polynomials have equal fields.
+    ``coeffs``, the Fractions, is built on its first read.
     """
 
     offset: int
-    coeffs: tuple[Fraction, ...]
+    denominator: int
+    numerators: tuple[int, ...]
 
     def __init__(self, offset: int, coeffs: Iterable[RationalLike]):
-        cs = [rat(c) for c in coeffs]
-        lo = 0
-        while lo < len(cs) and cs[lo] == 0:
+        den, nums = numerators([rat(c) for c in coeffs])
+        self._store(offset, nums, den)
+
+    @classmethod
+    def from_numerators(cls, offset: int, nums: Sequence[int], den: int = 1) -> "LaurentPoly":
+        """The polynomial sum_i (nums[i] / den) z^(offset + i)."""
+        poly = object.__new__(cls)
+        poly._store(offset, nums, den)
+        return poly
+
+    def _store(self, offset: int, nums: Sequence[int], den: int) -> None:
+        lo, hi = 0, len(nums)
+        while lo < hi and not nums[lo]:
             lo += 1
-        hi = len(cs)
-        while hi > lo and cs[hi - 1] == 0:
+        while hi > lo and not nums[hi - 1]:
             hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "offset", offset + lo)
-            object.__setattr__(self, "coeffs", tuple(cs[lo:hi]))
+        nums = nums[lo:hi]
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        object.__setattr__(self, "offset", offset + lo if nums else 0)
+        object.__setattr__(self, "denominator", den // g)
+        object.__setattr__(self, "numerators", tuple(nums) if g == 1 else tuple(x // g for x in nums))
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
+
+    def coeff_strings(self) -> list[str]:
+        """The coefficients as ``str(Fraction)`` writes them: "p/q", or "p" when q is 1."""
+        den = self.denominator
+        return [
+            f"{x // g}/{den // g}" if (g := math.gcd(x, den)) != den else str(x // g)
+            for x in self.numerators
+        ]
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -105,11 +137,11 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: RationalLike) -> "LaurentPoly":
-        return cls(0, (rat(c),))
+        return cls(0, (c,))
 
     @classmethod
     def monomial(cls, exponent: int, c: RationalLike = 1) -> "LaurentPoly":
-        return cls(exponent, (rat(c),))
+        return cls(exponent, (c,))
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, RationalLike]]) -> "LaurentPoly":
@@ -124,7 +156,7 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def degree_low(self) -> int:
@@ -136,11 +168,11 @@ class LaurentPoly:
     def degree_high(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return self.offset + len(self.coeffs) - 1
+        return self.offset + len(self.numerators) - 1
 
     def coefficient(self, exponent: int) -> Fraction:
         i = exponent - self.offset
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.numerators):
             return self.coeffs[i]
         return Fraction(0)
 
@@ -151,33 +183,30 @@ class LaurentPoly:
         ]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
+        den = math.lcm(self.denominator, other.denominator)
         lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [Fraction(0)] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
-        return LaurentPoly(lo, out)
+        hi = max(self.offset + len(self.numerators), other.offset + len(other.numerators))
+        out = [0] * (hi - lo)
+        for p in (self, other):
+            k, i = den // p.denominator, p.offset - lo
+            out[i : i + len(p.numerators)] = [o + k * x for o, x in zip(out[i:], p.numerators)]
+        return LaurentPoly.from_numerators(lo, out, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
+        return self * -1
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return LaurentPoly(self.offset + other.offset, convolve(self.coeffs, other.coeffs))
-        c = rat(other)
-        return LaurentPoly(self.offset, tuple(c * x for x in self.coeffs))
+        if not isinstance(other, LaurentPoly):
+            other = LaurentPoly.constant(other)
+        # convolve loops over its first argument: one row for a scalar
+        nums = convolve(other.numerators, self.numerators)
+        den = self.denominator * other.denominator
+        return LaurentPoly.from_numerators(self.offset + other.offset, nums, den)
 
-    def __rmul__(self, other) -> "LaurentPoly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -191,24 +220,28 @@ class LaurentPoly:
             n >>= 1
         return result
 
+    def residue_part(self, r: int, modulus: int) -> "LaurentPoly":
+        """The terms whose exponents are == r (mod modulus)."""
+        first = (r - self.offset) % modulus
+        out = [0] * max(len(self.numerators) - first, 0)
+        out[::modulus] = self.numerators[first::modulus]
+        return LaurentPoly.from_numerators(self.offset + first, out, self.denominator)
+
     def shift(self, exponent: int) -> "LaurentPoly":
         """Multiply by z^exponent."""
-        return LaurentPoly(self.offset + exponent, self.coeffs)
+        return LaurentPoly.from_numerators(self.offset + exponent, self.numerators, self.denominator)
 
     def scale_exponents(self, factor: int) -> "LaurentPoly":
         """Substitute z -> z^factor (factor >= 1)."""
         if factor < 1:
             raise ValueError("exponent scale factor must be >= 1")
-        out = [Fraction(0)] * (factor * len(self.coeffs) - factor + 1)
-        out[::factor] = self.coeffs
-        return LaurentPoly(self.offset * factor, out)
+        out = [0] * (factor * len(self.numerators) - factor + 1)
+        out[::factor] = self.numerators
+        return LaurentPoly.from_numerators(self.offset * factor, out, self.denominator)
 
     def derivative_at_one(self) -> Fraction:
         """The exact value of p'(1), i.e. sum_k k * p_k."""
-        return sum(
-            ((self.offset + i) * c for i, c in enumerate(self.coeffs)),
-            Fraction(0),
-        )
+        return Fraction(sum(k * x for k, x in enumerate(self.numerators, self.offset)), self.denominator)
 
     def divide(self, divisor: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         """Long division from the low end: returns (quotient, remainder).

@@ -1,44 +1,59 @@
 """Prescribed lattice values of a limit function.
 
-A SampleSet stores phi on the lattice Z/T over a finite window.  For the dual
-constructions T is always 2: integer values are the interpolation deltas and
-the half-integer values are the free data, typically borrowed from a binary
-interpolatory scheme such as the Dubuc-Deslauriers family.
+A SampleSet stores phi on the lattice Z/T over a finite window, as the
+integer store of ``exactalg.LaurentPoly``.  For the dual constructions T is
+always 2: integer values are the interpolation deltas and the half-integer
+values are the free data, typically borrowed from a binary interpolatory
+scheme such as the Dubuc-Deslauriers family.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import LaurentPoly, RationalLike, rat
+from .exactalg import LaurentPoly, RationalLike, json_field, rat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SampleSet:
-    """Values phi((offset + i)/T) for i = 0..len(values)-1; zero outside."""
+    """Values phi((offset + i)/T) for i = 0..len(values)-1; zero outside.
+
+    ``poly`` stores V(z) = sum_i phi(i/T) z^i; ``offset`` and ``values`` are
+    its window and its Fraction view."""
 
     T: int
-    offset: int
-    values: tuple[Fraction, ...]
+    poly: LaurentPoly
 
     def __init__(self, T: int, offset: int, values: Iterable[RationalLike]):
+        self._store(T, LaurentPoly(offset, values))
+
+    @classmethod
+    def from_poly(cls, T: int, poly: LaurentPoly) -> "SampleSet":
+        """The sample set whose sample polynomial is ``poly``."""
+        samples = object.__new__(cls)
+        samples._store(T, poly)
+        return samples
+
+    def _store(self, T: int, poly: LaurentPoly) -> None:
         if T < 1:
             raise ValueError("lattice density T must be positive")
-        poly = LaurentPoly(offset, [rat(v) for v in values])
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "offset", poly.offset)
-        object.__setattr__(self, "values", poly.coeffs)
+        object.__setattr__(self, "poly", poly)
+
+    @property
+    def offset(self) -> int:
+        return self.poly.offset
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return self.poly.coeffs
 
     def value_at_index(self, i: int) -> Fraction:
         """phi(i/T)."""
-        j = i - self.offset
-        if 0 <= j < len(self.values):
-            return self.values[j]
-        return Fraction(0)
+        return self.poly.coefficient(i)
 
     def value(self, x: Fraction) -> Fraction:
         """phi(x) for x on the lattice; raises off-lattice."""
@@ -49,41 +64,34 @@ class SampleSet:
 
     @property
     def support(self) -> tuple[Fraction, Fraction]:
-        if not self.values:
+        if self.poly.is_zero:
             return Fraction(0), Fraction(0)
-        return (
-            Fraction(self.offset, self.T),
-            Fraction(self.offset + len(self.values) - 1, self.T),
-        )
+        return Fraction(self.poly.offset, self.T), Fraction(self.poly.degree_high, self.T)
 
     def is_delta_at_integers(self) -> bool:
         """True when every stored integer-lattice value equals delta_{0,.}."""
-        for i, v in enumerate(self.values):
-            idx = self.offset + i
-            if idx % self.T == 0:
-                expected = Fraction(1) if idx == 0 else Fraction(0)
-                if v != expected:
-                    return False
-        return True
+        den = self.poly.denominator
+        return all(
+            v == (den if i == 0 else 0)
+            for i, v in enumerate(self.poly.numerators, self.poly.offset)
+            if i % self.T == 0
+        )
 
     def perturbed(self, index: int, delta: RationalLike) -> "SampleSet":
         """Copy with the value at lattice numerator ``index`` shifted by delta."""
-        lo = min(self.offset, index)
-        hi = max(self.offset + len(self.values) - 1, index)
-        vals = [self.value_at_index(i) for i in range(lo, hi + 1)]
-        vals[index - lo] += rat(delta)
-        return SampleSet(self.T, lo, vals)
+        return SampleSet.from_poly(self.T, self.poly + LaurentPoly.monomial(index, delta))
 
     def to_dict(self) -> dict:
         return {
             "T": self.T,
-            "offset": self.offset,
-            "values": [str(v) for v in self.values],
+            "offset": self.poly.offset,
+            "values": self.poly.coeff_strings(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleSet":
-        return cls(int(data["T"]), int(data["offset"]), [rat(v) for v in data["values"]])
+        T, offset = json_field(data, "T", int), json_field(data, "offset", int)
+        return cls(T, offset, json_field(data, "values", list))
 
 
 def phi_poly(s: SampleSet, m: int, n: int) -> LaurentPoly:
@@ -94,19 +102,7 @@ def phi_poly(s: SampleSet, m: int, n: int) -> LaurentPoly:
     """
     if m < 2:
         raise ValueError("arity must be at least 2")
-    T = s.T
-    terms = []
-    if s.values:
-        # phi(mk + n/T) = value at lattice numerator m*T*k + n
-        lo_idx = s.offset
-        hi_idx = s.offset + len(s.values) - 1
-        k_lo = math.ceil(Fraction(lo_idx - n, m * T))
-        k_hi = math.floor(Fraction(hi_idx - n, m * T))
-        for k in range(k_lo, k_hi + 1):
-            v = s.value_at_index(m * T * k + n)
-            if v != 0:
-                terms.append((m * T * k + n, v / T))
-    return LaurentPoly.from_terms(terms)
+    return s.poly.residue_part(n, m * s.T) * Fraction(1, s.T)
 
 
 def _lagrange_basis_at(nodes: list[int], j: int, x: Fraction) -> Fraction:
@@ -148,20 +144,7 @@ def mix_samples(s1: SampleSet, s2: SampleSet, w: RationalLike) -> SampleSet:
     if s1.T != s2.T:
         raise ValueError("sample sets live on different lattices")
     ww = rat(w)
-    if not s1.values:
-        lo = s2.offset
-        hi = s2.offset + len(s2.values) - 1
-    elif not s2.values:
-        lo = s1.offset
-        hi = s1.offset + len(s1.values) - 1
-    else:
-        lo = min(s1.offset, s2.offset)
-        hi = max(s1.offset + len(s1.values) - 1, s2.offset + len(s2.values) - 1)
-    values = [
-        (1 - ww) * s1.value_at_index(i) + ww * s2.value_at_index(i)
-        for i in range(lo, hi + 1)
-    ]
-    return SampleSet(s1.T, lo, values)
+    return SampleSet.from_poly(s1.T, s1.poly * (1 - ww) + s2.poly * ww)
 
 
 def samples_from_shorthand(text: str) -> SampleSet | None:

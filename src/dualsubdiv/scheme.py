@@ -3,7 +3,8 @@
 A mask is the finite coefficient sequence a_k of the refinement rule
 c'_n = sum_k a_{n-mk} c_k for an arity-m scheme.  Its symbol is the Laurent
 polynomial A(z) = (1/m) sum_k a_k z^k, and the shift parameter tau = A'(1)
-separates primal (tau = 0) from dual (tau = 1/2) symmetric schemes.
+separates primal (tau = 0) from dual (tau = 1/2) symmetric schemes.  A mask
+keeps its coefficients in the integer store of ``exactalg.LaurentPoly``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import LaurentPoly, RationalLike, convolve, numerators, rat
+from .exactalg import LaurentPoly, RationalLike, convolve, json_field
 
 
 class NotDivisible(Exception):
@@ -26,52 +27,64 @@ class Symmetry(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mask:
-    """Arity m >= 2 plus the coefficient window; zero ends are trimmed."""
+    """Arity m >= 2 plus the nonzero coefficient polynomial ``poly`` =
+    sum_k a_k z^k; ``offset`` and ``coeffs`` are its window and Fraction view."""
 
     arity: int
-    offset: int
-    coeffs: tuple[Fraction, ...]
+    poly: LaurentPoly
 
     def __init__(self, arity: int, offset: int, coeffs: Iterable[RationalLike]):
+        self._store(arity, LaurentPoly(offset, coeffs))
+
+    @classmethod
+    def from_poly(cls, arity: int, poly: LaurentPoly) -> "Mask":
+        """The mask whose coefficient polynomial is ``poly``."""
+        mask = object.__new__(cls)
+        mask._store(arity, poly)
+        return mask
+
+    def _store(self, arity: int, poly: LaurentPoly) -> None:
         if arity < 2:
             raise ValueError("arity must be at least 2")
-        poly = LaurentPoly(offset, [rat(c) for c in coeffs])
         if poly.is_zero:
             raise ValueError("mask must have at least one nonzero coefficient")
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "offset", poly.offset)
-        object.__setattr__(self, "coeffs", poly.coeffs)
+        object.__setattr__(self, "poly", poly)
 
     @property
-    def k_left(self) -> int:
-        return self.offset
+    def offset(self) -> int:
+        return self.poly.offset
+
+    k_left = offset
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.poly.coeffs
 
     @property
     def k_right(self) -> int:
-        return self.offset + len(self.coeffs) - 1
+        return self.poly.degree_high
 
     def coefficient(self, k: int) -> Fraction:
-        i = k - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return self.poly.coefficient(k)
 
     def coeff_poly(self) -> LaurentPoly:
         """The un-normalized generating function sum_k a_k z^k."""
-        return LaurentPoly(self.offset, self.coeffs)
+        return self.poly
 
     def to_dict(self) -> dict:
         return {
             "arity": self.arity,
-            "offset": self.offset,
-            "coeffs": [str(c) for c in self.coeffs],
+            "offset": self.poly.offset,
+            "coeffs": self.poly.coeff_strings(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Mask":
-        return cls(int(data["arity"]), int(data["offset"]), [rat(c) for c in data["coeffs"]])
+        arity, offset = json_field(data, "arity", int), json_field(data, "offset", int)
+        return cls(arity, offset, json_field(data, "coeffs", list))
 
 
 @dataclass(frozen=True)
@@ -89,14 +102,7 @@ def symbol(mask: Mask) -> LaurentPoly:
 
 def sub_symbol(mask: Mask, n: int) -> LaurentPoly:
     """The residue-class slice A_n(z); indices are taken mod m (A_{n+m} = A_n)."""
-    m = mask.arity
-    r = n % m
-    terms = [
-        (k, c)
-        for k, c in symbol(mask).terms()
-        if k % m == r
-    ]
-    return LaurentPoly.from_terms(terms)
+    return symbol(mask).residue_part(n, mask.arity)
 
 
 def sub_symbols(mask: Mask) -> list[LaurentPoly]:
@@ -106,24 +112,19 @@ def sub_symbols(mask: Mask) -> list[LaurentPoly]:
 
 def shift_parameter(mask: Mask) -> Fraction:
     """tau = A'(1) = (1/m) sum_k k a_k, summed on the coefficients' numerators."""
-    den, a = numerators(mask.coeffs)
-    return Fraction(sum(k * c for k, c in enumerate(a, mask.offset)), mask.arity * den)
-
-
-def _is_palindrome(coeffs: tuple[Fraction, ...]) -> bool:
-    return coeffs == tuple(reversed(coeffs))
+    return mask.poly.derivative_at_one() / mask.arity
 
 
 def smoothing_factor(m: int) -> LaurentPoly:
     """(1 + z + ... + z^{m-1}) / m."""
-    return LaurentPoly(0, [Fraction(1, m)] * m)
+    return LaurentPoly.from_numerators(0, [1] * m, m)
 
 
 def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
     """Exact division of a Laurent polynomial by smoothing_factor(m)**order.
 
-    Runs on the integer numerators c of poly over their common denominator.
-    Each order divides c by 1 + z + ... + z^{m-1} with the recurrence
+    Runs on the integer numerators c of poly over its denominator.  Each
+    order divides c by 1 + z + ... + z^{m-1} with the recurrence
     q_k = c_k - c_{k-1} + q_{k-m} and multiplies q back with ``convolve``
     to check that no remainder is left; the quotient is then scaled by m per
     order.  Raises NotDivisible when a division is not exact.
@@ -132,7 +133,7 @@ def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
         raise ValueError("order must be nonnegative")
     if order == 0 or poly.is_zero:
         return poly
-    den, c = numerators(poly.coeffs)
+    c = list(poly.numerators)
     ones = [1] * m
     for _ in range(order):
         q: list[int] = []
@@ -143,7 +144,7 @@ def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
             raise NotDivisible(f"no factorization of order {order} for arity {m}")
         c = q
     scale = m**order
-    return LaurentPoly(poly.offset, [Fraction(x * scale, den) for x in c])
+    return LaurentPoly.from_numerators(poly.offset, [x * scale for x in c], poly.denominator)
 
 
 def factor_smoothing(mask: Mask, d: int) -> LaurentPoly:
@@ -155,7 +156,7 @@ def max_smoothing_order(mask: Mask) -> int:
     """Largest d for which factor_smoothing succeeds."""
     d = 0
     # each factor eats m-1 degrees of the coefficient window
-    limit = (len(mask.coeffs) - 1) // (mask.arity - 1)
+    limit = (mask.k_right - mask.k_left) // (mask.arity - 1)
     while d < limit:
         try:
             factor_smoothing(mask, d + 1)
@@ -172,7 +173,8 @@ def classify_symmetry(mask: Mask) -> SchemeDescriptor:
     dual symmetric means tau = 1/2 with a palindromic window k_l = 1 - k_r.
     """
     tau = shift_parameter(mask)
-    palindromic = _is_palindrome(mask.coeffs)
+    nums = mask.poly.numerators
+    palindromic = nums == nums[::-1]
     if palindromic and tau == 0 and mask.k_left == -mask.k_right:
         sym = Symmetry.PRIMAL
     elif palindromic and tau == Fraction(1, 2) and mask.k_left == 1 - mask.k_right:

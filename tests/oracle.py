@@ -1,6 +1,7 @@
 """Fraction reference implementations that the integer paths are tested against.
 
-These are the straightforward forms: dense matrix products, the dense
+These are the straightforward forms: coefficient windows as trimmed Fraction
+tuples, dense matrix products, the dense
 construction matrices M, N and the band O, the identities of ``charax`` as sums of sub-symbol times
 residue-class sample polynomials, Gauss-Jordan elimination on Fractions,
 membership in a derived family as row functionals applied to the mask, and
@@ -19,6 +20,19 @@ from dualsubdiv.construct import _column_pairs, alpha_window
 from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve
 from dualsubdiv.samples import phi_poly
 from dualsubdiv.scheme import NotDivisible, smoothing_factor, sub_symbol, symbol
+
+
+def fraction_window(offset, coeffs):
+    """(offset, coefficient tuple) of a coefficient list as Fractions, with the
+    zero ends trimmed and the zero sequence as (0, ()): the Fraction-tuple
+    store that ``LaurentPoly``, ``Mask`` and ``SampleSet`` keep as integers."""
+    cs = [F(c) for c in coeffs]
+    lo, hi = 0, len(cs)
+    while lo < hi and cs[lo] == 0:
+        lo += 1
+    while hi > lo and cs[hi - 1] == 0:
+        hi -= 1
+    return (offset + lo, tuple(cs[lo:hi])) if lo < hi else (0, ())
 
 
 def identity(n):

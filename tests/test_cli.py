@@ -264,6 +264,20 @@ def test_bad_range_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+# a JSON field of the wrong type is rejected, never converted
+WRONG_TYPE_MESSAGES = {
+    "string_coeffs_mask": "bad mask file {}: 'coeffs' must be of type list, got '1221'",
+    "float_offset_mask": "bad mask file {}: 'offset' must be of type int, got -1.9",
+    "float_arity_mask": "bad mask file {}: 'arity' must be of type int, got 3.0",
+    "float_T_samples": "bad sample file {}: 'T' must be of type int, got 2.0",
+    "string_values_samples": "bad sample file {}: 'values' must be of type list, got '121'",
+    "string_symmetric_family": "bad family file {}: 'symmetric' must be of type bool, got 'false'",
+    "float_kstar_family": "bad family file {}: 'kstar' must be of type int, got 10.0",
+    "float_smoothing_family": "bad family file {}: 'smoothing' must be of type int, got 3.5",
+    "bool_coeff_family": "bad family file {}: refusing to coerce bool True to an exact rational",
+}
+
+
 @pytest.fixture
 def bad_input_files(tmp_path, cantor_mask_file):
     bad_seed = catalog.cantor_samples().perturbed(1, F(1, 100))
@@ -279,7 +293,26 @@ def bad_input_files(tmp_path, cantor_mask_file):
     del no_smoothing_family["problem"]["smoothing"]
     no_T_samples = catalog.cantor_samples().to_dict()
     del no_T_samples["T"]
+    family = catalog.quinary_reference_family().to_dict()
+    wrong_types = {
+        "string_coeffs_mask": dict(catalog.cantor_mask().to_dict(), coeffs="1221"),
+        "float_offset_mask": dict(catalog.cantor_mask().to_dict(), offset=-1.9),
+        "float_arity_mask": dict(catalog.cantor_mask().to_dict(), arity=3.0),
+        "float_T_samples": dict(catalog.cantor_samples().to_dict(), T=2.0),
+        "string_values_samples": dict(catalog.cantor_samples().to_dict(), values="121"),
+        "string_symmetric_family": dict(family, problem=dict(family["problem"], symmetric="false")),
+        "float_kstar_family": dict(family, problem=dict(family["problem"], kstar=10.0)),
+        "float_smoothing_family": dict(family, problem=dict(family["problem"], smoothing=3.5)),
+        "bool_coeff_family": dict(family, basis=[dict(family["basis"][0], coeffs=[True])]),
+    }
     return {
+        **{key: write_json(tmp_path / f"{key}.json", data) for key, data in wrong_types.items()},
+        "huge_mask": write_json(
+            tmp_path / "huge_mask.json", catalog.quinary_family_mask(10**200).to_dict()
+        ),
+        "huger_mask": write_json(
+            tmp_path / "huger_mask.json", catalog.quinary_family_mask(10**400).to_dict()
+        ),
         "points": str(points),
         "no_offset_mask": write_json(tmp_path / "no_offset_mask.json", no_offset_mask),
         "no_smoothing_family": write_json(
@@ -344,6 +377,18 @@ def bad_input_files(tmp_path, cantor_mask_file):
          "--symmetric", "--out", "{missing_dir}/x.json"],
         ["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "dd:2",
          "--symmetric", "--out", "{out_dir}"],
+        ["verify", "--mask", "{string_coeffs_mask}", "--samples", "dd:2"],
+        ["regularity", "--mask", "{float_offset_mask}"],
+        ["regularity", "--mask", "{float_arity_mask}"],
+        ["eval", "--mask", "{mask}", "--samples", "{float_T_samples}"],
+        ["verify", "--mask", "{mask}", "--samples", "{string_values_samples}"],
+        ["sweep", "--family", "{string_symmetric_family}", "--range=-1:1"],
+        ["sweep", "--family", "{float_kstar_family}", "--range=-1:1"],
+        ["sweep", "--family", "{float_smoothing_family}", "--range=-1:1"],
+        ["sweep", "--family", "{bool_coeff_family}", "--range=-1:1"],
+        ["regularity", "--mask", "{huge_mask}", "--levels=2"],
+        ["eval", "--mask", "{huge_mask}", "--samples", "dd4", "--depth", "2"],
+        ["curve", "--mask", "{huger_mask}", "--points", "{points}", "--steps", "1"],
     ],
     ids=[
         "eval-negative-depth",
@@ -384,6 +429,18 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "regularity-out-directory",
         "derive-out-missing-dir",
         "derive-out-directory",
+        "verify-mask-string-coeffs",
+        "regularity-mask-float-offset",
+        "regularity-mask-float-arity",
+        "eval-samples-float-T",
+        "verify-samples-string-values",
+        "sweep-family-string-symmetric",
+        "sweep-family-float-kstar",
+        "sweep-family-float-smoothing",
+        "sweep-family-bool-coefficient",
+        "regularity-norm-overflow",
+        "eval-value-overflow",
+        "curve-weight-overflow",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -415,6 +472,12 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
     if "--out" in argv:
         out = argv[argv.index("--out") + 1].format(**bad_input_files)
         assert err.startswith(f"error: cannot write {out}: ")
+    for key, message in WRONG_TYPE_MESSAGES.items():
+        if "{%s}" % key in argv:
+            assert err == f"error: {message.format(bad_input_files[key])}\n"
+    if "{huge_mask}" in argv or "{huger_mask}" in argv:
+        assert "beyond the float range" in err
+
 
 
 @pytest.mark.parametrize(
