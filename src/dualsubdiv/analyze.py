@@ -26,6 +26,12 @@ from .scheme import (
 )
 
 
+# Most points a lattice of refine_values or a polyline of subdivide_points may
+# hold.  Both grow as m^depth, so a larger request is refused before any
+# level runs.
+MAX_POINTS = 10**6
+
+
 class SeedInconsistent(Exception):
     """The seed values do not satisfy the refinement equation on their lattice."""
 
@@ -102,7 +108,8 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     seed as a LatticeFunction.
     Raises SeedInconsistent when the seed leaves the limit support or when the
     first level does not reproduce the seed at the seed's own lattice points;
-    depth 0 runs that level for the check alone.
+    depth 0 runs that level for the check alone.  Raises ValueError, before
+    any level runs, when the lattice would hold more than MAX_POINTS points.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -118,6 +125,11 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
+    q = seed.T
+    for _ in range(depth):
+        q *= m
+        if math.floor(hi * q) - math.ceil(lo * q) >= MAX_POINTS:
+            raise ValueError(f"a lattice of depth {depth} would hold more than {MAX_POINTS} points")
     D, coeffs = mask.poly.denominator, mask.poly.numerators
     Q = seed.T
     n_lo = math.ceil(lo * Q)
@@ -319,12 +331,12 @@ def reproduction_degree(
     all e <= D at every lattice point of refine_values(depth).
 
     The comb sums run on the lattice's integer numerators N over their scale
-    S: for each degree e they are one ``convolve`` of (k^e) for |k| <= K, K
-    the largest shift inside the window, with N at stride Q.  Each point's
-    sum is compared with x^e exactly, as |acc Q^e - p^e S| t_den >
-    t_num S Q^e for tol = t_num/t_den.  Returns -1 when even constants are
-    not reproduced within tolerance.  tol must be finite and nonnegative; 0
-    asks for exact reproduction.
+    S: for each degree e and each shift |k| <= K, K the largest shift inside
+    the window, k^e N is added into the part of the n-entry window that N
+    shifted by k Q reaches.  Each point's sum is compared with x^e exactly,
+    as |acc Q^e - p^e S| t_den > t_num S Q^e for tol = t_num/t_den.
+    Returns -1 when even constants are not reproduced within tolerance.  tol
+    must be finite and nonnegative; 0 asks for exact reproduction.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
@@ -337,8 +349,16 @@ def reproduction_degree(
     t_num, t_den = tol.as_integer_ratio()
     points = range(lf.offset, lf.offset + n)
     for e in range(max_degree + 1):
-        # entry K Q + i sums k^e nums[i - k Q], i.e. k^e phi(p/Q - k)
-        combs = convolve([k**e for k in range(-K, K + 1)], nums, Q)[K * Q : K * Q + n]
+        # entry i sums k^e nums[i - k Q], i.e. k^e phi(p/Q - k)
+        combs = [0] * n
+        for k in range(-K, K + 1):
+            c = k**e
+            if c == 0:
+                continue
+            if k >= 0:
+                combs[k * Q :] = [acc + c * v for acc, v in zip(combs[k * Q :], nums)]
+            else:
+                combs[: n + k * Q] = [acc + c * v for acc, v in zip(combs, nums[-k * Q :])]
         Qe = Q**e
         bound = t_num * scale * Qe
         for p, acc in zip(points, combs):
@@ -352,18 +372,37 @@ def _subdivide_once(
 ) -> tuple[list[tuple[float, ...]], int]:
     """One step c'(z) = A(z) c(z^m) per coordinate, A(z) = sum_k a_k z^k.
 
-    Open polygons index c' from m*first + k_l.  A closed polygon of n points
-    is periodic: c' is the product mod z^{mn} - 1, indexed from 0.
+    The step is m polyphase rules c'_{mj+l} = sum_i a_{l+mi} c_{j-i}: each
+    weight a_l adds its multiple of the coordinates into every m-th entry
+    from l.  Taking l downwards adds the products of an entry in ascending
+    order of the point index j, starting from 0.0, so a zero is never
+    signed.  Open polygons index c' from m*first + k_l.  A closed polygon of
+    n points is periodic: c' is the product mod z^{mn} - 1, indexed from 0,
+    and its mn-long blocks are added in order, each entry as a left fold
+    from 0.0, so the floats do not depend on the interpreter's ``sum``.
     """
-    m = mask.arity
+    m, n = mask.arity, len(pts)
     weights = [x / mask.poly.denominator for x in mask.poly.numerators]
-    columns = [convolve(coords, weights, m) for coords in zip(*pts)]
+    span = m * n
+    columns = []
+    for coords in zip(*pts):
+        full = [0.0] * (m * (n - 1) + len(weights))
+        for l in reversed(range(len(weights))):
+            w = weights[l]
+            full[l : l + span : m] = [o + y * w for o, y in zip(full[l : l + span : m], coords)]
+        columns.append(full)
     if not closed:
         return list(zip(*columns)), m * first + mask.k_left
-    n = m * len(pts)
-    # column entry i is the coefficient of z^(i + k_l)
-    padded = [[0.0] * (mask.k_left % n) + c for c in columns]
-    return [tuple(sum(c[r::n], 0.0) for c in padded) for r in range(n)], 0
+    wrapped = []
+    for full in columns:
+        # entry i is the coefficient of z^(i + k_l)
+        padded = [0.0] * (mask.k_left % span) + full
+        sums = [0.0] * span
+        for start in range(0, len(padded), span):
+            block = padded[start : start + span]
+            sums[: len(block)] = map(operator.add, sums, block)
+        wrapped.append(sums)
+    return list(zip(*wrapped)), 0
 
 
 def subdivide_points(
@@ -374,6 +413,8 @@ def subdivide_points(
     Returns (parameters, points).  The level-j index n is attached to the
     parameter (n - tau (m^j - 1)/(m - 1)) / m^j, the fixed point of the
     refinement parameter map; consecutive parameters differ by m^{-j}.
+    Raises ValueError, before any step runs, when the result would hold more
+    than MAX_POINTS points.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -384,6 +425,11 @@ def subdivide_points(
     if any(len(p) != dim for p in pts):
         raise ValueError("control points must share one dimension")
     m = mask.arity
+    size = len(pts)
+    for _ in range(steps):
+        size = m * size if closed else m * (size - 1) + len(mask.poly.numerators)
+        if size > MAX_POINTS:
+            raise ValueError(f"a polyline of {steps} steps would hold more than {MAX_POINTS} points")
     tau = shift_parameter(mask)
     first = 0
     for _ in range(steps):

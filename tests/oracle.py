@@ -8,7 +8,10 @@ membership in a derived family as row functionals applied to the mask, and
 smoothing-factor division as ``LaurentPoly.divide``'s long division.  Every
 product and sum there is a ``Fraction`` operation.  The float contractivity
 references below keep the per-class norm sums and the per-parameter
-``Fraction`` conversions that the family-line kernel replaced.
+``Fraction`` conversions that the family-line kernel replaced.  The limit
+evaluation references are the curve step as a whole product per coordinate
+wrapped by per-class folds, and the reproduction comb sums read from the
+full comb product.
 """
 
 import functools
@@ -307,3 +310,44 @@ def contractivity_range(family, order, levels, search_interval, grid=129, tol=1e
     left = ts[first] if first == 0 else bisect(ts[first - 1], ts[first], False)
     right = ts[last] if last == grid - 1 else bisect(ts[last], ts[last + 1], True)
     return left, right
+
+
+def subdivide_once(mask, pts, first, closed):
+    """One curve step as ``convolve(coords, weights, m)`` per coordinate; a
+    closed polygon of n points then folds each class r mod m n from 0.0,
+    c[r] + c[r + m n] + ... from left to right."""
+    m = mask.arity
+    weights = [x / mask.poly.denominator for x in mask.poly.numerators]
+    columns = [convolve(coords, weights, m) for coords in zip(*pts)]
+    if not closed:
+        return list(zip(*columns)), m * first + mask.k_left
+    n = m * len(pts)
+    # column entry i is the coefficient of z^(i + k_l)
+    padded = [[0.0] * (mask.k_left % n) + c for c in columns]
+    return [
+        tuple(functools.reduce(operator.add, c[r::n], 0.0) for c in padded) for r in range(n)
+    ], 0
+
+
+def subdivide_points(mask, control, steps, closed):
+    """(first index, points) after ``steps`` steps of ``subdivide_once``."""
+    pts, first = [tuple(float(x) for x in p) for p in control], 0
+    for _ in range(steps):
+        pts, first = subdivide_once(mask, pts, first, closed)
+    return first, pts
+
+
+def reproduction_degree(lattice, max_degree, tol):
+    """The reproduction degree of a ``LatticeFunction`` with the comb sums of
+    degree e read off the whole product of (k^e), |k| <= K, with the
+    numerators at stride Q: entry K Q + i sums k^e nums[i - k Q]."""
+    Q, scale, nums = lattice.denominator, lattice.scale, lattice.numerators
+    n = len(nums)
+    K = (n - 1) // Q
+    t_num, t_den = tol.as_integer_ratio()
+    for e in range(max_degree + 1):
+        combs = convolve([k**e for k in range(-K, K + 1)], nums, Q)[K * Q : K * Q + n]
+        for p, acc in zip(range(lattice.offset, lattice.offset + n), combs):
+            if abs(acc * Q**e - p**e * scale) * t_den > t_num * scale * Q**e:
+                return e - 1
+    return max_degree

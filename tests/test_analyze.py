@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualsubdiv import catalog
+from dualsubdiv import analyze, catalog
 from dualsubdiv.analyze import (
     LatticeFunction,
     NoContractivePoint,
@@ -476,3 +476,31 @@ def test_flat_coordinate_stays_unsigned_zero(closed):
     mask = catalog.quinary_family_mask(F(-7, 5))
     _, pts = subdivide_points(mask, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 2, closed=closed)
     assert all(math.copysign(1.0, y) == 1.0 for _, y in pts)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_zero_weight_product_stays_unsigned_zero(closed):
+    # a zero weight times the negative point is -0.0; the entry must print as 0.0
+    _, pts = subdivide_points(Mask(2, 0, [1, 0, 1]), [(0.0, 0.0), (-1.0, -1.0)], 1, closed=closed)
+    assert all(math.copysign(1.0, x) == 1.0 for p in pts for x in p if x == 0)
+
+
+def test_output_cap_is_checked_before_any_level(monkeypatch):
+    # a cap of exactly the depth-2 lattice, or of the 2-step polylines, lets
+    # them through; one point less refuses them
+    size = len(refine_values(TERNARY, DD4, 2).numerators)
+    monkeypatch.setattr(analyze, "MAX_POINTS", size)
+    assert len(refine_values(TERNARY, DD4, 2).numerators) == size
+    monkeypatch.setattr(analyze, "MAX_POINTS", size - 1)
+    with pytest.raises(ValueError, match=f"depth 2 would hold more than {size - 1} points"):
+        refine_values(TERNARY, DD4, 2)
+    with pytest.raises(ValueError, match=f"more than {size - 1} points"):
+        reproduction_degree(TERNARY, DD4, 5, 2, 1e-8)
+    control = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    for closed in (False, True):
+        size = len(subdivide_points(TERNARY, control, 2, closed=closed)[1])
+        monkeypatch.setattr(analyze, "MAX_POINTS", size)
+        assert len(subdivide_points(TERNARY, control, 2, closed=closed)[1]) == size
+        monkeypatch.setattr(analyze, "MAX_POINTS", size - 1)
+        with pytest.raises(ValueError, match=f"2 steps would hold more than {size - 1} points"):
+            subdivide_points(TERNARY, control, 2, closed=closed)

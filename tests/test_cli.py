@@ -389,6 +389,10 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["regularity", "--mask", "{huge_mask}", "--levels=2"],
         ["eval", "--mask", "{huge_mask}", "--samples", "dd4", "--depth", "2"],
         ["curve", "--mask", "{huger_mask}", "--points", "{points}", "--steps", "1"],
+        ["eval", "--mask", "{mask}", "--samples", "dd:2", "--depth", "40"],
+        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--depth", "40"],
+        ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "40"],
+        ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "40", "--closed"],
     ],
     ids=[
         "eval-negative-depth",
@@ -441,6 +445,10 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "regularity-norm-overflow",
         "eval-value-overflow",
         "curve-weight-overflow",
+        "eval-runaway-depth",
+        "reproduce-runaway-depth",
+        "curve-runaway-steps",
+        "curve-closed-runaway-steps",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -469,6 +477,8 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "bad range" in err and "a grid point overflows" in err
     if "--range=1e307:1.7e308" in argv:
         assert "is not finite" in err
+    if "40" in argv:
+        assert "would hold more than 1000000 points" in err
     if "--out" in argv:
         out = argv[argv.index("--out") + 1].format(**bad_input_files)
         assert err.startswith(f"error: cannot write {out}: ")

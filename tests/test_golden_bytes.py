@@ -1,0 +1,133 @@
+"""Pinned output bytes of ``eval``, ``curve`` and ``reproduce`` on the catalog.
+
+Each case runs the CLI on a catalog mask and compares the sha256 of its
+standard output with a digest recorded on CPython 3.11.  The floats a
+command prints must not depend on the interpreter, so the same digests
+hold on every supported Python.  ``curve-closed-2pt`` wraps the product of
+one step around a 2-point polygon in three or more blocks on every mask but
+Cantor's: a float ``sum`` there prints different last digits from Python
+3.12 on, where ``sum`` is compensated.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from dualsubdiv import catalog
+from dualsubdiv.cli import main
+
+# name -> (mask, sample shorthand, eval depth, reproduce depth, curve steps)
+MASKS = {
+    "cantor": (catalog.cantor_mask, "dd:2", 3, 3, 3),
+    "ternary": (catalog.ternary_cubic_mask, "dd4", 3, 3, 3),
+    "quinary_w0": (lambda: catalog.quinary_family_mask(F(0)), "dd4", 2, 2, 2),
+    "quinary_w-7_5": (lambda: catalog.quinary_family_mask(F(-7, 5)), "dd4", 2, 2, 2),
+    "quinary_w10": (lambda: catalog.quinary_family_mask(F(10)), "dd4", 2, 2, 2),
+    "quartic": (catalog.quaternary_quartic_mask, "dd6", 2, 2, 2),
+    "quaternary_cubic": (
+        lambda: catalog.quaternary_family_mask(F(1, 2), *catalog.quaternary_cubic_params(F(1, 2))),
+        "mix:1/2",
+        2,
+        2,
+        2,
+    ),
+}
+
+# zero, negative and inexact coordinates
+POLYGON = "x,y\n0,0\n1.5,-0.25\n2.1,1.3\n0.7,2.2\n-0.9,1.1\n"
+SEGMENT = "x,y\n0.3,-1.7\n2.9,0.4\n"
+
+
+def _commands(paths, name):
+    _, spec, eval_depth, repro_depth, steps = MASKS[name]
+    mask = ["--mask", paths["mask"]]
+    return {
+        "eval": ["eval", *mask, "--samples", spec, "--depth", str(eval_depth)],
+        "reproduce": ["reproduce", *mask, "--samples", spec, "--maxdeg", "5",
+                      "--depth", str(repro_depth)],
+        "curve-open": ["curve", *mask, "--points", paths["polygon"], "--steps", str(steps)],
+        "curve-closed": ["curve", *mask, "--points", paths["polygon"], "--steps", str(steps),
+                         "--closed"],
+        "curve-closed-2pt": ["curve", *mask, "--points", paths["segment"], "--steps", "1",
+                             "--closed"],
+    }
+
+
+def _write_inputs(directory, name):
+    paths = {
+        "mask": directory / f"{name}.json",
+        "polygon": directory / "polygon.csv",
+        "segment": directory / "segment.csv",
+    }
+    paths["mask"].write_text(json.dumps(MASKS[name][0]().to_dict()))
+    paths["polygon"].write_text(POLYGON)
+    paths["segment"].write_text(SEGMENT)
+    return {key: str(path) for key, path in paths.items()}
+
+
+def stdout_digest(argv):
+    """(exit code, sha256 of the standard output) of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def digests(directory, name):
+    """'<mask>/<command>' -> stdout sha256 of every case of one mask."""
+    paths = _write_inputs(directory, name)
+    result = {}
+    for command, argv in _commands(paths, name).items():
+        code, digest = stdout_digest(argv)
+        assert code == 0, argv
+        result[f"{name}/{command}"] = digest
+    return result
+
+
+GOLDEN = {
+    "cantor/eval": "ecf88b2414f29f50ca13f74d121f33e09276a1c6980e10f87928658d41872306",
+    "cantor/reproduce": "ab2affbf55099248e5e1436154128f73751820cdf23d4b124e5dfe2dd77140d2",
+    "cantor/curve-open": "8776c454a5ebb8a14ef0e7ac0f307cc564ebcc27660106fbe085036806426f63",
+    "cantor/curve-closed": "d31fc334c4d13ab85f2b7a7ab7cdd4413e129f2c77cd16f16916a27ee29f2342",
+    "cantor/curve-closed-2pt": "0571e162689efc41dd1fb138247014c7463e7ace403b68282cdad71569fe14e6",
+    "ternary/eval": "738e55a3cde6e84417e145882967a01d1b6c2b49710ebc3cae0ddaa578370a3e",
+    "ternary/reproduce": "24cac1ba5cb0ef9f6d9a7eab1db6b5ccc23243790fcf041e659dfb92d0056b8b",
+    "ternary/curve-open": "4ebab718b7b82056d301fcde060060c11023a4b5078b04c1c488bf50f5727ec4",
+    "ternary/curve-closed": "c6f2183ebe3ecab9086c91601889c0ac39182010d709d666812fef6f6c3f60ab",
+    "ternary/curve-closed-2pt": "64573731ca9b90e5d88fef244ce70941318e608cc642fe7ccdd2afb4c6aebfc8",
+    "quinary_w0/eval": "62d4dc3051f85ba1a05e1b128ac46fd8e9b4267e6d560b56ee4370db2feb5848",
+    "quinary_w0/reproduce": "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
+    "quinary_w0/curve-open": "38566df890452364ed1cb9276bcd6330d635aad9c549cd752e43d90c071e0f42",
+    "quinary_w0/curve-closed": "b9d4c9f8a03b6df58126560f9abf63dcd29456eecee89c04735b97833862100a",
+    "quinary_w0/curve-closed-2pt": "211fed96179507123440daf34591096db6d9565eef733b97782d98e6aaf72d1f",
+    "quinary_w-7_5/eval": "0b6f114847cb78041d280a04a1a189164496be9d14fa4feefb4fac62a41e0a56",
+    "quinary_w-7_5/reproduce": "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
+    "quinary_w-7_5/curve-open": "c98c2c8f7737530df1cf764e79c331a692953505a8fb86cf1d67a40eb62ccbd8",
+    "quinary_w-7_5/curve-closed": "f493eeaea7ff1a585c02de89d19876bd360303d9d2319375c7eb68456b763d15",
+    "quinary_w-7_5/curve-closed-2pt": "305ad3957ed37fe2ef2e00dc5a86e5873df50dce2163e4c96a7a98b4695d6170",
+    "quinary_w10/eval": "fc77ce9c53b0fd119cf8bd40c73087c834f2724b19e5de656b8d96ba7968da5a",
+    "quinary_w10/reproduce": "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
+    "quinary_w10/curve-open": "ad576ac0427931a5f0c9aa7823e07bf31a4f9c10d8c6ba5e68676c1028a0dc03",
+    "quinary_w10/curve-closed": "447af1d619aa4fde72f2cc1034ff1c658db98c9aebd869d1d67659265a80da1a",
+    "quinary_w10/curve-closed-2pt": "b9db02ddaa80261559a23446fbf42b2bab1aadbdb10dc5a693972ab126101e5b",
+    "quartic/eval": "24dc4a79227ec1a2d5c4664a9121d58122b6b395565421c48da37946ea435453",
+    "quartic/reproduce": "d2d79602949da3221e2d9b405589dcf7afa614507ae37a663c181dd0a3b07ab9",
+    "quartic/curve-open": "859e0d2229db16f337ef91705f10cfb041d03871b9e4f50281eb79572fa084e3",
+    "quartic/curve-closed": "9a76f8ce864cab4c5e0f9b680fb3223973d998605df2c57e5769a249094b8154",
+    "quartic/curve-closed-2pt": "c3efe6875d7f24e183e7e6ea9d22fa29c7f1c9d62a100fb47c6f9e5d0da0b3d1",
+    "quaternary_cubic/eval": "5260f1365035216343ad9f89652b0f21535b0b89c664c4b60b4ee374176516bf",
+    "quaternary_cubic/reproduce": "24cac1ba5cb0ef9f6d9a7eab1db6b5ccc23243790fcf041e659dfb92d0056b8b",
+    "quaternary_cubic/curve-open": "af3bcfce37899c655bc51c641eac5e8880201533c40a627d79f5525edc07d3cf",
+    "quaternary_cubic/curve-closed": "62c4afed27937764131baefbf46f22086cd5068e4742b52a88b69e51b4bfdb0d",
+    "quaternary_cubic/curve-closed-2pt": "656416d9d42fabf54bba4489606d237beee753ca74421701449fbd63deb0bb8c",
+}
+
+
+@pytest.mark.parametrize("name", MASKS)
+def test_outputs_match_the_recorded_bytes(tmp_path, name):
+    wanted = {key: v for key, v in GOLDEN.items() if key.startswith(f"{name}/")}
+    assert digests(tmp_path, name) == wanted
