@@ -53,9 +53,6 @@ from .scheme import (
     factor_smoothing,
     limit_support,
     shift_parameter,
-    smoothing_factor,
-    sub_symbol,
-    sub_symbols,
     support_interval,
     symbol,
 )

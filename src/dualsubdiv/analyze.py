@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .construct import SolutionFamily
-from .exactalg import convolve
+from .exactalg import MAX_POINTS, convolve
 from .samples import SampleSet
 from .scheme import (
     Mask,
@@ -24,12 +24,6 @@ from .scheme import (
     limit_support,
     shift_parameter,
 )
-
-
-# Most points a lattice of refine_values or a polyline of subdivide_points may
-# hold.  Both grow as m^depth, so a larger request is refused before any
-# level runs.
-MAX_POINTS = 10**6
 
 
 class SeedInconsistent(Exception):
@@ -68,6 +62,7 @@ class LatticeFunction:
 
     @property
     def is_exact(self) -> bool:
+        """Always true; ``perfbench/tracing.py`` reads it by name."""
         return not self.values or isinstance(self.values[0], Fraction)
 
 
@@ -109,7 +104,9 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     Raises SeedInconsistent when the seed leaves the limit support or when the
     first level does not reproduce the seed at the seed's own lattice points;
     depth 0 runs that level for the check alone.  Raises ValueError, before
-    any level runs, when the lattice would hold more than MAX_POINTS points.
+    any level runs, when the lattice would hold more than MAX_POINTS points
+    or, for a one-point support, whose lattice never fills, be finer than
+    Z/((MAX_POINTS + 1)(m - 1)).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -125,11 +122,16 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
+    # a support of positive length is at least 1/(m-1) long, so its lattice
+    # meets the point cap no later than Q passes this bound
+    finest = (MAX_POINTS + 1) * (m - 1)
     q = seed.T
     for _ in range(depth):
         q *= m
         if math.floor(hi * q) - math.ceil(lo * q) >= MAX_POINTS:
             raise ValueError(f"a lattice of depth {depth} would hold more than {MAX_POINTS} points")
+        if q > finest:
+            raise ValueError(f"a lattice of depth {depth} would be finer than Z/{finest}")
     D, coeffs = mask.poly.denominator, mask.poly.numerators
     Q = seed.T
     n_lo = math.ceil(lo * Q)

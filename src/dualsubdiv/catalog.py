@@ -79,7 +79,7 @@ def quinary_reference_family() -> SolutionFamily:
     """The quinary family parametrized directly by the coordinate w."""
     p0 = quinary_family_mask(0)
     p1 = quinary_family_mask(1)
-    direction = p1.coeff_poly() - p0.coeff_poly()
+    direction = p1.poly - p0.poly
     return SolutionFamily(quinary_problem(), p0, (direction,))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LaurentPoly, convolve
+from .exactalg import MAX_POINTS, LaurentPoly, convolve
 from .samples import SampleSet
 from .scheme import Mask, shift_parameter
 
@@ -53,9 +53,16 @@ def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
     This is sum_g Phi_{T,g}(z^m) - m z^{-t} sum_b sum_{g + bT == t (mod m)}
     A_b(z^T) Phi_{T,g}(z), where Phi_{T,g} is the part of V/T on exponents
     == g (mod mT): a term a_k z^{kT} of A_b times a term z^n of Phi_{T,g}
-    meets the condition exactly when kT + n == t (mod m).
+    meets the condition exactly when kT + n == t (mod m).  Raises
+    ValueError, before the product is built, when it would hold more than
+    MAX_POINTS entries.
     """
     m, a = mask.arity, mask.poly
+    size = T * (len(a.numerators) - 1) + len(v.numerators) if v.numerators else 0
+    if size > MAX_POINTS:
+        raise ValueError(
+            f"the product A(z^{T}) V(z) would hold {size} entries, more than {MAX_POINTS}"
+        )
     low = T * a.offset + v.offset  # the exponent of the product's first entry
     first = (t - low) % m
     rows = convolve(a.numerators, v.numerators, T)[first::m]

@@ -57,6 +57,13 @@ def numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in fractions]
 
 
+# Most entries a product built for one command may hold: a lattice of
+# analyze.refine_values, a polyline of analyze.subdivide_points or the
+# identity product of charax.  Each grows with the command's depth, steps or
+# lattice density, so a larger one is refused before it is built.
+MAX_POINTS = 10**6
+
+
 def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:
     """Coefficients of A(z^stride) B(z): entry stride*i + j sums a[i] * b[j].
 
@@ -140,10 +147,6 @@ class LaurentPoly:
         return cls(0, (c,))
 
     @classmethod
-    def monomial(cls, exponent: int, c: RationalLike = 1) -> "LaurentPoly":
-        return cls(exponent, (c,))
-
-    @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, RationalLike]]) -> "LaurentPoly":
         acc: dict[int, Fraction] = {}
         for e, c in terms:
@@ -208,28 +211,12 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for Laurent polynomials")
-        result = LaurentPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def residue_part(self, r: int, modulus: int) -> "LaurentPoly":
         """The terms whose exponents are == r (mod modulus)."""
         first = (r - self.offset) % modulus
         out = [0] * max(len(self.numerators) - first, 0)
         out[::modulus] = self.numerators[first::modulus]
         return LaurentPoly.from_numerators(self.offset + first, out, self.denominator)
-
-    def shift(self, exponent: int) -> "LaurentPoly":
-        """Multiply by z^exponent."""
-        return LaurentPoly.from_numerators(self.offset + exponent, self.numerators, self.denominator)
 
     def scale_exponents(self, factor: int) -> "LaurentPoly":
         """Substitute z -> z^factor (factor >= 1)."""
@@ -247,7 +234,8 @@ class LaurentPoly:
         """Long division from the low end: returns (quotient, remainder).
 
         When the division is exact the remainder is the zero polynomial;
-        otherwise the remainder collects whatever cannot be cancelled.
+        otherwise the remainder collects whatever cannot be cancelled.  No
+        package path calls it; ``perfbench/tracing.py`` wraps it by name.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -279,19 +267,6 @@ class LaurentPoly:
             LaurentPoly.from_terms(quot.items()),
             LaurentPoly.from_terms(rem.items()),
         )
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"({c})z")
-            else:
-                parts.append(f"({c})z^{e}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True, init=False)

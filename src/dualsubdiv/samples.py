@@ -77,10 +77,6 @@ class SampleSet:
             if i % self.T == 0
         )
 
-    def perturbed(self, index: int, delta: RationalLike) -> "SampleSet":
-        """Copy with the value at lattice numerator ``index`` shifted by delta."""
-        return SampleSet.from_poly(self.T, self.poly + LaurentPoly.monomial(index, delta))
-
     def to_dict(self) -> dict:
         return {
             "T": self.T,
@@ -98,7 +94,8 @@ def phi_poly(s: SampleSet, m: int, n: int) -> LaurentPoly:
     """Phi_{T,n}(z) = (1/T) sum_k phi(mk + n/T) z^{mTk + n}.
 
     Periodic in n with period mT.  The support of the result sits on
-    exponents congruent to n mod mT.
+    exponents congruent to n mod mT.  No package path calls it;
+    ``perfbench/tracing.py`` wraps it by name.
     """
     if m < 2:
         raise ValueError("arity must be at least 2")

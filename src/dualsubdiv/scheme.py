@@ -70,10 +70,6 @@ class Mask:
     def coefficient(self, k: int) -> Fraction:
         return self.poly.coefficient(k)
 
-    def coeff_poly(self) -> LaurentPoly:
-        """The un-normalized generating function sum_k a_k z^k."""
-        return self.poly
-
     def to_dict(self) -> dict:
         return {
             "arity": self.arity,
@@ -97,17 +93,7 @@ class SchemeDescriptor:
 
 def symbol(mask: Mask) -> LaurentPoly:
     """A(z) = (1/m) sum_k a_k z^k, exactly."""
-    return mask.coeff_poly() * Fraction(1, mask.arity)
-
-
-def sub_symbol(mask: Mask, n: int) -> LaurentPoly:
-    """The residue-class slice A_n(z); indices are taken mod m (A_{n+m} = A_n)."""
-    return symbol(mask).residue_part(n, mask.arity)
-
-
-def sub_symbols(mask: Mask) -> list[LaurentPoly]:
-    """All m sub-symbols A_0, ..., A_{m-1}; their sum is the symbol."""
-    return [sub_symbol(mask, n) for n in range(mask.arity)]
+    return mask.poly * Fraction(1, mask.arity)
 
 
 def shift_parameter(mask: Mask) -> Fraction:
@@ -115,13 +101,8 @@ def shift_parameter(mask: Mask) -> Fraction:
     return mask.poly.derivative_at_one() / mask.arity
 
 
-def smoothing_factor(m: int) -> LaurentPoly:
-    """(1 + z + ... + z^{m-1}) / m."""
-    return LaurentPoly.from_numerators(0, [1] * m, m)
-
-
 def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
-    """Exact division of a Laurent polynomial by smoothing_factor(m)**order.
+    """Exact division of a Laurent polynomial by ((1 + z + ... + z^{m-1})/m)**order.
 
     Runs on the integer numerators c of poly over its denominator.  Each
     order divides c by 1 + z + ... + z^{m-1} with the recurrence

@@ -11,7 +11,9 @@ references below keep the per-class norm sums and the per-parameter
 ``Fraction`` conversions that the family-line kernel replaced.  The limit
 evaluation references are the curve step as a whole product per coordinate
 wrapped by per-class folds, and the reproduction comb sums read from the
-full comb product.
+full comb product.  The Laurent-polynomial helpers at the top (powers,
+shifts, monomials, sub-symbols, the smoothing factor) have no package
+caller; the tests and the references below build their polynomials with them.
 """
 
 import functools
@@ -21,8 +23,51 @@ from fractions import Fraction as F
 
 from dualsubdiv.construct import _column_pairs, alpha_window
 from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve
-from dualsubdiv.samples import phi_poly
-from dualsubdiv.scheme import NotDivisible, smoothing_factor, sub_symbol, symbol
+from dualsubdiv.samples import SampleSet, phi_poly
+from dualsubdiv.scheme import NotDivisible, symbol
+
+
+def power(p, n):
+    """p**n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative powers are not defined for Laurent polynomials")
+    result, base = LaurentPoly.constant(1), p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def shift(p, exponent):
+    """z^exponent p(z)."""
+    return LaurentPoly.from_numerators(p.offset + exponent, p.numerators, p.denominator)
+
+
+def monomial(exponent, c=1):
+    """c z^exponent."""
+    return LaurentPoly(exponent, (c,))
+
+
+def perturbed(s, index, delta):
+    """The sample set s with the value at lattice numerator ``index`` moved by delta."""
+    return SampleSet.from_poly(s.T, s.poly + monomial(index, delta))
+
+
+def sub_symbol(mask, n):
+    """The residue-class slice A_n(z) of the symbol; A_{n+m} = A_n."""
+    return symbol(mask).residue_part(n, mask.arity)
+
+
+def sub_symbols(mask):
+    """A_0, ..., A_{m-1}; their sum is the symbol."""
+    return [sub_symbol(mask, n) for n in range(mask.arity)]
+
+
+def smoothing_factor(m):
+    """(1 + z + ... + z^{m-1}) / m."""
+    return LaurentPoly.from_numerators(0, [1] * m, m)
 
 
 def fraction_window(offset, coeffs):
@@ -117,7 +162,7 @@ def verify_refinability(mask, s, T):
             if (g + b * T - t) % m == 0:
                 acc = acc + phis[g]
         rhs = rhs + a_b * acc
-    return lhs - (rhs * m).shift(-t)
+    return lhs - shift(rhs * m, -t)
 
 
 def _odd_phi_half_sum(mask, s):
@@ -142,7 +187,7 @@ def verify_lemma_form(mask, s):
         for g in range(m):
             if (2 * (b + g)) % m == 0:
                 rhs = rhs + subs[b] * phis[g]
-    return lhs - (rhs * m).shift(-1)
+    return lhs - shift(rhs * m, -1)
 
 
 def verify_dual_interpolatory(mask, s):
@@ -159,7 +204,7 @@ def verify_dual_interpolatory(mask, s):
         for g in range(m):
             weight = (sub_symbol(mask, m // 2 - g) + sub_symbol(mask, m - g)).scale_exponents(2)
             rhs = rhs + weight * phis[g]
-    return lhs - (rhs * m).shift(-1)
+    return lhs - shift(rhs * m, -1)
 
 
 def rref(rows, rhs):
@@ -212,7 +257,7 @@ def contains(problem, mask):
     if any(len({b_poly.coefficient(beta) for beta in pair}) > 1 for pair in _column_pairs(problem)):
         return False
     rows = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
-    a = mask.coeff_poly()
+    a = mask.poly
     if any(apply_row(row, a, k_star) != c for row, c in zip(rows, build_rhs(problem.samples, m, k_star))):
         return False
     return 2 * a.derivative_at_one() == m
@@ -222,7 +267,7 @@ def divide_smoothing(poly, m, order):
     """poly / smoothing_factor(m)**order by Fraction long division."""
     if order == 0:
         return poly
-    quotient, remainder = poly.divide(smoothing_factor(m) ** order)
+    quotient, remainder = poly.divide(power(smoothing_factor(m), order))
     if not remainder.is_zero:
         raise NotDivisible(f"no factorization of order {order} for arity {m}")
     return quotient

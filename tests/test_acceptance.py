@@ -28,9 +28,10 @@ from dualsubdiv.construct import (
     derive,
 )
 from dualsubdiv.samples import dd_samples
-from dualsubdiv.scheme import shift_parameter, sub_symbols
+from dualsubdiv.scheme import shift_parameter
 
-from oracle import value_at_one
+import oracle
+from oracle import sub_symbols, value_at_one
 
 DD4 = dd_samples(2)
 
@@ -161,7 +162,7 @@ def test_criterion_6_characterization_identities():
         for idx in range(lo, hi + 1):
             if idx % 2 == 0:
                 continue
-            broken = verify_dual_interpolatory(mask, samples.perturbed(idx, F(1, 100)))
+            broken = verify_dual_interpolatory(mask, oracle.perturbed(samples, idx, F(1, 100)))
             ok = ok and not broken.satisfied
             perturbed += 1
     assert report(
@@ -182,7 +183,7 @@ def test_criterion_7_contractivity_ranges(quinary_family):
     mask1 = catalog.quinary_family_mask(1)
     assert quinary_family.contains(mask0) and quinary_family.contains(mask1)
     family = SolutionFamily(
-        quinary_family.problem, mask0, (mask1.coeff_poly() - mask0.coeff_poly(),)
+        quinary_family.problem, mask0, (mask1.poly - mask0.poly,)
     )
 
     def contractive(order, t):
@@ -294,10 +295,10 @@ def test_criterion_11_binary_blocker():
                     infeasible += 1
                     continue
                 solvable += 1
-                candidates = [family.particular.coeff_poly()]
+                candidates = [family.particular.poly]
                 for direction in family.basis:
-                    candidates.append(family.particular.coeff_poly() + direction)
-                    candidates.append(family.particular.coeff_poly() - direction)
+                    candidates.append(family.particular.poly + direction)
+                    candidates.append(family.particular.poly - direction)
                 for poly in candidates:
                     mask = family.particular.__class__(2, poly.offset, poly.coeffs)
                     bound = contractivity_bound(mask, 0, 4)

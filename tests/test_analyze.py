@@ -26,9 +26,9 @@ from dualsubdiv.scheme import (
     factor_smoothing,
     limit_support,
     shift_parameter,
-    smoothing_factor,
     symbol,
 )
+from oracle import perturbed, power, smoothing_factor
 
 
 CANTOR = catalog.cantor_mask()
@@ -148,7 +148,7 @@ def test_lattice_nesting(mask, seed):
 @pytest.mark.parametrize("depth", [0, 1])
 def test_inconsistent_seed_rejected(depth):
     with pytest.raises(SeedInconsistent):
-        refine_values(CANTOR, CANTOR_SAMPLES.perturbed(1, F(1, 100)), depth)
+        refine_values(CANTOR, perturbed(CANTOR_SAMPLES, 1, F(1, 100)), depth)
     oversized = SampleSet(2, -3, [F(1, 7), 0, F(1, 2), 1, F(1, 2), 0, F(1, 7)])
     with pytest.raises(SeedInconsistent):
         refine_values(CANTOR, oversized, depth)
@@ -176,7 +176,7 @@ def test_difference_scheme_requires_divisibility():
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_difference_scheme_symbol_relation(order):
     diff = difference_scheme(TERNARY, order)
-    assert symbol(diff) * (smoothing_factor(3) ** order) == symbol(TERNARY)
+    assert symbol(diff) * power(smoothing_factor(3), order) == symbol(TERNARY)
 
 
 def test_contractivity_cantor():
@@ -504,3 +504,11 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
         monkeypatch.setattr(analyze, "MAX_POINTS", size - 1)
         with pytest.raises(ValueError, match=f"2 steps would hold more than {size - 1} points"):
             subdivide_points(TERNARY, control, 2, closed=closed)
+    # a one-coefficient mask has a one-point lattice at every depth; its
+    # Q = 2^3 passes the bound (MAX_POINTS + 1)(m - 1) = 8 and not 7
+    point, seed = Mask(2, 0, [1]), SampleSet(1, 0, [1])
+    monkeypatch.setattr(analyze, "MAX_POINTS", 7)
+    assert refine_values(point, seed, 3).numerators == (1,)
+    monkeypatch.setattr(analyze, "MAX_POINTS", 6)
+    with pytest.raises(ValueError, match="depth 3 would be finer than Z/7"):
+        refine_values(point, seed, 3)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualsubdiv import catalog
+from dualsubdiv import catalog, charax
 from dualsubdiv.charax import (
     ArityTwoUnsupported,
     ShiftLatticeMismatch,
@@ -13,6 +13,7 @@ from dualsubdiv.charax import (
 )
 from dualsubdiv.samples import SampleSet, dd_samples
 from dualsubdiv.scheme import Mask
+from oracle import perturbed
 
 
 CASES = [
@@ -53,7 +54,7 @@ def _odd_indices(samples):
 @pytest.mark.parametrize("name,mask,samples", CASES, ids=[c[0] for c in CASES])
 def test_any_half_integer_perturbation_breaks_identity(name, mask, samples):
     for idx in _odd_indices(samples):
-        broken = samples.perturbed(idx, F(1, 100))
+        broken = perturbed(samples, idx, F(1, 100))
         residual = verify_dual_interpolatory(mask, broken)
         assert not residual.satisfied
         assert residual.nonzero_terms()
@@ -62,8 +63,21 @@ def test_any_half_integer_perturbation_breaks_identity(name, mask, samples):
 
 
 def test_integer_perturbation_breaks_refinability():
-    samples = dd_samples(2).perturbed(2, F(1, 100))
+    samples = perturbed(dd_samples(2), 2, F(1, 100))
     assert not verify_refinability(catalog.ternary_cubic_mask(), samples, 2).satisfied
+
+
+def test_identity_product_cap_is_checked_before_the_product(monkeypatch):
+    # a cap of exactly the product A(z^2) V(z) lets it through; one less refuses it
+    mask, samples = catalog.ternary_cubic_mask(), dd_samples(2)
+    size = 2 * (len(mask.coeffs) - 1) + len(samples.values)
+    monkeypatch.setattr(charax, "MAX_POINTS", size)
+    assert verify_refinability(mask, samples).satisfied
+    monkeypatch.setattr(charax, "MAX_POINTS", size - 1)
+    with pytest.raises(ValueError, match=f"would hold {size} entries, more than {size - 1}"):
+        verify_refinability(mask, samples)
+    with pytest.raises(ValueError, match=f"more than {size - 1}"):
+        verify_dual_interpolatory(mask, samples)
 
 
 def test_zero_half_values_fail_lemma():
@@ -106,7 +120,7 @@ def test_refinability_on_integer_lattice_for_primal_mask():
 
 
 def test_residual_is_exact():
-    broken = dd_samples(2).perturbed(3, F(1, 100))
+    broken = perturbed(dd_samples(2), 3, F(1, 100))
     residual = verify_dual_interpolatory(catalog.ternary_cubic_mask(), broken)
     coeffs = dict(residual.nonzero_terms())
     assert all(isinstance(c, F) for c in coeffs.values())

@@ -11,7 +11,6 @@ from hypothesis import given, reject, settings, strategies as st
 import oracle
 from dualsubdiv.charax import verify_dual_interpolatory, verify_lemma_form, verify_refinability
 from dualsubdiv.construct import InfeasibleProblem, derive
-from dualsubdiv.exactalg import LaurentPoly
 from dualsubdiv.samples import SampleSet
 from dualsubdiv.scheme import Mask
 from test_construct_properties import problems, rationals
@@ -54,12 +53,12 @@ def test_residuals_of_perturbations_match_the_fraction_forms(member, data):
     delta = data.draw(rationals.filter(bool))
     if data.draw(st.booleans()):
         # a change of a_0 keeps tau = sum_k k a_k / m = 1/2
-        poly = mask.coeff_poly() + LaurentPoly.monomial(0, delta)
+        poly = mask.poly + oracle.monomial(0, delta)
         mask = Mask(mask.arity, poly.offset, poly.coeffs)
     else:
         lo, hi = samples.offset, samples.offset + len(samples.values) - 1
         odd = [i for i in range(lo, hi + 1) if i % 2]
-        samples = samples.perturbed(data.draw(st.sampled_from(odd)), delta)
+        samples = oracle.perturbed(samples, data.draw(st.sampled_from(odd)), delta)
     for got, expected in residuals(mask, samples):
         assert got == expected
         assert not got.is_zero

@@ -12,6 +12,7 @@ from dualsubdiv.cli import main
 from dualsubdiv.construct import SolutionFamily, derive
 from dualsubdiv.samples import samples_from_shorthand
 from dualsubdiv.scheme import Mask, shift_parameter
+from oracle import perturbed
 
 
 def write_json(path, payload):
@@ -72,7 +73,7 @@ def test_verify_satisfied(cantor_mask_file, cantor_samples_file, capsys):
 
 
 def test_verify_violation(tmp_path, cantor_mask_file, capsys):
-    bad = catalog.cantor_samples().perturbed(1, F(1, 100))
+    bad = perturbed(catalog.cantor_samples(), 1, F(1, 100))
     samples_file = write_json(tmp_path / "bad.json", bad.to_dict())
     code = main(["verify", "--mask", cantor_mask_file, "--samples", samples_file])
     assert code == 3
@@ -280,7 +281,7 @@ WRONG_TYPE_MESSAGES = {
 
 @pytest.fixture
 def bad_input_files(tmp_path, cantor_mask_file):
-    bad_seed = catalog.cantor_samples().perturbed(1, F(1, 100))
+    bad_seed = perturbed(catalog.cantor_samples(), 1, F(1, 100))
     zero_den_mask = catalog.cantor_mask().to_dict()
     zero_den_mask["coeffs"][1] = "1/0"
     zero_den_family = catalog.quinary_reference_family().to_dict()
@@ -312,6 +313,18 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ),
         "huger_mask": write_json(
             tmp_path / "huger_mask.json", catalog.quinary_family_mask(10**400).to_dict()
+        ),
+        "point_mask": write_json(
+            tmp_path / "point_mask.json", {"arity": 2, "offset": 0, "coeffs": ["1"]}
+        ),
+        "point_samples": write_json(
+            tmp_path / "point_samples.json", {"T": 1, "offset": 0, "values": ["1"]}
+        ),
+        "ternary_mask": write_json(
+            tmp_path / "ternary_mask.json", catalog.ternary_cubic_mask().to_dict()
+        ),
+        "dense_samples": write_json(
+            tmp_path / "dense_samples.json", {"T": 200000, "offset": 0, "values": ["1"]}
         ),
         "points": str(points),
         "no_offset_mask": write_json(tmp_path / "no_offset_mask.json", no_offset_mask),
@@ -393,6 +406,10 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--depth", "40"],
         ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "40"],
         ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "40", "--closed"],
+        ["eval", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "15000"],
+        ["eval", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "1000000"],
+        ["reproduce", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "1000000"],
+        ["verify", "--mask", "{ternary_mask}", "--samples", "{dense_samples}", "--form", "refinability"],
     ],
     ids=[
         "eval-negative-depth",
@@ -449,6 +466,10 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "reproduce-runaway-depth",
         "curve-runaway-steps",
         "curve-closed-runaway-steps",
+        "eval-one-point-support-depth-15000",
+        "eval-one-point-support-depth-1000000",
+        "reproduce-one-point-support-depth-1000000",
+        "verify-refinability-dense-lattice",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -479,6 +500,10 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "is not finite" in err
     if "40" in argv:
         assert "would hold more than 1000000 points" in err
+    if "{point_mask}" in argv:
+        assert f"a lattice of depth {argv[-1]} would be finer than Z/1000001" in err
+    if "{dense_samples}" in argv:
+        assert "A(z^200000) V(z) would hold 2600001 entries, more than 1000000" in err
     if "--out" in argv:
         out = argv[argv.index("--out") + 1].format(**bad_input_files)
         assert err.startswith(f"error: cannot write {out}: ")

