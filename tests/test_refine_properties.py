@@ -122,7 +122,9 @@ def test_refine_values_matches_cascade_or_raises_its_seed_error(pair, depth):
 def test_depth_bound_refuses_only_one_point_supports(m, nums, offset, k, cap, depth):
     """A support of positive length is at least 1/(m-1) long, so its lattice
     passes the point cap before Q passes (cap + 1)(m - 1): the depth bound
-    refuses nothing the cap lets through, and it stops a one-point support."""
+    refuses nothing the cap lets through, and it stops a one-point support.
+    Both bounds govern the levels that depth adds, so depth 0, which returns
+    the seed's own lattice, is never refused."""
     mask = Mask(m, offset, nums)
     seed = SampleSet(k * shift_parameter(mask).denominator, 0, [])
     one_point = mask.k_left == mask.k_right
@@ -131,6 +133,7 @@ def test_depth_bound_refuses_only_one_point_supports(m, nums, offset, k, cap, de
         try:
             refine_values(mask, seed, depth)
         except ValueError as exc:
+            assert depth > 0
             assert ("would be finer than" in str(exc)) == one_point
         else:
-            assert not one_point or seed.T * m**depth <= (cap + 1) * (m - 1)
+            assert not one_point or depth == 0 or seed.T * m**depth <= (cap + 1) * (m - 1)
