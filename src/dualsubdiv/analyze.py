@@ -26,11 +26,11 @@ from .scheme import (
 )
 
 
-class SeedInconsistent(Exception):
+class SeedInconsistent(ValueError):
     """The seed values do not satisfy the refinement equation on their lattice."""
 
 
-class NoContractivePoint(Exception):
+class NoContractivePoint(ValueError):
     """No sampled parameter in the search interval was contractive."""
 
 
@@ -254,6 +254,14 @@ def _line_norms(
     return (n ** (1.0 / L) for L, n in enumerate(norms, start=1))
 
 
+def parameter_grid(a: float, b: float, points: int) -> list[float]:
+    """``points`` evenly spaced parameters from a to b, both included; raises
+    ValueError for fewer than 2 or more than MAX_POINTS points."""
+    if not 2 <= points <= MAX_POINTS:
+        raise ValueError(f"a grid needs 2 to {MAX_POINTS} points, got {points}")
+    return [a + (b - a) * i / (points - 1) for i in range(points)]
+
+
 def contractivity_profile(
     family: SolutionFamily,
     order: int,
@@ -281,7 +289,8 @@ def contractivity_range(
     Samples the search interval, requires the contractive set to be one
     contiguous block (raises NoContractivePoint when empty, ValueError when
     split), then bisects each crossing of the best level bound through 1 down
-    to the requested parameter tolerance.  A parameter is contractive once
+    to the requested parameter tolerance, or to adjacent floats where one
+    float step is wider than it.  A parameter is contractive once
     one level's rooted norm is below 1; the later levels are not computed.
     Endpoints clamp to the search interval when the contractive region
     touches it.
@@ -296,7 +305,7 @@ def contractivity_range(
     a, b = search_interval
     if not a < b:
         raise ValueError("empty search interval")
-    ts = [a + (b - a) * i / (grid - 1) for i in range(grid)]
+    ts = parameter_grid(a, b, grid)
     flags = [contractive(t) for t in ts]
     if not any(flags):
         raise NoContractivePoint(
@@ -308,9 +317,12 @@ def contractivity_range(
         raise ValueError("contractive set is not an interval on the sample grid")
 
     def bisect(lo: float, hi: float, lo_state: bool) -> float:
-        # invariant: contractivity flips somewhere between lo and hi
+        # invariant: contractivity flips somewhere between lo and hi; a
+        # midpoint equal to an end means lo and hi are adjacent floats
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if contractive(mid) == lo_state:
                 lo = mid
             else:

@@ -4,14 +4,17 @@ These are closed-form masks and families the construction pipeline must
 re-derive exactly: the ternary Cantor-function scheme, the ternary scheme
 built from 4-point data with cubic reproduction, the one-parameter quinary
 family, and the quaternary family with its cubic and quartic reproduction
-specializations.
+specializations.  ``reference_corpus`` lists the facts about them that
+``dualsubdiv corpus`` checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import ConstructionProblem, SolutionFamily
+from .charax import verify_dual_interpolatory
+from .construct import ConstructionProblem, InfeasibleProblem, SolutionFamily, derive
 from .exactalg import RationalLike, rat
 from .samples import SampleSet, dd_samples
 from .scheme import Mask
@@ -186,3 +189,86 @@ QUARTIC_DENOMINATOR = 917504
 def quaternary_quartic_mask() -> Mask:
     """The unique quaternary family member reproducing degree-4 polynomials."""
     return quaternary_family_mask(*QUARTIC_POINT)
+
+
+@dataclass(frozen=True)
+class Reference:
+    """One fact of the reference corpus, with the detail ``corpus`` prints.
+
+    ``derivations`` pairs problems with the masks their families must hold:
+    each problem derives a family of ``dimension`` that contains its masks,
+    or is infeasible when ``dimension`` is None.  With ``samples``, ``mask``
+    satisfies the dual interpolatory identity; with ``expected``, it equals
+    that mask.
+    """
+
+    name: str
+    detail: str
+    derivations: tuple[tuple[ConstructionProblem, tuple[Mask, ...]], ...] = ()
+    dimension: int | None = None
+    mask: Mask | None = None
+    samples: SampleSet | None = None
+    expected: Mask | None = None
+
+    def check(self) -> tuple[bool, str]:
+        """(True, detail) when the fact holds, else (False, what failed)."""
+        for i, (problem, members) in enumerate(self.derivations):
+            try:
+                family = derive(problem)
+            except InfeasibleProblem:
+                if self.dimension is None:
+                    continue
+                raise
+            if self.dimension is None:
+                return False, f"k*={problem.k_star} unexpectedly solvable"
+            if family.dimension != self.dimension:
+                return False, f"problem {i}: dimension {family.dimension} != {self.dimension}"
+            if not all(map(family.contains, members)):
+                return False, f"problem {i}: a reference mask is not a member"
+        if self.samples is not None and not verify_dual_interpolatory(self.mask, self.samples).satisfied:
+            return False, "identity violated"
+        if self.expected is not None and self.mask != self.expected:
+            return False, "mask differs from its frozen coefficients"
+        return True, self.detail
+
+
+def reference_corpus() -> tuple[Reference, ...]:
+    """The facts ``dualsubdiv corpus`` checks, in the order it prints them."""
+    dd4 = dd_samples(2)
+    cantor, ternary, quartic = cantor_mask(), ternary_cubic_mask(), quaternary_quartic_mask()
+    quaternary = tuple(
+        (quaternary_problem(w), (quaternary_family_mask(w, *quaternary_cubic_params(w)),))
+        for w in (0, F(1, 2))
+    ) + ((quaternary_problem(1), (quartic,)),)
+    frozen_half = [F(n, QUARTIC_DENOMINATOR) for n in QUARTIC_HALF_NUMERATORS]
+    identity = "dual interpolatory identity"
+    return (
+        Reference(
+            "cantor-derive", "unique mask {1/2, 1, 1, 1/2}", dimension=0,
+            derivations=((ConstructionProblem(3, 1, 2, cantor_samples(), True), (cantor,)),),
+        ),
+        Reference("cantor-identity", identity, mask=cantor, samples=cantor_samples()),
+        Reference(
+            "ternary-derive", "unique 14-entry mask", dimension=0,
+            derivations=((ternary_cubic_problem(), (ternary,)),),
+        ),
+        Reference(
+            "ternary-infeasible", "k* in {5, 6} infeasible",
+            derivations=tuple((ConstructionProblem(3, 4, k, dd4, True), ()) for k in (5, 6)),
+        ),
+        Reference("ternary-identity", identity, mask=ternary, samples=dd4),
+        Reference(
+            "quinary-family", "dimension 1; members at w in {0, -7/5, 10}", dimension=1,
+            derivations=((quinary_problem(), tuple(map(quinary_family_mask, (0, F(-7, 5), 10)))),),
+        ),
+        Reference("quinary-identity", f"{identity} at w=0", mask=quinary_family_mask(0), samples=dd4),
+        Reference(
+            "quaternary-families", "dimension 2 at w in {0, 1/2, 1}; reference members",
+            dimension=2, derivations=quaternary,
+        ),
+        Reference(
+            "quaternary-quartic-half", "frozen first-half coefficients",
+            mask=quartic, expected=Mask(4, -10, frozen_half + frozen_half[::-1]),
+        ),
+        Reference("quaternary-identity", identity, mask=quartic, samples=blended_samples(1)),
+    )

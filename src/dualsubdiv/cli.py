@@ -4,7 +4,8 @@ Exact objects (masks, sample sets, families) travel as JSON with rational
 entries serialized as "p/q" strings; point clouds and polylines travel as CSV.
 
 Exit codes: 0 success, 1 infeasible construction, 2 input/format errors,
-3 identity violation reported by ``verify``.
+3 identity violation reported by ``verify``.  The commands only parse, call
+the library and print; ``main`` maps the library's exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -17,36 +18,21 @@ import math
 import os
 import stat
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .analyze import (
-    NoContractivePoint,
-    SeedInconsistent,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
+    parameter_grid,
     refine_values,
     reproduction_degree,
     subdivide_curve,
 )
-from .charax import (
-    ArityTwoUnsupported,
-    ShiftLatticeMismatch,
-    ShiftMismatch,
-    verify_dual_interpolatory,
-    verify_lemma_form,
-    verify_refinability,
-)
-from .construct import (
-    ConstructionProblem,
-    InfeasibleProblem,
-    InvalidWindow,
-    SolutionFamily,
-    derive,
-)
+from .charax import verify_dual_interpolatory, verify_lemma_form, verify_refinability
+from .construct import ConstructionProblem, InfeasibleProblem, SolutionFamily, derive
 from .samples import SampleSet, samples_from_shorthand
-from .scheme import Mask, NotDivisible
+from .scheme import Mask
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -58,26 +44,18 @@ class CliError(Exception):
     """Input or format problem; maps to exit code 2."""
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, kind: str, cls):
+    """``cls.from_dict`` of the JSON file at ``path``, a ``kind`` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _bad_file(what: str, exc: Exception) -> CliError:
-    """The CliError for a JSON file whose content ``from_dict`` rejected."""
-    detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-    return CliError(f"{what}: {detail}")
-
-
-def _load_mask(path: str) -> Mask:
-    data = _load_json(path)
     try:
-        return Mask.from_dict(data)
+        return cls.from_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
-        raise _bad_file(f"bad mask file {path}", exc) from exc
+        detail = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise CliError(f"bad {kind} file {path}: {detail}") from exc
 
 
 def _resolve_samples(text: str) -> SampleSet:
@@ -87,11 +65,18 @@ def _resolve_samples(text: str) -> SampleSet:
         raise CliError(f"bad sample shorthand {text!r}: {exc}") from exc
     if shorthand is not None:
         return shorthand
-    data = _load_json(text)
+    return _load_json(text, "sample", SampleSet)
+
+
+def _print(text: str) -> None:
+    """Print the text to stdout; a failed write is an input error (exit 2)."""
     try:
-        return SampleSet.from_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _bad_file(f"bad sample file {text}", exc) from exc
+        print(text, flush=True)
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            # the flush at exit would fail again on the unwritten rest
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write standard output: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -108,7 +93,7 @@ def _emit(text: str, out: str | None) -> None:
     of an existing file are kept.
     """
     if out is None:
-        print(text)
+        _print(text)
         return
     try:
         with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
@@ -124,17 +109,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_derive(args) -> int:
     samples = _resolve_samples(args.samples)
-    try:
-        problem = ConstructionProblem(
-            args.arity, args.smoothing, args.kstar, samples, args.symmetric
-        )
-    except (InvalidWindow, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        family = derive(problem)
-    except InfeasibleProblem as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    problem = ConstructionProblem(args.arity, args.smoothing, args.kstar, samples, args.symmetric)
+    family = derive(problem)
     if family.dimension == 0:
         payload = family.particular.to_dict()
     else:
@@ -144,17 +120,14 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mask = _load_mask(args.mask)
+    mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
-    try:
-        if args.form == "refinability":
-            result = verify_refinability(mask, samples, args.lattice or samples.T)
-        elif args.form == "lemma":
-            result = verify_lemma_form(mask, samples)
-        else:
-            result = verify_dual_interpolatory(mask, samples)
-    except (ArityTwoUnsupported, ShiftMismatch, ShiftLatticeMismatch, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    if args.form == "refinability":
+        result = verify_refinability(mask, samples, args.lattice or samples.T)
+    elif args.form == "lemma":
+        result = verify_lemma_form(mask, samples)
+    else:
+        result = verify_dual_interpolatory(mask, samples)
     payload = {
         "satisfied": result.satisfied,
         "residual": [[e, str(c)] for e, c in result.nonzero_terms()],
@@ -164,12 +137,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    mask = _load_mask(args.mask)
+    mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
-    try:
-        lattice = refine_values(mask, samples, args.depth)
-    except (SeedInconsistent, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    lattice = refine_values(mask, samples, args.depth)
     rows = ["numerator,denominator,x,value"]
     for i, v in enumerate(lattice.numerators):
         p = lattice.offset + i
@@ -180,11 +150,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    mask = _load_mask(args.mask)
-    try:
-        report = contractivity_bound(mask, args.order, args.levels)
-    except (NotDivisible, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    mask = _load_json(args.mask, "mask", Mask)
+    report = contractivity_bound(mask, args.order, args.levels)
     payload = {
         "order": report.order,
         "levels": report.levels,
@@ -212,30 +179,21 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> int:
-    data = _load_json(args.family)
-    try:
-        family = SolutionFamily.from_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _bad_file(f"bad family file {args.family}", exc) from exc
+    family = _load_json(args.family, "family", SolutionFamily)
     lo, hi = _parse_range(args.range)
-    if args.grid < 2:
-        raise CliError(f"--grid must be at least 2, got {args.grid}")
-    try:
-        if args.bisect:
-            left, right = contractivity_range(
-                family, args.order, args.levels, (lo, hi), grid=args.grid
-            )
-            payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
-        else:
-            ts = [lo + (hi - lo) * i / (args.grid - 1) for i in range(args.grid)]
-            if not all(map(math.isfinite, ts)):
-                raise CliError(f"bad range {args.range!r}: a grid point overflows")
-            payload = [
-                {"t": t, "bound": bound, "contractive": bound < 1.0}
-                for t, bound in contractivity_profile(family, args.order, args.levels, ts)
-            ]
-    except (NoContractivePoint, NotDivisible, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    ts = parameter_grid(lo, hi, args.grid)
+    if not all(map(math.isfinite, ts)):
+        raise CliError(f"bad range {args.range!r}: a grid point overflows")
+    if args.bisect:
+        left, right = contractivity_range(
+            family, args.order, args.levels, (lo, hi), grid=args.grid
+        )
+        payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
+    else:
+        payload = [
+            {"t": t, "bound": bound, "contractive": bound < 1.0}
+            for t, bound in contractivity_profile(family, args.order, args.levels, ts)
+        ]
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
@@ -245,12 +203,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    mask = _load_mask(args.mask)
+    mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
-    try:
-        degree = reproduction_degree(mask, samples, args.maxdeg, args.depth, args.tol)
-    except (SeedInconsistent, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    degree = reproduction_degree(mask, samples, args.maxdeg, args.depth, args.tol)
     _emit(json.dumps({"degree": degree}), args.out)
     return EXIT_OK
 
@@ -277,12 +232,9 @@ def _read_points(path: str) -> list[tuple[float, float]]:
 
 
 def cmd_curve(args) -> int:
-    mask = _load_mask(args.mask)
+    mask = _load_json(args.mask, "mask", Mask)
     control = _read_points(args.points)
-    try:
-        line = subdivide_curve(mask, control, args.steps, closed=args.closed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    line = subdivide_curve(mask, control, args.steps, closed=args.closed)
     rows = ["t,x,y"]
     for t, (x, y) in zip(line.parameters, line.points):
         rows.append(f"{t},{x},{y}")
@@ -290,103 +242,14 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _corpus_checks():
-    F = Fraction
-
-    def cantor_derive():
-        family = derive(ConstructionProblem(3, 1, 2, catalog.cantor_samples(), True))
-        ok = family.dimension == 0 and family.unique_mask == catalog.cantor_mask()
-        return ok, "unique mask {1/2, 1, 1, 1/2}"
-
-    def cantor_identity():
-        res = verify_dual_interpolatory(catalog.cantor_mask(), catalog.cantor_samples())
-        return res.satisfied, "dual interpolatory identity"
-
-    def ternary_derive():
-        family = derive(catalog.ternary_cubic_problem())
-        ok = family.dimension == 0 and family.unique_mask == catalog.ternary_cubic_mask()
-        return ok, "unique 14-entry mask"
-
-    def ternary_infeasible():
-        for k_star in (5, 6):
-            try:
-                derive(ConstructionProblem(3, 4, k_star, catalog.ternary_cubic_problem().samples, True))
-            except InfeasibleProblem:
-                continue
-            return False, f"k*={k_star} unexpectedly solvable"
-        return True, "k* in {5, 6} infeasible"
-
-    def ternary_identity():
-        res = verify_dual_interpolatory(
-            catalog.ternary_cubic_mask(), catalog.ternary_cubic_problem().samples
-        )
-        return res.satisfied, "dual interpolatory identity"
-
-    def quinary_family():
-        family = derive(catalog.quinary_problem())
-        if family.dimension != 1:
-            return False, f"dimension {family.dimension} != 1"
-        for w in (F(0), F(-7, 5), F(10)):
-            if not family.contains(catalog.quinary_family_mask(w)):
-                return False, f"w={w} not a member"
-        return True, "dimension 1; members at w in {0, -7/5, 10}"
-
-    def quinary_identity():
-        res = verify_dual_interpolatory(
-            catalog.quinary_family_mask(0), catalog.quinary_problem().samples
-        )
-        return res.satisfied, "dual interpolatory identity at w=0"
-
-    def quaternary_families():
-        for w in (F(0), F(1, 2), F(1)):
-            family = derive(catalog.quaternary_problem(w))
-            if family.dimension != 2:
-                return False, f"w={w}: dimension {family.dimension} != 2"
-            if w == 1:
-                member = catalog.quaternary_quartic_mask()
-            else:
-                v, u = catalog.quaternary_cubic_params(w)
-                member = catalog.quaternary_family_mask(w, v, u)
-            if not family.contains(member):
-                return False, f"w={w}: reference mask not a member"
-        return True, "dimension 2 at w in {0, 1/2, 1}; reference members"
-
-    def quaternary_quartic_half():
-        mask = catalog.quaternary_quartic_mask()
-        expected = [
-            F(n, catalog.QUARTIC_DENOMINATOR) for n in catalog.QUARTIC_HALF_NUMERATORS
-        ]
-        ok = list(mask.coeffs[:11]) == expected
-        return ok, "frozen first-half coefficients"
-
-    def quaternary_identity():
-        res = verify_dual_interpolatory(
-            catalog.quaternary_quartic_mask(), catalog.blended_samples(1)
-        )
-        return res.satisfied, "dual interpolatory identity"
-
-    return [
-        ("cantor-derive", cantor_derive),
-        ("cantor-identity", cantor_identity),
-        ("ternary-derive", ternary_derive),
-        ("ternary-infeasible", ternary_infeasible),
-        ("ternary-identity", ternary_identity),
-        ("quinary-family", quinary_family),
-        ("quinary-identity", quinary_identity),
-        ("quaternary-families", quaternary_families),
-        ("quaternary-quartic-half", quaternary_quartic_half),
-        ("quaternary-identity", quaternary_identity),
-    ]
-
-
 def cmd_corpus(args) -> int:
     all_ok = True
-    for name, fn in _corpus_checks():
+    for reference in catalog.reference_corpus():
         try:
-            ok, detail = fn()
+            ok, detail = reference.check()
         except Exception as exc:  # a crash is a failed check, not a CLI crash
             ok, detail = False, f"error: {exc}"
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        _print(f"{'PASS' if ok else 'FAIL'} {reference.name}: {detail}")
         all_ok = all_ok and ok
     return EXIT_OK if all_ok else EXIT_INFEASIBLE
 
@@ -474,7 +337,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except InfeasibleProblem as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (CliError, ValueError) as exc:  # the library rejects input with ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OverflowError as exc:  # an exact value that no float can hold

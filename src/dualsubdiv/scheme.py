@@ -17,7 +17,7 @@ from typing import Iterable
 from .exactalg import LaurentPoly, RationalLike, convolve, json_field
 
 
-class NotDivisible(Exception):
+class NotDivisible(ValueError):
     """The requested smoothing-factor factorization does not exist."""
 
 

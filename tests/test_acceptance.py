@@ -60,20 +60,23 @@ def quaternary_families():
 
 
 def _reference_masks():
-    """Every constructed mask the criteria exercise, with its sample set."""
-    cases = [
-        ("ternary", catalog.ternary_cubic_mask(), DD4),
-        ("cantor", catalog.cantor_mask(), catalog.cantor_samples()),
+    """Every mask the reference corpus derives, with its problem's sample set."""
+    return [
+        (reference.name, mask, problem.samples)
+        for reference in catalog.reference_corpus()
+        for problem, masks in reference.derivations
+        for mask in masks
     ]
-    for w in (F(0), F(-7, 5), F(10)):
-        cases.append((f"quinary w={w}", catalog.quinary_family_mask(w), DD4))
+
+
+def test_reference_masks_cover_every_catalog_scheme():
+    masks = [mask for _, mask, _ in _reference_masks()]
+    assert len(masks) == 8
+    assert catalog.ternary_cubic_mask() in masks and catalog.cantor_mask() in masks
+    assert all(catalog.quinary_family_mask(w) in masks for w in (F(0), F(-7, 5), F(10)))
+    assert catalog.quaternary_quartic_mask() in masks
     for w in (F(0), F(1, 2)):
-        v, u = catalog.quaternary_cubic_params(w)
-        cases.append(
-            (f"quaternary w={w}", catalog.quaternary_family_mask(w, v, u), catalog.blended_samples(w))
-        )
-    cases.append(("quaternary quartic", catalog.quaternary_quartic_mask(), catalog.blended_samples(1)))
-    return cases
+        assert catalog.quaternary_family_mask(w, *catalog.quaternary_cubic_params(w)) in masks
 
 
 def test_criterion_1_ternary_exact_reconstruction(ternary_family):

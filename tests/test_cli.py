@@ -1,15 +1,23 @@
+import errno
+import importlib
+import io
 import json
 import math
 import os
+import pkgutil
 import stat
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import dualsubdiv
 from dualsubdiv import catalog
 from dualsubdiv.analyze import contractivity_profile, refine_values
-from dualsubdiv.cli import main
-from dualsubdiv.construct import SolutionFamily, derive
+from dualsubdiv.cli import CliError, main
+from dualsubdiv.construct import InfeasibleProblem, SolutionFamily, derive
+from dualsubdiv.exactalg import InfeasibleSystem
 from dualsubdiv.samples import samples_from_shorthand
 from dualsubdiv.scheme import Mask, shift_parameter
 from oracle import perturbed
@@ -410,6 +418,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["eval", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "1000000"],
         ["reproduce", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "1000000"],
         ["verify", "--mask", "{ternary_mask}", "--samples", "{dense_samples}", "--form", "refinability"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1000001"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1000001", "--bisect"],
     ],
     ids=[
         "eval-negative-depth",
@@ -470,6 +480,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "eval-one-point-support-depth-1000000",
         "reproduce-one-point-support-depth-1000000",
         "verify-refinability-dense-lattice",
+        "sweep-grid-above-cap",
+        "bisect-grid-above-cap",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -512,6 +524,116 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
             assert err == f"error: {message.format(bad_input_files[key])}\n"
     if "{huge_mask}" in argv or "{huger_mask}" in argv:
         assert "beyond the float range" in err
+    if "1000001" in argv:
+        assert "a grid needs 2 to 1000000 points, got 1000001" in err
+
+
+def test_corpus_reports_a_failed_fact(monkeypatch, capsys):
+    wrong = catalog.Reference(
+        "quinary-plane", "dimension 2",
+        derivations=((catalog.quinary_problem(), ()),), dimension=2,
+    )
+    solvable = catalog.Reference(
+        "ternary-k7-infeasible", "k*=7 infeasible",
+        derivations=((catalog.ternary_cubic_problem(), ()),),
+    )
+    monkeypatch.setattr(catalog, "reference_corpus", lambda: (wrong, solvable))
+    assert main(["corpus"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL quinary-plane: problem 0: dimension 1 != 2",
+        "FAIL ternary-k7-infeasible: k*=7 unexpectedly solvable",
+    ]
+
+
+def _package_exceptions():
+    """Every exception class a dualsubdiv module defines."""
+    found = set()
+    for info in pkgutil.iter_modules(dualsubdiv.__path__):
+        module = importlib.import_module(f"dualsubdiv.{info.name}")
+        found.update(
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+            and value.__module__ == module.__name__
+        )
+    return found
+
+
+def test_rejected_input_is_a_value_error_and_infeasibility_is_not():
+    infeasible = {InfeasibleProblem, InfeasibleSystem}
+    rejected = _package_exceptions() - infeasible - {CliError}
+    assert {cls.__name__ for cls in rejected} == {
+        "ArityTwoUnsupported", "InvalidWindow", "NoContractivePoint", "NotDivisible",
+        "SeedInconsistent", "ShiftLatticeMismatch", "ShiftMismatch",
+    }
+    assert all(issubclass(cls, ValueError) for cls in rejected)
+    assert not any(issubclass(cls, ValueError) for cls in infeasible)
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["derive", "--arity", "3", "--smoothing", "4", "--kstar", "1", "--samples", "dd4"],
+         2, "error: no unknowns: 2k* - d(m-1) = -6 < 1"),
+        (["verify", "--mask", "{primal_mask}", "--samples", "dd:2"],
+         2, "error: dual forms require tau = 1/2, got 0"),
+        (["verify", "--mask", "{mask}", "--samples", "{z1_samples}", "--form", "refinability"],
+         2, "error: tau*T = 1/2 is not an integer"),
+        (["verify", "--mask", "{binary_mask}", "--samples", "dd4"],
+         2, "error: arity 2 admits no convergent dual interpolatory scheme"),
+        (["eval", "--mask", "{mask}", "--samples", "{bad_seed}"],
+         2, "error: refinement equation fails at"),
+        (["sweep", "--family", "{line}", "--order", "2", "--range=5:6", "--bisect"],
+         2, "error: no contractive parameter among 129 samples in [5.0, 6.0]"),
+        (["regularity", "--mask", "{mask}", "--order", "9"],
+         2, "error: no factorization of order 10 for arity 3"),
+        (["derive", "--arity", "3", "--smoothing", "4", "--kstar", "5", "--samples", "dd4", "--symmetric"],
+         1, "infeasible: no dual interpolatory mask with arity 3"),
+        (["verify", "--mask", "no/such/file.json", "--samples", "dd4"],
+         2, "error: cannot read JSON from no/such/file.json"),
+        (["regularity", "--mask", "{huge_mask}", "--levels=2"],
+         2, "error: a value is beyond the float range"),
+    ],
+    ids=[
+        "InvalidWindow", "ShiftMismatch", "ShiftLatticeMismatch", "ArityTwoUnsupported",
+        "SeedInconsistent", "NoContractivePoint", "NotDivisible", "InfeasibleProblem",
+        "CliError", "OverflowError",
+    ],
+)
+def test_main_maps_each_exception_to_its_exit_code(argv, code, message, tmp_path, bad_input_files, capsys):
+    files = dict(
+        bad_input_files,
+        primal_mask=write_json(tmp_path / "primal.json", {"arity": 3, "offset": -1, "coeffs": ["1", "1", "1"]}),
+        z1_samples=write_json(tmp_path / "z1.json", {"T": 1, "offset": 0, "values": ["1"]}),
+        binary_mask=write_json(tmp_path / "m2.json", Mask(2, 0, [1, 1]).to_dict()),
+    )
+    assert main([a.format(**files) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+class FailingStdout(io.TextIOBase):
+    """A standard output whose every write fails with ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+DERIVE_TERNARY = ["derive", "--arity", "3", "--smoothing", "4", "--kstar", "7", "--samples", "dd4", "--symmetric"]
+
+
+@pytest.mark.parametrize("argv", [DERIVE_TERNARY, ["corpus"]], ids=["derive", "corpus"])
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")],
+    ids=["full", "broken-pipe"],
+)
+def test_stdout_write_error_exits_2(argv, error, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write standard output: {error}\n"
 
 
 
@@ -563,21 +685,56 @@ def test_out_is_overwritten_in_place(argv, tmp_path, cantor_mask_file, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def _fresh_process(argv, cwd):
+def _fresh_process(argv, cwd, stdout=subprocess.PIPE, timeout=120):
     """Exit code, stdout and stderr of the command in a new interpreter."""
-    import os
-    import subprocess
-    import sys
-
-    import dualsubdiv
-
     src = os.path.dirname(os.path.dirname(os.path.abspath(dualsubdiv.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dualsubdiv.cli", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd, env=env, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_without_noise_at_exit(tmp_path):
+    with open("/dev/full", "w") as full:
+        code, _, err = _fresh_process(DERIVE_TERNARY, tmp_path, stdout=full)
+    assert (code, err) == (2, "error: cannot write standard output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [DERIVE_TERNARY, ["corpus"]], ids=["derive", "corpus"])
+def test_closed_pipe_exits_2_without_noise_at_exit(argv, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = _fresh_process(argv, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (2, "error: cannot write standard output: [Errno 32] Broken pipe\n")
+
+
+def test_bisect_ends_on_an_overflowing_grid_point(tmp_path):
+    family = write_json(tmp_path / "family.json", derive(catalog.quinary_problem()).to_dict())
+    argv = ["sweep", "--family", family, "--range=-8e307:8e307", "--grid", "3", "--bisect"]
+    code, out, err = _fresh_process(argv, tmp_path, timeout=60)
+    assert (code, out) == (2, "")
+    assert err == "error: bad range '-8e307:8e307': a grid point overflows\n"
+
+
+def test_bisect_ends_where_a_float_step_is_wider_than_tol(tmp_path):
+    # basis / 10^13 puts the crossings near 10^13, where floats are 2^-9 apart
+    derived = derive(catalog.quinary_problem())
+    family = SolutionFamily(derived.problem, derived.particular, (derived.basis[0] * F(1, 10**13),))
+    path = write_json(tmp_path / "family.json", family.to_dict())
+    argv = ["sweep", "--family", path, "--range=-1e14:1e14", "--grid", "17", "--bisect"]
+    code, out, err = _fresh_process(argv, tmp_path, timeout=60)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    for t in (payload["low"], payload["high"]):
+        side = [t - 2 * math.ulp(t), t + 2 * math.ulp(t)]
+        flags = [bound < 1.0 for _, bound in contractivity_profile(family, 0, 3, side)]
+        assert flags[0] != flags[1]
 
 
 def test_reused_parser_answers_as_a_fresh_process(tmp_path, cantor_mask_file, capsys, monkeypatch):
