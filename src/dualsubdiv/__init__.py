@@ -2,6 +2,7 @@
 of arbitrary arity."""
 
 from .analyze import (
+    GridOverflow,
     LatticeFunction,
     NoContractivePoint,
     Polyline,

@@ -34,6 +34,10 @@ class NoContractivePoint(ValueError):
     """No sampled parameter in the search interval was contractive."""
 
 
+class GridOverflow(ValueError):
+    """A parameter grid point lies beyond the float range."""
+
+
 @dataclass(frozen=True)
 class LatticeFunction:
     """Values phi((offset + i)/denominator) = numerators[i]/scale; zero outside
@@ -256,10 +260,14 @@ def _line_norms(
 
 def parameter_grid(a: float, b: float, points: int) -> list[float]:
     """``points`` evenly spaced parameters from a to b, both included; raises
-    ValueError for fewer than 2 or more than MAX_POINTS points."""
+    ValueError for fewer than 2 or more than MAX_POINTS points, and
+    GridOverflow when a point is not finite."""
     if not 2 <= points <= MAX_POINTS:
         raise ValueError(f"a grid needs 2 to {MAX_POINTS} points, got {points}")
-    return [a + (b - a) * i / (points - 1) for i in range(points)]
+    ts = [a + (b - a) * i / (points - 1) for i in range(points)]
+    if not all(map(math.isfinite, ts)):
+        raise GridOverflow("a grid point overflows")
+    return ts
 
 
 def contractivity_profile(

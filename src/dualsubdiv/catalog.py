@@ -195,17 +195,22 @@ def quaternary_quartic_mask() -> Mask:
 class Reference:
     """One fact of the reference corpus, with the detail ``corpus`` prints.
 
-    ``derivations`` pairs problems with the masks their families must hold:
-    each problem derives a family of ``dimension`` that contains its masks,
-    or is infeasible when ``dimension`` is None.  With ``samples``, ``mask``
-    satisfies the dual interpolatory identity; with ``expected``, it equals
-    that mask.
+    An entry states one of three kinds of fact, and sets only its fields:
+
+    - a derivation: ``derivations`` pairs problems with reference masks.
+      Each problem derives a family of ``dimension`` that holds its masks;
+      at dimension 0 the derived mask is the one mask listed.  With
+      ``infeasible`` set instead, each problem is infeasible (no masks).
+    - an identity: ``mask`` satisfies the dual interpolatory identity on
+      ``samples``.
+    - a frozen mask: ``mask`` equals ``expected``.
     """
 
     name: str
     detail: str
     derivations: tuple[tuple[ConstructionProblem, tuple[Mask, ...]], ...] = ()
     dimension: int | None = None
+    infeasible: bool = False
     mask: Mask | None = None
     samples: SampleSet | None = None
     expected: Mask | None = None
@@ -216,17 +221,20 @@ class Reference:
             try:
                 family = derive(problem)
             except InfeasibleProblem:
-                if self.dimension is None:
+                if self.infeasible:
                     continue
                 raise
-            if self.dimension is None:
+            if self.infeasible:
                 return False, f"k*={problem.k_star} unexpectedly solvable"
             if family.dimension != self.dimension:
                 return False, f"problem {i}: dimension {family.dimension} != {self.dimension}"
+            if self.dimension == 0 and members != (family.particular,):
+                return False, f"problem {i}: derived mask differs"
             if not all(map(family.contains, members)):
                 return False, f"problem {i}: a reference mask is not a member"
-        if self.samples is not None and not verify_dual_interpolatory(self.mask, self.samples).satisfied:
-            return False, "identity violated"
+        if self.samples is not None:
+            if not verify_dual_interpolatory(self.mask, self.samples).satisfied:
+                return False, "identity violated"
         if self.expected is not None and self.mask != self.expected:
             return False, "mask differs from its frozen coefficients"
         return True, self.detail
@@ -236,6 +244,8 @@ def reference_corpus() -> tuple[Reference, ...]:
     """The facts ``dualsubdiv corpus`` checks, in the order it prints them."""
     dd4 = dd_samples(2)
     cantor, ternary, quartic = cantor_mask(), ternary_cubic_mask(), quaternary_quartic_mask()
+    cantor_problem = ConstructionProblem(3, 1, 2, cantor_samples(), True)
+    quinary = tuple(map(quinary_family_mask, (0, F(-7, 5), 10)))
     quaternary = tuple(
         (quaternary_problem(w), (quaternary_family_mask(w, *quaternary_cubic_params(w)),))
         for w in (0, F(1, 2))
@@ -244,31 +254,37 @@ def reference_corpus() -> tuple[Reference, ...]:
     identity = "dual interpolatory identity"
     return (
         Reference(
-            "cantor-derive", "unique mask {1/2, 1, 1, 1/2}", dimension=0,
-            derivations=((ConstructionProblem(3, 1, 2, cantor_samples(), True), (cantor,)),),
+            "cantor-derive", "unique mask {1/2, 1, 1, 1/2}",
+            derivations=((cantor_problem, (cantor,)),), dimension=0,
         ),
         Reference("cantor-identity", identity, mask=cantor, samples=cantor_samples()),
         Reference(
-            "ternary-derive", "unique 14-entry mask", dimension=0,
-            derivations=((ternary_cubic_problem(), (ternary,)),),
+            "ternary-derive", "unique 14-entry mask",
+            derivations=((ternary_cubic_problem(), (ternary,)),), dimension=0,
         ),
         Reference(
             "ternary-infeasible", "k* in {5, 6} infeasible",
             derivations=tuple((ConstructionProblem(3, 4, k, dd4, True), ()) for k in (5, 6)),
+            infeasible=True,
         ),
         Reference("ternary-identity", identity, mask=ternary, samples=dd4),
         Reference(
-            "quinary-family", "dimension 1; members at w in {0, -7/5, 10}", dimension=1,
-            derivations=((quinary_problem(), tuple(map(quinary_family_mask, (0, F(-7, 5), 10)))),),
+            "quinary-family", "dimension 1; members at w in {0, -7/5, 10}",
+            derivations=((quinary_problem(), quinary),), dimension=1,
         ),
-        Reference("quinary-identity", f"{identity} at w=0", mask=quinary_family_mask(0), samples=dd4),
+        Reference(
+            "quinary-identity", f"{identity} at w=0",
+            mask=quinary_family_mask(0), samples=dd4,
+        ),
         Reference(
             "quaternary-families", "dimension 2 at w in {0, 1/2, 1}; reference members",
-            dimension=2, derivations=quaternary,
+            derivations=quaternary, dimension=2,
         ),
         Reference(
             "quaternary-quartic-half", "frozen first-half coefficients",
             mask=quartic, expected=Mask(4, -10, frozen_half + frozen_half[::-1]),
         ),
-        Reference("quaternary-identity", identity, mask=quartic, samples=blended_samples(1)),
+        Reference(
+            "quaternary-identity", identity, mask=quartic, samples=blended_samples(1)
+        ),
     )

@@ -21,6 +21,7 @@ import sys
 
 from . import catalog
 from .analyze import (
+    GridOverflow,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
@@ -69,13 +70,19 @@ def _resolve_samples(text: str) -> SampleSet:
 
 
 def _print(text: str) -> None:
-    """Print the text to stdout; a failed write is an input error (exit 2)."""
+    """Print the text to stdout; a failed write is an input error (exit 2).
+
+    After a failed write to the process's own stdout, its descriptor points
+    at /dev/null for the rest of the process.
+    """
     try:
         print(text, flush=True)
     except OSError as exc:
         if sys.stdout is sys.__stdout__:
             # the flush at exit would fail again on the unwritten rest
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise CliError(f"cannot write standard output: {exc}") from exc
 
 
@@ -109,7 +116,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_derive(args) -> int:
     samples = _resolve_samples(args.samples)
-    problem = ConstructionProblem(args.arity, args.smoothing, args.kstar, samples, args.symmetric)
+    problem = ConstructionProblem(
+        args.arity, args.smoothing, args.kstar, samples, args.symmetric
+    )
     family = derive(problem)
     if family.dimension == 0:
         payload = family.particular.to_dict()
@@ -181,19 +190,20 @@ def _parse_range(text: str) -> tuple[float, float]:
 def cmd_sweep(args) -> int:
     family = _load_json(args.family, "family", SolutionFamily)
     lo, hi = _parse_range(args.range)
-    ts = parameter_grid(lo, hi, args.grid)
-    if not all(map(math.isfinite, ts)):
-        raise CliError(f"bad range {args.range!r}: a grid point overflows")
-    if args.bisect:
-        left, right = contractivity_range(
-            family, args.order, args.levels, (lo, hi), grid=args.grid
-        )
-        payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
-    else:
-        payload = [
-            {"t": t, "bound": bound, "contractive": bound < 1.0}
-            for t, bound in contractivity_profile(family, args.order, args.levels, ts)
-        ]
+    try:
+        if args.bisect:
+            left, right = contractivity_range(
+                family, args.order, args.levels, (lo, hi), grid=args.grid
+            )
+            payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
+        else:
+            ts = parameter_grid(lo, hi, args.grid)
+            payload = [
+                {"t": t, "bound": bound, "contractive": bound < 1.0}
+                for t, bound in contractivity_profile(family, args.order, args.levels, ts)
+            ]
+    except GridOverflow as exc:
+        raise CliError(f"bad range {args.range!r}: {exc}") from exc
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:

@@ -6,6 +6,7 @@ import pytest
 
 from dualsubdiv import analyze, catalog
 from dualsubdiv.analyze import (
+    GridOverflow,
     LatticeFunction,
     NoContractivePoint,
     SeedInconsistent,
@@ -13,6 +14,7 @@ from dualsubdiv.analyze import (
     contractivity_profile,
     contractivity_range,
     difference_scheme,
+    parameter_grid,
     refine_values,
     reproduction_degree,
     subdivide_curve,
@@ -218,6 +220,15 @@ def test_contractivity_range_requires_contractive_samples():
     family = catalog.quinary_reference_family()
     with pytest.raises(NoContractivePoint):
         contractivity_range(family, 2, 3, (5.0, 10.0))
+
+
+def test_overflowing_grid_is_refused_before_any_sample():
+    family = catalog.quinary_reference_family()
+    with pytest.raises(GridOverflow, match="a grid point overflows"):
+        parameter_grid(-8e307, 8e307, 3)
+    with pytest.raises(GridOverflow, match="a grid point overflows"):
+        contractivity_range(family, 0, 3, (-8e307, 8e307), grid=3)
+    assert parameter_grid(-8e307, 8e307, 2) == [-8e307, 8e307]
 
 
 def test_contractivity_profile_matches_bound():

@@ -535,13 +535,25 @@ def test_corpus_reports_a_failed_fact(monkeypatch, capsys):
     )
     solvable = catalog.Reference(
         "ternary-k7-infeasible", "k*=7 infeasible",
-        derivations=((catalog.ternary_cubic_problem(), ()),),
+        derivations=((catalog.ternary_cubic_problem(), ()),), infeasible=True,
     )
-    monkeypatch.setattr(catalog, "reference_corpus", lambda: (wrong, solvable))
+    cantor = catalog.reference_corpus()[0]
+    cantor_problem = cantor.derivations[0][0]
+    off = Mask(3, -1, [F(1, 2), 1, 1, F(1, 2) + F(1, 100)])
+
+    def derive_off(problem):
+        """Derive, except that the Cantor problem yields the wrong mask."""
+        if problem is cantor_problem:
+            return SolutionFamily(problem, off, ())
+        return derive(problem)
+
+    monkeypatch.setattr(catalog, "derive", derive_off)
+    monkeypatch.setattr(catalog, "reference_corpus", lambda: (wrong, solvable, cantor))
     assert main(["corpus"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "FAIL quinary-plane: problem 0: dimension 1 != 2",
         "FAIL ternary-k7-infeasible: k*=7 unexpectedly solvable",
+        "FAIL cantor-derive: problem 0: derived mask differs",
     ]
 
 
@@ -562,8 +574,8 @@ def test_rejected_input_is_a_value_error_and_infeasibility_is_not():
     infeasible = {InfeasibleProblem, InfeasibleSystem}
     rejected = _package_exceptions() - infeasible - {CliError}
     assert {cls.__name__ for cls in rejected} == {
-        "ArityTwoUnsupported", "InvalidWindow", "NoContractivePoint", "NotDivisible",
-        "SeedInconsistent", "ShiftLatticeMismatch", "ShiftMismatch",
+        "ArityTwoUnsupported", "GridOverflow", "InvalidWindow", "NoContractivePoint",
+        "NotDivisible", "SeedInconsistent", "ShiftLatticeMismatch", "ShiftMismatch",
     }
     assert all(issubclass(cls, ValueError) for cls in rejected)
     assert not any(issubclass(cls, ValueError) for cls in infeasible)
@@ -586,6 +598,8 @@ def test_rejected_input_is_a_value_error_and_infeasibility_is_not():
          2, "error: no contractive parameter among 129 samples in [5.0, 6.0]"),
         (["regularity", "--mask", "{mask}", "--order", "9"],
          2, "error: no factorization of order 10 for arity 3"),
+        (["sweep", "--family", "{line}", "--range=-8e307:8e307", "--grid", "3"],
+         2, "error: bad range '-8e307:8e307': a grid point overflows"),
         (["derive", "--arity", "3", "--smoothing", "4", "--kstar", "5", "--samples", "dd4", "--symmetric"],
          1, "infeasible: no dual interpolatory mask with arity 3"),
         (["verify", "--mask", "no/such/file.json", "--samples", "dd4"],
@@ -595,7 +609,8 @@ def test_rejected_input_is_a_value_error_and_infeasibility_is_not():
     ],
     ids=[
         "InvalidWindow", "ShiftMismatch", "ShiftLatticeMismatch", "ArityTwoUnsupported",
-        "SeedInconsistent", "NoContractivePoint", "NotDivisible", "InfeasibleProblem",
+        "SeedInconsistent", "NoContractivePoint", "NotDivisible", "GridOverflow",
+        "InfeasibleProblem",
         "CliError", "OverflowError",
     ],
 )
@@ -634,6 +649,31 @@ def test_stdout_write_error_exits_2(argv, error, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", FailingStdout(error))
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write standard output: {error}\n"
+
+
+def test_failed_write_to_own_stdout_points_it_at_devnull_without_a_leak(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+
+    class ClosedPipeStdout(FailingStdout):
+        def fileno(self):
+            return write_end
+
+    stdout = ClosedPipeStdout(BrokenPipeError(errno.EPIPE, "Broken pipe"))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "__stdout__", stdout)
+    free = os.open(os.devnull, os.O_RDONLY)
+    os.close(free)
+    try:
+        assert main(["corpus"]) == 2
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        # the lowest free descriptor is free again: the /dev/null one was closed
+        again = os.open(os.devnull, os.O_RDONLY)
+        os.close(again)
+        assert again == free
+    finally:
+        os.close(write_end)
+    assert capsys.readouterr().err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 
