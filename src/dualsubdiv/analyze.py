@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .charax import verify_refinability
 from .construct import SolutionFamily
 from .exactalg import MAX_POINTS, convolve
 from .samples import SampleSet
@@ -105,12 +106,13 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     the last level's numerators, divided with their scale by their gcd; no
     Fraction is built until a caller reads ``values``.  Depth 0 returns the
     seed as a LatticeFunction.
-    Raises SeedInconsistent when the seed leaves the limit support or when the
-    first level does not reproduce the seed at the seed's own lattice points;
-    depth 0 runs that level for the check alone.  Raises ValueError, before
-    any level runs, when the lattice would hold more than MAX_POINTS points
-    or, for a one-point support, whose lattice never fills, be finer than
-    Z/((MAX_POINTS + 1)(m - 1)).
+    Raises SeedInconsistent when the seed leaves the limit support or when it
+    fails ``charax.verify_refinability``, naming the first lattice point where
+    one level does not reproduce it.  Raises ValueError, before any level
+    runs, when the lattice would hold more than MAX_POINTS points or, for a
+    one-point support, whose lattice never fills, be finer than
+    Z/((MAX_POINTS + 1)(m - 1)), and when the identity's product would hold
+    more than MAX_POINTS entries.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -136,6 +138,14 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
             raise ValueError(f"a lattice of depth {depth} would hold more than {MAX_POINTS} points")
         if q > finest:
             raise ValueError(f"a lattice of depth {depth} would be finer than Z/{finest}")
+    residual = verify_refinability(mask, seed).nonzero_terms()
+    if residual:
+        # the first term, (m alpha, (v - w)/T), is at the first failing point
+        e, c = residual[0]
+        v = seed.value_at_index(e // m)
+        raise SeedInconsistent(
+            f"refinement equation fails at {e // m}/{seed.T}: {v} != {v - seed.T * c}"
+        )
     D, coeffs = mask.poly.denominator, mask.poly.numerators
     Q = seed.T
     n_lo = math.ceil(lo * Q)
@@ -143,22 +153,12 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     values = [0] * (math.floor(hi * Q) + 1 - n_lo)
     values[start : start + len(seed.poly.numerators)] = seed.poly.numerators
 
-    for level in range(max(depth, 1)):
+    for _ in range(depth):
         Q2 = Q * m
         n_lo2 = math.ceil(lo * Q2)
         # it starts at k_l Q + n_lo - tau Q = n_lo2; pad an empty window's end
         new = convolve(coeffs, values, Q)
         new += [0] * (math.floor(hi * Q2) + 1 - n_lo2 - len(new))
-        if level == 0:
-            # the seed point alpha/Q is entry m alpha - n_lo2 of the new level
-            for alpha, (v, w) in enumerate(zip(values, new[m * n_lo - n_lo2 :: m]), n_lo):
-                if w != v * D:
-                    raise SeedInconsistent(
-                        f"refinement equation fails at {alpha}/{Q}: "
-                        f"{Fraction(v, scale)} != {Fraction(w, scale * D)}"
-                    )
-            if depth == 0:
-                break
         values, Q, n_lo, scale = new, Q2, n_lo2, scale * D
     g = math.gcd(scale, *values)
     return LatticeFunction(Q, n_lo, scale // g, tuple(v // g for v in values))
@@ -185,7 +185,7 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
     Each level takes ``abs`` once and adds the m^L-long blocks of the
     iterate in order, so class r sums |q_r| + |q_{r+m^L}| + ... from left to
     right, starting from its first entry.  Lazy, so a caller may stop after
-    any level; the callers check ``levels`` first.
+    any level; the callers check ``levels`` and the iterate's size first.
     Type-generic: integer numerators over a common denominator D give the
     norms as ints over D^L, and float coefficients give float norms.
     """
@@ -208,6 +208,20 @@ def _check_order_levels(order: int, levels: int) -> None:
         raise ValueError(f"need at least one level, got {levels}")
 
 
+def _check_iterate_size(length: int, m: int, levels: int) -> None:
+    """Refuse, before any level runs, a ``levels``-times iterate of a symbol
+    with ``length`` coefficients: it holds (length - 1)(m^L - 1)/(m - 1) + 1
+    entries, added up level by level until they pass MAX_POINTS."""
+    entries, block = 1, length - 1
+    for _ in range(levels):
+        entries += block
+        if entries > MAX_POINTS:
+            raise ValueError(
+                f"an iterate of {levels} levels would hold more than {MAX_POINTS} entries"
+            )
+        block *= m
+
+
 def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport:
     """Contraction analysis of the order-(order+1) difference scheme.
 
@@ -221,6 +235,7 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     """
     _check_order_levels(order, levels)
     p = factor_smoothing(mask, order + 1)
+    _check_iterate_size(len(p.numerators), mask.arity, levels)
     norms = list(enumerate(_iterated_norms(p.numerators, mask.arity, levels), start=1))
     contractive = any(n < p.denominator**L for L, n in norms)
     bounds = tuple((n / p.denominator**L) ** (1.0 / L) for L, n in norms)
@@ -280,6 +295,7 @@ def contractivity_profile(
     _check_order_levels(order, levels)
     dp, dv = _family_difference_parts(family, order)
     m = family.problem.m
+    _check_iterate_size(len(dp), m, levels)
     return [(t, min(_line_norms(dp, dv, m, levels, t))) for t in parameters]
 
 
@@ -306,6 +322,7 @@ def contractivity_range(
     _check_order_levels(order, levels)
     dp, dv = _family_difference_parts(family, order)
     m = family.problem.m
+    _check_iterate_size(len(dp), m, levels)
 
     def contractive(t: float) -> bool:
         return any(b < 1.0 for b in _line_norms(dp, dv, m, levels, t))

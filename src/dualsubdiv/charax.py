@@ -74,20 +74,19 @@ def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
     return IdentityResidual(residual.scale_exponents(m))
 
 
-def verify_refinability(mask: Mask, s: SampleSet, T: int | None = None) -> IdentityResidual:
-    """Residual of the lattice refinability identity at density T.
+def verify_refinability(mask: Mask, s: SampleSet) -> IdentityResidual:
+    """Residual of the lattice refinability identity on the samples' Z/T.
 
     sum_{g=0}^{mT-1} Phi_{T,g}(z^m)
         = m z^{-tau T} sum_b sum_{g + bT == tau T (mod m)} A_b(z^T) Phi_{T,g}(z)
+
+    The residual's term at z^{m alpha} is (phi(alpha/T) - w)/T, w the value
+    the refinement equation gives at alpha/T from the samples.
     """
-    if T is None:
-        T = s.T
-    if T != s.T:
-        raise ValueError(f"sample set lives on Z/{s.T}, not Z/{T}")
-    tau_T = shift_parameter(mask) * T
+    tau_T = shift_parameter(mask) * s.T
     if tau_T.denominator != 1:
         raise ShiftLatticeMismatch(f"tau*T = {tau_T} is not an integer")
-    return _residual(mask, s.poly, T, int(tau_T))
+    return _residual(mask, s.poly, s.T, int(tau_T))
 
 
 def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:

@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
     mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
     if args.form == "refinability":
-        result = verify_refinability(mask, samples, args.lattice or samples.T)
+        result = verify_refinability(mask, samples)
     elif args.form == "lemma":
         result = verify_lemma_form(mask, samples)
     else:
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--form", choices=["dual", "lemma", "refinability"], default="dual")
-    p.add_argument("--lattice", type=int, help="lattice density T for refinability")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -11,13 +11,14 @@ gives a mask, an affine family of masks, or a proof of infeasibility for the
 requested (arity, smoothing order, support, samples).
 
 The work runs on Python ints over one common denominator: the functionals
-are read off integer products (``exactalg.convolve``) of the smoothing
-coefficients or the mask's numerators with the sample numerators, the
-assembled rows go to ``RatMatrix`` as integers over the shared scale
-m^{1-d}/D, the solve eliminates on them, and a solution mask is one product of
-the solution's numerators with the smoothing coefficients, kept as integers.
-``Fraction`` appears only at the boundary: the assembled rhs, and the views
-of the masks, matrix entries and solution vectors, built when read.
+are read off one integer product (``exactalg.convolve``) of the smoothing
+coefficients with the sample numerators, the assembled rows go to
+``RatMatrix`` as integers over the shared scale m^{1-d}/D, the solve
+eliminates on them, and a solution mask is one product of the solution's
+numerators with the smoothing coefficients, kept as integers.  ``Fraction``
+appears only at the boundary: the assembled rhs, and the views of the
+masks, matrix entries and solution vectors, built when read.  Membership of
+a given mask checks the rows M with ``charax.verify_refinability``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .charax import verify_refinability
 from .exactalg import (
     InfeasibleSystem,
     LaurentPoly,
@@ -181,31 +183,6 @@ def _column_pairs(problem: ConstructionProblem) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _functionals(problem: ConstructionProblem, u: Sequence[int]):
-    """The rows of [M; N] at u(z) z^shift for integer coefficients u.
-
-    With P the sample numerators over D, the M row alpha at u(z) z^shift is
-    entry m alpha + 1 - 2 shift of u(z^2) P(z) over D, and the N row gamma the
-    residue-class sum of u at gamma - shift (mod m).  Returns D, the rhs
-    numerators over D, and values(shift): the row values numerators over D.
-    """
-    m = problem.m
-    a_lo, a_hi = problem.alpha_window
-    samples = problem.samples.poly
-    D, P, o = samples.denominator, samples.numerators, samples.offset
-    product = convolve(u, P, 2)
-    residues = [sum(u[r::m]) for r in range(m)]
-
-    def values(shift: int) -> list[int]:
-        start = m * a_lo + 1 - 2 * shift - o
-        stop = m * a_hi + 2 - 2 * shift - o
-        rows = [product[i] if 0 <= i < len(product) else 0 for i in range(start, stop, m)]
-        return rows + [D * residues[(gamma - shift) % m] for gamma in range(1, m + 1)]
-
-    rhs = [P[a - o] if 0 <= a - o < len(P) else 0 for a in range(a_lo, a_hi + 1)]
-    return D, rhs + [D] * m, values
-
-
 def _column_scale(m: int, d: int) -> tuple[int, int]:
     """The factor m^{1-d} of every column mask, as (numerator, denominator)."""
     return (m, 1) if d == 0 else (1, m ** (d - 1))
@@ -241,10 +218,24 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
     """
     m = problem.m
     smoothing = smoothing_coeffs(m, problem.d)
-    D, rhs, values = _functionals(problem, smoothing)
+    a_lo, a_hi = problem.alpha_window
+    samples = problem.samples.poly
+    D, P, o = samples.denominator, samples.numerators, samples.offset
+    product = convolve(smoothing, P, 2)
+    residues = [sum(smoothing[r::m]) for r in range(m)]
+
+    def values(beta: int) -> list[int]:
+        # with P the sample numerators over D, the M row alpha at s(z) z^beta is
+        # entry m alpha + 1 - 2 beta of s(z^2) P(z), and the N row gamma the
+        # residue-class sum of s at gamma - beta (mod m); all over D
+        start = m * a_lo + 1 - 2 * beta - o
+        stop = m * a_hi + 2 - 2 * beta - o
+        rows = [product[i] if 0 <= i < len(product) else 0 for i in range(start, stop, m)]
+        return rows + [D * residues[(gamma - beta) % m] for gamma in range(1, m + 1)]
+
+    rhs = [P[a - o] if 0 <= a - o < len(P) else 0 for a in range(a_lo, a_hi + 1)] + [D] * m
     pairs = _column_pairs(problem)
     columns = [[sum(v) for v in zip(*(values(beta) for beta in pair))] for pair in pairs]
-    a_lo, a_hi = problem.alpha_window
     labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)]
     labels += [("N", gamma) for gamma in range(1, m + 1)]
 
@@ -309,7 +300,8 @@ class SolutionFamily:
 
     def contains(self, mask: Mask) -> bool:
         """Exact membership: the mask lies in the span of the system's columns,
-        satisfies every row of [M; N] and has tau = 1/2."""
+        has tau = 1/2, each residue class of it sums to 1 (the rows N) and it
+        satisfies ``charax.verify_refinability`` on the samples (the rows M)."""
         problem = self.problem
         if mask.arity != problem.m:
             return False
@@ -327,10 +319,11 @@ class SolutionFamily:
             if len({b.get(beta, 0) for beta in pair}) > 1:
                 return False
         a = mask.poly
-        _, rhs, values = _functionals(problem, a.numerators)
-        if values(a.offset) != [v * a.denominator for v in rhs]:
+        if 2 * a.derivative_at_one() != problem.m:
             return False
-        return 2 * a.derivative_at_one() == problem.m
+        if any(sum(a.numerators[r :: problem.m]) != a.denominator for r in range(problem.m)):
+            return False
+        return verify_refinability(mask, problem.samples).satisfied
 
     def to_dict(self) -> dict:
         return {

@@ -3,12 +3,12 @@
 No floating point is ever introduced here.  ``Fraction`` is the boundary
 type: the work runs on Python ints over one common denominator.  A
 ``LaurentPoly`` (a mask, a sample set, a symbol) and each ``RatMatrix`` row
-are integer numerators over one denominator, and ``rref``/``rref_solve``
-share one fraction-free elimination on the rows; a ``LinearSolution`` is
-numerators over the last pivot.  Their Fractions are views, built when first
-read.  The product kernel ``convolve`` keeps the coefficient type it is
-given, so the callers run it on integer numerators, and on floats only where
-they ask for them.
+are integer numerators over one denominator, and ``rref_solve`` runs one
+fraction-free elimination on the rows; a ``LinearSolution`` is numerators
+over the last pivot.  Their Fractions are views, built when first read.
+The product kernel ``convolve`` keeps the coefficient type it is given, so
+the callers run it on integer numerators, and on floats only where they ask
+for them.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ def numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 # Most entries a product built for one command may hold: a lattice of
-# analyze.refine_values, a polyline of analyze.subdivide_points or the
-# identity product of charax.  Each grows with the command's depth, steps or
-# lattice density, so a larger one is refused before it is built.
+# analyze.refine_values, a polyline of analyze.subdivide_points, an iterated
+# difference symbol of analyze._iterated_norms or the identity product of
+# charax.  Each grows with the command's depth, steps, levels or lattice
+# density, so a larger one is refused before it is built.
 MAX_POINTS = 10**6
 
 
@@ -359,39 +360,41 @@ class LinearSolution:
         return len(self.nullbasis_numerators)
 
 
-def _eliminate(matrix: RatMatrix, rhs: Sequence[RationalLike]):
-    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on [matrix | rhs].
+def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution:
+    """Solve M x = rhs exactly by fraction-free Gauss-Jordan (Bareiss, Math.
+    Comp. 22, 1968) on [matrix | rhs].
 
-    Row i of [matrix | rhs] is scaled to integers by s_i, the lcm of the row's
+    Row i of [matrix | rhs] is scaled to integers by the lcm of the row's
     denominator and the rhs entry's.  A step on pivot p replaces every other
     row by (p row - f pivot_row) / p_prev, an exact division (the entries are
     integer minors), which leaves p on the diagonal of every pivot row.  The
-    pivots are those of Gauss-Jordan on Fractions.  Returns the integer rows,
-    the scales s_i (permuted with the rows), the pivot columns and the last
-    pivot.
+    pivots are those of Gauss-Jordan on Fractions.
+
+    Raises InfeasibleSystem when inconsistent.  Otherwise returns the
+    canonical particular solution together with the RREF nullspace basis,
+    both over the last pivot p: the particular solution is the rhs column of
+    the pivot rows, and the basis vector of free column f carries p there and
+    minus column f of the pivot rows in the pivot coordinates.
     """
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length does not match row count")
     m: list[list[int]] = []
-    scales: list[int] = []
     for row, den, y in zip(matrix.numerators, matrix.denominators, rhs):
         y = y if isinstance(y, int) else rat(y)
         s = math.lcm(den, y.denominator)
         k = s // den
         m.append([x * k for x in row] + [y.numerator * (s // y.denominator)])
-        scales.append(s)
-    n_rows = len(m)
+    n_rows, n_cols = len(m), matrix.cols
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(matrix.cols):
+    for c in range(n_cols):
         if r == n_rows:
             break
         pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
         top = m[r]
         p = top[c]
         for i in range(n_rows):
@@ -401,39 +404,7 @@ def _eliminate(matrix: RatMatrix, rhs: Sequence[RationalLike]):
         prev = p
         pivots.append(c)
         r += 1
-    return m, scales, pivots, prev
-
-
-def rref(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> tuple[list[list[Fraction]], list[Fraction], list[int]]:
-    """Reduced row echelon form of [matrix | rhs]; returns (R, r, pivot_cols).
-
-    The result is that of Gauss-Jordan on Fractions: the pivot rows of the
-    integer elimination over the last pivot p, and a row below the rank,
-    scaled by s on input, over s p.
-    """
-    m, scales, pivots, prev = _eliminate(matrix, rhs)
-    n_cols = matrix.cols
-    r = len(pivots)
-    reduced = [[Fraction(x, prev) for x in row[:n_cols]] for row in m[:r]]
-    column = [Fraction(row[n_cols], prev) for row in m[:r]]
-    column += [Fraction(row[n_cols], prev * s) for row, s in zip(m[r:], scales[r:])]
-    reduced += [[Fraction(0)] * n_cols for _ in m[r:]]
-    return reduced, column, pivots
-
-
-def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution:
-    """Solve M x = rhs exactly.
-
-    Raises InfeasibleSystem when inconsistent.  Otherwise returns the
-    canonical particular solution together with the RREF nullspace basis,
-    both over the last pivot p: the particular solution is the rhs column of
-    the pivot rows, and the basis vector of free column f carries p there and
-    minus column f of the pivot rows in the pivot coordinates.
-    """
-    m, _, pivots, prev = _eliminate(matrix, rhs)
-    n_cols = matrix.cols
-    rank = len(pivots)
-    if any(row[n_cols] for row in m[rank:]):
+    if any(row[n_cols] for row in m[r:]):
         raise InfeasibleSystem("inconsistent linear system")
     particular = [0] * n_cols
     for row, col in zip(m, pivots):

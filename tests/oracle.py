@@ -235,6 +235,27 @@ def rref(rows, rhs):
     return m, b, pivots
 
 
+def canonical_solution(reduced, column, pivots):
+    """(particular, null basis) read off the reduced row echelon form of
+    [M | rhs], in the canonical form of ``rref_solve``: zeros in the free
+    coordinates of the particular solution, one basis vector per free column
+    carrying 1 there; None when a row below the rank keeps a nonzero rhs."""
+    if any(column[len(pivots):]):
+        return None
+    cols = len(reduced[0])
+    particular = [F(0)] * cols
+    for i, c in enumerate(pivots):
+        particular[c] = column[i]
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for i, c in enumerate(pivots):
+            v[c] = -reduced[i][f]
+        basis.append(tuple(v))
+    return tuple(particular), tuple(basis)
+
+
 def apply_row(row, mask, k_star):
     """A row functional on the mask window [1-k*, k*] applied to a mask inside it."""
     start = mask.offset - (1 - k_star)

@@ -157,7 +157,7 @@ def test_criterion_6_characterization_identities():
     checked = perturbed = 0
     for name, mask, samples in _reference_masks():
         clean = verify_dual_interpolatory(mask, samples)
-        lattice_ok = verify_refinability(mask, samples, 2).satisfied
+        lattice_ok = verify_refinability(mask, samples).satisfied
         ok = ok and clean.satisfied and lattice_ok
         checked += 1
         lo = samples.offset

@@ -20,7 +20,7 @@ from dualsubdiv.analyze import (
     subdivide_curve,
     subdivide_points,
 )
-from dualsubdiv.exactalg import numerators
+from dualsubdiv.exactalg import convolve, numerators
 from dualsubdiv.samples import SampleSet, dd_samples
 from dualsubdiv.scheme import (
     Mask,
@@ -523,3 +523,30 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
     monkeypatch.setattr(analyze, "MAX_POINTS", 6)
     with pytest.raises(ValueError, match="depth 3 would be finer than Z/7"):
         refine_values(point, seed, 3)
+
+
+def test_iterate_cap_is_checked_before_any_level(monkeypatch):
+    # a cap of exactly the 3-level iterate p(z) p(z^m) p(z^{m^2}) lets it
+    # through; one entry less refuses it, on a mask and on a family line
+    family = catalog.quinary_reference_family()
+    cases = [
+        (factor_smoothing(TERNARY, 1).numerators, 3, [lambda: contractivity_bound(TERNARY, 0, 3)]),
+        (
+            analyze._family_difference_parts(family, 0)[0],
+            5,
+            [
+                lambda: contractivity_profile(family, 0, 3, [0.0]),
+                lambda: contractivity_range(family, 0, 3, (-1.0, 1.0)),
+            ],
+        ),
+    ]
+    for coeffs, m, calls in cases:
+        q = [1]
+        for level in range(3):
+            q = convolve(coeffs, q, m**level)
+        monkeypatch.setattr(analyze, "MAX_POINTS", len(q))
+        calls[0]()
+        monkeypatch.setattr(analyze, "MAX_POINTS", len(q) - 1)
+        for call in calls:
+            with pytest.raises(ValueError, match=f"3 levels would hold more than {len(q) - 1} entries"):
+                call()

@@ -42,7 +42,7 @@ def test_lemma_form_agrees(name, mask, samples):
 
 @pytest.mark.parametrize("name,mask,samples", CASES, ids=[c[0] for c in CASES])
 def test_refinability_follows(name, mask, samples):
-    assert verify_refinability(mask, samples, 2).satisfied
+    assert verify_refinability(mask, samples).satisfied
 
 
 def _odd_indices(samples):
@@ -64,7 +64,7 @@ def test_any_half_integer_perturbation_breaks_identity(name, mask, samples):
 
 def test_integer_perturbation_breaks_refinability():
     samples = perturbed(dd_samples(2), 2, F(1, 100))
-    assert not verify_refinability(catalog.ternary_cubic_mask(), samples, 2).satisfied
+    assert not verify_refinability(catalog.ternary_cubic_mask(), samples).satisfied
 
 
 def test_identity_product_cap_is_checked_before_the_product(monkeypatch):
@@ -109,14 +109,14 @@ def test_wrong_lattice_rejected():
 def test_refinability_needs_integral_tau_lattice():
     coarse = SampleSet(1, 0, [1])
     with pytest.raises(ShiftLatticeMismatch):
-        verify_refinability(catalog.cantor_mask(), coarse, 1)
+        verify_refinability(catalog.cantor_mask(), coarse)
 
 
 def test_refinability_on_integer_lattice_for_primal_mask():
     # tau = 0 schemes admit T = 1; the hat-function values satisfy refinability
     hat = Mask(2, -1, [F(1, 2), 1, F(1, 2)])
     values = SampleSet(1, 0, [1])
-    assert verify_refinability(hat, values, 1).satisfied
+    assert verify_refinability(hat, values).satisfied
 
 
 def test_residual_is_exact():

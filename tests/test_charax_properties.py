@@ -18,7 +18,7 @@ from test_construct_properties import problems, rationals
 FORMS = (
     (verify_dual_interpolatory, oracle.verify_dual_interpolatory),
     (verify_lemma_form, oracle.verify_lemma_form),
-    (lambda mask, s: verify_refinability(mask, s, 2), lambda mask, s: oracle.verify_refinability(mask, s, 2)),
+    (verify_refinability, lambda mask, s: oracle.verify_refinability(mask, s, 2)),
 )
 
 

@@ -418,6 +418,11 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["eval", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "1000000"],
         ["reproduce", "--mask", "{point_mask}", "--samples", "{point_samples}", "--depth", "1000000"],
         ["verify", "--mask", "{ternary_mask}", "--samples", "{dense_samples}", "--form", "refinability"],
+        ["eval", "--mask", "{ternary_mask}", "--samples", "{dense_samples}", "--depth", "0"],
+        ["reproduce", "--mask", "{ternary_mask}", "--samples", "{dense_samples}", "--depth", "0"],
+        ["regularity", "--mask", "{mask}", "--levels=40"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--levels=40"],
+        ["sweep", "--family", "{line}", "--range=-1:1", "--levels=40", "--bisect"],
         ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1000001"],
         ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1000001", "--bisect"],
     ],
@@ -480,6 +485,11 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "eval-one-point-support-depth-1000000",
         "reproduce-one-point-support-depth-1000000",
         "verify-refinability-dense-lattice",
+        "eval-dense-seed-depth-0",
+        "reproduce-dense-seed-depth-0",
+        "regularity-runaway-levels",
+        "sweep-runaway-levels",
+        "bisect-runaway-levels",
         "sweep-grid-above-cap",
         "bisect-grid-above-cap",
     ],
@@ -516,6 +526,8 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert f"a lattice of depth {argv[-1]} would be finer than Z/1000001" in err
     if "{dense_samples}" in argv:
         assert "A(z^200000) V(z) would hold 2600001 entries, more than 1000000" in err
+    if "--levels=40" in argv:
+        assert "an iterate of 40 levels would hold more than 1000000 entries" in err
     if "--out" in argv:
         out = argv[argv.index("--out") + 1].format(**bad_input_files)
         assert err.startswith(f"error: cannot write {out}: ")

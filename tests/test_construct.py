@@ -13,7 +13,7 @@ from dualsubdiv.construct import (
     derive,
     smoothing_coeffs,
 )
-from dualsubdiv.charax import verify_dual_interpolatory
+from dualsubdiv.charax import verify_dual_interpolatory, verify_refinability
 from dualsubdiv.exactalg import LaurentPoly, RatMatrix, rref_solve
 from dualsubdiv.samples import dd_samples, samples_from_shorthand
 from dualsubdiv.scheme import (
@@ -22,6 +22,7 @@ from dualsubdiv.scheme import (
     classify_symmetry,
     shift_parameter,
 )
+import oracle
 from oracle import (
     build_M,
     build_N,
@@ -282,6 +283,31 @@ def test_derive_imposes_dual_shift_when_other_rows_leave_it_free():
     free_mask = Mask(6, free.offset, free.coeffs)
     assert shift_parameter(free_mask) != F(1, 2)
     assert not family.contains(free_mask)
+
+
+def test_contains_checks_the_residue_sums():
+    # for d = 0 without symmetry the rows M and tau = 1/2 leave one more
+    # direction than the full system: masks there fail only the rows N
+    problem = ConstructionProblem(4, 0, 3, samples_from_shorthand("dd:2"), False)
+    family = derive(problem)
+    system = assemble(problem)
+    m_rows = [i for i, (kind, _) in enumerate(system.row_labels) if kind == "M"]
+    tau_row = [2 * column.derivative_at_one() for column in system.columns]
+    matrix = RatMatrix([system.matrix.entries[i] for i in m_rows] + [tau_row])
+    solution = rref_solve(matrix, [system.rhs[i] for i in m_rows] + [4])
+    assert solution.dimension == family.dimension + 1
+    x0 = solution.particular
+    masks = []
+    for x in [x0] + [[a + b for a, b in zip(x0, v)] for v in solution.nullbasis]:
+        poly = sum((column * c for column, c in zip(system.columns, x)), LaurentPoly.zero())
+        masks.append(Mask(4, poly.offset, poly.coeffs))
+    off = [mask for mask in masks if any(sum(mask.coeffs[r::4]) != 1 for r in range(4))]
+    assert off
+    for mask in off:
+        assert shift_parameter(mask) == F(1, 2)
+        assert verify_refinability(mask, problem.samples).satisfied
+        assert not family.contains(mask)
+        assert not oracle.contains(problem, mask)
 
 
 def test_family_membership_is_affine():

@@ -213,27 +213,17 @@ def test_derive_matches_fraction_gauss_jordan(problem):
     assert list(system.rhs) == [rhs_all[i] for i in index]
 
     tau_row = [2 * column.derivative_at_one() for column in columns]
-    reduced, rhs, pivots = oracle.rref(rows + [tau_row], list(system.rhs) + [m])
-    feasible = not any(rhs[len(pivots):])
+    solution = oracle.canonical_solution(*oracle.rref(rows + [tau_row], list(system.rhs) + [m]))
     try:
         family = derive(problem)
     except InfeasibleProblem:
-        assert not feasible
+        assert solution is None
         return
-    assert feasible
+    assert solution is not None
 
     def combination(x):
         return sum((column * c for column, c in zip(columns, x)), LaurentPoly.zero())
 
-    particular = [F(0)] * len(columns)
-    for i, col in enumerate(pivots):
-        particular[col] = rhs[i]
+    particular, basis = solution
     assert family.particular.poly == combination(particular)
-    basis = []
-    for free in sorted(set(range(len(columns))) - set(pivots)):
-        v = [F(0)] * len(columns)
-        v[free] = F(1)
-        for i, col in enumerate(pivots):
-            v[col] = -reduced[i][free]
-        basis.append(combination(v))
-    assert family.basis == tuple(basis)
+    assert family.basis == tuple(map(combination, basis))

@@ -1,5 +1,5 @@
-"""Property test of the fraction-free exactalg.rref against Gauss-Jordan on
-Fractions, on rows whose entries mix coprime denominators."""
+"""Property test of the fraction-free exactalg.rref_solve against Gauss-Jordan
+on Fractions, on rows whose entries mix coprime denominators."""
 
 import functools
 import math
@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from dualsubdiv.exactalg import InfeasibleSystem, RatMatrix, rref, rref_solve
+from dualsubdiv.exactalg import InfeasibleSystem, RatMatrix, rref_solve
 
 # denominators from pairwise coprime primes and their products, and zeros, so
 # that row scales differ, ranks drop and pivot columns get skipped
@@ -41,8 +41,16 @@ def systems(draw):
 @given(systems())
 def test_rref_matches_fraction_gauss_jordan(system):
     matrix, rhs = system
-    # the whole output, rows below the rank and their rhs entries included
-    assert rref(RatMatrix(matrix), rhs) == oracle.rref(matrix, rhs)
+    reduced, column, pivots = oracle.rref(matrix, rhs)
+    expected = oracle.canonical_solution(reduced, column, pivots)
+    try:
+        solution = rref_solve(RatMatrix(matrix), rhs)
+    except InfeasibleSystem:
+        # a row below the rank keeps a nonzero rhs
+        assert expected is None
+        return
+    assert solution.pivot_cols == tuple(pivots)
+    assert (solution.particular, solution.nullbasis) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,4 +82,11 @@ def test_integer_rows_match_fraction_rows(system):
     assert (from_ints.rows, from_ints.cols) == (fractions.rows, fractions.cols)
     assert from_ints == fractions
     assert from_ints.entries == fractions.entries == tuple(map(tuple, matrix))
-    assert rref(from_ints, rhs) == rref(fractions, rhs)
+
+    def solve(matrix):
+        try:
+            return rref_solve(matrix, rhs)
+        except InfeasibleSystem:
+            return None
+
+    assert solve(from_ints) == solve(fractions)

@@ -1,4 +1,4 @@
-"""Property test of exactalg.rref against sympy's Matrix.rref as an oracle."""
+"""Property test of exactalg.rref_solve against sympy's Matrix.rref as an oracle."""
 
 from fractions import Fraction as F
 
@@ -8,7 +8,8 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st
 
-from dualsubdiv.exactalg import RatMatrix, rref
+import oracle
+from dualsubdiv.exactalg import InfeasibleSystem, RatMatrix, rref_solve
 
 # zeros on purpose, so that ranks drop and pivot columns get skipped
 entries = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=9))
@@ -40,16 +41,19 @@ def to_fraction(x):
 @given(systems())
 def test_rref_matches_sympy(system):
     matrix, rhs = system
-    reduced, column, pivots = rref(RatMatrix(matrix), rhs)
     cols = len(matrix[0])
     augmented = sympy.Matrix([[to_sympy(x) for x in row + [b]] for row, b in zip(matrix, rhs)])
-    oracle, oracle_pivots = augmented.rref()
-    oracle = [[to_fraction(x) for x in oracle.row(i)] for i in range(oracle.rows)]
-    # the coefficient block of rref([M | b]) is rref(M) whatever b is
-    assert reduced == [row[:cols] for row in oracle]
-    assert pivots == [c for c in oracle_pivots if c < cols]
-    if cols in oracle_pivots:
-        # inconsistent: the rows below the rank keep a nonzero rhs entry
-        assert any(b != 0 for b in column[len(pivots):])
-    else:
-        assert column == [row[cols] for row in oracle]
+    reduced, pivots = augmented.rref()
+    reduced = [[to_fraction(x) for x in reduced.row(i)] for i in range(reduced.rows)]
+    try:
+        solution = rref_solve(RatMatrix(matrix), rhs)
+    except InfeasibleSystem:
+        # inconsistent exactly when the rhs column pivots
+        assert cols in pivots
+        return
+    assert cols not in pivots
+    assert solution.pivot_cols == pivots
+    expected = oracle.canonical_solution(
+        [row[:cols] for row in reduced], [row[cols] for row in reduced], pivots
+    )
+    assert (solution.particular, solution.nullbasis) == expected
