@@ -8,7 +8,9 @@ fraction-free elimination on the rows; a ``LinearSolution`` is numerators
 over the last pivot.  Their Fractions are views, built when first read.
 The product kernel ``convolve`` keeps the coefficient type it is given, so
 the callers run it on integer numerators, and on floats only where they ask
-for them.
+for them.  The product of two palindromes (a symmetric mask, its difference
+symbols, their iterates) is a palindrome, so ``convolve`` sums only its first
+half and mirrors it; on floats that makes the product an exact palindrome.
 """
 
 from __future__ import annotations
@@ -70,22 +72,31 @@ def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:
 
     Type-generic: ints, Fractions and floats keep their type, and an entry no
     product reaches is the unsigned zero ``type(b[0])()``.  A row a[i] * b is
-    stored where no earlier row reached and added only where one did.  Empty
-    inputs give [].
+    stored where no earlier row reached and added only where one did.  When
+    both operands are palindromes, so is the product: only its first
+    ceil(N/2) entries are summed and the rest is their mirror.  An exact
+    result equals the full sum; a float result is an exact palindrome whose
+    first half is summed as above.  Empty inputs give [].
     """
     if not a or not b:
         return []
     n = len(b)
-    out = [type(b[0])()] * (stride * (len(a) - 1) + n)
+    size = stride * (len(a) - 1) + n
+    half = (size + 1) // 2 if a == a[::-1] and b == b[::-1] else size
+    out = [type(b[0])()] * size
     end = 0  # out[end:] holds no product yet
     for i, x in enumerate(a):
+        lo = stride * i
+        if lo >= half:
+            break
         if x == 0:
             continue
-        lo = stride * i
+        hi = min(lo + n, half)
         k = max(end - lo, 0)
         out[lo : lo + k] = [o + x * y for o, y in zip(out[lo : lo + k], b)]
-        out[lo + k : lo + n] = [x * y for y in b[k:]]
-        end = lo + n
+        out[lo + k : hi] = [x * y for y in b[k : hi - lo]]
+        end = hi
+    out[half:] = out[: size - half][::-1]
     return out
 
 

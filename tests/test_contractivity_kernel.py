@@ -4,7 +4,11 @@
 ``oracle.line_best_bound`` converts the Fraction difference symbols to float
 for every parameter.  The kernel builds the float line once, adds whole
 blocks of classes and stops a bisection probe at the first contractive
-level; every float it returns must equal the reference's bit for bit.
+level; every float it returns must equal the reference's bit for bit.  The
+reference forms each iterate with the same ``exactalg.convolve``, so the
+float iterate of a symmetric member, whose second half is the mirror of its
+first, is part of the reference; ``tests/test_convolve_properties.py``
+checks that kernel against a double sum.
 """
 
 import functools

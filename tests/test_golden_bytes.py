@@ -1,4 +1,5 @@
-"""Pinned output bytes of ``eval``, ``curve`` and ``reproduce`` on the catalog.
+"""Pinned output bytes of ``eval``, ``curve``, ``reproduce`` and ``regularity``
+on the catalog.
 
 Each case runs the CLI on a catalog mask and compares the sha256 of its
 standard output with a digest recorded on CPython 3.11.  The floats a
@@ -37,14 +38,24 @@ MASKS = {
     ),
 }
 
+# the difference-scheme orders each mask admits, at the levels per arity
+# that the family-scan benchmark runs them
+REGULARITY_ORDERS = {name: (0,) if name == "cantor" else (0, 1, 2) for name in MASKS}
+REGULARITY_LEVELS = {3: 6, 4: 4, 5: 4}
+
 # zero, negative and inexact coordinates
 POLYGON = "x,y\n0,0\n1.5,-0.25\n2.1,1.3\n0.7,2.2\n-0.9,1.1\n"
 SEGMENT = "x,y\n0.3,-1.7\n2.9,0.4\n"
 
 
 def _commands(paths, name):
-    _, spec, eval_depth, repro_depth, steps = MASKS[name]
+    factory, spec, eval_depth, repro_depth, steps = MASKS[name]
     mask = ["--mask", paths["mask"]]
+    levels = str(REGULARITY_LEVELS[factory().arity])
+    regularity = {
+        f"regularity-o{order}": ["regularity", *mask, "--order", str(order), "--levels", levels]
+        for order in REGULARITY_ORDERS[name]
+    }
     return {
         "eval": ["eval", *mask, "--samples", spec, "--depth", str(eval_depth)],
         "reproduce": ["reproduce", *mask, "--samples", spec, "--maxdeg", "5",
@@ -54,6 +65,7 @@ def _commands(paths, name):
                          "--closed"],
         "curve-closed-2pt": ["curve", *mask, "--points", paths["segment"], "--steps", "1",
                              "--closed"],
+        **regularity,
     }
 
 
@@ -94,36 +106,55 @@ GOLDEN = {
     "cantor/curve-open": "8776c454a5ebb8a14ef0e7ac0f307cc564ebcc27660106fbe085036806426f63",
     "cantor/curve-closed": "d31fc334c4d13ab85f2b7a7ab7cdd4413e129f2c77cd16f16916a27ee29f2342",
     "cantor/curve-closed-2pt": "0571e162689efc41dd1fb138247014c7463e7ace403b68282cdad71569fe14e6",
+    "cantor/regularity-o0": "027efa9ebe71e14ecc599e8f8570a890a9d5cac7fa40b5d012f17a9819ef5f31",
     "ternary/eval": "738e55a3cde6e84417e145882967a01d1b6c2b49710ebc3cae0ddaa578370a3e",
     "ternary/reproduce": "24cac1ba5cb0ef9f6d9a7eab1db6b5ccc23243790fcf041e659dfb92d0056b8b",
     "ternary/curve-open": "4ebab718b7b82056d301fcde060060c11023a4b5078b04c1c488bf50f5727ec4",
     "ternary/curve-closed": "c6f2183ebe3ecab9086c91601889c0ac39182010d709d666812fef6f6c3f60ab",
     "ternary/curve-closed-2pt": "64573731ca9b90e5d88fef244ce70941318e608cc642fe7ccdd2afb4c6aebfc8",
+    "ternary/regularity-o0": "038b9023041cbfcf3317dc59884c4ef70ea73b8be3aa9a5761b39d5fd8481ec3",
+    "ternary/regularity-o1": "93e0e2ca2059e2ab1b49053a6c7f090c81e3e8d343b19d2a7a385aff5073b1ca",
+    "ternary/regularity-o2": "56b03614bdcda88e04eca1468d9a8df233220e185051277cd59e58ae9572234f",
     "quinary_w0/eval": "62d4dc3051f85ba1a05e1b128ac46fd8e9b4267e6d560b56ee4370db2feb5848",
     "quinary_w0/reproduce": "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
     "quinary_w0/curve-open": "38566df890452364ed1cb9276bcd6330d635aad9c549cd752e43d90c071e0f42",
     "quinary_w0/curve-closed": "b9d4c9f8a03b6df58126560f9abf63dcd29456eecee89c04735b97833862100a",
     "quinary_w0/curve-closed-2pt": "211fed96179507123440daf34591096db6d9565eef733b97782d98e6aaf72d1f",
+    "quinary_w0/regularity-o0": "a847a8d82b2e8a60d67bd3cf4d430020fff279fe764c512f61118439835085cf",
+    "quinary_w0/regularity-o1": "0ac5725730498655f8d79a8b8d6f5580b08b6de141a95906b24e293bdd965a8c",
+    "quinary_w0/regularity-o2": "1c7588f4f1345b0040d5119a92bdc3891308ae6c5b5ebfa49d62cac5375df8e9",
     "quinary_w-7_5/eval": "0b6f114847cb78041d280a04a1a189164496be9d14fa4feefb4fac62a41e0a56",
     "quinary_w-7_5/reproduce": "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
     "quinary_w-7_5/curve-open": "c98c2c8f7737530df1cf764e79c331a692953505a8fb86cf1d67a40eb62ccbd8",
     "quinary_w-7_5/curve-closed": "f493eeaea7ff1a585c02de89d19876bd360303d9d2319375c7eb68456b763d15",
     "quinary_w-7_5/curve-closed-2pt": "305ad3957ed37fe2ef2e00dc5a86e5873df50dce2163e4c96a7a98b4695d6170",
+    "quinary_w-7_5/regularity-o0": "a45dbf43d8d0486d53259481df405ba4b44fff781e6185f0285b9d338a2766f6",
+    "quinary_w-7_5/regularity-o1": "c34a5dbac9577c68ba7adc43430f19049cd52dfb404f92cde14790ebb90b985b",
+    "quinary_w-7_5/regularity-o2": "3c898845ea6b004e3f3136524d2148622f745d695d8975b763c27532879454e9",
     "quinary_w10/eval": "fc77ce9c53b0fd119cf8bd40c73087c834f2724b19e5de656b8d96ba7968da5a",
     "quinary_w10/reproduce": "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
     "quinary_w10/curve-open": "ad576ac0427931a5f0c9aa7823e07bf31a4f9c10d8c6ba5e68676c1028a0dc03",
     "quinary_w10/curve-closed": "447af1d619aa4fde72f2cc1034ff1c658db98c9aebd869d1d67659265a80da1a",
     "quinary_w10/curve-closed-2pt": "b9db02ddaa80261559a23446fbf42b2bab1aadbdb10dc5a693972ab126101e5b",
+    "quinary_w10/regularity-o0": "8cafc987dba4bfbabf7687b067f4c372a9af5ddc9a923aa7dff92807f1be7c7a",
+    "quinary_w10/regularity-o1": "14dfc90db10218bd6904b6f5910908b3e5bbe3c23a20a1f2d216371549d74d19",
+    "quinary_w10/regularity-o2": "d553c8dab11590917251dcfc82fb3545c0d86600c7e6933a797fe787a7bbf02d",
     "quartic/eval": "24dc4a79227ec1a2d5c4664a9121d58122b6b395565421c48da37946ea435453",
     "quartic/reproduce": "d2d79602949da3221e2d9b405589dcf7afa614507ae37a663c181dd0a3b07ab9",
     "quartic/curve-open": "859e0d2229db16f337ef91705f10cfb041d03871b9e4f50281eb79572fa084e3",
     "quartic/curve-closed": "9a76f8ce864cab4c5e0f9b680fb3223973d998605df2c57e5769a249094b8154",
     "quartic/curve-closed-2pt": "c3efe6875d7f24e183e7e6ea9d22fa29c7f1c9d62a100fb47c6f9e5d0da0b3d1",
+    "quartic/regularity-o0": "7cfe09e80f32e3df59463547004f92fa4268ee2b4e9abe6c1332905a79f863c8",
+    "quartic/regularity-o1": "36d9b1951fa5d0a19dd3c996d96e8c487b98d12193f53c302097a55a21596706",
+    "quartic/regularity-o2": "3eef9a8ab0787a28642ca801f9a1f2e0f3e43f284ca356b9fe21544363173133",
     "quaternary_cubic/eval": "5260f1365035216343ad9f89652b0f21535b0b89c664c4b60b4ee374176516bf",
     "quaternary_cubic/reproduce": "24cac1ba5cb0ef9f6d9a7eab1db6b5ccc23243790fcf041e659dfb92d0056b8b",
     "quaternary_cubic/curve-open": "af3bcfce37899c655bc51c641eac5e8880201533c40a627d79f5525edc07d3cf",
     "quaternary_cubic/curve-closed": "62c4afed27937764131baefbf46f22086cd5068e4742b52a88b69e51b4bfdb0d",
     "quaternary_cubic/curve-closed-2pt": "656416d9d42fabf54bba4489606d237beee753ca74421701449fbd63deb0bb8c",
+    "quaternary_cubic/regularity-o0": "03d8a68ef0893c06ccec16d78fe5eaca5c91d3f36f9e394e255bef85edb8c66b",
+    "quaternary_cubic/regularity-o1": "3cf85b3fb36d9b6df6abac028e1671feb6b517c5f3b25c2c4b31dd60590313f1",
+    "quaternary_cubic/regularity-o2": "cc166e1233b9f3100897dd5c375f78da2989a2560ed7ea7f73ac88484d6a7f26",
 }
 
 
