@@ -18,6 +18,8 @@ import math
 import os
 import stat
 import sys
+from itertools import chain, islice, repeat
+from operator import itemgetter, truediv
 
 from . import catalog
 from .analyze import (
@@ -145,16 +147,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.satisfied else EXIT_VIOLATION
 
 
+def _signed_reprs(lo: int, hi: int, den: int):
+    """repr(p / den) for p = lo, ..., hi; a division rounds sign-symmetrically,
+    so each |p| is formatted once and a negative p takes a "-" prefix."""
+    least = max(lo, -hi, 0)
+    at = list(map(repr, map(truediv, range(least, max(-lo, hi) + 1), repeat(den)))).__getitem__
+    # indices |p| - least: the rows p < 0 run from |lo| down to max(-hi, 1)
+    negative = map(at, range(-lo - least, max(-hi - 1, 0) - least, -1))
+    return chain(map("-".__add__, negative), map(at, range(max(lo, 0) - least, hi + 1 - least)))
+
+
 def cmd_eval(args) -> int:
     mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
     lattice = refine_values(mask, samples, args.depth)
-    rows = ["numerator,denominator,x,value"]
-    for i, v in enumerate(lattice.numerators):
-        p = lattice.offset + i
-        x = p / lattice.denominator
-        rows.append(f"{p},{lattice.denominator},{x},{v / lattice.scale}")
-    _emit("\n".join(rows), args.out)
+    # each x and value is one int division, formatted by column: one repr per
+    # |p| and, on a palindromic lattice, the first half of the values mirrored
+    nums, lo, den = lattice.numerators, lattice.offset, lattice.denominator
+    n = len(nums)
+    half = (n + 1) // 2 if nums == nums[::-1] else n
+    values = list(map(repr, map(truediv, islice(nums, half), repeat(lattice.scale))))
+    rows = zip(map(str, range(lo, lo + n)), repeat(str(den)), _signed_reprs(lo, lo + n - 1, den),
+               chain(values, reversed(values[: n - half])))
+    _emit("\n".join(chain(["numerator,denominator,x,value"], map(",".join, rows))), args.out)
     return EXIT_OK
 
 
@@ -245,10 +260,9 @@ def cmd_curve(args) -> int:
     mask = _load_json(args.mask, "mask", Mask)
     control = _read_points(args.points)
     line = subdivide_curve(mask, control, args.steps, closed=args.closed)
-    rows = ["t,x,y"]
-    for t, (x, y) in zip(line.parameters, line.points):
-        rows.append(f"{t},{x},{y}")
-    _emit("\n".join(rows), args.out)
+    xs, ys = (map(repr, map(itemgetter(i), line.points)) for i in (0, 1))
+    rows = zip(map(repr, line.parameters), xs, ys)
+    _emit("\n".join(chain(["t,x,y"], map(",".join, rows))), args.out)
     return EXIT_OK
 
 

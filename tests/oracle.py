@@ -11,9 +11,11 @@ references below keep the per-class norm sums and the per-parameter
 ``Fraction`` conversions that the family-line kernel replaced.  The limit
 evaluation references are the curve step as a whole product per coordinate
 wrapped by per-class folds, and the reproduction comb sums read from the
-full comb product.  The Laurent-polynomial helpers at the top (powers,
-shifts, monomials, sub-symbols, the smoothing factor) have no package
-caller; the tests and the references below build their polynomials with them.
+full comb product.  The CSV references format ``eval`` and ``curve`` rows
+one f-string per row, with a division per lattice point.  The
+Laurent-polynomial helpers at the top (powers, shifts, monomials,
+sub-symbols, the smoothing factor) have no package caller; the tests and the
+references below build their polynomials with them.
 """
 
 import functools
@@ -417,3 +419,22 @@ def reproduction_degree(lattice, max_degree, tol):
             if abs(acc * Q**e - p**e * scale) * t_den > t_num * scale * Q**e:
                 return e - 1
     return max_degree
+
+
+def eval_csv(lattice):
+    """``eval``'s CSV text: one row per lattice point, each with its own
+    divisions and float reprs."""
+    rows = ["numerator,denominator,x,value"]
+    for i, v in enumerate(lattice.numerators):
+        p = lattice.offset + i
+        x = p / lattice.denominator
+        rows.append(f"{p},{lattice.denominator},{x},{v / lattice.scale}")
+    return "\n".join(rows)
+
+
+def curve_csv(line):
+    """``curve``'s CSV text of a ``Polyline``, one f-string per point."""
+    rows = ["t,x,y"]
+    for t, (x, y) in zip(line.parameters, line.points):
+        rows.append(f"{t},{x},{y}")
+    return "\n".join(rows)

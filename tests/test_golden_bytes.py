@@ -1,5 +1,5 @@
 """Pinned output bytes of ``eval``, ``curve``, ``reproduce`` and ``regularity``
-on the catalog.
+on the catalog, and of ``eval`` and ``curve`` on one asymmetric mask.
 
 Each case runs the CLI on a catalog mask and compares the sha256 of its
 standard output with a digest recorded on CPython 3.11.  The floats a
@@ -162,3 +162,33 @@ GOLDEN = {
 def test_outputs_match_the_recorded_bytes(tmp_path, name):
     wanted = {key: v for key, v in GOLDEN.items() if key.startswith(f"{name}/")}
     assert digests(tmp_path, name) == wanted
+
+
+# a member of `derive --arity 3 --smoothing 1 --kstar 4 --samples dd:2` that is
+# not symmetric: its dd:2 lattice at depth 2 runs from -31 to 13 over 18, so
+# neither its values nor its x magnitudes mirror
+ASYMMETRIC = {"arity": 3, "offset": -3, "coeffs": ["1/2", "-1/2", "1/2", "1/2", "3/2", "1/2"]}
+
+ASYMMETRIC_GOLDEN = {
+    "eval-depth2": "b657f56c1c2861c9021afcf8e1ceaaf96c9dd38ca5586fef5e95b6eddee239a1",
+    "eval-depth4": "4e9daea21a4dc1f1633d35104b8d8c1110600cf1a9741622a3d8d4bfb1d43b98",
+    "curve-open": "2a800c895fbbc4a5ca4cfe5889e9a92a79b4000028b5e65335753ff5d73c76d0",
+    "curve-closed": "6404c7599fe8fd5add38ece0076a098caf47af518772d7753c5a5f1fb3465cfc",
+}
+
+
+def test_asymmetric_outputs_match_the_recorded_bytes(tmp_path):
+    mask = tmp_path / "asymmetric.json"
+    mask.write_text(json.dumps(ASYMMETRIC))
+    polygon = tmp_path / "polygon.csv"
+    polygon.write_text(POLYGON)
+    evaluate = ["eval", "--mask", str(mask), "--samples", "dd:2", "--depth"]
+    curve = ["curve", "--mask", str(mask), "--points", str(polygon), "--steps", "3"]
+    commands = {
+        "eval-depth2": [*evaluate, "2"],
+        "eval-depth4": [*evaluate, "4"],
+        "curve-open": curve,
+        "curve-closed": [*curve, "--closed"],
+    }
+    got = {name: stdout_digest(argv) for name, argv in commands.items()}
+    assert got == {name: (0, digest) for name, digest in ASYMMETRIC_GOLDEN.items()}
