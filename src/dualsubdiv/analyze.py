@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .charax import verify_refinability
 from .construct import SolutionFamily
-from .exactalg import MAX_POINTS, convolve
+from .exactalg import MAX_POINTS, convolve, refuse_growth
 from .samples import SampleSet
 from .scheme import (
     Mask,
@@ -109,10 +109,8 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     Raises SeedInconsistent when the seed leaves the limit support or when it
     fails ``charax.verify_refinability``, naming the first lattice point where
     one level does not reproduce it.  Raises ValueError, before any level
-    runs, when the lattice would hold more than MAX_POINTS points or, for a
-    one-point support, whose lattice never fills, be finer than
-    Z/((MAX_POINTS + 1)(m - 1)), and when the identity's product would hold
-    more than MAX_POINTS entries.
+    runs, when ``exactalg.refuse_growth`` refuses the lattices Z/(T m^L) and
+    when the identity's product would hold more than MAX_POINTS entries.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -128,16 +126,9 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
-    # a support of positive length is at least 1/(m-1) long, so its lattice
-    # meets the point cap no later than Q passes this bound
-    finest = (MAX_POINTS + 1) * (m - 1)
-    q = seed.T
-    for _ in range(depth):
-        q *= m
-        if math.floor(hi * q) - math.ceil(lo * q) >= MAX_POINTS:
-            raise ValueError(f"a lattice of depth {depth} would hold more than {MAX_POINTS} points")
-        if q > finest:
-            raise ValueError(f"a lattice of depth {depth} would be finer than Z/{finest}")
+    qs = (seed.T * m**level for level in range(1, depth + 1))
+    sizes = (math.floor(hi * q) - math.ceil(lo * q) + 1 for q in qs)
+    refuse_growth(m, seed.T, sizes, f"a lattice of depth {depth}", "points")
     residual = verify_refinability(mask, seed).nonzero_terms()
     if residual:
         # the first term, (m alpha, (v - w)/T), is at the first failing point
@@ -182,44 +173,51 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
     The iterate's symbol is the product p(z) p(z^m) ... p(z^{m^{L-1}}); the
     norm is the largest absolute coefficient sum over residue classes mod m^L.
     A shift of p only permutes those classes, so its offset does not matter.
-    Each level takes ``abs`` once and adds the m^L-long blocks of the
-    iterate in order, so class r sums |q_r| + |q_{r+m^L}| + ... from left to
-    right, starting from its first entry.  Lazy, so a caller may stop after
-    any level; the callers check ``levels`` and the iterate's size first.
+    Each level takes ``abs`` once and folds the iterate's m^L-long blocks
+    (``_fold``), so class r sums |q_r| + |q_{r+m^L}| + ... from left to
+    right.  Lazy, so a caller may stop after any level; the callers check
+    ``levels`` and the iterate's size first (``_difference_symbol``).
     Type-generic: integer numerators over a common denominator D give the
     norms as ints over D^L, and float coefficients give float norms.
     """
     q = [1]
     for level in range(1, levels + 1):
         q = convolve(coeffs, q, m ** (level - 1))
-        modulus = m**level
-        a = list(map(abs, q))
-        sums = a[:modulus]
-        for start in range(modulus, len(a), modulus):
-            block = a[start : start + modulus]
-            sums[: len(block)] = map(operator.add, sums, block)
-        yield max(sums)
+        yield max(_fold(list(map(abs, q)), min(m**level, len(q))))
 
 
-def _check_order_levels(order: int, levels: int) -> None:
+def _fold(values: list, n: int) -> list:
+    """The n sums values[r] + values[r + n] + ..., each added from left to right
+    and the unsigned zero of the entries' type where no entry reaches."""
+    sums = values[:n] if n <= len(values) else values + [type(values[0])()] * (n - len(values))
+    for start in range(n, len(values), n):
+        block = values[start : start + n]
+        sums[: len(block)] = map(operator.add, sums, block)
+    return sums
+
+
+def _refuse_iterates(length: int, m: int, levels: int, points: int = 1) -> None:
+    """``exactalg.refuse_growth`` on ``points`` iterates of a ``length``-long
+    symbol; each holds (length - 1)(m^L - 1)/(m - 1) + 1 entries at level L."""
+    sizes = (points * ((length - 1) * (m**L - 1) // (m - 1) + 1) for L in range(1, levels + 1))
+    what = f"a sweep of {points} points at" if points > 1 else "an iterate of"
+    refuse_growth(m, 1, sizes, f"{what} {levels} levels", "entries")
+
+
+def _difference_symbol(source, order: int, levels: int):
+    """The order-(order+1) difference symbol of a Mask or of a family line; a
+    negative order, no level and, before any level runs, its iterate are refused."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-
-
-def _check_iterate_size(length: int, m: int, levels: int) -> None:
-    """Refuse, before any level runs, a ``levels``-times iterate of a symbol
-    with ``length`` coefficients: it holds (length - 1)(m^L - 1)/(m - 1) + 1
-    entries, added up level by level until they pass MAX_POINTS."""
-    entries, block = 1, length - 1
-    for _ in range(levels):
-        entries += block
-        if entries > MAX_POINTS:
-            raise ValueError(
-                f"an iterate of {levels} levels would hold more than {MAX_POINTS} entries"
-            )
-        block *= m
+    if isinstance(source, Mask):
+        p = factor_smoothing(source, order + 1)
+        _refuse_iterates(len(p.numerators), source.arity, levels)
+    else:
+        p = _family_difference_parts(source, order)
+        _refuse_iterates(len(p[0]), source.problem.m, levels)
+    return p
 
 
 def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport:
@@ -233,9 +231,7 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     order - log_m(best bound).  Raises OverflowError when a norm n / D^L is
     beyond the float range.
     """
-    _check_order_levels(order, levels)
-    p = factor_smoothing(mask, order + 1)
-    _check_iterate_size(len(p.numerators), mask.arity, levels)
+    p = _difference_symbol(mask, order, levels)
     norms = list(enumerate(_iterated_norms(p.numerators, mask.arity, levels), start=1))
     contractive = any(n < p.denominator**L for L, n in norms)
     bounds = tuple((n / p.denominator**L) ** (1.0 / L) for L, n in norms)
@@ -292,11 +288,13 @@ def contractivity_profile(
     parameters: Sequence[float],
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family."""
-    _check_order_levels(order, levels)
-    dp, dv = _family_difference_parts(family, order)
+    dp, dv = _difference_symbol(family, order, levels)
     m = family.problem.m
-    _check_iterate_size(len(dp), m, levels)
+    _refuse_iterates(len(dp), m, levels, len(parameters))
     return [(t, min(_line_norms(dp, dv, m, levels, t))) for t in parameters]
+
+
+_BISECT_TOL = 1e-6
 
 
 def contractivity_range(
@@ -306,23 +304,20 @@ def contractivity_range(
     search_interval: tuple[float, float],
     *,
     grid: int = 129,
-    tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Endpoints of the contractive parameter interval of a 1-parameter family.
 
     Samples the search interval, requires the contractive set to be one
     contiguous block (raises NoContractivePoint when empty, ValueError when
     split), then bisects each crossing of the best level bound through 1 down
-    to the requested parameter tolerance, or to adjacent floats where one
+    to a parameter tolerance of 1e-6, or to adjacent floats where one
     float step is wider than it.  A parameter is contractive once
     one level's rooted norm is below 1; the later levels are not computed.
     Endpoints clamp to the search interval when the contractive region
     touches it.
     """
-    _check_order_levels(order, levels)
-    dp, dv = _family_difference_parts(family, order)
+    dp, dv = _difference_symbol(family, order, levels)
     m = family.problem.m
-    _check_iterate_size(len(dp), m, levels)
 
     def contractive(t: float) -> bool:
         return any(b < 1.0 for b in _line_norms(dp, dv, m, levels, t))
@@ -331,6 +326,7 @@ def contractivity_range(
     if not a < b:
         raise ValueError("empty search interval")
     ts = parameter_grid(a, b, grid)
+    _refuse_iterates(len(dp), m, levels, grid)
     flags = [contractive(t) for t in ts]
     if not any(flags):
         raise NoContractivePoint(
@@ -344,7 +340,7 @@ def contractivity_range(
     def bisect(lo: float, hi: float, lo_state: bool) -> float:
         # invariant: contractivity flips somewhere between lo and hi; a
         # midpoint equal to an end means lo and hi are adjacent floats
-        while hi - lo > tol:
+        while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
@@ -417,8 +413,7 @@ def _subdivide_once(
     order of the point index j, starting from 0.0, so a zero is never
     signed.  Open polygons index c' from m*first + k_l.  A closed polygon of
     n points is periodic: c' is the product mod z^{mn} - 1, indexed from 0,
-    and its mn-long blocks are added in order, each entry as a left fold
-    from 0.0, so the floats do not depend on the interpreter's ``sum``.
+    and its mn-long blocks are added in order (``_fold``).
     """
     m, n = mask.arity, len(pts)
     weights = [x / mask.poly.denominator for x in mask.poly.numerators]
@@ -435,12 +430,7 @@ def _subdivide_once(
     wrapped = []
     for full in columns:
         # entry i is the coefficient of z^(i + k_l)
-        padded = [0.0] * (mask.k_left % span) + full
-        sums = [0.0] * span
-        for start in range(0, len(padded), span):
-            block = padded[start : start + span]
-            sums[: len(block)] = map(operator.add, sums, block)
-        wrapped.append(sums)
+        wrapped.append(_fold([0.0] * (mask.k_left % span) + full, span))
     return list(zip(*wrapped)), 0
 
 
@@ -452,8 +442,8 @@ def subdivide_points(
     Returns (parameters, points).  The level-j index n is attached to the
     parameter (n - tau (m^j - 1)/(m - 1)) / m^j, the fixed point of the
     refinement parameter map; consecutive parameters differ by m^{-j}.
-    Raises ValueError, before any step runs, when the result would hold more
-    than MAX_POINTS points.
+    Raises ValueError, before any step runs, when ``exactalg.refuse_growth``
+    refuses the polylines on Z/m^j.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -463,12 +453,11 @@ def subdivide_points(
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise ValueError("control points must share one dimension")
-    m = mask.arity
-    size = len(pts)
-    for _ in range(steps):
-        size = m * size if closed else m * (size - 1) + len(mask.poly.numerators)
-        if size > MAX_POINTS:
-            raise ValueError(f"a polyline of {steps} steps would hold more than {MAX_POINTS} points")
+    m, n, k = mask.arity, len(pts), len(mask.poly.numerators)
+    # the step s -> m s or m (s - 1) + k, in closed form
+    sizes = (m**j * n if closed else m**j * (n - 1) + (k - 1) * (m**j - 1) // (m - 1) + 1
+             for j in range(1, steps + 1))
+    refuse_growth(m, 1, sizes, f"a polyline of {steps} steps", "points")
     tau = shift_parameter(mask)
     first = 0
     for _ in range(steps):

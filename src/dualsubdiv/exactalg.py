@@ -59,12 +59,27 @@ def numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in fractions]
 
 
-# Most entries a product built for one command may hold: a lattice of
-# analyze.refine_values, a polyline of analyze.subdivide_points, an iterated
-# difference symbol of analyze._iterated_norms or the identity product of
-# charax.  Each grows with the command's depth, steps, levels or lattice
-# density, so a larger one is refused before it is built.
+# Most entries a product built for one command may hold: a level of a cascade
+# (refuse_growth) or the identity product of charax.  A larger one is refused
+# before it is built.
 MAX_POINTS = 10**6
+
+
+def refuse_growth(m: int, q: int, sizes: Iterable[int], what: str, unit: str) -> None:
+    """Refuse a cascade before any level is built: level l = 1, 2, ... lives on
+    Z/(q m^l) and holds the l-th of ``sizes``.  Raises ValueError at the first
+    level that holds more than MAX_POINTS ``unit`` or is finer than
+    Z/((MAX_POINTS + 1)(m - 1)).  A support of positive length is at least
+    1/(m - 1) long, so the density rule stops only a cascade that never fills
+    (a one-point lattice, a one-coefficient iterate), and it stops every
+    cascade within a few dozen levels, so ``sizes`` may be lazy and long."""
+    finest = (MAX_POINTS + 1) * (m - 1)
+    for size in sizes:
+        q *= m
+        if size > MAX_POINTS:
+            raise ValueError(f"{what} would hold more than {MAX_POINTS} {unit}")
+        if q > finest:
+            raise ValueError(f"{what} would be finer than Z/{finest}")
 
 
 def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:

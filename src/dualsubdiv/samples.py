@@ -10,11 +10,12 @@ scheme such as the Dubuc-Deslauriers family.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import LaurentPoly, RationalLike, json_field, rat
+from .exactalg import MAX_POINTS, LaurentPoly, RationalLike, json_field, rat
 
 
 @dataclass(frozen=True, init=False)
@@ -102,14 +103,6 @@ def phi_poly(s: SampleSet, m: int, n: int) -> LaurentPoly:
     return s.poly.residue_part(n, m * s.T) * Fraction(1, s.T)
 
 
-def _lagrange_basis_at(nodes: list[int], j: int, x: Fraction) -> Fraction:
-    out = Fraction(1)
-    for t in nodes:
-        if t != j:
-            out *= Fraction(x - t, j - t)
-    return out
-
-
 @functools.cache
 def dd_samples(n: int) -> SampleSet:
     """Lattice values of the binary 2n-point interpolatory limit function on Z/2.
@@ -118,21 +111,20 @@ def dd_samples(n: int) -> SampleSet:
 
     Integers carry the delta data; the value at k + 1/2 is the degree-(2n-1)
     Lagrange interpolant of the deltas on the 2n nearest integers, evaluated
-    at the midpoint.  n=2 gives the classic 4-point values
+    at the midpoint: the basis at node -k, L_{-k}(1/2) = P / ((1/2 + k)
+    (n - k - 1)! (n + k)! (-1)^(n+k)), with P = prod_{t=1-n..n} (1/2 - t).
+    n=2 gives the classic 4-point values
     (1/16)*{-1, 0, 9, 16, 9, 0, -1} on {-3/2, ..., 3/2}.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    nodes = list(range(1 - n, n + 1))
     half = Fraction(1, 2)
-    values = []
-    for idx in range(-(2 * n - 1), 2 * n):
-        if idx % 2 == 0:
-            values.append(Fraction(1) if idx == 0 else Fraction(0))
-        else:
-            j = (idx - 1) // 2
-            # phi(j + 1/2) weights the delta at 0, i.e. the basis at node -j
-            values.append(_lagrange_basis_at(nodes, -j, half))
+    P = math.prod(half - t for t in range(1 - n, n + 1))
+    values = [Fraction(0)] * (4 * n - 1)
+    values[2 * n - 1] = Fraction(1)
+    for k in range(-n, n):
+        den = (half + k) * math.factorial(n - k - 1) * math.factorial(n + k)
+        values[2 * (n + k)] = P / den if (n + k) % 2 == 0 else -P / den
     return SampleSet(2, -(2 * n - 1), values)
 
 
@@ -159,6 +151,10 @@ def samples_from_shorthand(text: str) -> SampleSet | None:
         points = int(t[3:])
         if points < 2 or points % 2 != 0:
             raise ValueError("dd:N requires an even point count N >= 2")
+        # the 2N - 1 values are numerators of about 2N bits over one
+        # denominator, so N^2 measures the store and all work on it
+        if points * points > MAX_POINTS:
+            raise ValueError(f"dd:N requires N^2 <= {MAX_POINTS}, got N = {points}")
         return dd_samples(points // 2)
     if t.startswith("mix:"):
         w = rat(t[4:])

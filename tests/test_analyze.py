@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualsubdiv import analyze, catalog
+from dualsubdiv import analyze, catalog, exactalg
 from dualsubdiv.analyze import (
     GridOverflow,
     LatticeFunction,
@@ -500,9 +500,9 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
     # a cap of exactly the depth-2 lattice, or of the 2-step polylines, lets
     # them through; one point less refuses them
     size = len(refine_values(TERNARY, DD4, 2).numerators)
-    monkeypatch.setattr(analyze, "MAX_POINTS", size)
+    monkeypatch.setattr(exactalg, "MAX_POINTS", size)
     assert len(refine_values(TERNARY, DD4, 2).numerators) == size
-    monkeypatch.setattr(analyze, "MAX_POINTS", size - 1)
+    monkeypatch.setattr(exactalg, "MAX_POINTS", size - 1)
     with pytest.raises(ValueError, match=f"depth 2 would hold more than {size - 1} points"):
         refine_values(TERNARY, DD4, 2)
     with pytest.raises(ValueError, match=f"more than {size - 1} points"):
@@ -510,17 +510,17 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
     control = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
     for closed in (False, True):
         size = len(subdivide_points(TERNARY, control, 2, closed=closed)[1])
-        monkeypatch.setattr(analyze, "MAX_POINTS", size)
+        monkeypatch.setattr(exactalg, "MAX_POINTS", size)
         assert len(subdivide_points(TERNARY, control, 2, closed=closed)[1]) == size
-        monkeypatch.setattr(analyze, "MAX_POINTS", size - 1)
+        monkeypatch.setattr(exactalg, "MAX_POINTS", size - 1)
         with pytest.raises(ValueError, match=f"2 steps would hold more than {size - 1} points"):
             subdivide_points(TERNARY, control, 2, closed=closed)
     # a one-coefficient mask has a one-point lattice at every depth; its
     # Q = 2^3 passes the bound (MAX_POINTS + 1)(m - 1) = 8 and not 7
     point, seed = Mask(2, 0, [1]), SampleSet(1, 0, [1])
-    monkeypatch.setattr(analyze, "MAX_POINTS", 7)
+    monkeypatch.setattr(exactalg, "MAX_POINTS", 7)
     assert refine_values(point, seed, 3).numerators == (1,)
-    monkeypatch.setattr(analyze, "MAX_POINTS", 6)
+    monkeypatch.setattr(exactalg, "MAX_POINTS", 6)
     with pytest.raises(ValueError, match="depth 3 would be finer than Z/7"):
         refine_values(point, seed, 3)
 
@@ -544,9 +544,65 @@ def test_iterate_cap_is_checked_before_any_level(monkeypatch):
         q = [1]
         for level in range(3):
             q = convolve(coeffs, q, m**level)
-        monkeypatch.setattr(analyze, "MAX_POINTS", len(q))
+        monkeypatch.setattr(exactalg, "MAX_POINTS", len(q))
         calls[0]()
-        monkeypatch.setattr(analyze, "MAX_POINTS", len(q) - 1)
+        monkeypatch.setattr(exactalg, "MAX_POINTS", len(q) - 1)
         for call in calls:
             with pytest.raises(ValueError, match=f"3 levels would hold more than {len(q) - 1} entries"):
                 call()
+
+
+BOX = Mask(3, -1, [1, 1, 1])
+
+
+def forbid_levels(monkeypatch):
+    """Fail the test when an analysis builds any level product."""
+
+    def level(*args):
+        raise AssertionError("a level ran before the refusal")
+
+    monkeypatch.setattr(analyze, "convolve", level)
+
+
+def test_one_coefficient_iterate_is_refused_one_level_after_its_last(monkeypatch):
+    # the box mask's difference symbol has one coefficient, so its iterate
+    # holds one entry at every level: only the lattice density stops it.  A
+    # cap of 7 allows Z/((7 + 1)(3 - 1)) = Z/16, which Z/3^2 fits and Z/3^3 passes
+    assert len(factor_smoothing(BOX, 1).numerators) == 1
+    monkeypatch.setattr(exactalg, "MAX_POINTS", 7)
+    assert len(contractivity_bound(BOX, 0, 2).bounds) == 2
+    forbid_levels(monkeypatch)
+    for levels in (3, 10**12):
+        with pytest.raises(ValueError, match=f"an iterate of {levels} levels would be finer than Z/16$"):
+            contractivity_bound(BOX, 0, levels)
+
+
+def test_one_coefficient_iterate_stops_at_13_ternary_levels(monkeypatch):
+    # 3^13 = 1594323 fits Z/2000002 and 3^14 = 4782969 does not
+    assert len(contractivity_bound(BOX, 0, 13).bounds) == 13
+    forbid_levels(monkeypatch)
+    with pytest.raises(ValueError, match="an iterate of 14 levels would be finer than Z/2000002$"):
+        contractivity_bound(BOX, 0, 14)
+
+
+def test_sweep_total_is_checked_before_any_level(monkeypatch):
+    # a cap of exactly 3 parameters times the 2-level iterate lets a 3-point
+    # sweep through; one entry less refuses it, on both sweep paths
+    family = catalog.quinary_reference_family()
+    q = [1]
+    for level in range(2):
+        q = convolve(analyze._family_difference_parts(family, 0)[0], q, 5**level)
+    cap = 3 * len(q)
+    ts = parameter_grid(-14.0, 11.0, 3)
+    monkeypatch.setattr(exactalg, "MAX_POINTS", cap)
+    assert len(contractivity_profile(family, 0, 2, ts)) == 3
+    left, right = contractivity_range(family, 0, 2, (-14.0, 11.0), grid=3)
+    assert -14.0 < left < right < 11.0
+    monkeypatch.setattr(exactalg, "MAX_POINTS", cap - 1)
+    forbid_levels(monkeypatch)
+    for call in (
+        lambda: contractivity_profile(family, 0, 2, ts),
+        lambda: contractivity_range(family, 0, 2, (-14.0, 11.0), grid=3),
+    ):
+        with pytest.raises(ValueError, match=f"a sweep of 3 points at 2 levels would hold more than {cap - 1} entries$"):
+            call()

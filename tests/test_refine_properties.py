@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from dualsubdiv import analyze
+from dualsubdiv import exactalg
 from dualsubdiv.analyze import LatticeFunction, SeedInconsistent, refine_values
 from dualsubdiv.exactalg import numerators
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
@@ -129,7 +129,7 @@ def test_depth_bound_refuses_only_one_point_supports(m, nums, offset, k, cap, de
     seed = SampleSet(k * shift_parameter(mask).denominator, 0, [])
     one_point = mask.k_left == mask.k_right
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analyze, "MAX_POINTS", cap)
+        patch.setattr(exactalg, "MAX_POINTS", cap)
         try:
             refine_values(mask, seed, depth)
         except ValueError as exc:

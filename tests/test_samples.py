@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualsubdiv import catalog
+from dualsubdiv import catalog, samples
 from dualsubdiv.exactalg import LaurentPoly
 from dualsubdiv.samples import (
     SampleSet,
@@ -163,3 +163,24 @@ def test_shorthands():
     assert samples_from_shorthand("somewhere/file.json") is None
     with pytest.raises(ValueError):
         samples_from_shorthand("dd:5")
+
+
+def test_dd_closed_form_matches_lagrange_oracle_to_22_points():
+    for n in range(5, 12):
+        s = dd_samples(n)
+        weights = _lagrange_midpoint_weights(n)
+        assert [s.value_at_index(2 * j + 1) for j in range(-n, n)] == weights[::-1]
+        assert s.is_delta_at_integers() and len(s.values) == 4 * n - 1
+
+
+def test_dd_point_count_is_refused_above_the_square_root_of_max_points(monkeypatch):
+    # N^2 <= MAX_POINTS = 10^6: dd:1000 is the largest point count accepted
+    assert samples_from_shorthand("dd:1000") == dd_samples(500)
+
+    def build(n):
+        raise AssertionError("values were built before the refusal")
+
+    monkeypatch.setattr(samples, "dd_samples", build)
+    for points in (1002, 10**12):
+        with pytest.raises(ValueError, match=rf"dd:N requires N\^2 <= 1000000, got N = {points}$"):
+            samples_from_shorthand(f"dd:{points}")
