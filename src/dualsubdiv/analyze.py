@@ -16,15 +16,9 @@ from typing import Iterator, Sequence
 
 from .charax import verify_refinability
 from .construct import SolutionFamily
-from .exactalg import MAX_POINTS, convolve, refuse_growth
+from .exactalg import MAX_POINTS, LaurentPoly, convolve, refuse_growth
 from .samples import SampleSet
-from .scheme import (
-    Mask,
-    divide_smoothing,
-    factor_smoothing,
-    limit_support,
-    shift_parameter,
-)
+from .scheme import Mask, factor_smoothing, limit_support, shift_parameter
 
 
 class SeedInconsistent(ValueError):
@@ -176,7 +170,7 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
     Each level takes ``abs`` once and folds the iterate's m^L-long blocks
     (``_fold``), so class r sums |q_r| + |q_{r+m^L}| + ... from left to
     right.  Lazy, so a caller may stop after any level; the callers check
-    ``levels`` and the iterate's size first (``_difference_symbol``).
+    ``levels`` and the iterate's size first (``_difference_symbols``).
     Type-generic: integer numerators over a common denominator D give the
     norms as ints over D^L, and float coefficients give float norms.
     """
@@ -204,20 +198,18 @@ def _refuse_iterates(length: int, m: int, levels: int, points: int = 1) -> None:
     refuse_growth(m, 1, sizes, f"{what} {levels} levels", "entries")
 
 
-def _difference_symbol(source, order: int, levels: int):
-    """The order-(order+1) difference symbol of a Mask or of a family line; a
-    negative order, no level and, before any level runs, its iterate are refused."""
+def _difference_symbols(masks: Sequence[Mask], order: int, levels: int) -> list[LaurentPoly]:
+    """The order-(order+1) difference symbols (``factor_smoothing``) of masks of
+    one arity.  A negative order, no level and, before any level runs, the
+    iterate of a symbol spanning all their windows are refused."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    if isinstance(source, Mask):
-        p = factor_smoothing(source, order + 1)
-        _refuse_iterates(len(p.numerators), source.arity, levels)
-    else:
-        p = _family_difference_parts(source, order)
-        _refuse_iterates(len(p[0]), source.problem.m, levels)
-    return p
+    symbols = [factor_smoothing(mask, order + 1) for mask in masks]
+    span = max(p.degree_high for p in symbols) + 1 - min(p.offset for p in symbols)
+    _refuse_iterates(span, masks[0].arity, levels)
+    return symbols
 
 
 def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport:
@@ -231,7 +223,7 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     order - log_m(best bound).  Raises OverflowError when a norm n / D^L is
     beyond the float range.
     """
-    p = _difference_symbol(mask, order, levels)
+    (p,) = _difference_symbols([mask], order, levels)
     norms = list(enumerate(_iterated_norms(p.numerators, mask.arity, levels), start=1))
     contractive = any(n < p.denominator**L for L, n in norms)
     bounds = tuple((n / p.denominator**L) ** (1.0 / L) for L, n in norms)
@@ -241,23 +233,20 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     return RegularityReport(order, levels, bounds, contractive, holder)
 
 
-def _family_difference_parts(
-    family: SolutionFamily, order: int
-) -> tuple[list[float], list[float]]:
-    """Float coefficients of the particular and direction difference symbols
-    on their common window; the member at t has coefficients a + t b."""
+def _line_parts(family: SolutionFamily, order: int, levels: int) -> tuple[list[float], ...]:
+    """Float coefficients of the difference symbols of the particular member
+    and the direction on their common window; the member at t has coefficients
+    a + t b.  Refuses a family of another dimension than 1, then as
+    ``_difference_symbols`` does."""
     if family.dimension != 1:
         raise ValueError("parameter sweeps need a one-dimensional family")
-    m = family.problem.m
-    dp = factor_smoothing(family.particular, order + 1)
-    dv = divide_smoothing(family.basis[0] * Fraction(1, m), m, order + 1)
-    lo = min(dp.offset, dv.offset)
-    hi = max(dp.offset + len(dp.numerators), dv.offset + len(dv.numerators))
+    symbols = _difference_symbols((family.particular, *family.basis), order, levels)
+    lo, hi = min(p.offset for p in symbols), max(p.degree_high for p in symbols)
     return tuple(
         [0.0] * (p.offset - lo)
         + [x / p.denominator for x in p.numerators]
-        + [0.0] * (hi - p.offset - len(p.numerators))
-        for p in (dp, dv)
+        + [0.0] * (hi - p.degree_high)
+        for p in symbols
     )
 
 
@@ -269,16 +258,33 @@ def _line_norms(
     return (n ** (1.0 / L) for L, n in enumerate(norms, start=1))
 
 
+class ParameterGrid(Sequence[float]):
+    """``points`` evenly spaced parameters from a to b, both included, each
+    computed when read.  Raises ValueError for fewer than 2 or more than
+    MAX_POINTS points and GridOverflow for a point that is not finite."""
+
+    def __init__(self, a: float, b: float, points: int):
+        if not 2 <= points <= MAX_POINTS:
+            raise ValueError(f"a grid needs 2 to {MAX_POINTS} points, got {points}")
+        self.a, self.b, self.points = a, b, points
+        # with b - a finite the points run monotonically from a, and with it
+        # infinite or nan the last point is not finite: so all points are
+        # finite exactly when the last one is
+        if not math.isfinite(self[-1]):
+            raise GridOverflow("a grid point overflows")
+
+    def __len__(self) -> int:
+        return self.points
+
+    def __getitem__(self, i: int) -> float:
+        if not -self.points <= i < self.points:
+            raise IndexError("grid index out of range")
+        return self.a + (self.b - self.a) * (i % self.points) / (self.points - 1)
+
+
 def parameter_grid(a: float, b: float, points: int) -> list[float]:
-    """``points`` evenly spaced parameters from a to b, both included; raises
-    ValueError for fewer than 2 or more than MAX_POINTS points, and
-    GridOverflow when a point is not finite."""
-    if not 2 <= points <= MAX_POINTS:
-        raise ValueError(f"a grid needs 2 to {MAX_POINTS} points, got {points}")
-    ts = [a + (b - a) * i / (points - 1) for i in range(points)]
-    if not all(map(math.isfinite, ts)):
-        raise GridOverflow("a grid point overflows")
-    return ts
+    """The points of ``ParameterGrid(a, b, points)`` as a list."""
+    return list(ParameterGrid(a, b, points))
 
 
 def contractivity_profile(
@@ -287,8 +293,9 @@ def contractivity_profile(
     levels: int,
     parameters: Sequence[float],
 ) -> list[tuple[float, float]]:
-    """(parameter, best rooted norm bound) along a one-parameter family."""
-    dp, dv = _difference_symbol(family, order, levels)
+    """(parameter, best rooted norm bound) along a one-parameter family; the
+    sweep is refused before any parameter is read."""
+    dp, dv = _line_parts(family, order, levels)
     m = family.problem.m
     _refuse_iterates(len(dp), m, levels, len(parameters))
     return [(t, min(_line_norms(dp, dv, m, levels, t))) for t in parameters]
@@ -316,7 +323,7 @@ def contractivity_range(
     Endpoints clamp to the search interval when the contractive region
     touches it.
     """
-    dp, dv = _difference_symbol(family, order, levels)
+    dp, dv = _line_parts(family, order, levels)
     m = family.problem.m
 
     def contractive(t: float) -> bool:
@@ -325,7 +332,7 @@ def contractivity_range(
     a, b = search_interval
     if not a < b:
         raise ValueError("empty search interval")
-    ts = parameter_grid(a, b, grid)
+    ts = ParameterGrid(a, b, grid)
     _refuse_iterates(len(dp), m, levels, grid)
     flags = [contractive(t) for t in ts]
     if not any(flags):

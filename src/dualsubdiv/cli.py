@@ -24,10 +24,10 @@ from operator import itemgetter, truediv
 from . import catalog
 from .analyze import (
     GridOverflow,
+    ParameterGrid,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
-    parameter_grid,
     refine_values,
     reproduction_degree,
     subdivide_curve,
@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
             )
             payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
         else:
-            ts = parameter_grid(lo, hi, args.grid)
+            ts = ParameterGrid(lo, hi, args.grid)
             payload = [
                 {"t": t, "bound": bound, "contractive": bound < 1.0}
                 for t, bound in contractivity_profile(family, args.order, args.levels, ts)
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--maxdeg", type=int, default=6)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=0.0, help="0 asks for exact reproduction")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reproduce)
 

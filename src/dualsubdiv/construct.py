@@ -41,13 +41,7 @@ from .exactalg import (
     rref_solve,
 )
 from .samples import SampleSet
-from .scheme import (
-    Mask,
-    NotDivisible,
-    divide_smoothing,
-    support_interval,
-    symbol,
-)
+from .scheme import Mask, NotDivisible, factor_smoothing, support_interval
 
 
 class InvalidWindow(ValueError):
@@ -271,14 +265,20 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
 class SolutionFamily:
     """Affine family of masks: particular + span of basis directions.
 
-    ``basis`` holds exact coefficient polynomials in mask (a) space; every
-    member particular + sum t_i basis_i solves the assembled system exactly.
-    Dimension zero means the mask is unique.
+    The particular member and every direction are masks of the problem's
+    arity, which construction checks; every member particular + sum t_i
+    basis_i solves the assembled system exactly.  Dimension zero means the
+    mask is unique.
     """
 
     problem: ConstructionProblem
     particular: Mask
-    basis: tuple[LaurentPoly, ...]
+    basis: tuple[Mask, ...]
+
+    def __post_init__(self):
+        for mask in (self.particular, *self.basis):
+            if mask.arity != self.problem.m:
+                raise ValueError(f"a mask of arity {mask.arity} in a family of arity {self.problem.m}")
 
     @property
     def dimension(self) -> int:
@@ -295,7 +295,7 @@ class SolutionFamily:
             raise ValueError(f"expected {self.dimension} coordinates")
         poly = self.particular.poly
         for t, direction in zip(coefficients, self.basis):
-            poly = poly + direction * rat(t)
+            poly = poly + direction.poly * rat(t)
         return Mask.from_poly(self.problem.m, poly)
 
     def contains(self, mask: Mask) -> bool:
@@ -308,7 +308,7 @@ class SolutionFamily:
         if mask.k_left < 1 - problem.k_star or mask.k_right > problem.k_star:
             return False
         try:
-            b_poly = divide_smoothing(symbol(mask), problem.m, problem.d)
+            b_poly = factor_smoothing(mask, problem.d)
         except NotDivisible:
             return False
         b_lo, b_hi = problem.beta_window
@@ -329,18 +329,14 @@ class SolutionFamily:
         return {
             "problem": self.problem.to_dict(),
             "particular": self.particular.to_dict(),
-            "basis": [Mask.from_poly(self.problem.m, p).to_dict() for p in self.basis],
+            "basis": [b.to_dict() for b in self.basis],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolutionFamily":
         problem = ConstructionProblem.from_dict(data["problem"])
         particular = Mask.from_dict(data["particular"])
-        basis = tuple(
-            LaurentPoly(json_field(p, "offset", int), json_field(p, "coeffs", list))
-            for p in json_field(data, "basis", list)
-        )
-        return cls(problem, particular, basis)
+        return cls(problem, particular, tuple(map(Mask.from_dict, json_field(data, "basis", list))))
 
 
 def derive(problem: ConstructionProblem) -> SolutionFamily:
@@ -366,10 +362,8 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
             f" {problem.d}, k* = {problem.k_star}"
             f"{' and symmetry' if problem.symmetric else ''} for these samples"
         ) from None
-    pairs = system.col_labels
-    den = solution.denominator
-    particular = _mask(problem, system.smoothing, pairs, solution.particular_numerators, den)
-    basis = tuple(
-        _mask(problem, system.smoothing, pairs, v, den) for v in solution.nullbasis_numerators
+    particular, *basis = (
+        Mask.from_poly(m, _mask(problem, system.smoothing, system.col_labels, x, solution.denominator))
+        for x in (solution.particular_numerators, *solution.nullbasis_numerators)
     )
-    return SolutionFamily(problem, Mask.from_poly(problem.m, particular), basis)
+    return SolutionFamily(problem, particular, tuple(basis))

@@ -333,7 +333,7 @@ def family_difference_parts(family, order):
     m = family.problem.m
     return (
         divide_smoothing(symbol(family.particular), m, order + 1),
-        divide_smoothing(family.basis[0] * F(1, m), m, order + 1),
+        divide_smoothing(symbol(family.basis[0]), m, order + 1),
     )
 
 

@@ -28,7 +28,7 @@ from dualsubdiv.construct import (
     derive,
 )
 from dualsubdiv.samples import dd_samples
-from dualsubdiv.scheme import shift_parameter
+from dualsubdiv.scheme import Mask, shift_parameter
 
 import oracle
 from oracle import sub_symbols, value_at_one
@@ -186,7 +186,7 @@ def test_criterion_7_contractivity_ranges(quinary_family):
     mask1 = catalog.quinary_family_mask(1)
     assert quinary_family.contains(mask0) and quinary_family.contains(mask1)
     family = SolutionFamily(
-        quinary_family.problem, mask0, (mask1.poly - mask0.poly,)
+        quinary_family.problem, mask0, (Mask.from_poly(5, mask1.poly - mask0.poly),)
     )
 
     def contractive(order, t):
@@ -300,8 +300,8 @@ def test_criterion_11_binary_blocker():
                 solvable += 1
                 candidates = [family.particular.poly]
                 for direction in family.basis:
-                    candidates.append(family.particular.poly + direction)
-                    candidates.append(family.particular.poly - direction)
+                    candidates.append(family.particular.poly + direction.poly)
+                    candidates.append(family.particular.poly - direction.poly)
                 for poly in candidates:
                     mask = family.particular.__class__(2, poly.offset, poly.coeffs)
                     bound = contractivity_bound(mask, 0, 4)

@@ -532,7 +532,7 @@ def test_iterate_cap_is_checked_before_any_level(monkeypatch):
     cases = [
         (factor_smoothing(TERNARY, 1).numerators, 3, [lambda: contractivity_bound(TERNARY, 0, 3)]),
         (
-            analyze._family_difference_parts(family, 0)[0],
+            analyze._line_parts(family, 0, 3)[0],
             5,
             [
                 lambda: contractivity_profile(family, 0, 3, [0.0]),
@@ -591,7 +591,7 @@ def test_sweep_total_is_checked_before_any_level(monkeypatch):
     family = catalog.quinary_reference_family()
     q = [1]
     for level in range(2):
-        q = convolve(analyze._family_difference_parts(family, 0)[0], q, 5**level)
+        q = convolve(analyze._line_parts(family, 0, 2)[0], q, 5**level)
     cap = 3 * len(q)
     ts = parameter_grid(-14.0, 11.0, 3)
     monkeypatch.setattr(exactalg, "MAX_POINTS", cap)

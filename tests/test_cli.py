@@ -227,6 +227,18 @@ def test_reproduce(cantor_mask_file, cantor_samples_file, capsys):
     assert json.loads(capsys.readouterr().out) == {"degree": 0}
 
 
+def test_reproduce_is_exact_by_default(tmp_path, capsys):
+    # v raised by 10^-12 off the quartic point: the member reproduces degree 2
+    # exactly, while degree 4 holds within 1e-8
+    w, v, u = catalog.QUARTIC_POINT
+    member = catalog.quaternary_family_mask(w, v + F(1, 10**12), u)
+    argv = ["reproduce", "--mask", write_json(tmp_path / "member.json", member.to_dict()),
+            "--samples", "dd6"]
+    for extra, degree in (([], 2), (["--tol", "1e-8"], 4)):
+        assert main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out) == {"degree": degree}
+
+
 def test_curve(tmp_path, cantor_mask_file):
     points = tmp_path / "square.csv"
     points.write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
@@ -284,6 +296,15 @@ WRONG_TYPE_MESSAGES = {
     "float_kstar_family": "bad family file {}: 'kstar' must be of type int, got 10.0",
     "float_smoothing_family": "bad family file {}: 'smoothing' must be of type int, got 3.5",
     "bool_coeff_family": "bad family file {}: refusing to coerce bool True to an exact rational",
+    "string_arity_family": "bad family file {}: 'arity' must be of type int, got 'x'",
+}
+
+# each direction and the particular member is a mask of the problem's arity
+FAMILY_MESSAGES = {
+    "arity_7_direction_family": "a mask of arity 7 in a family of arity 5",
+    "arity_4_particular_family": "a mask of arity 4 in a family of arity 5",
+    "no_arity_direction_family": "missing key 'arity'",
+    "zero_direction_family": "mask must have at least one nonzero coefficient",
 }
 
 
@@ -313,9 +334,22 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "float_kstar_family": dict(family, problem=dict(family["problem"], kstar=10.0)),
         "float_smoothing_family": dict(family, problem=dict(family["problem"], smoothing=3.5)),
         "bool_coeff_family": dict(family, basis=[dict(family["basis"][0], coeffs=[True])]),
+        "string_arity_family": dict(family, basis=[dict(family["basis"][0], arity="x")]),
+    }
+    direction = family["basis"][0]
+    bad_families = {
+        "arity_7_direction_family": dict(family, basis=[dict(direction, arity=7)]),
+        "arity_4_particular_family": dict(family, particular=dict(family["particular"], arity=4)),
+        "no_arity_direction_family": dict(
+            family, basis=[{key: v for key, v in direction.items() if key != "arity"}]
+        ),
+        "zero_direction_family": dict(
+            family, basis=[dict(direction, coeffs=["0"] * len(direction["coeffs"]))]
+        ),
     }
     return {
         **{key: write_json(tmp_path / f"{key}.json", data) for key, data in wrong_types.items()},
+        **{key: write_json(tmp_path / f"{key}.json", data) for key, data in bad_families.items()},
         "huge_mask": write_json(
             tmp_path / "huge_mask.json", catalog.quinary_family_mask(10**200).to_dict()
         ),
@@ -407,6 +441,11 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["sweep", "--family", "{float_kstar_family}", "--range=-1:1"],
         ["sweep", "--family", "{float_smoothing_family}", "--range=-1:1"],
         ["sweep", "--family", "{bool_coeff_family}", "--range=-1:1"],
+        ["sweep", "--family", "{string_arity_family}", "--range=-1:1"],
+        ["sweep", "--family", "{arity_7_direction_family}", "--range=-1:1"],
+        ["sweep", "--family", "{arity_4_particular_family}", "--range=-1:1"],
+        ["sweep", "--family", "{no_arity_direction_family}", "--range=-1:1"],
+        ["sweep", "--family", "{zero_direction_family}", "--range=-1:1"],
         ["regularity", "--mask", "{huge_mask}", "--levels=2"],
         ["eval", "--mask", "{huge_mask}", "--samples", "dd4", "--depth", "2"],
         ["curve", "--mask", "{huger_mask}", "--points", "{points}", "--steps", "1"],
@@ -474,6 +513,11 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "sweep-family-float-kstar",
         "sweep-family-float-smoothing",
         "sweep-family-bool-coefficient",
+        "sweep-family-string-direction-arity",
+        "sweep-family-direction-arity-7",
+        "sweep-family-particular-arity-4",
+        "sweep-family-direction-without-arity",
+        "sweep-family-zero-direction",
         "regularity-norm-overflow",
         "eval-value-overflow",
         "curve-weight-overflow",
@@ -534,6 +578,9 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
     for key, message in WRONG_TYPE_MESSAGES.items():
         if "{%s}" % key in argv:
             assert err == f"error: {message.format(bad_input_files[key])}\n"
+    for key, message in FAMILY_MESSAGES.items():
+        if "{%s}" % key in argv:
+            assert err == f"error: bad family file {bad_input_files[key]}: {message}\n"
     if "{huge_mask}" in argv or "{huger_mask}" in argv:
         assert "beyond the float range" in err
     if "1000001" in argv:
@@ -777,7 +824,8 @@ def test_bisect_ends_on_an_overflowing_grid_point(tmp_path):
 def test_bisect_ends_where_a_float_step_is_wider_than_tol(tmp_path):
     # basis / 10^13 puts the crossings near 10^13, where floats are 2^-9 apart
     derived = derive(catalog.quinary_problem())
-    family = SolutionFamily(derived.problem, derived.particular, (derived.basis[0] * F(1, 10**13),))
+    direction = Mask.from_poly(5, derived.basis[0].poly * F(1, 10**13))
+    family = SolutionFamily(derived.problem, derived.particular, (direction,))
     path = write_json(tmp_path / "family.json", family.to_dict())
     argv = ["sweep", "--family", path, "--range=-1e14:1e14", "--grid", "17", "--bisect"]
     code, out, err = _fresh_process(argv, tmp_path, timeout=60)

@@ -388,4 +388,5 @@ def test_family_round_trips_through_dict():
     assert clone.problem == family.problem
     assert clone.particular == family.particular
     assert clone.basis == family.basis
+    assert all(isinstance(b, Mask) and b.arity == 5 for b in clone.basis)
     assert clone.contains(catalog.quinary_family_mask(10))

@@ -25,7 +25,7 @@ from dualsubdiv.analyze import (
     contractivity_range,
 )
 from dualsubdiv.construct import ConstructionProblem, SolutionFamily, derive
-from dualsubdiv.exactalg import LaurentPoly, convolve
+from dualsubdiv.exactalg import convolve
 from dualsubdiv.samples import samples_from_shorthand
 from dualsubdiv.scheme import Mask, NotDivisible
 
@@ -96,7 +96,7 @@ def test_range_probe_at_a_bound_of_exactly_one_is_not_contractive():
     # on the sampling grid, and below 1 strictly between them
     half = [F(c, 2) for c in convolve([1] * 5, [1, 1])]
     family = SolutionFamily(
-        catalog.quinary_problem(), Mask(5, 0, half), (LaurentPoly(0, half),)
+        catalog.quinary_problem(), Mask(5, 0, half), (Mask(5, 0, half),)
     )
     assert contractivity_profile(family, 0, 3, [-3.0, 1.0]) == [(-3.0, 1.0), (1.0, 1.0)]
     left, right = contractivity_range(family, 0, 3, (-4.0, 2.0), grid=7)

@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dualsubdiv import catalog
-from dualsubdiv.analyze import _family_difference_parts
+from dualsubdiv.analyze import _line_parts
 from dualsubdiv.cli import main
 from dualsubdiv.construct import derive
 from dualsubdiv.exactalg import MAX_POINTS
@@ -35,7 +35,7 @@ MASKS = {
 HUGE = st.integers(10**2, 10**12)
 FAMILY = derive(catalog.quinary_problem())
 # its level-3 iterate holds (len - 1)(5^3 - 1)/4 + 1 entries
-ENTRIES = (len(_family_difference_parts(FAMILY, 0)[0]) - 1) * 31 + 1
+ENTRIES = (len(_line_parts(FAMILY, 0, 3)[0]) - 1) * 31 + 1
 SECONDS = 0.5
 
 
