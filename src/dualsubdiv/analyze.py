@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .charax import verify_refinability
 from .construct import SolutionFamily
@@ -233,29 +233,31 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     return RegularityReport(order, levels, bounds, contractive, holder)
 
 
-def _line_parts(family: SolutionFamily, order: int, levels: int) -> tuple[list[float], ...]:
-    """Float coefficients of the difference symbols of the particular member
-    and the direction on their common window; the member at t has coefficients
-    a + t b.  Refuses a family of another dimension than 1, then as
-    ``_difference_symbols`` does."""
+def _family_line(
+    family: SolutionFamily, order: int, levels: int, points: int
+) -> Callable[[float], Iterator[float]]:
+    """t -> rooted norms, level by level, of the member at t of a one-parameter
+    family, whose float difference symbol is a + t b on the common window of
+    the particular member's a and the direction's b.  Refuses a family of another
+    dimension than 1, then as ``_difference_symbols`` does, then the sweep."""
     if family.dimension != 1:
         raise ValueError("parameter sweeps need a one-dimensional family")
     symbols = _difference_symbols((family.particular, *family.basis), order, levels)
     lo, hi = min(p.offset for p in symbols), max(p.degree_high for p in symbols)
-    return tuple(
+    m = family.problem.m
+    _refuse_iterates(hi + 1 - lo, m, levels, points)
+    dp, dv = (
         [0.0] * (p.offset - lo)
         + [x / p.denominator for x in p.numerators]
         + [0.0] * (hi - p.degree_high)
         for p in symbols
     )
 
+    def norms(t: float) -> Iterator[float]:
+        iterated = _iterated_norms([a + t * b for a, b in zip(dp, dv)], m, levels)
+        return (n ** (1.0 / L) for L, n in enumerate(iterated, start=1))
 
-def _line_norms(
-    dp: list[float], dv: list[float], m: int, levels: int, t: float
-) -> Iterator[float]:
-    """Rooted norms, level by level, of the member at parameter t."""
-    norms = _iterated_norms([a + t * b for a, b in zip(dp, dv)], m, levels)
-    return (n ** (1.0 / L) for L, n in enumerate(norms, start=1))
+    return norms
 
 
 class ParameterGrid(Sequence[float]):
@@ -282,62 +284,44 @@ class ParameterGrid(Sequence[float]):
         return self.a + (self.b - self.a) * (i % self.points) / (self.points - 1)
 
 
-def parameter_grid(a: float, b: float, points: int) -> list[float]:
-    """The points of ``ParameterGrid(a, b, points)`` as a list."""
-    return list(ParameterGrid(a, b, points))
-
-
 def contractivity_profile(
-    family: SolutionFamily,
-    order: int,
-    levels: int,
-    parameters: Sequence[float],
+    family: SolutionFamily, order: int, levels: int, parameters: Sequence[float]
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family; the
     sweep is refused before any parameter is read."""
-    dp, dv = _line_parts(family, order, levels)
-    m = family.problem.m
-    _refuse_iterates(len(dp), m, levels, len(parameters))
-    return [(t, min(_line_norms(dp, dv, m, levels, t))) for t in parameters]
+    norms = _family_line(family, order, levels, len(parameters))
+    return [(t, min(norms(t))) for t in parameters]
 
 
 _BISECT_TOL = 1e-6
 
 
 def contractivity_range(
-    family: SolutionFamily,
-    order: int,
-    levels: int,
-    search_interval: tuple[float, float],
-    *,
-    grid: int = 129,
+    family: SolutionFamily, order: int, levels: int, grid: ParameterGrid
 ) -> tuple[float, float]:
     """Endpoints of the contractive parameter interval of a 1-parameter family.
 
-    Samples the search interval, requires the contractive set to be one
-    contiguous block (raises NoContractivePoint when empty, ValueError when
-    split), then bisects each crossing of the best level bound through 1 down
-    to a parameter tolerance of 1e-6, or to adjacent floats where one
-    float step is wider than it.  A parameter is contractive once
-    one level's rooted norm is below 1; the later levels are not computed.
-    Endpoints clamp to the search interval when the contractive region
-    touches it.
+    Samples the grid from grid.a to grid.b, requires the contractive set to
+    be one contiguous block (raises NoContractivePoint when empty, ValueError
+    when split), then bisects each crossing of the best level bound through 1
+    down to a parameter tolerance of 1e-6, or to adjacent floats where one
+    float step is wider than it.  A parameter is contractive once one level's
+    rooted norm is below 1; the later levels are not computed.  Endpoints
+    clamp to the grid's ends when the contractive region touches them.  The
+    family and the sweep are refused as in ``contractivity_profile``, and
+    then a grid with grid.a < grid.b false.
     """
-    dp, dv = _line_parts(family, order, levels)
-    m = family.problem.m
+    norms = _family_line(family, order, levels, len(grid))
+    if not grid.a < grid.b:
+        raise ValueError("empty search interval")
 
     def contractive(t: float) -> bool:
-        return any(b < 1.0 for b in _line_norms(dp, dv, m, levels, t))
+        return any(x < 1.0 for x in norms(t))
 
-    a, b = search_interval
-    if not a < b:
-        raise ValueError("empty search interval")
-    ts = ParameterGrid(a, b, grid)
-    _refuse_iterates(len(dp), m, levels, grid)
-    flags = [contractive(t) for t in ts]
+    flags = [contractive(t) for t in grid]
     if not any(flags):
         raise NoContractivePoint(
-            f"no contractive parameter among {grid} samples in [{a}, {b}]"
+            f"no contractive parameter among {len(grid)} samples in [{grid.a}, {grid.b}]"
         )
     first = flags.index(True)
     last = len(flags) - 1 - flags[::-1].index(True)
@@ -357,8 +341,8 @@ def contractivity_range(
                 hi = mid
         return 0.5 * (lo + hi)
 
-    left = ts[first] if first == 0 else bisect(ts[first - 1], ts[first], False)
-    right = ts[last] if last == len(ts) - 1 else bisect(ts[last], ts[last + 1], True)
+    left = grid[first] if first == 0 else bisect(grid[first - 1], grid[first], False)
+    right = grid[last] if last == len(grid) - 1 else bisect(grid[last], grid[last + 1], True)
     return left, right
 
 

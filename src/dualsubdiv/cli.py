@@ -206,19 +206,17 @@ def cmd_sweep(args) -> int:
     family = _load_json(args.family, "family", SolutionFamily)
     lo, hi = _parse_range(args.range)
     try:
-        if args.bisect:
-            left, right = contractivity_range(
-                family, args.order, args.levels, (lo, hi), grid=args.grid
-            )
-            payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
-        else:
-            ts = ParameterGrid(lo, hi, args.grid)
-            payload = [
-                {"t": t, "bound": bound, "contractive": bound < 1.0}
-                for t, bound in contractivity_profile(family, args.order, args.levels, ts)
-            ]
+        grid = ParameterGrid(lo, hi, args.grid)
     except GridOverflow as exc:
         raise CliError(f"bad range {args.range!r}: {exc}") from exc
+    if args.bisect:
+        left, right = contractivity_range(family, args.order, args.levels, grid)
+        payload = {"order": args.order, "levels": args.levels, "low": left, "high": right}
+    else:
+        payload = [
+            {"t": t, "bound": bound, "contractive": bound < 1.0}
+            for t, bound in contractivity_profile(family, args.order, args.levels, grid)
+        ]
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+# a decimal exponent e as ``Fraction`` reads it, which builds 10^|e|
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = 4300
 
 
 class InfeasibleSystem(Exception):
@@ -33,12 +38,16 @@ def rat(value: RationalLike) -> Fraction:
 
     Floats are rejected: silently converting them would smuggle binary
     rounding artifacts into computations that must stay exact.  So are bools,
-    which are ints to Python but no number in JSON.
+    which are ints to Python but no number in JSON, and exponents beyond
+    4300 in magnitude, as int refuses a longer digit string.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing to coerce {type(value).__name__} {value!r} to an exact rational")
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent[1]} exceeds {_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(value)
     except ZeroDivisionError:

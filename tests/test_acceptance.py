@@ -12,6 +12,7 @@ import pytest
 
 from dualsubdiv import catalog
 from dualsubdiv.analyze import (
+    ParameterGrid,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
@@ -197,7 +198,7 @@ def test_criterion_7_contractivity_ranges(quinary_family):
     ok = True
     primary_all = True
     for order, (ref_lo, ref_hi) in REFERENCE_RANGES.items():
-        lo, hi = contractivity_range(family, order, 3, SEARCH_INTERVALS[order], grid=257)
+        lo, hi = contractivity_range(family, order, 3, ParameterGrid(*SEARCH_INTERVALS[order], 257))
         d_lo, d_hi = abs(lo - ref_lo), abs(hi - ref_hi)
         primary = d_lo <= 1e-2 and d_hi <= 1e-2
         primary_all = primary_all and primary

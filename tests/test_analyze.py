@@ -9,12 +9,12 @@ from dualsubdiv.analyze import (
     GridOverflow,
     LatticeFunction,
     NoContractivePoint,
+    ParameterGrid,
     SeedInconsistent,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
     difference_scheme,
-    parameter_grid,
     refine_values,
     reproduction_degree,
     subdivide_curve,
@@ -211,7 +211,7 @@ def test_contractivity_range_regression():
         2: ((-2.5, 0.0), (-1.61768, -1.00000)),
     }
     for order, (interval, (lo, hi)) in expected.items():
-        got_lo, got_hi = contractivity_range(family, order, 3, interval)
+        got_lo, got_hi = contractivity_range(family, order, 3, ParameterGrid(*interval, 129))
         assert math.isclose(got_lo, lo, abs_tol=2e-3)
         assert math.isclose(got_hi, hi, abs_tol=2e-3)
 
@@ -219,16 +219,16 @@ def test_contractivity_range_regression():
 def test_contractivity_range_requires_contractive_samples():
     family = catalog.quinary_reference_family()
     with pytest.raises(NoContractivePoint):
-        contractivity_range(family, 2, 3, (5.0, 10.0))
+        contractivity_range(family, 2, 3, ParameterGrid(5.0, 10.0, 129))
 
 
 def test_overflowing_grid_is_refused_before_any_sample():
     family = catalog.quinary_reference_family()
     with pytest.raises(GridOverflow, match="a grid point overflows"):
-        parameter_grid(-8e307, 8e307, 3)
+        list(ParameterGrid(-8e307, 8e307, 3))
     with pytest.raises(GridOverflow, match="a grid point overflows"):
-        contractivity_range(family, 0, 3, (-8e307, 8e307), grid=3)
-    assert parameter_grid(-8e307, 8e307, 2) == [-8e307, 8e307]
+        contractivity_range(family, 0, 3, ParameterGrid(-8e307, 8e307, 3))
+    assert list(ParameterGrid(-8e307, 8e307, 2)) == [-8e307, 8e307]
 
 
 def test_contractivity_profile_matches_bound():
@@ -251,9 +251,9 @@ def test_contractivity_entries_reject_zero_levels():
         lambda: contractivity_bound(catalog.quinary_family_mask(0), 0, 0),
         lambda: contractivity_profile(family, 0, 0, [0.0]),
         lambda: contractivity_profile(family, 0, 0, []),
-        lambda: contractivity_range(family, 0, 0, (-1.0, 1.0)),
+        lambda: contractivity_range(family, 0, 0, ParameterGrid(-1.0, 1.0, 129)),
         # the levels are checked before the empty interval and the sampling
-        lambda: contractivity_range(family, 0, 0, (1.0, 1.0)),
+        lambda: contractivity_range(family, 0, 0, ParameterGrid(1.0, 1.0, 129)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="need at least one level, got 0"):
@@ -266,7 +266,7 @@ def test_negative_orders_degrees_and_steps_rejected():
         "order": [
             lambda: contractivity_bound(CANTOR, -1, 3),
             lambda: contractivity_profile(family, -1, 3, [0.0]),
-            lambda: contractivity_range(family, -1, 3, (-1.0, 1.0)),
+            lambda: contractivity_range(family, -1, 3, ParameterGrid(-1.0, 1.0, 129)),
         ],
         "max degree": [lambda: reproduction_degree(CANTOR, CANTOR_SAMPLES, -1, 2, 1e-8)],
         "steps": [lambda: subdivide_points(CANTOR, [(0.0,), (1.0,)], -1)],
@@ -525,6 +525,14 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
         refine_values(point, seed, 3)
 
 
+def line_window(family):
+    """Coefficients, all 1, on the common window of the order-0 difference
+    symbols of a family's particular member and direction: as long as the
+    symbol of every member."""
+    symbols = [factor_smoothing(mask, 1) for mask in (family.particular, *family.basis)]
+    return [1] * (max(p.degree_high for p in symbols) + 1 - min(p.offset for p in symbols))
+
+
 def test_iterate_cap_is_checked_before_any_level(monkeypatch):
     # a cap of exactly the 3-level iterate p(z) p(z^m) p(z^{m^2}) lets it
     # through; one entry less refuses it, on a mask and on a family line
@@ -532,11 +540,11 @@ def test_iterate_cap_is_checked_before_any_level(monkeypatch):
     cases = [
         (factor_smoothing(TERNARY, 1).numerators, 3, [lambda: contractivity_bound(TERNARY, 0, 3)]),
         (
-            analyze._line_parts(family, 0, 3)[0],
+            line_window(family),
             5,
             [
                 lambda: contractivity_profile(family, 0, 3, [0.0]),
-                lambda: contractivity_range(family, 0, 3, (-1.0, 1.0)),
+                lambda: contractivity_range(family, 0, 3, ParameterGrid(-1.0, 1.0, 129)),
             ],
         ),
     ]
@@ -591,18 +599,18 @@ def test_sweep_total_is_checked_before_any_level(monkeypatch):
     family = catalog.quinary_reference_family()
     q = [1]
     for level in range(2):
-        q = convolve(analyze._line_parts(family, 0, 2)[0], q, 5**level)
+        q = convolve(line_window(family), q, 5**level)
     cap = 3 * len(q)
-    ts = parameter_grid(-14.0, 11.0, 3)
+    ts = ParameterGrid(-14.0, 11.0, 3)
     monkeypatch.setattr(exactalg, "MAX_POINTS", cap)
     assert len(contractivity_profile(family, 0, 2, ts)) == 3
-    left, right = contractivity_range(family, 0, 2, (-14.0, 11.0), grid=3)
+    left, right = contractivity_range(family, 0, 2, ts)
     assert -14.0 < left < right < 11.0
     monkeypatch.setattr(exactalg, "MAX_POINTS", cap - 1)
     forbid_levels(monkeypatch)
     for call in (
         lambda: contractivity_profile(family, 0, 2, ts),
-        lambda: contractivity_range(family, 0, 2, (-14.0, 11.0), grid=3),
+        lambda: contractivity_range(family, 0, 2, ts),
     ):
         with pytest.raises(ValueError, match=f"a sweep of 3 points at 2 levels would hold more than {cap - 1} entries$"):
             call()

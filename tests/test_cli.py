@@ -8,6 +8,7 @@ import pkgutil
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -585,6 +586,56 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "beyond the float range" in err
     if "1000001" in argv:
         assert "a grid needs 2 to 1000000 points, got 1000001" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["derive", "--arity", "3", "--smoothing", "1", "--kstar", "300", "--samples", "dd:2"],
+         "a system of 603 rows and 598 unknowns would take more than 1000000 elimination steps"),
+        (["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", "mix:1e10000000"],
+         "bad sample shorthand 'mix:1e10000000': exponent 10000000 exceeds 4300 in magnitude"),
+        (["regularity", "--mask", "{exponent_mask}"],
+         "bad mask file {exponent_mask}: exponent 10000000 exceeds 4300 in magnitude"),
+    ],
+    ids=["derive-kstar-300", "derive-mix-exponent", "regularity-coefficient-exponent"],
+)
+def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, capsys):
+    # each ran 10-15 s before it was refused in closed form
+    files = {"exponent_mask": write_json(
+        tmp_path / "exponent_mask.json", {"arity": 3, "offset": -1, "coeffs": ["1e10000000", "1", "1"]}
+    )}
+    start = time.perf_counter()
+    code = main([a.format(**files) for a in argv])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+    assert elapsed < 0.05
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        ["--grid", "1", "--levels", "0"],
+        ["--grid", "1000001", "--order", "-1"],
+        ["--range=-1.7e308:0", "--grid", "3", "--levels", "0"],
+        ["--family", "{plane}", "--order", "-1"],
+        ["--order", "-1", "--levels", "0"],
+        ["--levels", "0", "--grid", "1000000"],
+        ["--levels", "40", "--grid", "1000000"],
+    ],
+    ids=["count-levels", "count-order", "overflow-levels", "dimension-order", "order-levels",
+         "levels-total", "iterate-total"],
+)
+def test_both_sweep_modes_refuse_in_one_order(faults, bad_input_files, capsys):
+    # grid count, grid overflow, dimension, order, levels, iterate, sweep total
+    argv = ["sweep", "--family", "{line}", "--range=-1:1", *faults]
+    errors = []
+    for mode in ([], ["--bisect"]):
+        assert main([a.format(**bad_input_files) for a in argv + mode]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
 
 
 def test_corpus_reports_a_failed_fact(monkeypatch, capsys):

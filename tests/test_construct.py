@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualsubdiv import catalog
+from dualsubdiv import catalog, construct
 from dualsubdiv.construct import (
     ConstructionProblem,
     InfeasibleProblem,
@@ -243,6 +243,38 @@ def test_derive_cantor():
 def test_derive_short_supports_infeasible(k_star, symmetric):
     with pytest.raises(InfeasibleProblem):
         derive(ConstructionProblem(3, 4, k_star, DD4, symmetric))
+
+
+def test_derive_refuses_an_elimination_over_the_budget(monkeypatch):
+    # m = 3, d = 1, dd:2 without symmetry: k* = 50 is 103 rows x 98^2 unknowns
+    # = 989,212 steps and k* = 51 is 105 x 100^2 = 1,050,000; the refusal
+    # comes before the system is assembled, in closed form for any k*
+    samples = samples_from_shorthand("dd:2")
+    assert derive(ConstructionProblem(3, 1, 50, samples, False)).dimension == 32
+
+    def assemble(problem):
+        raise AssertionError("the system was assembled before the refusal")
+
+    monkeypatch.setattr(construct, "assemble", assemble)
+    for k_star, rows, unknowns in [(51, 105, 100), (300, 603, 598), (10**9, 2 * 10**9 + 3, 2 * 10**9 - 2)]:
+        with pytest.raises(ValueError, match=(
+            f"a system of {rows} rows and {unknowns} unknowns would take more than 1000000 elimination steps$"
+        )):
+            derive(ConstructionProblem(3, 1, k_star, samples, False))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("m,d,k_star", [(3, 4, 7), (3, 1, 5), (4, 3, 11), (5, 3, 10), (6, 2, 9), (4, 0, 3)])
+def test_elimination_estimate_counts_the_assembled_system(m, d, k_star, symmetric, monkeypatch):
+    # the estimate's rows are [M; N] before pruning plus the shift row, and
+    # its unknowns the assembled columns: mirror pairs under symmetry
+    problem = ConstructionProblem(m, d, k_star, DD4 if d else samples_from_shorthand("dd:2"), symmetric)
+    system = assemble(problem)
+    rows = len(system.row_labels) + len(system.dropped) + 1
+    unknowns = len(system.col_labels)
+    monkeypatch.setattr(construct, "MAX_POINTS", rows * unknowns**2 - 1)
+    with pytest.raises(ValueError, match=f"a system of {rows} rows and {unknowns} unknowns"):
+        derive(problem)
 
 
 def test_derive_quinary_family():

@@ -20,6 +20,7 @@ import oracle
 from dualsubdiv import catalog
 from dualsubdiv.analyze import (
     NoContractivePoint,
+    ParameterGrid,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
@@ -67,7 +68,7 @@ def test_derived_line_profile_matches_reference(shape, order, levels):
 
 def _range_or_none(family, order, levels, interval, grid_size):
     try:
-        return contractivity_range(family, order, levels, interval, grid=grid_size)
+        return contractivity_range(family, order, levels, ParameterGrid(*interval, grid_size))
     except (NoContractivePoint, ValueError):
         return None
 
@@ -77,7 +78,7 @@ def _range_or_none(family, order, levels, interval, grid_size):
 def test_quinary_range_matches_reference_bisection(order, levels):
     family = catalog.quinary_reference_family()
     interval = QUINARY_SEARCH[order]
-    got = contractivity_range(family, order, levels, interval, grid=33)
+    got = contractivity_range(family, order, levels, ParameterGrid(*interval, 33))
     assert got == oracle.contractivity_range(family, order, levels, interval, grid=33)
 
 
@@ -99,7 +100,7 @@ def test_range_probe_at_a_bound_of_exactly_one_is_not_contractive():
         catalog.quinary_problem(), Mask(5, 0, half), (Mask(5, 0, half),)
     )
     assert contractivity_profile(family, 0, 3, [-3.0, 1.0]) == [(-3.0, 1.0), (1.0, 1.0)]
-    left, right = contractivity_range(family, 0, 3, (-4.0, 2.0), grid=7)
+    left, right = contractivity_range(family, 0, 3, ParameterGrid(-4.0, 2.0, 7))
     assert (left, right) == oracle.contractivity_range(family, 0, 3, (-4.0, 2.0), grid=7)
     assert -3 < left < -3 + 1e-6 and 1 - 1e-6 < right < 1
 

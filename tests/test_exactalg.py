@@ -31,6 +31,18 @@ def test_rat_rejects_zero_denominators(text):
         rat(text)
 
 
+def test_rat_bounds_the_exponent_like_an_int_string():
+    # Fraction builds 10^|e|; |e| is bounded by 4300, like the digits of an
+    # int string, and a longer exponent string is refused by int itself
+    assert rat("1e4300") == 10**4300
+    assert rat("-2.5E-4_300") == F(-25, 10**4301)
+    for text in ["1e4301", "1e-4301", " 3.5E+10000000 ", "7e4_301"]:
+        with pytest.raises(ValueError, match=r"exponent [-+]?[\d_]+ exceeds 4300 in magnitude$"):
+            rat(text)
+    with pytest.raises(ValueError, match="4300 digits"):
+        rat("1e" + "9" * 5000)
+
+
 def test_laurent_normalization_trims_zero_ends():
     p = LaurentPoly(-2, [0, 1, 2, 0, 0])
     assert p.offset == -1

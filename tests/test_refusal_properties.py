@@ -18,11 +18,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dualsubdiv import catalog
-from dualsubdiv.analyze import _line_parts
 from dualsubdiv.cli import main
 from dualsubdiv.construct import derive
 from dualsubdiv.exactalg import MAX_POINTS
-from dualsubdiv.scheme import Mask
+from dualsubdiv.scheme import Mask, factor_smoothing
 
 # mask -> sample shorthand or file consistent with its shift and support
 MASKS = {
@@ -34,8 +33,10 @@ MASKS = {
 }
 HUGE = st.integers(10**2, 10**12)
 FAMILY = derive(catalog.quinary_problem())
-# its level-3 iterate holds (len - 1)(5^3 - 1)/4 + 1 entries
-ENTRIES = (len(_line_parts(FAMILY, 0, 3)[0]) - 1) * 31 + 1
+# its line's order-0 difference symbols span one window, and the level-3
+# iterate of a symbol that long holds (len - 1)(5^3 - 1)/4 + 1 entries
+SYMBOLS = [factor_smoothing(mask, 1) for mask in (FAMILY.particular, *FAMILY.basis)]
+ENTRIES = (max(p.degree_high for p in SYMBOLS) - min(p.offset for p in SYMBOLS)) * 31 + 1
 SECONDS = 0.5
 
 
