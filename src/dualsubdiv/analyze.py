@@ -346,35 +346,28 @@ def contractivity_range(
     return left, right
 
 
-def reproduction_degree(
-    mask: Mask,
-    seed: SampleSet,
-    max_degree: int,
-    depth: int,
-    tol: float,
-) -> int:
-    """Largest D <= max_degree with sum_k k^e phi(x-k) = x^e within tol for
-    all e <= D at every lattice point of refine_values(depth).
+def reproduction_degree(mask: Mask, seed: SampleSet, max_degree: int, depth: int) -> int:
+    """Largest D <= max_degree with sum_k k^e phi(x-k) = x^e exactly for all
+    e <= D at every lattice point of refine_values(depth).
 
     The comb sums run on the lattice's integer numerators N over their scale
     S: for each degree e and each shift |k| <= K, K the largest shift inside
     the window, k^e N is added into the part of the n-entry window that N
-    shifted by k Q reaches.  Each point's sum is compared with x^e exactly,
-    as |acc Q^e - p^e S| t_den > t_num S Q^e for tol = t_num/t_den.
-    Returns -1 when even constants are not reproduced within tolerance.  tol
-    must be finite and nonnegative; 0 asks for exact reproduction.
+    shifted by k Q reaches.  Each point's sum is compared with x^e as
+    acc Q^e == p^e S.  At most K + 1 shifts reach one point x, so the
+    measure sum_k phi(x-k) delta_k - delta_x has at most K + 2 nodes; once
+    its moments 0..K + 1 vanish, the Vandermonde matrix on those nodes
+    forces it to zero and every higher degree holds too.  The loop therefore
+    stops by degree K + 1.  Returns -1 when even constants are not reproduced.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     lf = refine_values(mask, seed, depth)
     Q, scale, nums = lf.denominator, lf.scale, lf.numerators
     n = len(nums)
     K = (n - 1) // Q
-    t_num, t_den = tol.as_integer_ratio()
     points = range(lf.offset, lf.offset + n)
-    for e in range(max_degree + 1):
+    for e in range(min(max_degree, K + 1) + 1):
         # entry i sums k^e nums[i - k Q], i.e. k^e phi(p/Q - k)
         combs = [0] * n
         for k in range(-K, K + 1):
@@ -386,9 +379,8 @@ def reproduction_degree(
             else:
                 combs[: n + k * Q] = [acc + c * v for acc, v in zip(combs, nums[-k * Q :])]
         Qe = Q**e
-        bound = t_num * scale * Qe
         for p, acc in zip(points, combs):
-            if abs(acc * Qe - p**e * scale) * t_den > bound:
+            if acc * Qe != p**e * scale:
                 return e - 1
     return max_degree
 

@@ -228,7 +228,7 @@ def cmd_sweep(args) -> int:
 def cmd_reproduce(args) -> int:
     mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
-    degree = reproduction_degree(mask, samples, args.maxdeg, args.depth, args.tol)
+    degree = reproduction_degree(mask, samples, args.maxdeg, args.depth)
     _emit(json.dumps({"degree": degree}), args.out)
     return EXIT_OK
 
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--maxdeg", type=int, default=6)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--tol", type=float, default=0.0, help="0 asks for exact reproduction")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reproduce)
 

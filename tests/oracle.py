@@ -405,18 +405,18 @@ def subdivide_points(mask, control, steps, closed):
     return first, pts
 
 
-def reproduction_degree(lattice, max_degree, tol):
-    """The reproduction degree of a ``LatticeFunction`` with the comb sums of
-    degree e read off the whole product of (k^e), |k| <= K, with the
-    numerators at stride Q: entry K Q + i sums k^e nums[i - k Q]."""
+def reproduction_degree(lattice, max_degree):
+    """The exact reproduction degree of a ``LatticeFunction``, checked at
+    every degree up to max_degree, with the comb sums of degree e read off
+    the whole product of (k^e), |k| <= K, with the numerators at stride Q:
+    entry K Q + i sums k^e nums[i - k Q]."""
     Q, scale, nums = lattice.denominator, lattice.scale, lattice.numerators
     n = len(nums)
     K = (n - 1) // Q
-    t_num, t_den = tol.as_integer_ratio()
     for e in range(max_degree + 1):
         combs = convolve([k**e for k in range(-K, K + 1)], nums, Q)[K * Q : K * Q + n]
         for p, acc in zip(range(lattice.offset, lattice.offset + n), combs):
-            if abs(acc * Q**e - p**e * scale) * t_den > t_num * scale * Q**e:
+            if acc * Q**e != p**e * scale:
                 return e - 1
     return max_degree
 

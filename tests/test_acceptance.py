@@ -232,13 +232,11 @@ def test_criterion_7_contractivity_ranges(quinary_family):
 def test_criterion_8_reproduction_degrees():
     start = time.perf_counter()
     results = {
-        "ternary": reproduction_degree(catalog.ternary_cubic_mask(), DD4, 5, 4, 1e-8),
-        "cantor": reproduction_degree(catalog.cantor_mask(), catalog.cantor_samples(), 3, 4, 1e-8),
-        "quinary w=-7/5": reproduction_degree(
-            catalog.quinary_family_mask(F(-7, 5)), DD4, 4, 4, 1e-8
-        ),
+        "ternary": reproduction_degree(catalog.ternary_cubic_mask(), DD4, 5, 4),
+        "cantor": reproduction_degree(catalog.cantor_mask(), catalog.cantor_samples(), 3, 4),
+        "quinary w=-7/5": reproduction_degree(catalog.quinary_family_mask(F(-7, 5)), DD4, 4, 4),
         "quaternary quartic": reproduction_degree(
-            catalog.quaternary_quartic_mask(), dd_samples(3), 5, 4, 1e-8
+            catalog.quaternary_quartic_mask(), dd_samples(3), 5, 4
         ),
     }
     elapsed = time.perf_counter() - start

@@ -268,7 +268,7 @@ def test_negative_orders_degrees_and_steps_rejected():
             lambda: contractivity_profile(family, -1, 3, [0.0]),
             lambda: contractivity_range(family, -1, 3, ParameterGrid(-1.0, 1.0, 129)),
         ],
-        "max degree": [lambda: reproduction_degree(CANTOR, CANTOR_SAMPLES, -1, 2, 1e-8)],
+        "max degree": [lambda: reproduction_degree(CANTOR, CANTOR_SAMPLES, -1, 2)],
         "steps": [lambda: subdivide_points(CANTOR, [(0.0,), (1.0,)], -1)],
     }
     for what, entries in calls.items():
@@ -339,54 +339,31 @@ def fraction_residuals(name, depth, max_degree=5):
     return tuple(residuals)
 
 
-def fraction_reproduction_degree(residuals, tol):
-    """Largest D with every residual up to degree D within tol."""
-    return next((e - 1 for e, r in enumerate(residuals) if r > tol), len(residuals) - 1)
-
-
-def boundary_tolerances(residuals):
-    """The floats around the largest residual r of the first inexact degree:
-    below r the answer is one lower than at or above it."""
-    e = next(e for e, r in enumerate(residuals) if r)
-    r = float(residuals[e])
-    return e, {
-        "below-r": math.nextafter(r, -math.inf),
-        "r": r,
-        "above-r": math.nextafter(r, math.inf),
-    }
-
-
-@pytest.mark.parametrize("tol", [0, 1e-8, 5e-324, "below-r", "r", "above-r"])
-@pytest.mark.parametrize("depth", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(REPRODUCTION_PAIRS))
-def test_reproduction_degree_matches_fraction_comb_sum(name, depth, tol):
-    mask, seed = REPRODUCTION_PAIRS[name]
-    residuals = fraction_residuals(name, depth)
-    if isinstance(tol, str):
-        tol = boundary_tolerances(residuals)[1][tol]
-    expected = fraction_reproduction_degree(residuals, tol)
-    assert reproduction_degree(mask, seed, 5, depth, tol) == expected
+def fraction_reproduction_degree(residuals):
+    """Largest D with every residual up to degree D zero."""
+    return next((e - 1 for e, r in enumerate(residuals) if r), len(residuals) - 1)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(REPRODUCTION_PAIRS))
-def test_reproduction_degree_flips_at_the_largest_residual(name, depth):
+def test_reproduction_degree_matches_fraction_comb_sum(name, depth):
     mask, seed = REPRODUCTION_PAIRS[name]
-    e, tols = boundary_tolerances(fraction_residuals(name, depth))
-    assert reproduction_degree(mask, seed, 5, depth, tols["below-r"]) == e - 1
-    assert reproduction_degree(mask, seed, 5, depth, tols["above-r"]) >= e
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-def test_reproduction_rejects_tolerance_that_certifies_nothing(tol):
-    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
-        reproduction_degree(TERNARY, DD4, 5, 1, tol)
+    expected = fraction_reproduction_degree(fraction_residuals(name, depth))
+    assert reproduction_degree(mask, seed, 5, depth) == expected
 
 
 def test_reproduction_degrees():
-    assert reproduction_degree(TERNARY, DD4, 5, 3, 1e-8) == 3
-    assert reproduction_degree(CANTOR, CANTOR_SAMPLES, 3, 3, 1e-8) == 0
-    assert reproduction_degree(catalog.quinary_family_mask(F(-7, 5)), DD4, 4, 2, 1e-8) == 2
+    assert reproduction_degree(TERNARY, DD4, 5, 3) == 3
+    assert reproduction_degree(CANTOR, CANTOR_SAMPLES, 3, 3) == 0
+    assert reproduction_degree(catalog.quinary_family_mask(F(-7, 5)), DD4, 4, 2) == 2
+
+
+def test_reproduction_degree_checks_degree_k_plus_1():
+    # the depth-0 Cantor lattice, 1/2, 1, 1/2 on Z/2, has K = 1: the hat
+    # reproduces degree 1 and first fails at degree K + 1 = 2
+    lattice = refine_values(CANTOR, CANTOR_SAMPLES, 0)
+    assert (len(lattice.numerators) - 1) // lattice.denominator == 1
+    assert reproduction_degree(CANTOR, CANTOR_SAMPLES, 9, 0) == 1
 
 
 def test_partition_of_unity_is_exact_for_ternary():
@@ -506,7 +483,7 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
     with pytest.raises(ValueError, match=f"depth 2 would hold more than {size - 1} points"):
         refine_values(TERNARY, DD4, 2)
     with pytest.raises(ValueError, match=f"more than {size - 1} points"):
-        reproduction_degree(TERNARY, DD4, 5, 2, 1e-8)
+        reproduction_degree(TERNARY, DD4, 5, 2)
     control = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
     for closed in (False, True):
         size = len(subdivide_points(TERNARY, control, 2, closed=closed)[1])

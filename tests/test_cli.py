@@ -222,7 +222,7 @@ def test_sweep_grid_matches_pointwise_profile(tmp_path, capsys):
 def test_reproduce(cantor_mask_file, cantor_samples_file, capsys):
     code = main([
         "reproduce", "--mask", cantor_mask_file, "--samples", cantor_samples_file,
-        "--maxdeg", "3", "--depth", "3", "--tol", "1e-8",
+        "--maxdeg", "3", "--depth", "3",
     ])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"degree": 0}
@@ -230,14 +230,13 @@ def test_reproduce(cantor_mask_file, cantor_samples_file, capsys):
 
 def test_reproduce_is_exact_by_default(tmp_path, capsys):
     # v raised by 10^-12 off the quartic point: the member reproduces degree 2
-    # exactly, while degree 4 holds within 1e-8
+    # exactly, while degree 4 holds only within 1e-8
     w, v, u = catalog.QUARTIC_POINT
     member = catalog.quaternary_family_mask(w, v + F(1, 10**12), u)
     argv = ["reproduce", "--mask", write_json(tmp_path / "member.json", member.to_dict()),
             "--samples", "dd6"]
-    for extra, degree in (([], 2), (["--tol", "1e-8"], 4)):
-        assert main(argv + extra) == 0
-        assert json.loads(capsys.readouterr().out) == {"degree": degree}
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"degree": 2}
 
 
 def test_curve(tmp_path, cantor_mask_file):
@@ -411,9 +410,6 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["sweep", "--family", "{line}", "--range=-1:1", "--order", "-1", "--bisect"],
         ["curve", "--mask", "{mask}", "--points", "{points}", "--steps", "-1"],
         ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--maxdeg", "-1"],
-        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "nan"],
-        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "inf"],
-        ["reproduce", "--mask", "{mask}", "--samples", "dd:2", "--tol", "-1"],
         ["sweep", "--family", "{line}", "--range=0:inf", "--grid", "2"],
         ["sweep", "--family", "{line}", "--range=nan:1", "--grid", "2"],
         ["sweep", "--family", "{line}", "--range=-1e308:1e308", "--grid", "3"],
@@ -485,9 +481,6 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "bisect-negative-order",
         "curve-negative-steps",
         "reproduce-negative-maxdeg",
-        "reproduce-nan-tol",
-        "reproduce-infinite-tol",
-        "reproduce-negative-tol",
         "sweep-infinite-range",
         "sweep-nan-range",
         "sweep-overflowing-range",
@@ -549,8 +542,6 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "at least one level, got 0" in err
     if "/0" in " ".join(argv) or "zero_den" in " ".join(argv):
         assert "zero denominator" in err
-    if "--tol" in argv:
-        assert "tolerance must be finite and nonnegative" in err
     if any(a.startswith("--range=") and ("inf" in a or "nan" in a) for a in argv):
         assert "bounds must be finite" in err
     if "--range=-1e308:1e308" in argv:
@@ -611,6 +602,43 @@ def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert elapsed < 0.05
+
+
+HAT = {"arity": 2, "offset": -1, "coeffs": ["1/2", "1", "1/2"]}
+DELTA = {"T": 1, "offset": 0, "values": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "argv,degree",
+    [
+        (["--mask", "{hat}", "--samples", "{delta}", "--depth", "0", "--maxdeg", "1000000"], 1000000),
+        (["--mask", "{cantor}", "--samples", "dd:2", "--depth", "6", "--maxdeg", "400"], 0),
+    ],
+    ids=["hat-delta-every-degree", "cantor-depth-6"],
+)
+def test_reproduce_degree_loop_stops_at_once(argv, degree, tmp_path, cantor_mask_file, capsys):
+    # the hat lattice at depth 0 reproduces every degree; each call took
+    # seconds while the loop ran up to --maxdeg
+    files = {"hat": write_json(tmp_path / "hat.json", HAT),
+             "delta": write_json(tmp_path / "delta.json", DELTA), "cantor": cantor_mask_file}
+    start = time.perf_counter()
+    code = main(["reproduce", *(a.format(**files) for a in argv)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"degree": degree}
+    assert elapsed < 0.05
+
+
+def test_reproduce_takes_no_tolerance(tmp_path, capsys):
+    argv = ["reproduce", "--mask", write_json(tmp_path / "hat.json", HAT),
+            "--samples", write_json(tmp_path / "delta.json", DELTA), "--tol", "1e-8"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: dualsubdiv")
+    assert "error: unrecognized arguments: --tol 1e-8" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

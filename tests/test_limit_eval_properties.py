@@ -3,7 +3,6 @@
 coordinate, and the windowed reproduction comb sums against the full comb
 product."""
 
-import math
 import struct
 from fractions import Fraction as F
 
@@ -16,8 +15,7 @@ import oracle
 from dualsubdiv import catalog
 from dualsubdiv.analyze import refine_values, reproduction_degree, subdivide_points
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
-from dualsubdiv.exactalg import convolve
-from dualsubdiv.samples import dd_samples, mix_samples
+from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, shift_parameter
 from test_construct_properties import smallest_k_star
 
@@ -89,29 +87,27 @@ def reproduction_cases(draw):
     return family.member(t), samples
 
 
-def residual(lattice, e, i):
-    """|sum_k k^e phi(p/Q - k) - (p/Q)^e| at lattice entry i, from the full
-    comb product."""
-    Q, nums, n = lattice.denominator, lattice.numerators, len(lattice.numerators)
-    K = (n - 1) // Q
-    acc = convolve([k**e for k in range(-K, K + 1)], nums, Q)[K * Q + i]
-    return abs(F(acc, lattice.scale) - F(lattice.offset + i, Q) ** e)
+@st.composite
+def primal_cases(draw):
+    """A symmetric primal interpolatory mask, a_{mj} = 1 at j = 0 and 0
+    elsewhere, with the T = 1 delta seed: at depth 0 the lattice is that seed
+    on Z, where Q = 1 and every degree is reproduced."""
+    m = draw(st.integers(2, 5))
+    L = draw(st.integers(1, 3 * m).filter(lambda L: L % m))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+    half = [F(1)] + [F(0) if i % m == 0 else draw(entry) for i in range(1, L)]
+    half.append(draw(entry.filter(bool)))
+    return Mask(m, -L, half[:0:-1] + half), SampleSet(1, 0, [F(1)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(reproduction_cases(), st.integers(1, 3), st.integers(0, 5), st.data())
-def test_windowed_combs_match_the_full_comb_product(case, depth, max_degree, data):
-    mask, seed = case
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(reproduction_cases(), st.integers(0, 3)),
+                 st.tuples(primal_cases(), st.just(0))), st.data())
+def test_windowed_combs_match_the_full_comb_product(case, data):
+    (mask, seed), depth = case
     lattice = refine_values(mask, seed, depth)
-    # a tolerance at one entry's residual makes that entry decide the degree
-    e = data.draw(st.integers(0, max_degree))
-    i = data.draw(st.integers(0, len(lattice.numerators) - 1))
-    r = float(residual(lattice, e, i))
-    tol = data.draw(st.one_of(
-        st.sampled_from([0.0, 5e-324, 1e-12, 1e-8, 1e-3]),
-        st.floats(min_value=0, max_value=1),
-        st.sampled_from([math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)])
-        .filter(lambda x: x >= 0),
-    ))
-    expected = oracle.reproduction_degree(lattice, max_degree, tol)
-    assert reproduction_degree(mask, seed, max_degree, depth, tol) == expected
+    # the windowed loop stops by degree K + 1, the reference checks each one
+    K = (len(lattice.numerators) - 1) // lattice.denominator
+    max_degree = data.draw(st.integers(0, 2 * K + 6))
+    expected = oracle.reproduction_degree(lattice, max_degree)
+    assert reproduction_degree(mask, seed, max_degree, depth) == expected
