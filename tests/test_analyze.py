@@ -339,17 +339,54 @@ def fraction_residuals(name, depth, max_degree=5):
     return tuple(residuals)
 
 
-def fraction_reproduction_degree(residuals):
-    """Largest D with every residual up to degree D zero."""
-    return next((e - 1 for e, r in enumerate(residuals) if r), len(residuals) - 1)
+def fraction_reproduction_degree(residuals, tol=0):
+    """Largest D with every residual up to degree D within tol; at tol 0
+    this is the exact reproduction degree."""
+    return next((e - 1 for e, r in enumerate(residuals) if r > tol), len(residuals) - 1)
+
+
+def boundary_tolerances(residuals):
+    """The floats around the largest residual r of the first inexact degree:
+    below r a tolerant comb check answers one lower than at or above it."""
+    e = next(e for e, r in enumerate(residuals) if r)
+    r = float(residuals[e])
+    return e, {
+        "below-r": math.nextafter(r, -math.inf),
+        "r": r,
+        "above-r": math.nextafter(r, math.inf),
+    }
+
+
+@pytest.mark.parametrize("tol", [0, 1e-8, 5e-324, "below-r", "r", "above-r"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REPRODUCTION_PAIRS))
+def test_reproduction_degree_matches_fraction_comb_sum(name, depth, tol):
+    # the answer is the Fraction comb sum's at tolerance 0 whatever tolerance
+    # a caller has in mind: a tolerance only adds degrees whose residual is
+    # nonzero, which reproduction_degree never reports
+    mask, seed = REPRODUCTION_PAIRS[name]
+    residuals = fraction_residuals(name, depth)
+    if isinstance(tol, str):
+        tol = boundary_tolerances(residuals)[1][tol]
+    degree = reproduction_degree(mask, seed, 5, depth)
+    assert degree == fraction_reproduction_degree(residuals)
+    tolerant = fraction_reproduction_degree(residuals, tol)
+    assert all(residuals[e] for e in range(degree + 1, tolerant + 1))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(REPRODUCTION_PAIRS))
-def test_reproduction_degree_matches_fraction_comb_sum(name, depth):
+def test_reproduction_degree_flips_at_the_largest_residual(name, depth):
+    # e is the first degree whose largest residual r is nonzero: every cap
+    # below e is reported as is, every cap from e on gives e - 1, even where
+    # a tolerance just above r would pass degree e
     mask, seed = REPRODUCTION_PAIRS[name]
-    expected = fraction_reproduction_degree(fraction_residuals(name, depth))
-    assert reproduction_degree(mask, seed, 5, depth) == expected
+    residuals = fraction_residuals(name, depth)
+    e, tols = boundary_tolerances(residuals)
+    assert [reproduction_degree(mask, seed, d, depth) for d in range(6)] == [
+        min(d, e - 1) for d in range(6)
+    ]
+    assert fraction_reproduction_degree(residuals, tols["above-r"]) >= e
 
 
 def test_reproduction_degrees():
