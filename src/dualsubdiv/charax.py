@@ -7,8 +7,9 @@ A(z) = sum_k a_k z^k and the sample polynomial V(z) = sum_i phi(i/T) z^i,
 each sum of sub-symbols A_b(z^T) times residue-class sample polynomials
 Phi_{T,g}(z) is one residue-class slice of the product A(z^T) V(z).  The
 polynomials are the stored ``exactalg.LaurentPoly``s, integer numerators
-over one denominator, so the product is one integer ``convolve``;
-Fractions are formed only when the residual's nonzero terms are read.
+over one denominator, so the slice is one integer ``residue_convolve``,
+which sums only the products in that residue class; Fractions are formed
+only when the residual's nonzero terms are read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MAX_POINTS, LaurentPoly, convolve
+from .exactalg import MAX_POINTS, LaurentPoly, residue_convolve
 from .samples import SampleSet
 from .scheme import Mask, shift_parameter
 
@@ -54,8 +55,8 @@ def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
     A_b(z^T) Phi_{T,g}(z), where Phi_{T,g} is the part of V/T on exponents
     == g (mod mT): a term a_k z^{kT} of A_b times a term z^n of Phi_{T,g}
     meets the condition exactly when kT + n == t (mod m).  Raises
-    ValueError, before the product is built, when it would hold more than
-    MAX_POINTS entries.
+    ValueError, before the slice is built, when the whole product would hold
+    more than MAX_POINTS entries.
     """
     m, a = mask.arity, mask.poly
     size = T * (len(a.numerators) - 1) + len(v.numerators) if v.numerators else 0
@@ -65,7 +66,7 @@ def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
         )
     low = T * a.offset + v.offset  # the exponent of the product's first entry
     first = (t - low) % m
-    rows = convolve(a.numerators, v.numerators, T)[first::m]
+    rows = residue_convolve(a.numerators, v.numerators, T, m, first)
     # both sides sit on exponents == 0 (mod m); in units of m, a.den V(z^m)
     # starts at v.offset and the slice times z^{-t} at (low + first - t) / m
     lhs = LaurentPoly.from_numerators(v.offset, [a.denominator * x for x in v.numerators])

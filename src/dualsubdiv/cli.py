@@ -47,6 +47,14 @@ class CliError(Exception):
     """Input or format problem; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise CliError, so that they exit
+    2 with one ``error:`` line like every other input error."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _load_json(path: str, kind: str, cls):
     """``cls.from_dict`` of the JSON file at ``path``, a ``kind`` file."""
     try:
@@ -279,7 +287,7 @@ def cmd_corpus(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualsubdiv",
         description="Construct, verify and analyze dual interpolatory subdivision schemes.",
     )
@@ -353,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -14,11 +14,12 @@ The work runs on Python ints over one common denominator: the functionals
 are read off one integer product (``exactalg.convolve``) of the smoothing
 coefficients with the sample numerators, the assembled rows go to
 ``RatMatrix`` as integers over the shared scale m^{1-d}/D, the solve
-eliminates on them, and a solution mask is one product of the solution's
-numerators with the smoothing coefficients, kept as integers.  ``Fraction``
-appears only at the boundary: the assembled rhs, and the views of the
-masks, matrix entries and solution vectors, built when read.  Membership of
-a given mask checks the rows M with ``charax.verify_refinability``.
+eliminates on them, and a solution mask is the solution's numerators times
+1 + z + ... + z^{m-1}, d times, each a pass of running sums
+(``exactalg.box_sums``), kept as integers.  ``Fraction`` appears only at the
+boundary: the assembled rhs, and the views of the masks, matrix entries and
+solution vectors, built when read.  Membership of a given mask checks the
+rows M with ``charax.verify_refinability``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .exactalg import (
     LaurentPoly,
     RatMatrix,
     RationalLike,
+    box_sums,
     convolve,
     json_field,
     rat,
@@ -131,7 +133,7 @@ def smoothing_coeffs(m: int, d: int) -> list[int]:
     """The integer coefficients of (1 + z + ... + z^{m-1})^d."""
     s = [1]
     for _ in range(d):
-        s = convolve([1] * m, s)
+        s = box_sums(s, m)
     return s
 
 
@@ -146,7 +148,6 @@ class AssembledSystem:
     (two indices when symmetry folded a mirror pair onto one unknown), and
     ``columns`` the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta
     that the unknown multiplies: a solution x is the mask sum_i x_i columns_i.
-    ``smoothing`` holds the integer coefficients of (1+...+z^{m-1})^d.
     ``dropped`` records pruned rows with the reason, for auditability.
     """
 
@@ -155,14 +156,13 @@ class AssembledSystem:
     rhs: tuple[Fraction, ...]
     row_labels: tuple[RowLabel, ...]
     col_labels: tuple[tuple[int, ...], ...]
-    smoothing: tuple[int, ...]
     dropped: tuple[tuple[RowLabel, str], ...]
 
     @functools.cached_property
     def columns(self) -> tuple[LaurentPoly, ...]:
         n = len(self.col_labels)
         return tuple(
-            _mask(self.problem, self.smoothing, self.col_labels, [int(i == j) for j in range(n)], 1)
+            _mask(self.problem, self.col_labels, [int(i == j) for j in range(n)], 1)
             for i in range(n)
         )
 
@@ -184,21 +184,19 @@ def _column_scale(m: int, d: int) -> tuple[int, int]:
 
 
 def _mask(
-    problem: ConstructionProblem,
-    smoothing: Sequence[int],
-    pairs: Sequence[tuple[int, ...]],
-    x: Sequence[int],
-    den: int,
+    problem: ConstructionProblem, pairs: Sequence[tuple[int, ...]], x: Sequence[int], den: int
 ) -> LaurentPoly:
     """The mask m^{1-d} (1+...+z^{m-1})^d b(z), b carrying x_i / den at the
-    b-indices of pairs[i]."""
+    b-indices of pairs[i]: d passes of running sums over b."""
     b_lo, b_hi = problem.beta_window
+    s_num, s_den = _column_scale(problem.m, problem.d)
     b = [0] * (b_hi - b_lo + 1)
     for pair, v in zip(pairs, x):
         for beta in pair:
-            b[beta - b_lo] = v
-    s_num, s_den = _column_scale(problem.m, problem.d)
-    return LaurentPoly.from_numerators(b_lo, convolve(b, [s_num * c for c in smoothing]), s_den * den)
+            b[beta - b_lo] = s_num * v
+    for _ in range(problem.d):
+        b = box_sums(b, problem.m)
+    return LaurentPoly.from_numerators(b_lo, b, s_den * den)
 
 
 def assemble(problem: ConstructionProblem) -> AssembledSystem:
@@ -257,7 +255,6 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
         tuple(Fraction(v, D) for _, v, _ in kept),
         tuple(label for _, _, label in kept),
         pairs,
-        tuple(smoothing),
         tuple(dropped),
     )
 
@@ -371,7 +368,7 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
             f"{' and symmetry' if problem.symmetric else ''} for these samples"
         ) from None
     particular, *basis = (
-        Mask.from_poly(m, _mask(problem, system.smoothing, system.col_labels, x, solution.denominator))
+        Mask.from_poly(m, _mask(problem, system.col_labels, x, solution.denominator))
         for x in (solution.particular_numerators, *solution.nullbasis_numerators)
     )
     return SolutionFamily(problem, particular, tuple(basis))

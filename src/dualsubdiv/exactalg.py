@@ -11,6 +11,10 @@ the callers run it on integer numerators, and on floats only where they ask
 for them.  The product of two palindromes (a symmetric mask, its difference
 symbols, their iterates) is a palindrome, so ``convolve`` sums only its first
 half and mirrors it; on floats that makes the product an exact palindrome.
+Two integer kernels do less than a whole product: ``residue_convolve`` sums
+one residue class of its entries, and ``box_sums`` multiplies by
+1 + z + ... + z^{m-1} with running sums.  ``numerators`` reads plain "p" and
+"p/q" strings straight to integers and hands every other input to ``rat``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -62,10 +67,30 @@ def json_field(data: dict, key: str, kind: type):
     return value
 
 
-def numerators(fractions: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d x for x in fractions]) with d the lcm of the denominators."""
-    d = math.lcm(*(x.denominator for x in fractions))
-    return d, [x.numerator * (d // x.denominator) for x in fractions]
+def _pair(value: RationalLike) -> tuple[int, int]:
+    """(p, q) with value == p/q and q > 0, not necessarily in lowest terms.
+
+    A plain ASCII "p" or "p/q" string (an optional "-", digits, a nonzero q
+    of digits) is read directly; every other value goes through ``rat``,
+    which accepts or refuses it.
+    """
+    if type(value) is str and value.isascii():
+        p, slash, q = value.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        if digits.isdigit() and (not slash or q.isdigit() and q.strip("0")):
+            # int reads the digits that Fraction would, refusing a string
+            # beyond its digit limit with Fraction's message
+            return int(p), int(q) if slash else 1
+    x = rat(value)
+    return x.numerator, x.denominator
+
+
+def numerators(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+    """(d, [d x for x in values]) with d the lcm of the values' denominators
+    as ``_pair`` reads them: a common denominator, not always the least."""
+    pairs = [_pair(x) for x in values]
+    d = math.lcm(*(q for _, q in pairs))
+    return d, [p * (d // q) for p, q in pairs]
 
 
 # Most entries a product built for one command may hold: a level of a cascade
@@ -124,6 +149,46 @@ def convolve(a: Sequence, b: Sequence, stride: int = 1) -> list:
     return out
 
 
+def residue_convolve(
+    a: Sequence[int], b: Sequence[int], stride: int, modulus: int, first: int
+) -> list[int]:
+    """convolve(a, b, stride)[first::modulus] for integers and 0 <= first < modulus,
+    summing only the products that land there.
+
+    Entry stride*i + j is == first (mod modulus) when i == i_j (mod
+    modulus/g), g = gcd(stride, modulus), for the one i_j that solves it; that
+    needs g | first - j.  So each nonzero b[j] adds a slice of a with step
+    modulus/g into a slice of the result with step stride/g.
+    """
+    if not a or not b:
+        return []
+    out = [0] * len(range(first, stride * (len(a) - 1) + len(b), modulus))
+    g = math.gcd(stride, modulus)
+    step, jump = modulus // g, stride // g
+    inverse = pow(jump, -1, step)
+    for j, y in enumerate(b):
+        if not y or (first - j) % g:
+            continue
+        i = (first - j) // g * inverse % step
+        row = a[i::step]
+        k = (stride * i + j - first) // modulus
+        at = slice(k, k + jump * len(row), jump)
+        out[at] = [o + y * x for o, x in zip(out[at], row)]
+    return out
+
+
+def box_sums(x: Sequence[int], m: int) -> list[int]:
+    """convolve([1] * m, x) by running sums: entry k is x[k - m + 1] + ... + x[k].
+
+    Empty x gives [].
+    """
+    if not x:
+        return []
+    sums = list(accumulate(x, initial=0))
+    sums += [sums[-1]] * (m - 1)
+    return [hi - lo for hi, lo in zip(sums[1:], [0] * (m - 1) + sums)]
+
+
 @dataclass(frozen=True, init=False)
 class LaurentPoly:
     """A finitely supported sequence c_k z^k with integer exponents k.
@@ -140,7 +205,7 @@ class LaurentPoly:
     numerators: tuple[int, ...]
 
     def __init__(self, offset: int, coeffs: Iterable[RationalLike]):
-        den, nums = numerators([rat(c) for c in coeffs])
+        den, nums = numerators(coeffs)
         self._store(offset, nums, den)
 
     @classmethod
@@ -319,7 +384,7 @@ class RatMatrix:
     denominators: tuple[int, ...]
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        scaled = [numerators([rat(x) for x in row]) for row in rows]
+        scaled = [numerators(row) for row in rows]
         self._store([row for _, row in scaled], [den for den, _ in scaled])
 
     @classmethod

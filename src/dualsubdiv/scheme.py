@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import LaurentPoly, RationalLike, convolve, json_field
+from .exactalg import LaurentPoly, RationalLike, box_sums, json_field
 
 
 class NotDivisible(ValueError):
@@ -106,22 +106,22 @@ def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
 
     Runs on the integer numerators c of poly over its denominator.  Each
     order divides c by 1 + z + ... + z^{m-1} with the recurrence
-    q_k = c_k - c_{k-1} + q_{k-m} and multiplies q back with ``convolve``
-    to check that no remainder is left; the quotient is then scaled by m per
-    order.  Raises NotDivisible when a division is not exact.
+    q_k = c_k - c_{k-1} + q_{k-m} and multiplies q back with the running
+    sums of ``box_sums`` to check that no remainder is left; the quotient is
+    then scaled by m per order.  Raises NotDivisible when a division is not
+    exact.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order == 0 or poly.is_zero:
         return poly
     c = list(poly.numerators)
-    ones = [1] * m
     for _ in range(order):
         q: list[int] = []
         for k in range(len(c) - m + 1):
             v = c[k] - c[k - 1] if k else c[0]
             q.append(v + q[k - m] if k >= m else v)
-        if convolve(ones, q) != c:
+        if box_sums(q, m) != c:
             raise NotDivisible(f"no factorization of order {order} for arity {m}")
         c = q
     scale = m**order

@@ -632,13 +632,35 @@ def test_reproduce_degree_loop_stops_at_once(argv, degree, tmp_path, cantor_mask
 def test_reproduce_takes_no_tolerance(tmp_path, capsys):
     argv = ["reproduce", "--mask", write_json(tmp_path / "hat.json", HAT),
             "--samples", write_json(tmp_path / "delta.json", DELTA), "--tol", "1e-8"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert err.startswith("usage: dualsubdiv")
-    assert "error: unrecognized arguments: --tol 1e-8" in err
+    assert err == "error: unrecognized arguments: --tol 1e-8\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reproduce", "--maxdeg", "x"], "argument --maxdeg: invalid int value: 'x'"),
+        (["reproduce", "--mask", "m.json", "--samples", "dd4", "--tol", "1e-8"],
+         "unrecognized arguments: --tol 1e-8"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["malformed", "unknown", "no-command"],
+)
+def test_usage_errors_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _fresh_process(argv, tmp_path) == (2, "", f"error: {message}\n")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: dualsubdiv reproduce")
+    assert err == ""
 
 
 @pytest.mark.parametrize(

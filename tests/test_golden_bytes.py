@@ -1,5 +1,6 @@
 """Pinned output bytes of ``eval``, ``curve``, ``reproduce`` and ``regularity``
-on the catalog, and of ``eval`` and ``curve`` on one asymmetric mask.
+on the catalog, of ``eval`` and ``curve`` on one asymmetric mask, and of
+``derive`` and ``verify`` on a slice of the design grid.
 
 Each case runs the CLI on a catalog mask and compares the sha256 of its
 standard output with a digest recorded on CPython 3.11.  The floats a
@@ -192,3 +193,78 @@ def test_asymmetric_outputs_match_the_recorded_bytes(tmp_path):
     }
     got = {name: stdout_digest(argv) for name, argv in commands.items()}
     assert got == {name: (0, digest) for name, digest in ASYMMETRIC_GOLDEN.items()}
+
+
+# a slice of the design grid: name -> (derive arguments, the other samples the
+# derived mask is verified on, where the identity fails and its residual prints)
+DERIVE_CASES = {
+    "m11-d6-k45-dd8": (["--arity", "11", "--smoothing", "6", "--kstar", "45", "--samples", "dd:8",
+                        "--symmetric"], "dd:6"),
+    "m3-d1-k4-dd2-asymmetric": (["--arity", "3", "--smoothing", "1", "--kstar", "4", "--samples",
+                                 "dd:2"], "dd4"),
+    "m4-d3-k11-mix": (["--arity", "4", "--smoothing", "3", "--kstar", "11", "--samples", "mix:1/2",
+                       "--symmetric"], "dd6"),
+    "m5-d3-k10-dd4": (["--arity", "5", "--smoothing", "3", "--kstar", "10", "--samples", "dd4",
+                       "--symmetric"], "dd6"),
+}
+
+
+def derive_digests(directory, name):
+    """'<case>/<command>' -> (exit code, stdout sha256) of one derive and of
+    verify, in the dual and the refinability form, on its mask (a family's
+    particular member)."""
+    argv, other = DERIVE_CASES[name]
+    samples = argv[argv.index("--samples") + 1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["derive", *argv])
+    assert code == 0, argv
+    result = {f"{name}/derive": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    derived = json.loads(out.getvalue())
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(derived.get("particular", derived)))
+    for form in ("dual", "refinability"):
+        verify = ["verify", "--mask", str(path), "--form", form]
+        result[f"{name}/verify-{form}"] = stdout_digest([*verify, "--samples", samples])
+        result[f"{name}/verify-{form}-{other}"] = stdout_digest([*verify, "--samples", other])
+    return result
+
+
+# the digest of {"satisfied": true, "residual": []}
+SATISFIED = "78dc1cc282e9c9a74c49268bcaf17cb8fe824d0ebbbf6825564cfae088238a46"
+DERIVE_GOLDEN = {
+    "m11-d6-k45-dd8/derive": "931a6409f267fc2ba5e36b4912744c0560c379c9d259d9cf85ed9269c78b35e5",
+    "m11-d6-k45-dd8/verify-dual": (0, SATISFIED),
+    "m11-d6-k45-dd8/verify-dual-dd:6": (3, "1f2d9b36c41df123ecfb4364c14cc473893afdf333b3008dc516fab95981a222"),
+    "m11-d6-k45-dd8/verify-refinability": (0, SATISFIED),
+    "m11-d6-k45-dd8/verify-refinability-dd:6": (3, "1f2d9b36c41df123ecfb4364c14cc473893afdf333b3008dc516fab95981a222"),
+    "m3-d1-k4-dd2-asymmetric/derive": "a6cc4eef600657ead0e0110c7b43d1ec9e39fe9a274e87ba7f0632ee9477ae50",
+    "m3-d1-k4-dd2-asymmetric/verify-dual": (0, SATISFIED),
+    "m3-d1-k4-dd2-asymmetric/verify-dual-dd4": (3, "4bb9b376dd4a7dd02a80b6779737ba13ee4bd549d611fd4e756157fce7f72183"),
+    "m3-d1-k4-dd2-asymmetric/verify-refinability": (0, SATISFIED),
+    "m3-d1-k4-dd2-asymmetric/verify-refinability-dd4": (3, "4bb9b376dd4a7dd02a80b6779737ba13ee4bd549d611fd4e756157fce7f72183"),
+    "m4-d3-k11-mix/derive": "73044f4ce4bc479f62d203a88f5c3cc3c33b3e24b8e8a6e581b8a3572bd5be36",
+    "m4-d3-k11-mix/verify-dual": (0, SATISFIED),
+    "m4-d3-k11-mix/verify-dual-dd6": (3, "f5ece0e5d8d170ee36aa61403e4bd5ba5cbea0172ef788254ae623ffa4089f82"),
+    "m4-d3-k11-mix/verify-refinability": (0, SATISFIED),
+    "m4-d3-k11-mix/verify-refinability-dd6": (3, "f5ece0e5d8d170ee36aa61403e4bd5ba5cbea0172ef788254ae623ffa4089f82"),
+    "m5-d3-k10-dd4/derive": "3602c707745af82956f97fb1543f9441da5a3bd389b2b326998260b47c3b21b7",
+    "m5-d3-k10-dd4/verify-dual": (0, SATISFIED),
+    "m5-d3-k10-dd4/verify-dual-dd6": (3, "a0028d1309bed849e14b9dbadc0246ede6f2ae1fbbd2a64aa1ce9d9ef5516f25"),
+    "m5-d3-k10-dd4/verify-refinability": (0, SATISFIED),
+    "m5-d3-k10-dd4/verify-refinability-dd6": (3, "a0028d1309bed849e14b9dbadc0246ede6f2ae1fbbd2a64aa1ce9d9ef5516f25"),
+}
+
+
+@pytest.mark.parametrize("name", DERIVE_CASES)
+def test_derive_and_verify_match_the_recorded_bytes(tmp_path, name):
+    wanted = {key: v for key, v in DERIVE_GOLDEN.items() if key.startswith(f"{name}/")}
+    assert derive_digests(tmp_path, name) == wanted
+
+
+def test_infeasible_derive_prints_its_one_line(capsys):
+    argv = ["derive", "--arity", "3", "--smoothing", "4", "--kstar", "5", "--samples", "dd4",
+            "--symmetric"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "infeasible: no dual interpolatory mask with arity 3,"
+                                   " smoothing order 4, k* = 5 and symmetry for these samples\n")
