@@ -164,29 +164,117 @@ def difference_scheme(mask: Mask, order: int) -> Mask:
 def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
     """Infinity norms of the L-times iterated scheme, yielded for L = 1..levels.
 
-    The iterate's symbol is the product p(z) p(z^m) ... p(z^{m^{L-1}}); the
-    norm is the largest absolute coefficient sum over residue classes mod m^L.
-    A shift of p only permutes those classes, so its offset does not matter.
-    Each level takes ``abs`` once and folds the iterate's m^L-long blocks
-    (``_fold``), so class r sums |q_r| + |q_{r+m^L}| + ... from left to
-    right.  Lazy, so a caller may stop after any level; the callers check
-    ``levels`` and the iterate's size first (``_difference_symbols``).
-    Type-generic: integer numerators over a common denominator D give the
-    norms as ints over D^L, and float coefficients give float norms.
+    The iterate's symbol is q_L(z) = p(z) p(z^m) ... p(z^{m^{L-1}}); the
+    norm is the largest absolute coefficient sum over residue classes mod
+    m^L.  A shift of p only permutes those classes, so its offset does not
+    matter.  Level L builds q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, in s-long
+    blocks: output block w is the sum of p_k times block w - k of q_{L-1}
+    over the nonzero p_k in ascending k, several products per pass
+    (``_combine``), so each entry is the left-to-right sum that
+    ``exactalg.convolve`` forms.  The last block of q_{L-1} is padded with
+    the entries' zero.  A padded term p_k 0 is a zero, which changes an
+    entry at most in the sign of a zero; where it is not (p_k infinite or
+    nan), the block's padded columns are built without it.  A palindromic p
+    has palindromic iterates: only the blocks that cover the first ceil(N/2)
+    of the N entries are built, the norm reads their ``abs`` and its mirror,
+    and the mirror of the entries is built only when a next level needs it.
+    Each level folds the absolute values' m^L-long blocks (``_fold``), so
+    class r sums |q_r| + |q_{r+m^L}| + ... from left to right.  Lazy, so a
+    caller may stop after any level; the callers check ``levels`` and the
+    iterate's size first (``_difference_symbols``).  Type-generic: integer
+    numerators over a common denominator D give the norms as ints over D^L,
+    and float coefficients give float norms.
     """
+    palindrome = coeffs == coeffs[::-1]
     q = [1]
     for level in range(1, levels + 1):
-        q = convolve(coeffs, q, m ** (level - 1))
-        yield max(_fold(list(map(abs, q)), min(m**level, len(q))))
+        s = m ** (level - 1)
+        size = s * (len(coeffs) - 1) + len(q)
+        half = (size + 1) // 2 if palindrome else size
+        zero = type(q[0])()
+        # blocks[last - i] is block i of q_{L-1}, so block w - k is
+        # blocks[last - w + k] and ascending k reads the list forwards
+        blocks = [q[i : i + s] for i in range(0, len(q), s)][::-1]
+        last = len(blocks) - 1
+        part = blocks[0]
+        blocks[0] = part + [zero] * (s - len(part))
+        out = []
+        for w in range(-(-half // s)):
+            lo = w - last if w > last else 0
+            terms = [(c, x) for c, x in zip(coeffs[lo : w + 1], blocks[last - w + lo :]) if c]
+            if not terms:
+                out += [zero] * s
+            elif terms[0][1] is blocks[0] and terms[0][0] * zero != zero:
+                r = len(part)
+                out += _combine([(terms[0][0], part), *terms[1:]])
+                rest = [(c, x[r:]) for c, x in terms[1:]]
+                out += _combine(rest) if rest else [zero] * (s - r)
+            else:
+                out += _combine(terms)
+        del out[half:]
+        norms = list(map(abs, out))
+        norms += norms[: size - half][::-1]
+        yield max(_fold(norms, min(m**level, size)))
+        if level < levels:
+            q = out + out[: size - half][::-1]
+
+
+def _combine(terms: list) -> list:
+    """The entrywise sum c_1 x_1 + c_2 x_2 + ... over the (c, x) pairs of
+    ``terms`` (at least one), cut to the shortest x.  Each entry is added
+    from left to right and starts from its first product, not from a zero:
+    one pass of up to six products, then passes of up to three more."""
+    n = len(terms)
+    if n == 1:
+        ((a, x),) = terms
+        return [a * u for u in x]
+    if n == 2:
+        (a, x), (b, y) = terms
+        return [a * u + b * v for u, v in zip(x, y)]
+    if n == 3:
+        (a, x), (b, y), (c, z) = terms
+        return [a * u + b * v + c * w for u, v, w in zip(x, y, z)]
+    if n == 4:
+        (a, x), (b, y), (c, z), (d, t) = terms
+        return [a * u + b * v + c * w + d * o for u, v, w, o in zip(x, y, z, t)]
+    if n == 5:
+        (a, x), (b, y), (c, z), (d, t), (e, g) = terms
+        return [a * u + b * v + c * w + d * o + e * h for u, v, w, o, h in zip(x, y, z, t, g)]
+    if n == 6:
+        (a, x), (b, y), (c, z), (d, t), (e, g), (f, j) = terms
+        return [
+            a * u + b * v + c * w + d * o + e * h + f * i
+            for u, v, w, o, h, i in zip(x, y, z, t, g, j)
+        ]
+    out = _combine(terms[:6])
+    for k in range(6, n, 3):
+        more = terms[k : k + 3]
+        if len(more) == 1:
+            ((a, x),) = more
+            out = [acc + a * u for acc, u in zip(out, x)]
+        elif len(more) == 2:
+            (a, x), (b, y) = more
+            out = [acc + a * u + b * v for acc, u, v in zip(out, x, y)]
+        else:
+            (a, x), (b, y), (c, z) = more
+            out = [acc + a * u + b * v + c * w for acc, u, v, w in zip(out, x, y, z)]
+    return out
 
 
 def _fold(values: list, n: int) -> list:
     """The n sums values[r] + values[r + n] + ..., each added from left to right
-    and the unsigned zero of the entries' type where no entry reaches."""
+    and the unsigned zero of the entries' type where no entry reaches.  The
+    full n-long blocks are added up to four per pass; a shorter last block
+    is added, unpadded, into the first sums only."""
     sums = values[:n] if n <= len(values) else values + [type(values[0])()] * (n - len(values))
-    for start in range(n, len(values), n):
-        block = values[start : start + n]
-        sums[: len(block)] = map(operator.add, sums, block)
+    blocks = [values[i : i + n] for i in range(n, len(values), n)]
+    part = blocks.pop() if blocks and len(blocks[-1]) < n else []
+    for k in range(0, len(blocks), 4):
+        acc = sums
+        for block in blocks[k : k + 4]:
+            acc = map(operator.add, acc, block)
+        sums = list(acc)
+    sums[: len(part)] = map(operator.add, sums, part)
     return sums
 
 

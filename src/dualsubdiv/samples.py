@@ -56,13 +56,6 @@ class SampleSet:
         """phi(i/T)."""
         return self.poly.coefficient(i)
 
-    def value(self, x: Fraction) -> Fraction:
-        """phi(x) for x on the lattice; raises off-lattice."""
-        scaled = rat(x) * self.T
-        if scaled.denominator != 1:
-            raise ValueError(f"{x} is not on the lattice Z/{self.T}")
-        return self.value_at_index(int(scaled))
-
     @property
     def support(self) -> tuple[Fraction, Fraction]:
         if self.poly.is_zero:

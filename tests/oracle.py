@@ -15,7 +15,8 @@ full comb product.  The CSV references format ``eval`` and ``curve`` rows
 one f-string per row, with a division per lattice point.  The
 Laurent-polynomial helpers at the top (powers, shifts, monomials,
 sub-symbols, the smoothing factor) have no package caller; the tests and the
-references below build their polynomials with them.
+references below build their polynomials with them.  ``sample_value``, a
+sample set's value at a point of its lattice, has no package caller either.
 """
 
 import functools
@@ -24,7 +25,7 @@ import operator
 from fractions import Fraction as F
 
 from dualsubdiv.construct import _column_pairs, alpha_window
-from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve
+from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve, rat
 from dualsubdiv.samples import SampleSet, phi_poly
 from dualsubdiv.scheme import NotDivisible, symbol
 
@@ -50,6 +51,15 @@ def shift(p, exponent):
 def monomial(exponent, c=1):
     """c z^exponent."""
     return LaurentPoly(exponent, (c,))
+
+
+def sample_value(samples, x):
+    """phi(x) of a ``SampleSet`` for x on its lattice Z/T; raises ValueError
+    off the lattice."""
+    scaled = rat(x) * samples.T
+    if scaled.denominator != 1:
+        raise ValueError(f"{x} is not on the lattice Z/{samples.T}")
+    return samples.value_at_index(int(scaled))
 
 
 def perturbed(s, index, delta):

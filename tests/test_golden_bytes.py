@@ -1,6 +1,7 @@
 """Pinned output bytes of ``eval``, ``curve``, ``reproduce`` and ``regularity``
-on the catalog, of ``eval`` and ``curve`` on one asymmetric mask, and of
-``derive`` and ``verify`` on a slice of the design grid.
+on the catalog, of ``eval`` and ``curve`` on one asymmetric mask, of
+``derive`` and ``verify`` on a slice of the design grid, and of ``sweep`` and
+``sweep --bisect`` along three one-parameter families.
 
 Each case runs the CLI on a catalog mask and compares the sha256 of its
 standard output with a digest recorded on CPython 3.11.  The floats a
@@ -21,6 +22,9 @@ import pytest
 
 from dualsubdiv import catalog
 from dualsubdiv.cli import main
+from dualsubdiv.construct import ConstructionProblem, derive
+from dualsubdiv.samples import samples_from_shorthand
+from test_contractivity_kernel import LINE_SHAPES, QUINARY_SEARCH, derived_line
 
 # name -> (mask, sample shorthand, eval depth, reproduce depth, curve steps)
 MASKS = {
@@ -268,3 +272,77 @@ def test_infeasible_derive_prints_its_one_line(capsys):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "infeasible: no dual interpolatory mask with arity 3,"
                                    " smoothing order 4, k* = 5 and symmetry for these samples\n")
+
+
+# family -> (the family, its sweep range per order).  The quinary reference
+# family runs the family-scan benchmark's ranges.  On the derived m = 6 line
+# each range meets the contractive parameters of orders 0 and 1 (bisected at
+# one end or both); none is contractive at order 2, so that --bisect exits 2.  The README's derived
+# quinary family runs the ``sweep`` of the CI's installed-script step.
+SWEEP_FAMILIES = {
+    "quinary": (catalog.quinary_reference_family, QUINARY_SEARCH),
+    "derived_m6": (
+        lambda: derived_line(*next(s for s in LINE_SHAPES if s[0] == 6)),
+        {0: (-4, 4), 1: (0, 4), 2: (0, 4)},
+    ),
+    "readme_quinary": (
+        lambda: derive(ConstructionProblem(5, 3, 10, samples_from_shorthand("dd4"), True)),
+        {2: (-2.5, 0)},
+    ),
+}
+
+
+def sweep_digests(directory, name):
+    """'<family>/o<order>-l<levels>[-bisect]' -> (exit code, stdout sha256) of
+    ``sweep --grid 33`` with and without ``--bisect`` at levels 3 and 4."""
+    factory, ranges = SWEEP_FAMILIES[name]
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(factory().to_dict()))
+    result = {}
+    for order, (lo, hi) in ranges.items():
+        for levels in (3, 4):
+            argv = ["sweep", "--family", str(path), "--order", str(order), "--levels",
+                    str(levels), f"--range={lo}:{hi}", "--grid", "33"]
+            result[f"{name}/o{order}-l{levels}"] = stdout_digest(argv)
+            result[f"{name}/o{order}-l{levels}-bisect"] = stdout_digest([*argv, "--bisect"])
+    return result
+
+
+# the digest of no output
+EMPTY = hashlib.sha256(b"").hexdigest()
+SWEEP_GOLDEN = {
+    "quinary/o0-l3": (0, "b61db4066b699c78fb95be31c9c92a8ff91f85dff3c280f4e07d39f9f55c7b96"),
+    "quinary/o0-l3-bisect": (0, "49f3471f0192ac67af7f09ca2a18ef02facd3fddcf4e95485064979f4b9c8657"),
+    "quinary/o0-l4": (0, "bbe0045cb432c0ba0dfd5a70f768a526ad72a9021b2041d15c9b895515fadc4d"),
+    "quinary/o0-l4-bisect": (0, "26111c780c2654b36111aeb18f151ff42ad1e0ba1e6c5def17a08eb37e38b096"),
+    "quinary/o1-l3": (0, "981aa5356d1c9aeab22c74c83343a028be528725028813e9a6e37f10fac7ed10"),
+    "quinary/o1-l3-bisect": (0, "bc7834faa0ae6a5023366eb4216bb5a041b4075e8617ea64c67a51179cbaa4c4"),
+    "quinary/o1-l4": (0, "5fff43d74cd9fc88454ea51be3eaf443439d19de3eda7caa18677e4a0f9f1a6c"),
+    "quinary/o1-l4-bisect": (0, "b9244c3703338761c189baa4c790d58c0d9880abb35351a756ee865ed385f457"),
+    "quinary/o2-l3": (0, "fa6d679ecd1ee3297bbda638be7b14f67e656449e1490205a61f650a086d9412"),
+    "quinary/o2-l3-bisect": (0, "3abb2eb64a581cb853eea9ce8e1d80d7f1e097c335873e58523dfb735c8753db"),
+    "quinary/o2-l4": (0, "c0f6e3ae8988fa3f4a7a76fdf39ba9e744fdb0391872e94bae0fea842f62bc5f"),
+    "quinary/o2-l4-bisect": (0, "5aa002531c6199ae3056480453cd0e26006b33dc88a8f46f5d184b91facf8d94"),
+    "derived_m6/o0-l3": (0, "709cf6ee01fb6b32e2eb4402b18c9c8a021bcc0f95ff3930c759bced8afad019"),
+    "derived_m6/o0-l3-bisect": (0, "707a5f7cf13a6dbbc6a22f6f7aa5abade0ac4a75f27af361aef73dc718fc8b22"),
+    "derived_m6/o0-l4": (0, "c2518850099c70d5e6b49b1336dc40cb1d7e62d9de35c4fb84ae7992d20d94d3"),
+    "derived_m6/o0-l4-bisect": (0, "a2149f313b63dde0cb07b01ef27f67d80bf93e7a922924d2095af6982d01c175"),
+    "derived_m6/o1-l3": (0, "9c76ccdd90ec4a96e4f36a427fd72be76fdcc1ba7b01e8c5b5de437b7d39d72b"),
+    "derived_m6/o1-l3-bisect": (0, "21dda47594ede78573911e92cf750752fc607e7dc5261ca9443baebbb10a4d52"),
+    "derived_m6/o1-l4": (0, "b93c5dbb7be68c1761ddb6d9b70689ae9c0954886ca1a9c41d913021d12301a5"),
+    "derived_m6/o1-l4-bisect": (0, "578354b9a5f8be604a4e317749478c731ba82dc16043458520453f2142e540e8"),
+    "derived_m6/o2-l3": (0, "795dba03a3a01e8c23864c8d4fbae3f7c2ad28eb10f3364017b6ffef269b3596"),
+    "derived_m6/o2-l3-bisect": (2, EMPTY),
+    "derived_m6/o2-l4": (0, "225aa1ec2d37e56216a8ef9039434b07a9ebfdacb8bc17fa68ab6ebc4cf71d39"),
+    "derived_m6/o2-l4-bisect": (2, EMPTY),
+    "readme_quinary/o2-l3": (0, "64f385218f6c1e70cc18b5cc6045501d36851d6d8e41208816ef73a5b3a51004"),
+    "readme_quinary/o2-l3-bisect": (0, "d03523ced780b50a6881cb8aea35a03c81e18f83a2dca3c989b97c0e8e9318cf"),
+    "readme_quinary/o2-l4": (0, "3772d6f70796444da0990bc947e5f8fd3a5eb790509f7d2453dc01cc8732110f"),
+    "readme_quinary/o2-l4-bisect": (0, "ff543027b6cfce8546f75b1294b40ae232fa7a91e6a6091c0bb4769fcbd604b4"),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_FAMILIES)
+def test_sweeps_match_the_recorded_bytes(tmp_path, name):
+    wanted = {key: v for key, v in SWEEP_GOLDEN.items() if key.startswith(f"{name}/")}
+    assert sweep_digests(tmp_path, name) == wanted

@@ -1,0 +1,94 @@
+"""Property test of the stride-block iterate ``analyze._iterated_norms``
+against ``oracle.iterated_norms``, and of ``analyze._fold`` against a
+per-class fold.
+
+The kernel builds each level in m^(L-1)-long blocks, pads the last block of
+the previous level with the entries' zero, builds only the first half of a
+palindromic level and mirrors it.  Every norm must still equal the oracle's
+``repr`` for ``repr``: its type, and every float bit, at every level,
+whether the generator is read to the end or stopped early.  The
+coefficients include zeros of both signs, values whose products overflow
+and infinities, where a padded term p_k 0 would be nan.  ``_fold`` keeps
+a shorter last block unpadded, so a sum that only that block misses keeps
+the sign of its zero.
+"""
+
+import functools
+import itertools
+import math
+import operator
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from dualsubdiv.analyze import _fold, _iterated_norms
+
+ENTRIES = {
+    int: st.integers(min_value=-10**6, max_value=10**6),
+    # quotients by a prime round, so the order of a sum shows in its last bits
+    float: st.integers(min_value=-10**6, max_value=10**6).map(lambda n: n / 8191),
+}
+SPECIAL = {
+    int: [0],
+    float: [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf],
+}
+
+
+@st.composite
+def symbols(draw):
+    """Int or float coefficients, palindromic or not, at most 10 long, with
+    up to three entries (mirrored in a palindrome) set to a special value."""
+    kind = draw(st.sampled_from([int, float]))
+    palindrome = draw(st.booleans())
+    coeffs = draw(st.lists(ENTRIES[kind], min_size=1, max_size=5 if palindrome else 10))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
+        coeffs[i] = draw(st.sampled_from(SPECIAL[kind]))
+    if palindrome:
+        coeffs += coeffs[::-1][draw(st.sampled_from([0, 1])) :]
+    return coeffs
+
+
+# an iterate whose padded term would be -inf 0 = nan: padded, its level-4
+# norm reads 0.0 instead of inf
+PADDED_NAN = [-0.0, -1.0, -math.inf, 2.0, 0.0, 0.0, 2.0, -math.inf, -1.0, -0.0]
+# a level-2 block of three products at m = 2, whose sum in another order
+# moves the norm's last bit
+THREE_TERMS = [n / 8191 for n in (569504, 637848, 671905, -229722, 802909, -229722, 671905,
+                                  637848, 569504)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbols(), st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=5))
+@hypothesis.example(PADDED_NAN, 5, 4, 4)
+@hypothesis.example(THREE_TERMS, 2, 2, 1)
+def test_iterated_norms_match_the_oracle(coeffs, m, levels, stop):
+    # the largest level holds (len - 1)(m^L - 1)/(m - 1) + 1 entries
+    hypothesis.assume((len(coeffs) - 1) * (m**levels - 1) // (m - 1) < 20_000)
+    want = [repr(n) for n in oracle.iterated_norms(coeffs, m, levels)]
+    assert [repr(n) for n in _iterated_norms(coeffs, m, levels)] == want
+    # read lazily, stopping after level `stop`
+    early = itertools.islice(_iterated_norms(coeffs, m, levels), min(stop, levels))
+    assert [repr(n) for n in early] == want[:stop]
+
+
+def per_class(values, n):
+    """values[r] + values[r + n] + ... for r < n, each from its first entry;
+    the entries' unsigned zero where no entry reaches."""
+    return [
+        functools.reduce(operator.add, values[r + n :: n], values[r])
+        if r < len(values) else type(values[0])()
+        for r in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300, math.inf]), min_size=1,
+                max_size=40),
+       st.integers(min_value=1, max_value=12))
+def test_fold_matches_the_per_class_fold(values, n):
+    assert [repr(x) for x in _fold(values, n)] == [repr(x) for x in per_class(values, n)]
