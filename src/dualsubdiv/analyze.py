@@ -53,12 +53,6 @@ class LatticeFunction:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.numerators)
 
-    def value_at_index(self, i: int):
-        j = i - self.offset
-        if 0 <= j < len(self.values):
-            return self.values[j]
-        return Fraction(0)
-
     @property
     def is_exact(self) -> bool:
         """Always true; ``perfbench/tracing.py`` reads it by name."""

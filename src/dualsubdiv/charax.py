@@ -48,6 +48,27 @@ class IdentityResidual:
         return self.residual.terms()
 
 
+def _refuse_size(mask: Mask, lo: int, hi: int, T: int, t: int) -> None:
+    """Refuse the identity of ``_residual`` for a V on exponents [lo, hi]
+    before any list is built.  Raises ValueError when the product A(z^T) V(z)
+    would hold more than MAX_POINTS entries, or when the residual would span
+    more than MAX_POINTS exponents: in units of m, its window runs over V's
+    and the slice's, and it is built on every exponent of z."""
+    m, a = mask.arity, mask.poly
+    size = T * (len(a.numerators) - 1) + hi - lo + 1
+    if size > MAX_POINTS:
+        raise ValueError(
+            f"the product A(z^{T}) V(z) would hold {size} entries, more than {MAX_POINTS}"
+        )
+    low = T * a.offset + lo  # the exponent of the product's first entry
+    first = (t - low) % m
+    start = (low + first - t) // m  # the slice's first exponent in units of m
+    ends = [lo, hi] if first >= size else [lo, hi, start, start + (size - 1 - first) // m]
+    span = m * (max(ends) - min(ends)) + 1
+    if span > MAX_POINTS:
+        raise ValueError(f"the identity residual would span {span} exponents, more than {MAX_POINTS}")
+
+
 def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
     """(V(z^m) - z^{-t} [A(z^T) V(z)]_{== t (mod m)}) / T for the polynomial V.
 
@@ -55,15 +76,11 @@ def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
     A_b(z^T) Phi_{T,g}(z), where Phi_{T,g} is the part of V/T on exponents
     == g (mod mT): a term a_k z^{kT} of A_b times a term z^n of Phi_{T,g}
     meets the condition exactly when kT + n == t (mod m).  Raises
-    ValueError, before the slice is built, when the whole product would hold
-    more than MAX_POINTS entries.
+    ValueError, before the slice is built, when ``_refuse_size`` refuses it.
     """
     m, a = mask.arity, mask.poly
-    size = T * (len(a.numerators) - 1) + len(v.numerators) if v.numerators else 0
-    if size > MAX_POINTS:
-        raise ValueError(
-            f"the product A(z^{T}) V(z) would hold {size} entries, more than {MAX_POINTS}"
-        )
+    if not v.is_zero:
+        _refuse_size(mask, v.offset, v.degree_high, T, t)
     low = T * a.offset + v.offset  # the exponent of the product's first entry
     first = (t - low) % m
     rows = residue_convolve(a.numerators, v.numerators, T, m, first)
@@ -105,7 +122,11 @@ def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:
     tau = shift_parameter(mask)
     if tau != Fraction(1, 2):
         raise ShiftMismatch(f"dual forms require tau = 1/2, got {tau}")
-    return _residual(mask, s.poly.residue_part(1, 2) + LaurentPoly.constant(1), 2, 1)
+    odd = s.poly.residue_part(1, 2)
+    # the sum 1 + V_odd is built densely from min(lo, 0) to max(hi, 0)
+    if not odd.is_zero:
+        _refuse_size(mask, min(odd.offset, 0), max(odd.degree_high, 0), 2, 1)
+    return _residual(mask, odd + LaurentPoly.constant(1), 2, 1)
 
 
 def verify_lemma_form(mask: Mask, s: SampleSet) -> IdentityResidual:

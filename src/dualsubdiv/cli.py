@@ -60,7 +60,7 @@ def _load_json(path: str, kind: str, cls):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
     try:
         return cls.from_dict(data)

@@ -17,14 +17,13 @@ coefficients with the sample numerators, the assembled rows go to
 eliminates on them, and a solution mask is the solution's numerators times
 1 + z + ... + z^{m-1}, d times, each a pass of running sums
 (``exactalg.box_sums``), kept as integers.  ``Fraction`` appears only at the
-boundary: the assembled rhs, and the views of the masks, matrix entries and
-solution vectors, built when read.  Membership of a given mask checks the
-rows M with ``charax.verify_refinability``.
+boundary: the assembled rhs, and a mask's coefficients where they are read.
+The matrix and the solution are integers only.  Membership of a given mask
+checks the rows M with ``charax.verify_refinability``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,9 +144,9 @@ class AssembledSystem:
     """Finite exact system matrix * x = rhs plus bookkeeping.
 
     ``col_labels`` lists, per column, the b-indices the column stands for
-    (two indices when symmetry folded a mirror pair onto one unknown), and
-    ``columns`` the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta
-    that the unknown multiplies: a solution x is the mask sum_i x_i columns_i.
+    (two indices when symmetry folded a mirror pair onto one unknown); the
+    unknown multiplies the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair}
+    z^beta, so a solution x is the mask ``_mask(problem, col_labels, x, 1)``.
     ``dropped`` records pruned rows with the reason, for auditability.
     """
 
@@ -157,14 +156,6 @@ class AssembledSystem:
     row_labels: tuple[RowLabel, ...]
     col_labels: tuple[tuple[int, ...], ...]
     dropped: tuple[tuple[RowLabel, str], ...]
-
-    @functools.cached_property
-    def columns(self) -> tuple[LaurentPoly, ...]:
-        n = len(self.col_labels)
-        return tuple(
-            _mask(self.problem, self.col_labels, [int(i == j) for j in range(n)], 1)
-            for i in range(n)
-        )
 
 
 def _column_pairs(problem: ConstructionProblem) -> tuple[tuple[int, ...], ...]:

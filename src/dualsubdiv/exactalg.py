@@ -5,7 +5,9 @@ type: the work runs on Python ints over one common denominator.  A
 ``LaurentPoly`` (a mask, a sample set, a symbol) and each ``RatMatrix`` row
 are integer numerators over one denominator, and ``rref_solve`` runs one
 fraction-free elimination on the rows; a ``LinearSolution`` is numerators
-over the last pivot.  Their Fractions are views, built when first read.
+over the last pivot.  A matrix and a solution have no Fraction view.  A
+polynomial's ``coeffs`` is built when first read; ``terms`` and
+``coefficient`` build only the Fractions they return.
 The product kernel ``convolve`` keeps the coefficient type it is given, so
 the callers run it on integer numerators, and on floats only where they ask
 for them.  The product of two palindromes (a symmetric mask, its difference
@@ -277,16 +279,20 @@ class LaurentPoly:
     def coefficient(self, exponent: int) -> Fraction:
         i = exponent - self.offset
         if 0 <= i < len(self.numerators):
-            return self.coeffs[i]
+            return Fraction(self.numerators[i], self.denominator)
         return Fraction(0)
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs, ascending."""
-        return [
-            (self.offset + i, c) for i, c in enumerate(self.coeffs) if c != 0
-        ]
+        den = self.denominator
+        return [(e, Fraction(x, den)) for e, x in enumerate(self.numerators, self.offset) if x]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        # the zero polynomial sits at offset 0: its window would widen the sum's
+        if not other.numerators:
+            return self
+        if not self.numerators:
+            return other
         den = math.lcm(self.denominator, other.denominator)
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.numerators), other.offset + len(other.numerators))
@@ -376,16 +382,11 @@ class RatMatrix:
 
     Row i is the integer numerators ``numerators[i]`` over the positive
     denominator ``denominators[i]``, in lowest terms (gcd(den, *row) == 1),
-    so equal matrices have equal fields.  ``entries``, the Fractions, is
-    built on its first read.
+    so equal matrices have equal fields.
     """
 
     numerators: tuple[tuple[int, ...], ...]
     denominators: tuple[int, ...]
-
-    def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        scaled = [numerators(row) for row in rows]
-        self._store([row for _, row in scaled], [den for den, _ in scaled])
 
     @classmethod
     def from_numerators(cls, rows: Iterable[Sequence[int]], den: int = 1) -> "RatMatrix":
@@ -405,13 +406,6 @@ class RatMatrix:
             raise ValueError("ragged rows")
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominators", tuple(lowest))
-
-    @functools.cached_property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(Fraction(x, den) for x in row)
-            for row, den in zip(self.numerators, self.denominators)
-        )
 
     @property
     def rows(self) -> int:
@@ -434,26 +428,16 @@ class LinearSolution:
     """Canonical solution of M x = rhs, as integer numerators over one
     denominator, the last Bareiss pivot.
 
-    ``particular`` has zeros in every free coordinate; ``nullbasis`` holds the
-    reduced-row-echelon kernel basis, one vector per free column in ascending
-    column order (the free column carries the 1).  Both are Fraction views of
-    ``particular_numerators`` and ``nullbasis_numerators``, built on first read.
+    ``particular_numerators`` has zeros in every free coordinate;
+    ``nullbasis_numerators`` holds the reduced-row-echelon kernel basis, one
+    vector per free column in ascending column order, whose free coordinate
+    is the denominator (the value 1).  The solution has no Fraction view.
     """
 
     pivot_cols: tuple[int, ...]
     denominator: int
     particular_numerators: tuple[int, ...]
     nullbasis_numerators: tuple[tuple[int, ...], ...]
-
-    @functools.cached_property
-    def particular(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.denominator) for x in self.particular_numerators)
-
-    @functools.cached_property
-    def nullbasis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(Fraction(x, self.denominator) for x in v) for v in self.nullbasis_numerators
-        )
 
     @property
     def dimension(self) -> int:

@@ -17,6 +17,12 @@ Laurent-polynomial helpers at the top (powers, shifts, monomials,
 sub-symbols, the smoothing factor) have no package caller; the tests and the
 references below build their polynomials with them.  ``sample_value``, a
 sample set's value at a point of its lattice, has no package caller either.
+The package keeps matrices, solutions and lattices as integers only;
+``rat_matrix``, ``entries``, ``particular``, ``nullbasis`` and
+``lattice_value`` build and read them as Fractions, and ``columns`` forms the
+column masks of an assembled system from their formula.  The dense
+matrices here (``identity``, ``matmul``, ``build_M``, ``build_N``,
+``build_O``) are plain tuples of Fraction rows.
 """
 
 import functools
@@ -95,27 +101,71 @@ def fraction_window(offset, coeffs):
     return (offset + lo, tuple(cs[lo:hi])) if lo < hi else (0, ())
 
 
-def identity(n):
-    """The n x n identity ``RatMatrix``."""
-    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def matmul(a, b):
-    """The product of two ``RatMatrix``es, entry by entry on Fractions."""
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return RatMatrix(
-        [sum((x * row[j] for x, row in zip(a_row, b.entries)), F(0)) for j in range(b.cols)]
-        for a_row in a.entries
+def rat_matrix(rows):
+    """The ``RatMatrix`` of rows of rationals, put over one common denominator,
+    which ``RatMatrix`` reduces row by row to lowest terms."""
+    rows = [[rat(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return RatMatrix.from_numerators(
+        [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
     )
 
 
-def matvec(matrix, v):
-    """The product of a ``RatMatrix`` with a vector of rationals, as Fractions."""
+def entries(matrix):
+    """The entries of a ``RatMatrix`` as Fraction rows."""
+    return tuple(
+        tuple(F(x, den) for x in row) for row, den in zip(matrix.numerators, matrix.denominators)
+    )
+
+
+def particular(solution):
+    """The particular solution of a ``LinearSolution`` as Fractions."""
+    return tuple(F(x, solution.denominator) for x in solution.particular_numerators)
+
+
+def nullbasis(solution):
+    """The null basis of a ``LinearSolution`` as Fraction vectors."""
+    return tuple(tuple(F(x, solution.denominator) for x in v) for v in solution.nullbasis_numerators)
+
+
+def lattice_value(lattice, i):
+    """phi(i / lattice.denominator) of a ``LatticeFunction``; zero off its window."""
+    j = i - lattice.offset
+    return F(lattice.numerators[j], lattice.scale) if 0 <= j < len(lattice.numerators) else F(0)
+
+
+def columns(system):
+    """The column masks m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta of
+    an ``AssembledSystem``, one per pair of b-indices in ``col_labels``."""
+    m, d = system.problem.m, system.problem.d
+    factor = power(smoothing_factor(m), d) * m
+    return tuple(
+        factor * sum((monomial(beta) for beta in pair), LaurentPoly.zero())
+        for pair in system.col_labels
+    )
+
+
+def identity(n):
+    """The n x n identity as Fraction rows."""
+    return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def matmul(a, b):
+    """The product of two matrices of Fraction rows, entry by entry."""
+    if len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
+    return tuple(
+        tuple(sum((x * row[j] for x, row in zip(a_row, b)), F(0)) for j in range(len(b[0])))
+        for a_row in a
+    )
+
+
+def matvec(rows, v):
+    """The product of a matrix of rational rows with a vector of rationals, as Fractions."""
     vv = [F(x) for x in v]
-    if matrix.cols != len(vv):
+    if any(len(row) != len(vv) for row in rows):
         raise ValueError("vector length does not match column count")
-    return tuple(sum((a * x for a, x in zip(row, vv)), F(0)) for row in matrix.entries)
+    return tuple(sum((a * x for a, x in zip(row, vv)), F(0)) for row in rows)
 
 
 def value_at_one(poly):
@@ -128,8 +178,8 @@ def build_M(m, samples, k_star):
     the alpha window, columns b over the mask support [1-k*, k*]."""
     a_lo, a_hi = alpha_window(m, k_star)
     # on the Z/2 lattice, (m*alpha + 1)/2 - beta has numerator m*alpha + 1 - 2*beta
-    return RatMatrix(
-        [samples.value_at_index(m * alpha + 1 - 2 * beta) for beta in range(1 - k_star, k_star + 1)]
+    return tuple(
+        tuple(samples.value_at_index(m * alpha + 1 - 2 * beta) for beta in range(1 - k_star, k_star + 1))
         for alpha in range(a_lo, a_hi + 1)
     )
 
@@ -142,16 +192,16 @@ def build_rhs(samples, m, k_star):
 
 def build_N(m, k_star):
     """Per-residue sum conditions: N(g, b) = 1 iff b == g (mod m), g = 1..m."""
-    return RatMatrix(
-        [int((beta - gamma) % m == 0) for beta in range(1 - k_star, k_star + 1)]
+    return tuple(
+        tuple(F(int((beta - gamma) % m == 0)) for beta in range(1 - k_star, k_star + 1))
         for gamma in range(1, m + 1)
     )
 
 
 def build_O(m, rows, cols):
     """Window of the banded all-ones matrix O(a, b) = 1 iff 0 <= a - b <= m-1."""
-    return RatMatrix(
-        [int(0 <= r - c <= m - 1) for c in range(cols[0], cols[1] + 1)]
+    return tuple(
+        tuple(F(int(0 <= r - c <= m - 1)) for c in range(cols[0], cols[1] + 1))
         for r in range(rows[0], rows[1] + 1)
     )
 
@@ -289,7 +339,7 @@ def contains(problem, mask):
         return False
     if any(len({b_poly.coefficient(beta) for beta in pair}) > 1 for pair in _column_pairs(problem)):
         return False
-    rows = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
+    rows = build_M(m, problem.samples, k_star) + build_N(m, k_star)
     a = mask.poly
     if any(apply_row(row, a, k_star) != c for row, c in zip(rows, build_rhs(problem.samples, m, k_star))):
         return False

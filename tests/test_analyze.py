@@ -30,7 +30,7 @@ from dualsubdiv.scheme import (
     shift_parameter,
     symbol,
 )
-from oracle import perturbed, power, smoothing_factor
+from oracle import lattice_value, perturbed, power, smoothing_factor
 
 
 CANTOR = catalog.cantor_mask()
@@ -42,19 +42,19 @@ DD4 = dd_samples(2)
 def test_refine_depth_zero_returns_seed():
     lattice = refine_values(CANTOR, CANTOR_SAMPLES, 0)
     assert lattice.denominator == 2
-    assert lattice.value_at_index(0) == 1
-    assert lattice.value_at_index(1) == F(1, 2)
+    assert lattice_value(lattice, 0) == 1
+    assert lattice_value(lattice, 1) == F(1, 2)
 
 
 def test_refine_cantor_one_step():
     lattice = refine_values(CANTOR, CANTOR_SAMPLES, 1)
     assert lattice.denominator == 6
     # constant 1 plateau on [-1/4, 1/4]
-    assert lattice.value_at_index(1) == 1
-    assert lattice.value_at_index(-1) == 1
-    assert lattice.value_at_index(3) == F(1, 2)
+    assert lattice_value(lattice, 1) == 1
+    assert lattice_value(lattice, -1) == 1
+    assert lattice_value(lattice, 3) == F(1, 2)
     # ascending Cantor-function values on [-3/4, -1/4]
-    assert lattice.value_at_index(-3) == F(1, 2)
+    assert lattice_value(lattice, -3) == F(1, 2)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -63,7 +63,7 @@ def test_interpolation_preserved_at_every_depth(depth):
     q = lattice.denominator
     for n in range(-4, 5):
         expected = 1 if n == 0 else 0
-        assert lattice.value_at_index(n * q) == expected
+        assert lattice_value(lattice, n * q) == expected
 
 
 CATALOG_PAIRS = {
@@ -132,7 +132,7 @@ def assert_canonical(lattice):
 def test_ternary_peak_and_support():
     lattice = refine_values(TERNARY, DD4, 3)
     assert max(lattice.values) == 1
-    assert lattice.value_at_index(0) == 1
+    assert lattice_value(lattice, 0) == 1
     lo = F(lattice.offset, lattice.denominator)
     hi = F(lattice.offset + len(lattice.values) - 1, lattice.denominator)
     assert -F(13, 4) <= lo and hi <= F(13, 4)
@@ -144,7 +144,7 @@ def test_lattice_nesting(mask, seed):
     fine = refine_values(mask, seed, 3)
     m = mask.arity
     for i, v in enumerate(coarse.values):
-        assert fine.value_at_index((coarse.offset + i) * m) == v
+        assert lattice_value(fine, (coarse.offset + i) * m) == v
 
 
 @pytest.mark.parametrize("depth", [0, 1])
@@ -412,7 +412,7 @@ def test_partition_of_unity_is_exact_for_ternary():
         p = lo + i
         k_lo = math.ceil(F(p - hi, q))
         k_hi = math.floor(F(p - lo, q))
-        total = sum((lattice.value_at_index(p - k * q) for k in range(k_lo, k_hi + 1)), F(0))
+        total = sum((lattice_value(lattice, p - k * q) for k in range(k_lo, k_hi + 1)), F(0))
         assert total == 1
 
 

@@ -80,6 +80,40 @@ def test_identity_product_cap_is_checked_before_the_product(monkeypatch):
         verify_dual_interpolatory(mask, samples)
 
 
+FAR = 10**12
+
+
+@pytest.mark.parametrize(
+    "verify,mask,samples,message",
+    [
+        # one sample at N/2: the product has 7 entries, but the residual runs
+        # from V(z^3) at z^{3N} down to the slice near z^N
+        (verify_refinability, catalog.cantor_mask(), SampleSet(2, FAR, [1]),
+         f"the identity residual would span {2 * FAR + 2} exponents, more than 1000000"),
+        # the dual forms add 1 to V: V + 1 would fill [0, N + 1] densely
+        (verify_dual_interpolatory, catalog.cantor_mask(), SampleSet(2, FAR + 1, [1]),
+         f"the product A(z^2) V(z) would hold {FAR + 8} entries, more than 1000000"),
+        (verify_lemma_form, catalog.cantor_mask(), SampleSet(2, FAR + 1, [1]),
+         f"the product A(z^2) V(z) would hold {FAR + 8} entries, more than 1000000"),
+        # a one-coefficient mask of arity N: every window is N wide on z^N exponents
+        (verify_refinability, Mask(FAR, 0, [FAR]), dd_samples(2),
+         f"the identity residual would span {6 * FAR + 1} exponents, more than 1000000"),
+    ],
+    ids=["far-samples", "far-odd-samples-dual", "far-odd-samples-lemma", "huge-arity"],
+)
+def test_identity_residual_window_is_refused_before_it_is_built(verify, mask, samples, message):
+    with pytest.raises(ValueError) as exc:
+        verify(mask, samples)
+    assert str(exc.value) == message
+
+
+def test_identity_with_an_empty_slice_is_v_alone():
+    # A(z) V(z) = 7 z^N has no exponent == 0 (mod 7) for N = 10^12 == 1 (mod 7),
+    # so the slice is empty and the residual is V(z^7): one term, nothing dense
+    residual = verify_refinability(Mask(7, 0, [7]), SampleSet(1, FAR, [1]))
+    assert residual.nonzero_terms() == [(7 * FAR, 1)]
+
+
 def test_zero_half_values_fail_lemma():
     # with no half-integer data the right side keeps the lone sub-symbol term
     delta_only = SampleSet(2, 0, [1])

@@ -317,6 +317,8 @@ def bad_input_files(tmp_path, cantor_mask_file):
     zero_den_family["basis"][0]["coeffs"][0] = "3/0"
     points = tmp_path / "points.csv"
     points.write_text("0,0\n1,0\n1,1\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
     no_offset_mask = catalog.cantor_mask().to_dict()
     del no_offset_mask["offset"]
     no_smoothing_family = catalog.quinary_reference_family().to_dict()
@@ -369,6 +371,7 @@ def bad_input_files(tmp_path, cantor_mask_file):
             tmp_path / "dense_samples.json", {"T": 200000, "offset": 0, "values": ["1"]}
         ),
         "points": str(points),
+        "deep": str(deep),
         "no_offset_mask": write_json(tmp_path / "no_offset_mask.json", no_offset_mask),
         "no_smoothing_family": write_json(
             tmp_path / "no_smoothing_family.json", no_smoothing_family
@@ -461,6 +464,9 @@ def bad_input_files(tmp_path, cantor_mask_file):
         ["sweep", "--family", "{line}", "--range=-1:1", "--levels=40", "--bisect"],
         ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1000001"],
         ["sweep", "--family", "{line}", "--range=-1:1", "--grid", "1000001", "--bisect"],
+        ["verify", "--mask", "{deep}", "--samples", "dd4"],
+        ["verify", "--mask", "{mask}", "--samples", "{deep}"],
+        ["sweep", "--family", "{deep}", "--range=-1:1"],
     ],
     ids=[
         "eval-negative-depth",
@@ -530,6 +536,9 @@ def bad_input_files(tmp_path, cantor_mask_file):
         "bisect-runaway-levels",
         "sweep-grid-above-cap",
         "bisect-grid-above-cap",
+        "verify-deeply-nested-mask",
+        "verify-deeply-nested-samples",
+        "sweep-deeply-nested-family",
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
@@ -578,6 +587,13 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
         assert "beyond the float range" in err
     if "1000001" in argv:
         assert "a grid needs 2 to 1000000 points, got 1000001" in err
+    if "{deep}" in argv:
+        # json.load's RecursionError, whose text varies across Python versions
+        assert err.startswith(f"error: cannot read JSON from {bad_input_files['deep']}: ")
+        assert "recursion" in err
+
+
+FAR = 10**12
 
 
 @pytest.mark.parametrize(
@@ -589,14 +605,28 @@ def test_bad_input_exits_2_without_traceback(argv, bad_input_files, capsys):
          "bad sample shorthand 'mix:1e10000000': exponent 10000000 exceeds 4300 in magnitude"),
         (["regularity", "--mask", "{exponent_mask}"],
          "bad mask file {exponent_mask}: exponent 10000000 exceeds 4300 in magnitude"),
+        (["verify", "--mask", "{cantor}", "--samples", "{far}", "--form", "refinability"],
+         f"the identity residual would span {2 * FAR + 2} exponents, more than 1000000"),
+        (["verify", "--mask", "{cantor}", "--samples", "{far_odd}"],
+         f"the product A(z^2) V(z) would hold {FAR + 8} entries, more than 1000000"),
+        (["verify", "--mask", "{wide}", "--samples", "dd4", "--form", "refinability"],
+         f"the identity residual would span {6 * FAR + 1} exponents, more than 1000000"),
     ],
-    ids=["derive-kstar-300", "derive-mix-exponent", "regularity-coefficient-exponent"],
+    ids=["derive-kstar-300", "derive-mix-exponent", "regularity-coefficient-exponent",
+         "refinability-far-samples", "dual-far-odd-samples", "refinability-huge-arity"],
 )
-def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, capsys):
-    # each ran 10-15 s before it was refused in closed form
-    files = {"exponent_mask": write_json(
-        tmp_path / "exponent_mask.json", {"arity": 3, "offset": -1, "coeffs": ["1e10000000", "1", "1"]}
-    )}
+def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, cantor_mask_file, capsys):
+    # each ran 10-15 s before it was refused in closed form; the identity
+    # residuals of the last three ended in a MemoryError and exit 1
+    files = {
+        "exponent_mask": write_json(
+            tmp_path / "exponent_mask.json", {"arity": 3, "offset": -1, "coeffs": ["1e10000000", "1", "1"]}
+        ),
+        "cantor": cantor_mask_file,
+        "far": write_json(tmp_path / "far.json", {"T": 2, "offset": FAR, "values": ["1"]}),
+        "far_odd": write_json(tmp_path / "far_odd.json", {"T": 2, "offset": FAR + 1, "values": ["1"]}),
+        "wide": write_json(tmp_path / "wide.json", {"arity": FAR, "offset": 0, "coeffs": [str(FAR)]}),
+    }
     start = time.perf_counter()
     code = main([a.format(**files) for a in argv])
     elapsed = time.perf_counter() - start

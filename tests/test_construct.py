@@ -14,7 +14,7 @@ from dualsubdiv.construct import (
     smoothing_coeffs,
 )
 from dualsubdiv.charax import verify_dual_interpolatory, verify_refinability
-from dualsubdiv.exactalg import LaurentPoly, RatMatrix, rref_solve
+from dualsubdiv.exactalg import LaurentPoly, rref_solve
 from dualsubdiv.samples import dd_samples, samples_from_shorthand
 from dualsubdiv.scheme import (
     Mask,
@@ -28,9 +28,13 @@ from oracle import (
     build_N,
     build_O,
     build_rhs,
+    columns,
+    entries,
     identity,
     matmul,
     matvec,
+    nullbasis,
+    particular,
     perturbed,
     power,
     smoothing_factor,
@@ -64,7 +68,7 @@ def test_build_M_entries():
     m = build_M(3, cantor, 2)
     # rows alpha in [-1, 1], columns beta in [-1, 2]
     a_lo, _ = alpha_window(3, 2)
-    entry = lambda alpha, beta: m.entries[alpha - a_lo][beta - (-1)]
+    entry = lambda alpha, beta: m[alpha - a_lo][beta - (-1)]
     assert entry(1, 2) == 1  # phi((3+1)/2 - 2) = phi(0)
     assert entry(0, 0) == F(1, 2)  # phi(1/2)
     assert entry(0, 1) == F(1, 2)  # phi(-1/2)
@@ -75,7 +79,7 @@ def test_build_M_entries():
 def test_build_M_zero_row_segment():
     m = build_M(3, DD4, 7)
     # alpha = -6 reads phi at points far outside the sample support
-    assert all(x == 0 for x in m.entries[0])
+    assert all(x == 0 for x in m[0])
 
 
 def test_build_rhs_values():
@@ -104,13 +108,13 @@ def test_build_N_residue_sums():
 def test_build_N_alternating_for_binary():
     n = build_N(2, 2)
     # columns beta = -1..2; row gamma=1 marks odd beta, row gamma=2 even
-    assert n.entries[0] == (1, 0, 1, 0)
-    assert n.entries[1] == (0, 1, 0, 1)
+    assert n[0] == (1, 0, 1, 0)
+    assert n[1] == (0, 1, 0, 1)
 
 
 def test_build_O_band():
     o = build_O(2, (0, 2), (0, 2))
-    assert o.entries == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
+    assert o == ((1, 0, 0), (1, 1, 0), (0, 1, 1))
 
 
 def test_smoothing_coeffs_values():
@@ -132,12 +136,12 @@ def _oracle_system(problem):
         power = matmul(power, band)
     b_lo, b_hi = problem.beta_window
     n_cols = b_hi - b_lo + 1
-    o_d = RatMatrix([row[:n_cols] for row in power.entries])
+    o_d = tuple(row[:n_cols] for row in power)
     scale = F(m) ** (1 - d)
-    product = matmul(build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)), o_d)
-    matrix = [[x * scale for x in row] for row in product.entries]
-    columns = [[row[j] * scale for row in o_d.entries] for j in range(n_cols)]
-    return matrix, columns
+    product = matmul(build_M(m, problem.samples, k_star) + build_N(m, k_star), o_d)
+    matrix = [[x * scale for x in row] for row in product]
+    dense_columns = [[row[j] * scale for row in o_d] for j in range(n_cols)]
+    return matrix, dense_columns
 
 
 @pytest.mark.parametrize(
@@ -156,13 +160,13 @@ def _oracle_system(problem):
 def test_assemble_matches_dense_band_power_oracle(m, d, k_star, samples):
     sample_set = samples_from_shorthand(samples)
     plain = assemble(ConstructionProblem(m, d, k_star, sample_set, False))
-    matrix, columns = _oracle_system(plain.problem)
-    assert [list(row) for row in plain.matrix.entries] == matrix
+    matrix, dense_columns = _oracle_system(plain.problem)
+    assert [list(row) for row in entries(plain.matrix)] == matrix
     assert plain.rhs == build_rhs(sample_set, m, k_star)
     b_lo, b_hi = plain.problem.beta_window
     assert plain.col_labels == tuple((beta,) for beta in range(b_lo, b_hi + 1))
     # each column is the mask m^{1-d} (1+...+z^{m-1})^d z^beta
-    for column, oracle in zip(plain.columns, columns):
+    for column, oracle in zip(columns(plain), dense_columns):
         assert column == LaurentPoly(1 - k_star, oracle)
         assert column * F(m) ** (d - 1) == LaurentPoly(column.offset, smoothing_coeffs(m, d))
 
@@ -170,8 +174,8 @@ def test_assemble_matches_dense_band_power_oracle(m, d, k_star, samples):
     pairs = sorted({tuple(sorted({beta, b_lo + b_hi - beta})) for beta in range(b_lo, b_hi + 1)})
     pairs.sort(key=lambda pair: pair[-1] - pair[0])
     assert folded.col_labels == tuple(pairs)
-    for pair, column in zip(pairs, folded.columns):
-        assert column == sum((plain.columns[beta - b_lo] for beta in pair), LaurentPoly.zero())
+    for pair, column in zip(pairs, columns(folded)):
+        assert column == sum((columns(plain)[beta - b_lo] for beta in pair), LaurentPoly.zero())
     kept, kept_rhs, seen = [], [], set()
     for row, rhs_v in zip(matrix, plain.rhs):
         row = [sum(row[beta - b_lo] for beta in pair) for pair in pairs]
@@ -180,7 +184,7 @@ def test_assemble_matches_dense_band_power_oracle(m, d, k_star, samples):
         seen.add((tuple(row), rhs_v))
         kept.append(row)
         kept_rhs.append(rhs_v)
-    assert [list(row) for row in folded.matrix.entries] == kept
+    assert [list(row) for row in entries(folded.matrix)] == kept
     assert list(folded.rhs) == kept_rhs
     assert len(folded.row_labels) + len(folded.dropped) == len(plain.row_labels)
     assert set(folded.row_labels) | {label for label, _ in folded.dropped} == set(plain.row_labels)
@@ -199,7 +203,7 @@ PRINTED_RHS = (F(0), F(-1, 16), F(0), F(9, 16), F(1), F(1))
 
 def test_assemble_symmetric_ternary_matches_reference_system():
     system = assemble(ConstructionProblem(3, 4, 7, DD4, True))
-    assert system.matrix.entries == PRINTED_MATRIX
+    assert entries(system.matrix) == PRINTED_MATRIX
     assert system.rhs == PRINTED_RHS
     assert system.row_labels == (("M", -4), ("M", -3), ("M", -2), ("M", -1), ("M", 0), ("N", 1))
     assert system.col_labels == ((-4, -3), (-5, -2), (-6, -1))
@@ -310,7 +314,7 @@ def test_derive_imposes_dual_shift_when_other_rows_leave_it_free():
         assert verify_dual_interpolatory(mask, samples).satisfied
     # the assembled system alone admits masks with tau != 1/2; contains rejects them
     system = assemble(problem)
-    b = LaurentPoly(problem.beta_window[0], rref_solve(system.matrix, system.rhs).particular)
+    b = LaurentPoly(problem.beta_window[0], particular(rref_solve(system.matrix, system.rhs)))
     free = b * LaurentPoly(0, smoothing_coeffs(6, 1))
     free_mask = Mask(6, free.offset, free.coeffs)
     assert shift_parameter(free_mask) != F(1, 2)
@@ -324,14 +328,14 @@ def test_contains_checks_the_residue_sums():
     family = derive(problem)
     system = assemble(problem)
     m_rows = [i for i, (kind, _) in enumerate(system.row_labels) if kind == "M"]
-    tau_row = [2 * column.derivative_at_one() for column in system.columns]
-    matrix = RatMatrix([system.matrix.entries[i] for i in m_rows] + [tau_row])
+    tau_row = [2 * column.derivative_at_one() for column in columns(system)]
+    matrix = oracle.rat_matrix([entries(system.matrix)[i] for i in m_rows] + [tau_row])
     solution = rref_solve(matrix, [system.rhs[i] for i in m_rows] + [4])
     assert solution.dimension == family.dimension + 1
-    x0 = solution.particular
+    x0 = particular(solution)
     masks = []
-    for x in [x0] + [[a + b for a, b in zip(x0, v)] for v in solution.nullbasis]:
-        poly = sum((column * c for column, c in zip(system.columns, x)), LaurentPoly.zero())
+    for x in [x0] + [[a + b for a, b in zip(x0, v)] for v in nullbasis(solution)]:
+        poly = sum((column * c for column, c in zip(columns(system), x)), LaurentPoly.zero())
         masks.append(Mask(4, poly.offset, poly.coeffs))
     off = [mask for mask in masks if any(sum(mask.coeffs[r::4]) != 1 for r in range(4))]
     assert off

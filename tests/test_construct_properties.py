@@ -12,6 +12,7 @@ import oracle
 from oracle import build_M, build_N, build_rhs
 
 from dualsubdiv.charax import verify_dual_interpolatory
+from dualsubdiv import construct
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, assemble, derive
 from dualsubdiv.exactalg import LaurentPoly, rref_solve
 from dualsubdiv.samples import dd_samples, mix_samples
@@ -97,8 +98,9 @@ def test_contains_checks_mirror_symmetry_and_every_row(problem, data):
     if len(pairs) < 2:
         return
     i, j = data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2, unique=True))
-    solves = all(row[i] == row[j] for row in system.matrix.entries)
-    step = (system.columns[i] - system.columns[j]) * data.draw(rationals.filter(bool))
+    solves = all(row[i] == row[j] for row in oracle.entries(system.matrix))
+    columns = oracle.columns(system)
+    step = (columns[i] - columns[j]) * data.draw(rationals.filter(bool))
     moved = member.poly + step
     assert family.contains(Mask(problem.m, moved.offset, moved.coeffs)) == solves
 
@@ -169,17 +171,18 @@ def test_contains_matches_the_fraction_row_functionals(problem, data):
     shifted = Mask(problem.m, member.offset + data.draw(st.sampled_from([-1, 1])), member.coeffs)
     # a step along one column keeps the span but may break rows, symmetry or tau
     system = assemble(problem)
-    column = system.columns[data.draw(st.integers(0, len(system.columns) - 1))]
+    columns = oracle.columns(system)
+    column = columns[data.draw(st.integers(0, len(columns) - 1))]
     moved = member.poly + column * data.draw(rationals.filter(bool))
     stepped = Mask(problem.m, moved.offset, moved.coeffs)
     # a solution of the assembled rows alone: where they leave tau free, it
     # misses tau = 1/2 and nothing else
     bare = rref_solve(system.matrix, system.rhs)
-    x = list(bare.particular)
-    for v in bare.nullbasis:
+    x = list(oracle.particular(bare))
+    for v in oracle.nullbasis(bare):
         t = data.draw(rationals)
         x = [a + t * b for a, b in zip(x, v)]
-    free = sum((column * c for column, c in zip(system.columns, x)), LaurentPoly.zero())
+    free = sum((column * c for column, c in zip(columns, x)), LaurentPoly.zero())
     masks = [member, perturbed, shifted, stepped]
     if not free.is_zero:
         masks.append(Mask(problem.m, free.offset, free.coeffs))
@@ -202,14 +205,17 @@ def test_derive_matches_fraction_gauss_jordan(problem):
         sum((oracle.shift(smoothing, beta) for beta in pair), LaurentPoly.zero())
         for pair in system.col_labels
     ]
-    assert list(system.columns) == columns
+    n = len(system.col_labels)
+    units = ([int(i == j) for j in range(n)] for i in range(n))
+    assert [construct._mask(problem, system.col_labels, x, 1) for x in units] == columns
+    assert list(oracle.columns(system)) == columns
     a_lo = problem.alpha_window[0]
-    functionals = build_M(m, problem.samples, k_star).vstack(build_N(m, k_star)).entries
+    functionals = build_M(m, problem.samples, k_star) + build_N(m, k_star)
     rhs_all = build_rhs(problem.samples, m, k_star)
     index = [alpha - a_lo if kind == "M" else len(functionals) - m + alpha - 1
              for kind, alpha in system.row_labels]
     rows = [[oracle.apply_row(functionals[i], column, k_star) for column in columns] for i in index]
-    assert [list(row) for row in system.matrix.entries] == rows
+    assert [list(row) for row in oracle.entries(system.matrix)] == rows
     assert list(system.rhs) == [rhs_all[i] for i in index]
 
     tau_row = [2 * column.derivative_at_one() for column in columns]

@@ -10,7 +10,18 @@ from dualsubdiv.exactalg import (
     rref_solve,
 )
 
-from oracle import identity, matmul, matvec, monomial, power, shift
+from oracle import (
+    entries,
+    identity,
+    matmul,
+    matvec,
+    monomial,
+    nullbasis,
+    particular,
+    power,
+    rat_matrix,
+    shift,
+)
 
 
 def test_rat_parsing_and_formatting_round_trip():
@@ -48,6 +59,25 @@ def test_laurent_normalization_trims_zero_ends():
     assert p.offset == -1
     assert p.coeffs == (F(1), F(2))
     assert LaurentPoly(5, [0, 0]).is_zero
+
+
+def test_terms_and_coefficient_build_only_what_they_return():
+    # a residual on z^3 exponents: two of every three stored entries are zero
+    p = LaurentPoly(-1, [F(1, 2), 1, 1, F(1, 2)]).scale_exponents(3)
+    assert p.terms() == [(-3, F(1, 2)), (0, F(1)), (3, F(1)), (6, F(1, 2))]
+    assert all(type(c) is F for _, c in p.terms())
+    assert (p.coefficient(6), p.coefficient(1), p.coefficient(99)) == (F(1, 2), 0, 0)
+    assert "coeffs" not in p.__dict__
+    assert p.coeffs == (F(1, 2), 0, 0, 1, 0, 0, 1, 0, 0, F(1, 2))
+    assert "coeffs" in p.__dict__
+
+
+def test_adding_zero_keeps_the_window():
+    # the zero polynomial sits at offset 0; a sum with it spans only the other term
+    far = LaurentPoly.from_numerators(10**12, [3], 4)
+    assert far + LaurentPoly.zero() == far == LaurentPoly.zero() + far
+    assert far - LaurentPoly.zero() == far
+    assert (far + -far).is_zero and LaurentPoly.zero() + LaurentPoly.zero() == LaurentPoly.zero()
 
 
 def test_laurent_mul_identity():
@@ -142,9 +172,9 @@ def test_scale_exponents_and_shift():
 
 
 def test_rref_solve_identity():
-    sol = rref_solve(identity(3), [1, 0, 0])
-    assert sol.particular == (F(1), F(0), F(0))
-    assert sol.nullbasis == ()
+    sol = rref_solve(rat_matrix(identity(3)), [1, 0, 0])
+    assert particular(sol) == (F(1), F(0), F(0))
+    assert nullbasis(sol) == ()
 
 
 PRINTED_SYSTEM = [
@@ -159,21 +189,21 @@ PRINTED_RHS = [F(0), F(-1, 16), F(0), F(9, 16), F(1), F(1)]
 
 
 def test_rref_solve_ternary_system_unique():
-    sol = rref_solve(RatMatrix(PRINTED_SYSTEM), PRINTED_RHS)
-    assert sol.nullbasis == ()
-    assert sol.particular == (B1, B2, B3)
-    assert matvec(RatMatrix(PRINTED_SYSTEM), sol.particular) == tuple(PRINTED_RHS)
+    sol = rref_solve(rat_matrix(PRINTED_SYSTEM), PRINTED_RHS)
+    assert nullbasis(sol) == ()
+    assert particular(sol) == (B1, B2, B3)
+    assert matvec(entries(rat_matrix(PRINTED_SYSTEM)), particular(sol)) == tuple(PRINTED_RHS)
 
 
 def test_rref_solve_one_free_variable():
-    sol = rref_solve(RatMatrix([[1, 1]]), [1])
-    assert sol.particular == (F(1), F(0))
-    assert sol.nullbasis == ((F(-1), F(1)),)
+    sol = rref_solve(rat_matrix([[1, 1]]), [1])
+    assert particular(sol) == (F(1), F(0))
+    assert nullbasis(sol) == ((F(-1), F(1)),)
 
 
 def test_rref_solve_infeasible():
     with pytest.raises(InfeasibleSystem):
-        rref_solve(RatMatrix([[1, 1], [2, 2]]), [1, 3])
+        rref_solve(rat_matrix([[1, 1], [2, 2]]), [1, 3])
 
 
 @pytest.mark.parametrize(
@@ -185,20 +215,20 @@ def test_rref_solve_infeasible():
     ],
 )
 def test_rref_solution_remultiplies(rows, rhs):
-    m = RatMatrix(rows)
+    m = rat_matrix(rows)
     sol = rref_solve(m, rhs)
-    assert matvec(m, sol.particular) == tuple(rat(x) for x in rhs)
+    assert matvec(entries(m), particular(sol)) == tuple(rat(x) for x in rhs)
     zero = tuple(F(0) for _ in range(m.rows))
-    for v in sol.nullbasis:
-        assert matvec(m, v) == zero
+    for v in nullbasis(sol):
+        assert matvec(entries(m), v) == zero
 
 
 def test_matmul_shapes_and_values():
-    a = RatMatrix([[1, 2], [3, 4]])
-    b = RatMatrix([[0, 1], [1, 0]])
-    assert matmul(a, b).entries == ((F(2), F(1)), (F(4), F(3)))
+    a = entries(rat_matrix([[1, 2], [3, 4]]))
+    b = entries(rat_matrix([[0, 1], [1, 0]]))
+    assert matmul(a, b) == ((F(2), F(1)), (F(4), F(3)))
     with pytest.raises(ValueError):
-        matmul(a, RatMatrix([[1, 2]]))
+        matmul(a, entries(rat_matrix([[1, 2]])))
 
 
 # rows over 12, 35 and 1: the Fraction rows mix the denominators 2, 3, 4, 5, 6 and 7
@@ -215,32 +245,33 @@ def test_ratmatrix_from_integer_rows_matches_fraction_rows():
     from_ints = RatMatrix.from_numerators(MIXED_NUMERATORS[:1], 12).vstack(
         RatMatrix.from_numerators(MIXED_NUMERATORS[1:2], 35)
     ).vstack(RatMatrix.from_numerators(MIXED_NUMERATORS[2:]))
-    from_fractions = RatMatrix(MIXED_FRACTIONS)
+    from_fractions = rat_matrix(MIXED_FRACTIONS)
     assert (from_ints.rows, from_ints.cols) == (from_fractions.rows, from_fractions.cols) == (3, 3)
     # both are stored in lowest terms, so the integer fields agree as well
     assert from_ints.numerators == from_fractions.numerators == ((2, -3, 0), (14, -10, 35), (4, 0, -1))
     assert from_ints.denominators == from_fractions.denominators == (12, 35, 1)
     assert from_ints == from_fractions
-    assert from_ints.entries == from_fractions.entries == tuple(map(tuple, MIXED_FRACTIONS))
+    assert entries(from_ints) == entries(from_fractions) == tuple(map(tuple, MIXED_FRACTIONS))
 
 
 def test_ratmatrix_reduces_each_row_over_a_positive_denominator():
     scaled = RatMatrix.from_numerators([[4, -6, 0], [0, 0, 0], [8, 2, 6]], -24)
     assert scaled.numerators == ((-2, 3, 0), (0, 0, 0), (-4, -1, -3))
     assert scaled.denominators == (12, 1, 12)
-    assert scaled == RatMatrix([[F(-1, 6), F(1, 4), 0], [0, 0, 0], [F(-1, 3), F(-1, 12), F(-1, 4)]])
+    assert scaled == rat_matrix([[F(-1, 6), F(1, 4), 0], [0, 0, 0], [F(-1, 3), F(-1, 12), F(-1, 4)]])
 
 
 def test_ratmatrix_vstack_keeps_rows_and_checks_columns():
-    top = RatMatrix(MIXED_FRACTIONS[:2])
+    top = rat_matrix(MIXED_FRACTIONS[:2])
     bottom = RatMatrix.from_numerators([MIXED_NUMERATORS[2]])
     stacked = top.vstack(bottom)
-    assert stacked == RatMatrix(MIXED_FRACTIONS)
-    assert stacked.entries == top.entries + bottom.entries
-    assert RatMatrix([]).vstack(bottom) == bottom == bottom.vstack(RatMatrix([]))
-    assert (RatMatrix([]).rows, RatMatrix([]).cols) == (0, 0)
+    assert stacked == rat_matrix(MIXED_FRACTIONS)
+    assert entries(stacked) == entries(top) + entries(bottom)
+    empty = RatMatrix.from_numerators([])
+    assert empty.vstack(bottom) == bottom == bottom.vstack(empty)
+    assert (empty.rows, empty.cols) == (0, 0)
     with pytest.raises(ValueError, match="column count"):
-        top.vstack(RatMatrix([[1, 2]]))
+        top.vstack(rat_matrix([[1, 2]]))
     with pytest.raises(ValueError, match="ragged"):
         RatMatrix.from_numerators([[1, 2], [3]], 5)
 
@@ -248,16 +279,17 @@ def test_ratmatrix_vstack_keeps_rows_and_checks_columns():
 def test_ratmatrix_shape_reads_build_no_fractions():
     matrix = RatMatrix.from_numerators(MIXED_NUMERATORS, 12)
     assert (matrix.rows, matrix.cols) == (3, 3)
-    assert "entries" not in vars(matrix)
+    # the integer fields are all a matrix holds
+    assert set(vars(matrix)) == {"numerators", "denominators"}
     matrix.vstack(matrix)
-    assert "entries" not in vars(matrix)
+    assert set(vars(matrix)) == {"numerators", "denominators"}
 
 
 def test_linear_solution_numerators_over_the_last_pivot():
-    sol = rref_solve(RatMatrix([[2, 4, 6], [1, 1, F(1, 2)]]), [F(1, 3), 5])
+    sol = rref_solve(rat_matrix([[2, 4, 6], [1, 1, F(1, 2)]]), [F(1, 3), 5])
     den = sol.denominator
-    assert sol.particular == tuple(F(x, den) for x in sol.particular_numerators)
-    assert sol.nullbasis == tuple(tuple(F(x, den) for x in v) for v in sol.nullbasis_numerators)
+    assert particular(sol) == tuple(F(x, den) for x in sol.particular_numerators)
+    assert nullbasis(sol) == tuple(tuple(F(x, den) for x in v) for v in sol.nullbasis_numerators)
     assert sol.pivot_cols == (0, 1) and sol.dimension == 1
-    assert sol.particular == (F(59, 6), F(-29, 6), F(0))
-    assert sol.nullbasis == ((F(2), F(-5, 2), F(1)),)
+    assert particular(sol) == (F(59, 6), F(-29, 6), F(0))
+    assert nullbasis(sol) == ((F(2), F(-5, 2), F(1)),)
