@@ -8,16 +8,17 @@ each sum of sub-symbols A_b(z^T) times residue-class sample polynomials
 Phi_{T,g}(z) is one residue-class slice of the product A(z^T) V(z).  The
 polynomials are the stored ``exactalg.LaurentPoly``s, integer numerators
 over one denominator, so the slice is one integer ``residue_convolve``,
-which sums only the products in that residue class; Fractions are formed
-only when the residual's nonzero terms are read.
+which sums only the products in that residue class.  A residual is kept as
+its nonzero terms, and a Fraction is formed only for each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .exactalg import MAX_POINTS, LaurentPoly, residue_convolve
+from .exactalg import MAX_POINTS, residue_convolve
 from .samples import SampleSet
 from .scheme import Mask, shift_parameter
 
@@ -36,60 +37,64 @@ class ArityTwoUnsupported(ValueError):
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Left-hand side minus right-hand side of the tested identity, exact."""
+    """Left-hand side minus right-hand side of the tested identity, exact: its
+    nonzero (exponent, coefficient) terms, ascending."""
 
-    residual: LaurentPoly
+    terms: tuple[tuple[int, Fraction], ...]
 
     @property
     def satisfied(self) -> bool:
-        return self.residual.is_zero
+        return not self.terms
 
     def nonzero_terms(self) -> list[tuple[int, Fraction]]:
-        return self.residual.terms()
+        return list(self.terms)
 
 
-def _refuse_size(mask: Mask, lo: int, hi: int, T: int, t: int) -> None:
-    """Refuse the identity of ``_residual`` for a V on exponents [lo, hi]
-    before any list is built.  Raises ValueError when the product A(z^T) V(z)
-    would hold more than MAX_POINTS entries, or when the residual would span
-    more than MAX_POINTS exponents: in units of m, its window runs over V's
-    and the slice's, and it is built on every exponent of z."""
-    m, a = mask.arity, mask.poly
-    size = T * (len(a.numerators) - 1) + hi - lo + 1
-    if size > MAX_POINTS:
-        raise ValueError(
-            f"the product A(z^{T}) V(z) would hold {size} entries, more than {MAX_POINTS}"
-        )
-    low = T * a.offset + lo  # the exponent of the product's first entry
-    first = (t - low) % m
-    start = (low + first - t) // m  # the slice's first exponent in units of m
-    ends = [lo, hi] if first >= size else [lo, hi, start, start + (size - 1 - first) // m]
-    span = m * (max(ends) - min(ends)) + 1
-    if span > MAX_POINTS:
-        raise ValueError(f"the identity residual would span {span} exponents, more than {MAX_POINTS}")
-
-
-def _residual(mask: Mask, v: LaurentPoly, T: int, t: int) -> IdentityResidual:
-    """(V(z^m) - z^{-t} [A(z^T) V(z)]_{== t (mod m)}) / T for the polynomial V.
+def _residual(
+    mask: Mask, pieces: Sequence[tuple[int, Sequence[int]]], den: int, T: int, t: int
+) -> IdentityResidual:
+    """(V(z^m) - z^{-t} [A(z^T) V(z)]_{== t (mod m)}) / T for V the sum of the
+    ``pieces``, each (offset, integer numerators) over ``den``.
 
     This is sum_g Phi_{T,g}(z^m) - m z^{-t} sum_b sum_{g + bT == t (mod m)}
     A_b(z^T) Phi_{T,g}(z), where Phi_{T,g} is the part of V/T on exponents
     == g (mod mT): a term a_k z^{kT} of A_b times a term z^n of Phi_{T,g}
-    meets the condition exactly when kT + n == t (mod m).  Raises
-    ValueError, before the slice is built, when ``_refuse_size`` refuses it.
+    meets the condition exactly when kT + n == t (mod m).  Both sides sit on
+    exponents == 0 (mod m); in units of m, a piece P adds a.den P(z) at its
+    offset and subtracts its slice of A(z^T) P(z) times z^{-t}.  Windows that
+    overlap are summed on one list over their union, and the gap between two
+    that do not is never built.  Raises ValueError, before a piece's slice is
+    built, when its product A(z^T) P(z) would hold more than MAX_POINTS entries.
     """
     m, a = mask.arity, mask.poly
-    if not v.is_zero:
-        _refuse_size(mask, v.offset, v.degree_high, T, t)
-    low = T * a.offset + v.offset  # the exponent of the product's first entry
-    first = (t - low) % m
-    rows = residue_convolve(a.numerators, v.numerators, T, m, first)
-    # both sides sit on exponents == 0 (mod m); in units of m, a.den V(z^m)
-    # starts at v.offset and the slice times z^{-t} at (low + first - t) / m
-    lhs = LaurentPoly.from_numerators(v.offset, [a.denominator * x for x in v.numerators])
-    rhs = LaurentPoly.from_numerators((low + first - t) // m, rows)
-    residual = (lhs - rhs) * Fraction(1, T * a.denominator * v.denominator)
-    return IdentityResidual(residual.scale_exponents(m))
+    windows = []  # (first exponent in units of m, integers)
+    for offset, nums in pieces:
+        if not nums:
+            continue
+        size = T * (len(a.numerators) - 1) + len(nums)
+        if size > MAX_POINTS:
+            raise ValueError(
+                f"the product A(z^{T}) V(z) would hold {size} entries, more than {MAX_POINTS}"
+            )
+        low = T * a.offset + offset  # the exponent of the product's first entry
+        first = (t - low) % m
+        rows = residue_convolve(a.numerators, nums, T, m, first)
+        windows.append((offset, [a.denominator * x for x in nums]))
+        windows.append(((low + first - t) // m, [-x for x in rows]))
+    windows.sort(key=lambda w: w[0])
+    unions: list[tuple[int, list[int]]] = []
+    for lo, xs in windows:
+        if unions and lo < unions[-1][0] + len(unions[-1][1]):
+            start, acc = unions[-1]
+            i, j = lo - start, lo - start + len(xs)
+            acc += [0] * (j - len(acc))
+            acc[i:j] = [x + y for x, y in zip(acc[i:j], xs)]
+        else:
+            unions.append((lo, xs))
+    scale = T * a.denominator * den
+    return IdentityResidual(tuple(
+        (m * e, Fraction(x, scale)) for start, acc in unions for e, x in enumerate(acc, start) if x
+    ))
 
 
 def verify_refinability(mask: Mask, s: SampleSet) -> IdentityResidual:
@@ -104,13 +109,14 @@ def verify_refinability(mask: Mask, s: SampleSet) -> IdentityResidual:
     tau_T = shift_parameter(mask) * s.T
     if tau_T.denominator != 1:
         raise ShiftLatticeMismatch(f"tau*T = {tau_T} is not an integer")
-    return _residual(mask, s.poly, s.T, int(tau_T))
+    v = s.poly
+    return _residual(mask, [(v.offset, v.numerators)], v.denominator, s.T, int(tau_T))
 
 
 def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:
     """The dual forms as _residual with T = 2, tau T = 1 and V(z) = 1 + V_odd(z),
-    the half-integer samples plus the constant 1: z^{-1}/2 times the slice of
-    A(z^2) (1 + V_odd(z)) on exponents == 1 (mod m)."""
+    the half-integer samples plus the constant 1, as two pieces: z^{-1}/2
+    times the slice of A(z^2) (1 + V_odd(z)) on exponents == 1 (mod m)."""
     if mask.arity == 2:
         raise ArityTwoUnsupported(
             "arity 2 admits no convergent dual interpolatory scheme: the"
@@ -123,10 +129,8 @@ def _dual_residual(mask: Mask, s: SampleSet) -> IdentityResidual:
     if tau != Fraction(1, 2):
         raise ShiftMismatch(f"dual forms require tau = 1/2, got {tau}")
     odd = s.poly.residue_part(1, 2)
-    # the sum 1 + V_odd is built densely from min(lo, 0) to max(hi, 0)
-    if not odd.is_zero:
-        _refuse_size(mask, min(odd.offset, 0), max(odd.degree_high, 0), 2, 1)
-    return _residual(mask, odd + LaurentPoly.constant(1), 2, 1)
+    den = odd.denominator
+    return _residual(mask, [(odd.offset, odd.numerators), (0, [den])], den, 2, 1)
 
 
 def verify_lemma_form(mask: Mask, s: SampleSet) -> IdentityResidual:

@@ -325,14 +325,6 @@ class LaurentPoly:
         out[::modulus] = self.numerators[first::modulus]
         return LaurentPoly.from_numerators(self.offset + first, out, self.denominator)
 
-    def scale_exponents(self, factor: int) -> "LaurentPoly":
-        """Substitute z -> z^factor (factor >= 1)."""
-        if factor < 1:
-            raise ValueError("exponent scale factor must be >= 1")
-        out = [0] * (factor * len(self.numerators) - factor + 1)
-        out[::factor] = self.numerators
-        return LaurentPoly.from_numerators(self.offset * factor, out, self.denominator)
-
     def derivative_at_one(self) -> Fraction:
         """The exact value of p'(1), i.e. sum_k k * p_k."""
         return Fraction(sum(k * x for k, x in enumerate(self.numerators, self.offset)), self.denominator)

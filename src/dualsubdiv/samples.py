@@ -63,12 +63,11 @@ class SampleSet:
         return Fraction(self.poly.offset, self.T), Fraction(self.poly.degree_high, self.T)
 
     def is_delta_at_integers(self) -> bool:
-        """True when every stored integer-lattice value equals delta_{0,.}."""
-        den = self.poly.denominator
-        return all(
-            v == (den if i == 0 else 0)
-            for i, v in enumerate(self.poly.numerators, self.poly.offset)
-            if i % self.T == 0
+        """True when phi takes delta_{0,.} at the integers: phi(0) = 1, stored
+        or not, and every other stored integer-lattice value is 0."""
+        den, nums, offset = self.poly.denominator, self.poly.numerators, self.poly.offset
+        return 0 <= -offset < len(nums) and all(
+            v == (den if i == 0 else 0) for i, v in enumerate(nums, offset) if i % self.T == 0
         )
 
     def to_dict(self) -> dict:

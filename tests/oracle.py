@@ -13,10 +13,11 @@ evaluation references are the curve step as a whole product per coordinate
 wrapped by per-class folds, and the reproduction comb sums read from the
 full comb product.  The CSV references format ``eval`` and ``curve`` rows
 one f-string per row, with a division per lattice point.  The
-Laurent-polynomial helpers at the top (powers, shifts, monomials,
-sub-symbols, the smoothing factor) have no package caller; the tests and the
-references below build their polynomials with them.  ``sample_value``, a
-sample set's value at a point of its lattice, has no package caller either.
+Laurent-polynomial helpers at the top (powers, shifts, monomials, exponent
+scaling, sub-symbols, the smoothing factor) have no package caller; the
+tests and the references below build their polynomials with them.
+``sample_value``, a sample set's value at a point of its lattice, has no
+package caller either.
 The package keeps matrices, solutions and lattices as integers only;
 ``rat_matrix``, ``entries``, ``particular``, ``nullbasis`` and
 ``lattice_value`` build and read them as Fractions, and ``columns`` forms the
@@ -57,6 +58,13 @@ def shift(p, exponent):
 def monomial(exponent, c=1):
     """c z^exponent."""
     return LaurentPoly(exponent, (c,))
+
+
+def scale_exponents(p, k):
+    """p(z^k) for k >= 1."""
+    out = [0] * (k * len(p.numerators) - k + 1)
+    out[::k] = p.numerators
+    return LaurentPoly.from_numerators(p.offset * k, out, p.denominator)
 
 
 def sample_value(samples, x):
@@ -213,10 +221,10 @@ def verify_refinability(mask, s, T):
     phis = [phi_poly(s, m, g) for g in range(m * T)]
     lhs = LaurentPoly.zero()
     for g in range(m * T):
-        lhs = lhs + phis[g].scale_exponents(m)
+        lhs = lhs + scale_exponents(phis[g], m)
     rhs = LaurentPoly.zero()
     for b in range(m):
-        a_b = sub_symbol(mask, b).scale_exponents(T)
+        a_b = scale_exponents(sub_symbol(mask, b), T)
         if a_b.is_zero:
             continue
         acc = LaurentPoly.zero()
@@ -231,7 +239,7 @@ def _odd_phi_half_sum(mask, s):
     phis = [phi_poly(s, mask.arity, 2 * g + 1) for g in range(mask.arity)]
     lhs = LaurentPoly.constant(F(1, 2))
     for p in phis:
-        lhs = lhs + p.scale_exponents(mask.arity)
+        lhs = lhs + scale_exponents(p, mask.arity)
     return phis, lhs
 
 
@@ -240,7 +248,7 @@ def verify_lemma_form(mask, s):
     + sum_{2(b+g) == 0 (m)} A_b(z^2) Phi_{2,2g+1}(z))."""
     m = mask.arity
     phis, lhs = _odd_phi_half_sum(mask, s)
-    subs = [sub_symbol(mask, b).scale_exponents(2) for b in range(m)]
+    subs = [scale_exponents(sub_symbol(mask, b), 2) for b in range(m)]
     rhs = LaurentPoly.zero()
     for b in range(m):
         if (2 * b - 1) % m == 0:
@@ -259,12 +267,12 @@ def verify_dual_interpolatory(mask, s):
     phis, lhs = _odd_phi_half_sum(mask, s)
     rhs = LaurentPoly.zero()
     if m % 2 == 1:
-        rhs = rhs + sub_symbol(mask, (m + 1) // 2).scale_exponents(2) * F(1, 2)
+        rhs = rhs + scale_exponents(sub_symbol(mask, (m + 1) // 2), 2) * F(1, 2)
         for g in range(m):
-            rhs = rhs + sub_symbol(mask, m - g).scale_exponents(2) * phis[g]
+            rhs = rhs + scale_exponents(sub_symbol(mask, m - g), 2) * phis[g]
     else:
         for g in range(m):
-            weight = (sub_symbol(mask, m // 2 - g) + sub_symbol(mask, m - g)).scale_exponents(2)
+            weight = scale_exponents(sub_symbol(mask, m // 2 - g) + sub_symbol(mask, m - g), 2)
             rhs = rhs + weight * phis[g]
     return lhs - shift(rhs * m, -1)
 

@@ -84,27 +84,29 @@ FAR = 10**12
 
 
 @pytest.mark.parametrize(
-    "verify,mask,samples,message",
+    "verify,mask,samples,terms",
     [
-        # one sample at N/2: the product has 7 entries, but the residual runs
-        # from V(z^3) at z^{3N} down to the slice near z^N
+        # one sample at N/2: V(z^3) at z^{3N} and the slice near z^N, and
+        # nothing between them
         (verify_refinability, catalog.cantor_mask(), SampleSet(2, FAR, [1]),
-         f"the identity residual would span {2 * FAR + 2} exponents, more than 1000000"),
-        # the dual forms add 1 to V: V + 1 would fill [0, N + 1] densely
+         [(FAR - 1, F(-1, 2)), (3 * FAR, F(1, 2))]),
+        # the dual forms add 1 to V: the constant's window at 0 and the
+        # sample's near N are summed apart
         (verify_dual_interpolatory, catalog.cantor_mask(), SampleSet(2, FAR + 1, [1]),
-         f"the product A(z^2) V(z) would hold {FAR + 8} entries, more than 1000000"),
+         [(-3, F(-1, 4)), (0, F(1, 2)), (3, F(-1, 4)), (FAR + 2, F(-1, 2)), (3 * FAR + 3, F(1, 2))]),
         (verify_lemma_form, catalog.cantor_mask(), SampleSet(2, FAR + 1, [1]),
-         f"the product A(z^2) V(z) would hold {FAR + 8} entries, more than 1000000"),
-        # a one-coefficient mask of arity N: every window is N wide on z^N exponents
+         [(-3, F(-1, 4)), (0, F(1, 2)), (3, F(-1, 4)), (FAR + 2, F(-1, 2)), (3 * FAR + 3, F(1, 2))]),
+        # a one-coefficient mask of arity N: V(z^N) minus N phi(0) at z^0
         (verify_refinability, Mask(FAR, 0, [FAR]), dd_samples(2),
-         f"the identity residual would span {6 * FAR + 1} exponents, more than 1000000"),
+         [(-3 * FAR, F(-1, 32)), (-FAR, F(9, 32)), (0, F(1 - FAR, 2)), (FAR, F(9, 32)),
+          (3 * FAR, F(-1, 32))]),
     ],
     ids=["far-samples", "far-odd-samples-dual", "far-odd-samples-lemma", "huge-arity"],
 )
-def test_identity_residual_window_is_refused_before_it_is_built(verify, mask, samples, message):
-    with pytest.raises(ValueError) as exc:
-        verify(mask, samples)
-    assert str(exc.value) == message
+def test_far_identity_residual_is_exact(verify, mask, samples, terms):
+    residual = verify(mask, samples)
+    assert not residual.satisfied
+    assert residual.nonzero_terms() == terms
 
 
 def test_identity_with_an_empty_slice_is_v_alone():

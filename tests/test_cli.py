@@ -605,27 +605,15 @@ FAR = 10**12
          "bad sample shorthand 'mix:1e10000000': exponent 10000000 exceeds 4300 in magnitude"),
         (["regularity", "--mask", "{exponent_mask}"],
          "bad mask file {exponent_mask}: exponent 10000000 exceeds 4300 in magnitude"),
-        (["verify", "--mask", "{cantor}", "--samples", "{far}", "--form", "refinability"],
-         f"the identity residual would span {2 * FAR + 2} exponents, more than 1000000"),
-        (["verify", "--mask", "{cantor}", "--samples", "{far_odd}"],
-         f"the product A(z^2) V(z) would hold {FAR + 8} entries, more than 1000000"),
-        (["verify", "--mask", "{wide}", "--samples", "dd4", "--form", "refinability"],
-         f"the identity residual would span {6 * FAR + 1} exponents, more than 1000000"),
     ],
-    ids=["derive-kstar-300", "derive-mix-exponent", "regularity-coefficient-exponent",
-         "refinability-far-samples", "dual-far-odd-samples", "refinability-huge-arity"],
+    ids=["derive-kstar-300", "derive-mix-exponent", "regularity-coefficient-exponent"],
 )
-def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, cantor_mask_file, capsys):
-    # each ran 10-15 s before it was refused in closed form; the identity
-    # residuals of the last three ended in a MemoryError and exit 1
+def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, capsys):
+    # each ran 10-15 s before it was refused in closed form
     files = {
         "exponent_mask": write_json(
             tmp_path / "exponent_mask.json", {"arity": 3, "offset": -1, "coeffs": ["1e10000000", "1", "1"]}
         ),
-        "cantor": cantor_mask_file,
-        "far": write_json(tmp_path / "far.json", {"T": 2, "offset": FAR, "values": ["1"]}),
-        "far_odd": write_json(tmp_path / "far_odd.json", {"T": 2, "offset": FAR + 1, "values": ["1"]}),
-        "wide": write_json(tmp_path / "wide.json", {"arity": FAR, "offset": 0, "coeffs": [str(FAR)]}),
     }
     start = time.perf_counter()
     code = main([a.format(**files) for a in argv])
@@ -633,6 +621,53 @@ def test_runaway_inputs_exit_2_at_once(argv, message, tmp_path, cantor_mask_file
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert elapsed < 0.05
+
+
+@pytest.mark.parametrize(
+    "argv,residual",
+    [
+        (["--mask", "{cantor}", "--samples", "{far}", "--form", "refinability"],
+         [[FAR - 1, "-1/2"], [3 * FAR, "1/2"]]),
+        (["--mask", "{cantor}", "--samples", "{far_odd}"],
+         [[-3, "-1/4"], [0, "1/2"], [3, "-1/4"], [FAR + 2, "-1/2"], [3 * FAR + 3, "1/2"]]),
+        (["--mask", "{wide}", "--samples", "dd4", "--form", "refinability"],
+         [[-3 * FAR, "-1/32"], [-FAR, "9/32"], [0, f"{1 - FAR}/2"], [FAR, "9/32"],
+          [3 * FAR, "-1/32"]]),
+    ],
+    ids=["refinability-far-samples", "dual-far-odd-samples", "refinability-huge-arity"],
+)
+def test_far_identity_inputs_exit_3_at_once(argv, residual, tmp_path, cantor_mask_file, capsys):
+    # the residual is summed window by window, so a sample 10^12 lattice steps
+    # from the mask, or an arity of 10^12, costs no more than a near one
+    files = {
+        "cantor": cantor_mask_file,
+        "far": write_json(tmp_path / "far.json", {"T": 2, "offset": FAR, "values": ["1"]}),
+        "far_odd": write_json(tmp_path / "far_odd.json", {"T": 2, "offset": FAR + 1, "values": ["1"]}),
+        "wide": write_json(tmp_path / "wide.json", {"arity": FAR, "offset": 0, "coeffs": [str(FAR)]}),
+    }
+    start = time.perf_counter()
+    code = main(["verify", *(a.format(**files) for a in argv)])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"satisfied": False, "residual": residual}
+    assert elapsed < 0.05
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [{"T": 2, "offset": 0, "values": []}, {"T": 2, "offset": 1, "values": ["1/2"]},
+     {"T": 2, "offset": -1, "values": ["1/2", "0", "1/2"]}],
+    ids=["no-values", "zero-outside-the-window", "zero-stored-as-0"],
+)
+def test_derive_refuses_samples_without_phi_of_zero_one(samples, tmp_path, capsys):
+    # the first printed the Cantor mask with exit 0 and the second exited 1 as
+    # infeasible: phi(0) = 1 was checked only where 0 was stored
+    path = write_json(tmp_path / "samples.json", samples)
+    code = main(["derive", "--arity", "3", "--smoothing", "1", "--kstar", "2", "--samples", path])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: samples must take delta values at the integers\n")
 
 
 HAT = {"arity": 2, "offset": -1, "coeffs": ["1/2", "1", "1/2"]}

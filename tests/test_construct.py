@@ -15,7 +15,7 @@ from dualsubdiv.construct import (
 )
 from dualsubdiv.charax import verify_dual_interpolatory, verify_refinability
 from dualsubdiv.exactalg import LaurentPoly, rref_solve
-from dualsubdiv.samples import dd_samples, samples_from_shorthand
+from dualsubdiv.samples import SampleSet, dd_samples, samples_from_shorthand
 from dualsubdiv.scheme import (
     Mask,
     Symmetry,
@@ -61,6 +61,10 @@ def test_problem_validation():
         ConstructionProblem(3, 1, 7, perturbed(DD4, 2, F(1, 10)), True)
     with pytest.raises(ValueError):
         ConstructionProblem(1, 1, 7, DD4, True)
+    for offset, values in [(0, []), (1, ["1/2"])]:
+        # phi(0) = 1 must hold even when 0 lies outside the stored window
+        with pytest.raises(ValueError, match="^samples must take delta values at the integers$"):
+            ConstructionProblem(3, 1, 2, SampleSet(2, offset, values), True)
 
 
 def test_build_M_entries():

@@ -150,6 +150,9 @@ def test_sample_set_delta_check_and_round_trip():
     s = dd_samples(3)
     assert s.is_delta_at_integers()
     assert not perturbed(s, 2, F(1, 100)).is_delta_at_integers()
+    # phi(0) = 1 must hold even when 0 lies outside the stored window
+    for offset, values in [(0, []), (1, ["1/2"]), (-1, ["1/2", "0", "1/2"])]:
+        assert not SampleSet(2, offset, values).is_delta_at_integers()
     assert SampleSet.from_dict(s.to_dict()) == s
 
 
