@@ -48,9 +48,6 @@ from .samples import SampleSet, dd_samples, mix_samples, phi_poly, samples_from_
 from .scheme import (
     Mask,
     NotDivisible,
-    SchemeDescriptor,
-    Symmetry,
-    classify_symmetry,
     factor_smoothing,
     limit_support,
     shift_parameter,

@@ -7,8 +7,10 @@ smoothing-factor change of unknowns a = m^{1-d} (1+...+z^{m-1})^d b makes
 each unknown, one b_beta or one mirror pair of them under symmetry, stand for
 a column mask; the system entries are the functionals applied to the column
 masks, and a solution x is the mask sum_i x_i column_i.  Solving it exactly
-gives a mask, an affine family of masks, or a proof of infeasibility for the
-requested (arity, smoothing order, support, samples).
+gives a mask or an affine family of masks for the requested (arity, smoothing
+order, support, samples), or raises InfeasibleProblem when the system has no
+solution; no certificate of that comes with it, and the CLI prints one
+``infeasible:`` line with exit code 1.
 
 The work runs on Python ints over one common denominator: the functionals
 are read off one integer product (``exactalg.convolve``) of the smoothing

@@ -9,7 +9,6 @@ keeps its coefficients in the integer store of ``exactalg.LaurentPoly``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -19,12 +18,6 @@ from .exactalg import LaurentPoly, RationalLike, box_sums, json_field
 
 class NotDivisible(ValueError):
     """The requested smoothing-factor factorization does not exist."""
-
-
-class Symmetry(enum.Enum):
-    PRIMAL = "primal"
-    DUAL = "dual"
-    NONE = "none"
 
 
 @dataclass(frozen=True, init=False)
@@ -83,14 +76,6 @@ class Mask:
         return cls(arity, offset, json_field(data, "coeffs", list))
 
 
-@dataclass(frozen=True)
-class SchemeDescriptor:
-    mask: Mask
-    tau: Fraction
-    symmetry: Symmetry
-    smoothing_order: int
-
-
 def symbol(mask: Mask) -> LaurentPoly:
     """A(z) = (1/m) sum_k a_k z^k, exactly."""
     return mask.poly * Fraction(1, mask.arity)
@@ -131,38 +116,6 @@ def divide_smoothing(poly: LaurentPoly, m: int, order: int) -> LaurentPoly:
 def factor_smoothing(mask: Mask, d: int) -> LaurentPoly:
     """B(z) with A(z) = ((1+...+z^{m-1})/m)^d B(z), or raise NotDivisible."""
     return divide_smoothing(symbol(mask), mask.arity, d)
-
-
-def max_smoothing_order(mask: Mask) -> int:
-    """Largest d for which factor_smoothing succeeds."""
-    d = 0
-    # each factor eats m-1 degrees of the coefficient window
-    limit = (mask.k_right - mask.k_left) // (mask.arity - 1)
-    while d < limit:
-        try:
-            factor_smoothing(mask, d + 1)
-        except NotDivisible:
-            break
-        d += 1
-    return d
-
-
-def classify_symmetry(mask: Mask) -> SchemeDescriptor:
-    """Exact shift and symmetry classification of a mask.
-
-    Primal symmetric means tau = 0 with a palindromic window k_l = -k_r;
-    dual symmetric means tau = 1/2 with a palindromic window k_l = 1 - k_r.
-    """
-    tau = shift_parameter(mask)
-    nums = mask.poly.numerators
-    palindromic = nums == nums[::-1]
-    if palindromic and tau == 0 and mask.k_left == -mask.k_right:
-        sym = Symmetry.PRIMAL
-    elif palindromic and tau == Fraction(1, 2) and mask.k_left == 1 - mask.k_right:
-        sym = Symmetry.DUAL
-    else:
-        sym = Symmetry.NONE
-    return SchemeDescriptor(mask, tau, sym, max_smoothing_order(mask))
 
 
 def support_interval(m: int, k_star: int) -> tuple[Fraction, Fraction]:

@@ -7,8 +7,6 @@ from dualsubdiv.exactalg import LaurentPoly
 from dualsubdiv.scheme import (
     Mask,
     NotDivisible,
-    Symmetry,
-    classify_symmetry,
     factor_smoothing,
     limit_support,
     shift_parameter,
@@ -92,30 +90,11 @@ def test_ternary_submasks_mirror_each_other():
     assert residue(0) == list(reversed(residue(1)))
 
 
-def test_classify_cantor_dual():
-    d = classify_symmetry(catalog.cantor_mask())
-    assert d.symmetry is Symmetry.DUAL
-    assert d.tau == F(1, 2)
-    assert d.smoothing_order == 1
-
-
 def test_classify_quinary_w0_dual_after_trim():
     # boundary entries vanish at w=0; trimming must keep the dual window
-    d = classify_symmetry(catalog.quinary_family_mask(0))
-    assert d.mask.k_left == -7 and d.mask.k_right == 8
-    assert d.symmetry is Symmetry.DUAL
-    assert d.tau == F(1, 2)
-
-
-def test_classify_primal_hat():
-    d = classify_symmetry(Mask(2, -1, [1, 2, 1]))
-    assert d.symmetry is Symmetry.PRIMAL
-    assert d.tau == 0
-
-
-def test_classify_asymmetric():
-    d = classify_symmetry(Mask(3, 0, [1, 2, 3]))
-    assert d.symmetry is Symmetry.NONE
+    mask = catalog.quinary_family_mask(0)
+    assert (mask.k_left, mask.k_right) == (-7, 8)
+    assert shift_parameter(mask) == F(1, 2)
 
 
 def test_factor_smoothing_order_zero_is_symbol():
