@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 from .charax import verify_refinability
 from .construct import SolutionFamily
-from .exactalg import MAX_POINTS, LaurentPoly, convolve, refuse_growth
+from .exactalg import LaurentPoly, convolve, refuse_growth
 from .samples import SampleSet
 from .scheme import Mask, factor_smoothing, limit_support, shift_parameter
 
@@ -98,7 +98,7 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     fails ``charax.verify_refinability``, naming the first lattice point where
     one level does not reproduce it.  Raises ValueError, before any level
     runs, when ``exactalg.refuse_growth`` refuses the lattices Z/(T m^L) and
-    when the identity's product would hold more than MAX_POINTS entries.
+    when ``exactalg.refuse`` refuses the identity's product.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -316,7 +316,7 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
 
 
 def _family_line(
-    family: SolutionFamily, order: int, levels: int, points: int
+    family: SolutionFamily, order: int, levels: int, parameters: Sequence[float]
 ) -> Callable[[float], Iterator[float]]:
     """t -> rooted norms, level by level, of the member at t of a one-parameter
     family, whose float difference symbol is a + t b on the common window of
@@ -327,7 +327,8 @@ def _family_line(
     symbols = _difference_symbols((family.particular, *family.basis), order, levels)
     lo, hi = min(p.offset for p in symbols), max(p.degree_high for p in symbols)
     m = family.problem.m
-    _refuse_iterates(hi + 1 - lo, m, levels, points)
+    # __len__, not len: a grid may count more points than an index holds
+    _refuse_iterates(hi + 1 - lo, m, levels, parameters.__len__())
     dp, dv = (
         [0.0] * (p.offset - lo)
         + [x / p.denominator for x in p.numerators]
@@ -344,12 +345,12 @@ def _family_line(
 
 class ParameterGrid(Sequence[float]):
     """``points`` evenly spaced parameters from a to b, both included, each
-    computed when read.  Raises ValueError for fewer than 2 or more than
-    MAX_POINTS points and GridOverflow for a point that is not finite."""
+    computed when read.  Raises ValueError for fewer than 2 points and
+    GridOverflow for a point that is not finite."""
 
     def __init__(self, a: float, b: float, points: int):
-        if not 2 <= points <= MAX_POINTS:
-            raise ValueError(f"a grid needs 2 to {MAX_POINTS} points, got {points}")
+        if points < 2:
+            raise ValueError(f"a grid needs at least 2 points, got {points}")
         self.a, self.b, self.points = a, b, points
         # with b - a finite the points run monotonically from a, and with it
         # infinite or nan the last point is not finite: so all points are
@@ -371,7 +372,7 @@ def contractivity_profile(
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family; the
     sweep is refused before any parameter is read."""
-    norms = _family_line(family, order, levels, len(parameters))
+    norms = _family_line(family, order, levels, parameters)
     return [(t, min(norms(t))) for t in parameters]
 
 
@@ -393,7 +394,7 @@ def contractivity_range(
     family and the sweep are refused as in ``contractivity_profile``, and
     then a grid with grid.a < grid.b false.
     """
-    norms = _family_line(family, order, levels, len(grid))
+    norms = _family_line(family, order, levels, grid)
     if not grid.a < grid.b:
         raise ValueError("empty search interval")
 

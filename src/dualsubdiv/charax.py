@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import MAX_POINTS, residue_convolve
+from .exactalg import refuse, residue_convolve
 from .samples import SampleSet
 from .scheme import Mask, shift_parameter
 
@@ -63,19 +63,15 @@ def _residual(
     exponents == 0 (mod m); in units of m, a piece P adds a.den P(z) at its
     offset and subtracts its slice of A(z^T) P(z) times z^{-t}.  Windows that
     overlap are summed on one list over their union, and the gap between two
-    that do not is never built.  Raises ValueError, before a piece's slice is
-    built, when its product A(z^T) P(z) would hold more than MAX_POINTS entries.
+    that do not is never built.  Before a piece's slice is built, its product
+    A(z^T) P(z) goes to ``exactalg.refuse``.
     """
     m, a = mask.arity, mask.poly
     windows = []  # (first exponent in units of m, integers)
     for offset, nums in pieces:
         if not nums:
             continue
-        size = T * (len(a.numerators) - 1) + len(nums)
-        if size > MAX_POINTS:
-            raise ValueError(
-                f"the product A(z^{T}) V(z) would hold {size} entries, more than {MAX_POINTS}"
-            )
+        refuse(T * (len(a.numerators) - 1) + len(nums), f"the product A(z^{T}) V(z)", "entries")
         low = T * a.offset + offset  # the exponent of the product's first entry
         first = (t - low) % m
         rows = residue_convolve(a.numerators, nums, T, m, first)

@@ -6,6 +6,10 @@ entries serialized as "p/q" strings; point clouds and polylines travel as CSV.
 Exit codes: 0 success, 1 infeasible construction, 2 input/format errors,
 3 identity violation reported by ``verify``.  The commands only parse, call
 the library and print; ``main`` maps the library's exceptions to exit codes.
+Every numeral read (an integer option, a JSON integer, a rational string,
+``dd:N``) passes ``exactalg.refuse_digits``, and ``main`` lifts the
+interpreter's digit limit while it runs, so that every exact answer prints
+whatever limit the interpreter keeps.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .analyze import (
 )
 from .charax import verify_dual_interpolatory, verify_lemma_form, verify_refinability
 from .construct import ConstructionProblem, InfeasibleProblem, SolutionFamily, derive
+from .exactalg import integer, refuse_digits
 from .samples import SampleSet, samples_from_shorthand
 from .scheme import Mask
 
@@ -55,12 +60,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer option: int(text), after ``refuse_digits``."""
+    try:
+        refuse_digits(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _load_json(path: str, kind: str, cls):
     """``cls.from_dict`` of the JSON file at ``path``, a ``kind`` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            data = json.load(fh, parse_int=integer)
+    # a ValueError is malformed JSON, text that is not UTF-8 or a refused
+    # numeral, and a RecursionError JSON nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
     try:
         return cls.from_dict(data)
@@ -299,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("derive", help="solve the construction system for a mask or family")
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--smoothing", type=int, required=True, help="smoothing factor order d")
-    p.add_argument("--kstar", type=int, required=True, help="mask support is {1-k*, ..., k*}")
+    p.add_argument("--arity", type=_integer, required=True)
+    p.add_argument("--smoothing", type=_integer, required=True, help="smoothing factor order d")
+    p.add_argument("--kstar", type=_integer, required=True, help="mask support is {1-k*, ..., k*}")
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--out")
@@ -317,39 +336,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the limit function on a refined lattice")
     p.add_argument("--mask", required=True)
     p.add_argument("--samples", required=True, help=samples_help)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_integer, default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("regularity", help="difference-scheme contraction bounds")
     p.add_argument("--mask", required=True)
-    p.add_argument("--order", type=int, default=0, help="certify C^order")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--order", type=_integer, default=0, help="certify C^order")
+    p.add_argument("--levels", type=_integer, default=3)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_regularity)
 
     p = sub.add_parser("sweep", help="contraction bounds along a one-parameter family")
     p.add_argument("--family", required=True, help="family JSON from derive")
-    p.add_argument("--order", type=int, default=0)
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--order", type=_integer, default=0)
+    p.add_argument("--levels", type=_integer, default=3)
     p.add_argument("--range", required=True, help="parameter interval a:b")
     p.add_argument("--bisect", action="store_true", help="bisect the contractive interval")
-    p.add_argument("--grid", type=int, default=129)
+    p.add_argument("--grid", type=_integer, default=129)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="polynomial reproduction degree")
     p.add_argument("--mask", required=True)
     p.add_argument("--samples", required=True, help=samples_help)
-    p.add_argument("--maxdeg", type=int, default=6)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--maxdeg", type=_integer, default=6)
+    p.add_argument("--depth", type=_integer, default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("curve", help="subdivide a control polygon")
     p.add_argument("--mask", required=True)
     p.add_argument("--points", required=True, help="CSV of x,y control points")
-    p.add_argument("--steps", type=int, default=4)
+    p.add_argument("--steps", type=_integer, default=4)
     p.add_argument("--closed", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_curve)
@@ -361,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # releases before Python 3.10.7 keep no digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
@@ -373,6 +396,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # an exact value that no float can hold
         print(f"error: a value is beyond the float range: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from typing import Sequence
 
 from .charax import verify_refinability
 from .exactalg import (
-    MAX_POINTS,
     InfeasibleSystem,
     LaurentPoly,
     RatMatrix,
@@ -42,6 +41,7 @@ from .exactalg import (
     convolve,
     json_field,
     rat,
+    refuse,
     rref_solve,
 )
 from .samples import SampleSet
@@ -338,16 +338,14 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     requested constraints exists.  Symmetry and the residue sums imply
     tau = 1/2, but the other rows of a non-symmetric problem may leave it
     free, so the row sum_k 2k a_k = m joins the system: on the column of
-    b-index beta it is m (2 beta + d(m-1)).  Raises ValueError, before any
-    assembly, when rows x unknowns^2 of [M; N; tau] exceeds MAX_POINTS.
+    b-index beta it is m (2 beta + d(m-1)).  Before any assembly, the dense
+    elimination's rows x unknowns^2 of [M; N; tau] goes to ``exactalg.refuse``.
     """
     m, d = problem.m, problem.d
     (a_lo, a_hi), (b_lo, b_hi) = problem.alpha_window, problem.beta_window
     rows = a_hi - a_lo + 1 + m + 1
     unknowns = (b_hi - b_lo) // 2 + 1 if problem.symmetric else b_hi - b_lo + 1
-    if rows * unknowns**2 > MAX_POINTS:
-        raise ValueError(f"a system of {rows} rows and {unknowns} unknowns would take more than"
-                         f" {MAX_POINTS} elimination steps")
+    refuse(rows * unknowns**2, f"a system of {rows} rows and {unknowns} unknowns", "elimination steps")
     system = assemble(problem)
     shift_row = [sum(m * (2 * beta + d * (m - 1)) for beta in pair) for pair in system.col_labels]
     try:

@@ -17,6 +17,9 @@ Two integer kernels do less than a whole product: ``residue_convolve`` sums
 one residue class of its entries, and ``box_sums`` multiplies by
 1 + z + ... + z^{m-1} with running sums.  ``numerators`` reads plain "p" and
 "p/q" strings straight to integers and hands every other input to ``rat``.
+
+``refuse_digits`` refuses a numeral of more than MAX_DIGITS digits, whatever
+digit limit the interpreter keeps.
 """
 
 from __future__ import annotations
@@ -33,11 +36,36 @@ RationalLike = Union[Fraction, int, str]
 
 # a decimal exponent e as ``Fraction`` reads it, which builds 10^|e|
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-_MAX_EXPONENT = 4300
+# the most digits a numeral may have, and the largest decimal exponent
+MAX_DIGITS = 4300
+# one numeral as int and Fraction read it: its digits, underscores and point
+_NUMERAL = re.compile(r"[\d_.]+")
 
 
 class InfeasibleSystem(Exception):
     """The linear system has no solution (rank(M) < rank([M | rhs]))."""
+
+
+def refuse_digits(text: str) -> None:
+    """Raise ValueError when a numeral in ``text`` has more than MAX_DIGITS
+    digits, whatever digit limit the interpreter keeps.
+
+    A numeral is a run of digits, underscores and decimal points: int reads
+    one such run, and Fraction reads the digits of its mantissa, then of its
+    exponent, each as one int.  No run of a text of at most MAX_DIGITS
+    characters is too long, so only a longer text is searched.
+    """
+    if len(text) > MAX_DIGITS:
+        for run in _NUMERAL.findall(text):
+            digits = sum(map(str.isdecimal, run))
+            if digits > MAX_DIGITS:
+                raise ValueError(f"a numeral of {digits} digits exceeds {MAX_DIGITS}")
+
+
+def integer(text: str) -> int:
+    """int(text), after ``refuse_digits``."""
+    refuse_digits(text)
+    return int(text)
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -45,16 +73,18 @@ def rat(value: RationalLike) -> Fraction:
 
     Floats are rejected: silently converting them would smuggle binary
     rounding artifacts into computations that must stay exact.  So are bools,
-    which are ints to Python but no number in JSON, and exponents beyond
-    4300 in magnitude, as int refuses a longer digit string.
+    which are ints to Python but no number in JSON.  A string is refused by
+    ``refuse_digits`` and for an exponent beyond MAX_DIGITS in magnitude.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing to coerce {type(value).__name__} {value!r} to an exact rational")
-    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
-        raise ValueError(f"exponent {exponent[1]} exceeds {_MAX_EXPONENT} in magnitude")
+    if isinstance(value, str):
+        refuse_digits(value)
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+            raise ValueError(f"exponent {exponent[1]} exceeds {MAX_DIGITS} in magnitude")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -72,16 +102,14 @@ def json_field(data: dict, key: str, kind: type):
 def _pair(value: RationalLike) -> tuple[int, int]:
     """(p, q) with value == p/q and q > 0, not necessarily in lowest terms.
 
-    A plain ASCII "p" or "p/q" string (an optional "-", digits, a nonzero q
-    of digits) is read directly; every other value goes through ``rat``,
-    which accepts or refuses it.
+    A plain ASCII "p" or "p/q" string of at most MAX_DIGITS characters (an
+    optional "-", digits, a nonzero q of digits) is read directly; every
+    other value goes through ``rat``, which accepts or refuses it.
     """
-    if type(value) is str and value.isascii():
+    if type(value) is str and len(value) <= MAX_DIGITS and value.isascii():
         p, slash, q = value.partition("/")
         digits = p[1:] if p[:1] == "-" else p
         if digits.isdigit() and (not slash or q.isdigit() and q.strip("0")):
-            # int reads the digits that Fraction would, refusing a string
-            # beyond its digit limit with Fraction's message
             return int(p), int(q) if slash else 1
     x = rat(value)
     return x.numerator, x.denominator
@@ -95,25 +123,30 @@ def numerators(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
     return d, [p * (d // q) for p, q in pairs]
 
 
-# Most entries a product built for one command may hold: a level of a cascade
-# (refuse_growth) or the identity product of charax.  A larger one is refused
-# before it is built.
+# The work budget of one command: the most entries a product, a lattice or a
+# sweep may hold, or elimination steps a solve may take.  A larger estimate is
+# refused, by ``refuse`` alone, before the work starts.
 MAX_POINTS = 10**6
+
+
+def refuse(amount: int, what: str, unit: str) -> None:
+    """Raise ValueError when ``what`` would need ``amount`` ``unit``, more than MAX_POINTS."""
+    if amount > MAX_POINTS:
+        raise ValueError(f"{what} would need {amount} {unit}, more than {MAX_POINTS}")
 
 
 def refuse_growth(m: int, q: int, sizes: Iterable[int], what: str, unit: str) -> None:
     """Refuse a cascade before any level is built: level l = 1, 2, ... lives on
     Z/(q m^l) and holds the l-th of ``sizes``.  Raises ValueError at the first
-    level that holds more than MAX_POINTS ``unit`` or is finer than
+    level that ``refuse`` refuses or that is finer than
     Z/((MAX_POINTS + 1)(m - 1)).  A support of positive length is at least
     1/(m - 1) long, so the density rule stops only a cascade that never fills
     (a one-point lattice, a one-coefficient iterate), and it stops every
     cascade within a few dozen levels, so ``sizes`` may be lazy and long."""
     finest = (MAX_POINTS + 1) * (m - 1)
-    for size in sizes:
+    for level, size in enumerate(sizes, start=1):
         q *= m
-        if size > MAX_POINTS:
-            raise ValueError(f"{what} would hold more than {MAX_POINTS} {unit}")
+        refuse(size, f"level {level} of {what}", unit)
         if q > finest:
             raise ValueError(f"{what} would be finer than Z/{finest}")
 

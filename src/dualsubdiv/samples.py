@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import MAX_POINTS, LaurentPoly, RationalLike, json_field, rat
+from .exactalg import LaurentPoly, RationalLike, integer, json_field, rat, refuse
 
 
 @dataclass(frozen=True, init=False)
@@ -140,13 +140,11 @@ def samples_from_shorthand(text: str) -> SampleSet | None:
     if t == "dd6":
         return dd_samples(3)
     if t.startswith("dd:"):
-        points = int(t[3:])
+        points = integer(t[3:])
         if points < 2 or points % 2 != 0:
             raise ValueError("dd:N requires an even point count N >= 2")
-        # the 2N - 1 values are numerators of about 2N bits over one
-        # denominator, so N^2 measures the store and all work on it
-        if points * points > MAX_POINTS:
-            raise ValueError(f"dd:N requires N^2 <= {MAX_POINTS}, got N = {points}")
+        # 2N - 1 numerators of about 2N bits: N^2 measures the store and all work on it
+        refuse(points * points, f"dd:{points}", "point pairs")
         return dd_samples(points // 2)
     if t.startswith("mix:"):
         w = rat(t[4:])

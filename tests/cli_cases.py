@@ -36,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction as F
 
 import dualsubdiv
 from dualsubdiv import catalog
@@ -94,6 +95,8 @@ def _line():
 
 
 FAR = 10**12
+EPS = F(1, 9 * 10**4298 + 1)
+DIGITS = "1" * 5001
 
 # name -> a function of no arguments that returns the file's JSON payload, or
 # its text when that is a str
@@ -121,6 +124,11 @@ INPUTS = {
     "wide": lambda: {"arity": FAR, "offset": 0, "coeffs": [str(FAR)]},
     "exponent_mask": lambda: {"arity": 3, "offset": -1, "coeffs": ["1e10000000", "1", "1"]},
     "digits_mask": lambda: {"arity": 3, "offset": -1, "coeffs": ["1" * 4301, "1", "1"]},
+    "digits_arity_mask": lambda: '{"arity": ' + DIGITS + ', "offset": -1, "coeffs": ["1"]}',
+    # the cantor mask with eps = 1/(9 10^4298 + 1) added to its ends and taken
+    # from its middle: each numeral has at most 4300 digits, and the residual's more
+    "eps_mask": lambda: {"arity": 3, "offset": -1, "coeffs": [
+        str(c) for c in (F(1, 2) + EPS, 1 - EPS, 1 - EPS, F(1, 2) + EPS)]},
     "delta": lambda: {"T": 1, "offset": 0, "values": ["1"]},
     "dense_samples": lambda: {"T": 200000, "offset": 0, "values": ["1"]},
     # one sample far from the cantor mask, at an even and an odd offset
@@ -201,9 +209,9 @@ BAD_INPUT = [
     Case("regularity-zero-levels", "regularity --mask {cantor} --levels 0", 2,
          "error: need at least one level, got 0"),
     Case("sweep-grid-1", "sweep --family {line} --range=-1:1 --grid 1", 2,
-         "error: a grid needs 2 to 1000000 points, got 1"),
+         "error: a grid needs at least 2 points, got 1"),
     Case("bisect-grid-1", "sweep --family {line} --range=-1:1 --grid 1 --bisect", 2,
-         "error: a grid needs 2 to 1000000 points, got 1"),
+         "error: a grid needs at least 2 points, got 1"),
     Case("sweep-plane-family", "sweep --family {plane} --range=-1:1 --grid 5", 2,
          "error: parameter sweeps need a one-dimensional family"),
     Case("sweep-zero-levels", "sweep --family {line} --range=-1:1 --levels 0", 2,
@@ -245,9 +253,10 @@ BAD_INPUT = [
     Case("derive-zero-point-samples", "derive --arity 3 --smoothing 1 --kstar 2 --samples dd:0", 2,
          "error: bad sample shorthand 'dd:0': dd:N requires an even point count N >= 2"),
     Case("derive-dd-1002", "derive --arity 3 --smoothing 1 --kstar 2 --samples dd:1002", 2,
-         "error: bad sample shorthand 'dd:1002': dd:N requires N^2 <= 1000000, got N = 1002"),
+         "error: bad sample shorthand 'dd:1002': dd:1002 would need 1004004 point pairs, more than 1000000"),
     Case("derive-kstar-51", "derive --arity 3 --smoothing 1 --kstar 51 --samples dd:2", 2,
-         "error: a system of 105 rows and 100 unknowns would take more than 1000000 elimination steps"),
+         "error: a system of 105 rows and 100 unknowns would need 1050000 elimination steps,"
+         " more than 1000000"),
     Case("verify-mask-without-offset", "verify --mask {no_offset_mask} --samples dd:2", 2,
          "error: bad mask file {no_offset_mask}: missing key 'offset'"),
     Case("regularity-mask-without-offset", "regularity --mask {no_offset_mask}", 2,
@@ -308,16 +317,23 @@ BAD_INPUT = [
          "error: a value is beyond the float range: integer division result too large for a float"),
     Case("curve-weight-overflow", "curve --mask {huger_mask} --points {points} --steps 1", 2,
          "error: a value is beyond the float range: integer division result too large for a float"),
+    # every numeral read, whatever digit limit the interpreter keeps
     Case("regularity-coefficient-digits", "regularity --mask {digits_mask}", 2,
-         Prefix("error: bad mask file {digits_mask}: Exceeds the limit (4300")),
+         "error: bad mask file {digits_mask}: a numeral of 4301 digits exceeds 4300"),
+    Case("regularity-arity-digits", "regularity --mask {digits_arity_mask}", 2,
+         "error: cannot read JSON from {digits_arity_mask}: a numeral of 5001 digits exceeds 4300"),
+    Case("regularity-levels-digits", f"regularity --mask {{cantor}} --levels {DIGITS}", 2,
+         "error: argument --levels: a numeral of 5001 digits exceeds 4300"),
+    Case("derive-dd-digits", f"derive --arity 3 --smoothing 1 --kstar 2 --samples dd:{DIGITS}", 2,
+         f"error: bad sample shorthand 'dd:{DIGITS}': a numeral of 5001 digits exceeds 4300"),
     Case("eval-runaway-depth", "eval --mask {cantor} --samples dd:2 --depth 40", 2,
-         "error: a lattice of depth 40 would hold more than 1000000 points"),
+         "error: level 12 of a lattice of depth 40 would need 1594323 points, more than 1000000"),
     Case("reproduce-runaway-depth", "reproduce --mask {cantor} --samples dd:2 --depth 40", 2,
-         "error: a lattice of depth 40 would hold more than 1000000 points"),
+         "error: level 12 of a lattice of depth 40 would need 1594323 points, more than 1000000"),
     Case("curve-runaway-steps", "curve --mask {cantor} --points {points} --steps 40", 2,
-         "error: a polyline of 40 steps would hold more than 1000000 points"),
+         "error: level 12 of a polyline of 40 steps would need 1860043 points, more than 1000000"),
     Case("curve-closed-runaway-steps", "curve --mask {cantor} --points {points} --steps 40 --closed", 2,
-         "error: a polyline of 40 steps would hold more than 1000000 points"),
+         "error: level 12 of a polyline of 40 steps would need 1594323 points, more than 1000000"),
     Case("eval-one-point-support-depth-15000", "eval --mask {point_mask} --samples {delta} --depth 15000",
          2, "error: a lattice of depth 15000 would be finer than Z/1000001"),
     Case("eval-one-point-support-depth-1000000",
@@ -328,34 +344,42 @@ BAD_INPUT = [
          "error: a lattice of depth 1000000 would be finer than Z/1000001"),
     Case("verify-refinability-dense-lattice",
          "verify --mask {ternary_mask} --samples {dense_samples} --form refinability", 2,
-         "error: the product A(z^200000) V(z) would hold 2600001 entries, more than 1000000"),
+         "error: the product A(z^200000) V(z) would need 2600001 entries, more than 1000000"),
     Case("eval-dense-seed-depth-0", "eval --mask {ternary_mask} --samples {dense_samples} --depth 0", 2,
-         "error: the product A(z^200000) V(z) would hold 2600001 entries, more than 1000000"),
+         "error: the product A(z^200000) V(z) would need 2600001 entries, more than 1000000"),
     Case("reproduce-dense-seed-depth-0",
          "reproduce --mask {ternary_mask} --samples {dense_samples} --depth 0", 2,
-         "error: the product A(z^200000) V(z) would hold 2600001 entries, more than 1000000"),
+         "error: the product A(z^200000) V(z) would need 2600001 entries, more than 1000000"),
     Case("regularity-runaway-levels", "regularity --mask {cantor} --levels=40", 2,
-         "error: an iterate of 40 levels would hold more than 1000000 entries"),
+         "error: level 14 of an iterate of 40 levels would need 2391485 entries, more than 1000000"),
     Case("sweep-runaway-levels", "sweep --family {line} --range=-1:1 --levels=40", 2,
-         "error: an iterate of 40 levels would hold more than 1000000 entries"),
+         "error: level 8 of an iterate of 40 levels would need 1464841 entries, more than 1000000"),
     Case("bisect-runaway-levels", "sweep --family {line} --range=-1:1 --levels=40 --bisect", 2,
-         "error: an iterate of 40 levels would hold more than 1000000 entries"),
+         "error: level 8 of an iterate of 40 levels would need 1464841 entries, more than 1000000"),
     # a cascade that never fills meets the density bound instead
     Case("regularity-box-levels-14", "regularity --mask {box} --levels 14", 2,
          "error: an iterate of 14 levels would be finer than Z/2000002"),
     Case("regularity-box-levels-8000", "regularity --mask {box} --levels 8000", 2,
          "error: an iterate of 8000 levels would be finer than Z/2000002"),
+    # the sweep total: grid points times the iterate's entries; it refuses
+    # every grid of more than 1000000 points, and one of more than an index holds
     Case("sweep-grid-above-cap", "sweep --family {line} --range=-1:1 --grid 1000001", 2,
-         "error: a grid needs 2 to 1000000 points, got 1000001"),
+         "error: level 1 of a sweep of 1000001 points at 3 levels would need 16000016 entries,"
+         " more than 1000000"),
     Case("bisect-grid-above-cap", "sweep --family {line} --range=-1:1 --grid 1000001 --bisect", 2,
-         "error: a grid needs 2 to 1000000 points, got 1000001"),
-    # the sweep total: grid points times the iterate's entries
+         "error: level 1 of a sweep of 1000001 points at 3 levels would need 16000016 entries,"
+         " more than 1000000"),
     Case("sweep-grid-20001-levels-3", "sweep --family {readme_family} --levels 3 --range=-2:2 --grid 20001",
-         2, "error: a sweep of 20001 points at 3 levels would hold more than 1000000 entries"),
+         2, "error: level 2 of a sweep of 20001 points at 3 levels would need 1820091 entries, more than 1000000"),
     Case("sweep-grid-1000000", "sweep --family {readme_family} --range=-2:2 --grid 1000000", 2,
-         "error: a sweep of 1000000 points at 3 levels would hold more than 1000000 entries"),
+         "error: level 1 of a sweep of 1000000 points at 3 levels would need 16000000 entries,"
+         " more than 1000000"),
     Case("bisect-grid-1000000", "sweep --family {readme_family} --range=-2:2 --grid 1000000 --bisect", 2,
-         "error: a sweep of 1000000 points at 3 levels would hold more than 1000000 entries"),
+         "error: level 1 of a sweep of 1000000 points at 3 levels would need 16000000 entries,"
+         " more than 1000000"),
+    Case("bisect-grid-10-to-20", f"sweep --family {{line}} --range=-1:1 --grid {10**20} --bisect", 2,
+         f"error: level 1 of a sweep of {10**20} points at 3 levels would need {16 * 10**20} entries,"
+         " more than 1000000"),
     # json.load's RecursionError, whose text varies across Python versions
     Case("verify-deeply-nested-mask", "verify --mask {deep} --samples dd4", 2,
          Prefix("error: cannot read JSON from {deep}: maximum recursion depth exceeded")),
@@ -368,8 +392,8 @@ BAD_INPUT = [
 # each ran 10-15 s before it was refused in closed form
 RUNAWAY = [
     Case("derive-kstar-300", "derive --arity 3 --smoothing 1 --kstar 300 --samples dd:2", 2,
-         "error: a system of 603 rows and 598 unknowns would take more than 1000000 elimination steps",
-         wall=0.05),
+         "error: a system of 603 rows and 598 unknowns would need 215635212 elimination steps,"
+         " more than 1000000", wall=0.05),
     Case("derive-mix-exponent", "derive --arity 3 --smoothing 1 --kstar 2 --samples mix:1e10000000", 2,
          "error: bad sample shorthand 'mix:1e10000000': exponent 10000000 exceeds 4300 in magnitude",
          wall=0.05),
@@ -388,6 +412,13 @@ FAR_IDENTITY = [
     Case("refinability-huge-arity", "verify --mask {wide} --samples dd4 --form refinability", 3,
          {"satisfied": False, "residual": [[-3 * FAR, "-1/32"], [-FAR, "9/32"], [0, f"{1 - FAR}/2"],
                                            [FAR, "9/32"], [3 * FAR, "-1/32"]]}, wall=0.05),
+]
+
+# the residual's coefficients have more digits than the interpreter's default
+# limit prints; the answer is the same under any limit
+DIGIT_LIMIT = [
+    Case("refinability-eps-mask", "verify --mask {eps_mask} --samples dd4 --form refinability", 3,
+         Sha256("a928467d641d3b06d6ced1e0b485bf30c54dec06dbd87cc55827727aeb0d4396")),
 ]
 
 # the first printed the Cantor mask with exit 0 and the second exited 1 as
@@ -418,16 +449,16 @@ USAGE = [
 
 def _both_modes(id, faults, message):
     """A sweep with several faults, in grid and in --bisect mode: both check
-    the grid count, a grid point's overflow, the family's dimension,
-    --order, --levels, the iterate and the sweep total in that order."""
+    the grid count (at least 2), a grid point's overflow, the family's
+    dimension, --order, --levels, the iterate and the sweep total in that
+    order."""
     args = f"sweep --family {{line}} --range=-1:1 {faults}"
     return Case(id, args, 2, message), Case(f"{id}-bisect", f"{args} --bisect", 2, message)
 
 
 SWEEP_MODES = [
-    _both_modes("count-levels", "--grid 1 --levels 0", "error: a grid needs 2 to 1000000 points, got 1"),
-    _both_modes("count-order", "--grid 1000001 --order -1",
-                "error: a grid needs 2 to 1000000 points, got 1000001"),
+    _both_modes("count-levels", "--grid 1 --levels 0", "error: a grid needs at least 2 points, got 1"),
+    _both_modes("count-order", "--grid 1 --order -1", "error: a grid needs at least 2 points, got 1"),
     _both_modes("overflow-levels", "--range=-1.7e308:0 --grid 3 --levels 0",
                 "error: bad range '-1.7e308:0': a grid point overflows"),
     _both_modes("dimension-order", "--family {plane} --order -1",
@@ -435,7 +466,7 @@ SWEEP_MODES = [
     _both_modes("order-levels", "--order -1 --levels 0", "error: order must be nonnegative, got -1"),
     _both_modes("levels-total", "--levels 0 --grid 1000000", "error: need at least one level, got 0"),
     _both_modes("iterate-total", "--levels 40 --grid 1000000",
-                "error: an iterate of 40 levels would hold more than 1000000 entries"),
+                "error: level 8 of an iterate of 40 levels would need 1464841 entries, more than 1000000"),
 ]
 
 # one case per exception class that main maps to an exit code
@@ -504,7 +535,7 @@ ANSWERS = [
          {"satisfied": False, "residual": [[-3, "-1/200"], [0, "1/200"], [3, "-1/200"]]}),
 ]
 
-CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *PHI_OF_ZERO, *DEGREE_LOOP, *USAGE,
+CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *DIGIT_LIMIT, *PHI_OF_ZERO, *DEGREE_LOOP, *USAGE,
          *(case for pair in SWEEP_MODES for case in pair), *EXCEPTIONS, *ANSWERS]
 
 MODULE = (sys.executable, "-m", "dualsubdiv.cli")

@@ -517,9 +517,10 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
     monkeypatch.setattr(exactalg, "MAX_POINTS", size)
     assert len(refine_values(TERNARY, DD4, 2).numerators) == size
     monkeypatch.setattr(exactalg, "MAX_POINTS", size - 1)
-    with pytest.raises(ValueError, match=f"depth 2 would hold more than {size - 1} points"):
+    refused = f"level 2 of a lattice of depth 2 would need {size} points, more than {size - 1}$"
+    with pytest.raises(ValueError, match=refused):
         refine_values(TERNARY, DD4, 2)
-    with pytest.raises(ValueError, match=f"more than {size - 1} points"):
+    with pytest.raises(ValueError, match=refused):
         reproduction_degree(TERNARY, DD4, 5, 2)
     control = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
     for closed in (False, True):
@@ -527,7 +528,7 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
         monkeypatch.setattr(exactalg, "MAX_POINTS", size)
         assert len(subdivide_points(TERNARY, control, 2, closed=closed)[1]) == size
         monkeypatch.setattr(exactalg, "MAX_POINTS", size - 1)
-        with pytest.raises(ValueError, match=f"2 steps would hold more than {size - 1} points"):
+        with pytest.raises(ValueError, match=f"2 steps would need {size} points, more than {size - 1}$"):
             subdivide_points(TERNARY, control, 2, closed=closed)
     # a one-coefficient mask has a one-point lattice at every depth; its
     # Q = 2^3 passes the bound (MAX_POINTS + 1)(m - 1) = 8 and not 7
@@ -570,7 +571,7 @@ def test_iterate_cap_is_checked_before_any_level(monkeypatch):
         calls[0]()
         monkeypatch.setattr(exactalg, "MAX_POINTS", len(q) - 1)
         for call in calls:
-            with pytest.raises(ValueError, match=f"3 levels would hold more than {len(q) - 1} entries"):
+            with pytest.raises(ValueError, match=f"3 levels would need {len(q)} entries, more than {len(q) - 1}$"):
                 call()
 
 
@@ -626,5 +627,5 @@ def test_sweep_total_is_checked_before_any_level(monkeypatch):
         lambda: contractivity_profile(family, 0, 2, ts),
         lambda: contractivity_range(family, 0, 2, ts),
     ):
-        with pytest.raises(ValueError, match=f"a sweep of 3 points at 2 levels would hold more than {cap - 1} entries$"):
+        with pytest.raises(ValueError, match=f"level 2 of a sweep of 3 points at 2 levels would need {cap} entries, more than {cap - 1}$"):
             call()

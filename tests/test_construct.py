@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualsubdiv import catalog, construct
+from dualsubdiv import catalog, construct, exactalg
 from dualsubdiv.construct import (
     ConstructionProblem,
     InfeasibleProblem,
@@ -261,7 +261,8 @@ def test_derive_refuses_an_elimination_over_the_budget(monkeypatch):
     monkeypatch.setattr(construct, "assemble", assemble)
     for k_star, rows, unknowns in [(51, 105, 100), (300, 603, 598), (10**9, 2 * 10**9 + 3, 2 * 10**9 - 2)]:
         with pytest.raises(ValueError, match=(
-            f"a system of {rows} rows and {unknowns} unknowns would take more than 1000000 elimination steps$"
+            f"a system of {rows} rows and {unknowns} unknowns would need {rows * unknowns**2}"
+            " elimination steps, more than 1000000$"
         )):
             derive(ConstructionProblem(3, 1, k_star, samples, False))
 
@@ -275,7 +276,7 @@ def test_elimination_estimate_counts_the_assembled_system(m, d, k_star, symmetri
     system = assemble(problem)
     rows = len(system.row_labels) + len(system.dropped) + 1
     unknowns = len(system.col_labels)
-    monkeypatch.setattr(construct, "MAX_POINTS", rows * unknowns**2 - 1)
+    monkeypatch.setattr(exactalg, "MAX_POINTS", rows * unknowns**2 - 1)
     with pytest.raises(ValueError, match=f"a system of {rows} rows and {unknowns} unknowns"):
         derive(problem)
 

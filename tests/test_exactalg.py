@@ -1,14 +1,22 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from dualsubdiv import catalog, exactalg
+from dualsubdiv.analyze import contractivity_profile, refine_values
+from dualsubdiv.charax import verify_refinability
+from dualsubdiv.construct import ConstructionProblem, derive
 from dualsubdiv.exactalg import (
     InfeasibleSystem,
     LaurentPoly,
     RatMatrix,
+    integer,
+    numerators,
     rat,
     rref_solve,
 )
+from dualsubdiv.samples import dd_samples, samples_from_shorthand
 
 from oracle import (
     entries,
@@ -51,8 +59,36 @@ def test_rat_bounds_the_exponent_like_an_int_string():
     for text in ["1e4301", "1e-4301", " 3.5E+10000000 ", "7e4_301"]:
         with pytest.raises(ValueError, match=r"exponent [-+]?[\d_]+ exceeds 4300 in magnitude$"):
             rat(text)
-    with pytest.raises(ValueError, match="4300 digits"):
+    with pytest.raises(ValueError, match="^a numeral of 5000 digits exceeds 4300$"):
         rat("1e" + "9" * 5000)
+
+
+@pytest.fixture(params=[0, 4300], ids=["no-limit", "default-limit"])
+def digit_limit(request):
+    """Run the test under each digit limit the interpreter may keep."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter keeps no digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(limit)
+
+
+def test_a_numeral_of_more_than_4300_digits_is_refused_under_any_limit(digit_limit):
+    # one rule, not the interpreter's: a numeral is a run of digits,
+    # underscores and a point, each read as one int
+    ones = "1" * 4300
+    for text in [ones, "-" + ones, f"{ones}/{ones}", f"{ones[:2150]}.{ones[2150:]}", f"1_{ones[1:]}",
+                 f"{ones[:4296]}e-4300"]:
+        assert rat(text) == F(text.replace("_", ""))
+        assert numerators([text]) == (rat(text).denominator, [rat(text).numerator])
+    assert integer(ones) == int(ones)
+    for text, digits in [(ones + "1", 4301), ("-" + ones + "1", 4301), (f"1/{ones}9", 4301),
+                         (f"0.{ones}", 4301), (f"{ones}.{ones}", 8600), (f"1_{ones}", 4301),
+                         (f"1e-{ones}1", 4301), (" " + "٣" * 4301, 4301)]:
+        for read in (rat, lambda x: numerators([x]), integer):
+            with pytest.raises(ValueError, match=f"^a numeral of {digits} digits exceeds 4300$"):
+                read(text)
 
 
 def test_laurent_normalization_trims_zero_ends():
@@ -294,3 +330,26 @@ def test_linear_solution_numerators_over_the_last_pivot():
     assert sol.pivot_cols == (0, 1) and sol.dimension == 1
     assert particular(sol) == (F(59, 6), F(-29, 6), F(0))
     assert nullbasis(sol) == ((F(2), F(-5, 2), F(1)),)
+
+
+def test_one_budget_moves_every_rule(monkeypatch):
+    # exactalg.MAX_POINTS alone bounds the growth of a cascade, the identity
+    # product, the elimination, dd:N and the sweep total; at 16 each refuses
+    family = catalog.quinary_reference_family()
+    refusals = [
+        (lambda: refine_values(catalog.cantor_mask(), dd_samples(1), 2),
+         "level 2 of a lattice of depth 2 would need 27 points"),
+        (lambda: verify_refinability(catalog.ternary_cubic_mask(), dd_samples(2)),
+         r"the product A\(z\^2\) V\(z\) would need 33 entries"),
+        (lambda: derive(ConstructionProblem(3, 1, 2, dd_samples(1), False)),
+         "a system of 7 rows and 2 unknowns would need 28 elimination steps"),
+        (lambda: samples_from_shorthand("dd:6"), "dd:6 would need 36 point pairs"),
+        (lambda: contractivity_profile(family, 0, 1, [0.0, 1.0]),
+         "level 1 of a sweep of 2 points at 1 levels would need 32 entries"),
+    ]
+    for call, _ in refusals:
+        call()
+    monkeypatch.setattr(exactalg, "MAX_POINTS", 16)
+    for call, message in refusals:
+        with pytest.raises(ValueError, match=f"^{message}, more than 16$"):
+            call()
