@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -354,8 +355,10 @@ class ParameterGrid(Sequence[float]):
         self.a, self.b, self.points = a, b, points
         # with b - a finite the points run monotonically from a, and with it
         # infinite or nan the last point is not finite: so all points are
-        # finite exactly when the last one is
-        if not math.isfinite(self[-1]):
+        # finite exactly when the last one is.  A count beyond the float range
+        # has points that no float division reaches; the sweep total refuses
+        # it before any point is read
+        if points - 1 <= sys.float_info.max and not math.isfinite(self[-1]):
             raise GridOverflow("a grid point overflows")
 
     def __len__(self) -> int:

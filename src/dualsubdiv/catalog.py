@@ -197,8 +197,9 @@ class Reference:
     An entry states one of three kinds of fact, and sets only its fields:
 
     - a derivation: ``derivations`` pairs problems with reference masks.
-      Each problem derives a family of ``dimension`` that holds its masks;
-      at dimension 0 the derived mask is the one mask listed.  With
+      Each problem derives a family of ``dimension`` that holds its masks,
+      its particular member and that member plus each direction; at
+      dimension 0 the derived mask is the one mask listed.  With
       ``infeasible`` set instead, each problem is infeasible (no masks).
     - an identity: ``mask`` satisfies the dual interpolatory identity on
       ``samples``.
@@ -231,6 +232,9 @@ class Reference:
                 return False, f"problem {i}: derived mask differs"
             if not all(map(family.contains, members)):
                 return False, f"problem {i}: a reference mask is not a member"
+            units = [[int(j == k) for k in range(family.dimension)] for j in range(family.dimension)]
+            if not all(map(family.contains, (family.particular, *map(family.member, units)))):
+                return False, f"problem {i}: a derived mask is not a member"
         if self.samples is not None:
             if not verify_dual_interpolatory(self.mask, self.samples).satisfied:
                 return False, "identity violated"

@@ -330,6 +330,12 @@ class SolutionFamily:
         return cls(problem, particular, tuple(map(Mask.from_dict, json_field(data, "basis", list))))
 
 
+# the entry length that one elimination step counts: the fraction-free
+# products grow with the entries' digits, so a step on entries of b bits
+# counts ceil(b / 256) steps
+_WORD_BITS = 256
+
+
 def derive(problem: ConstructionProblem) -> SolutionFamily:
     """Solve the assembled system, with tau = 1/2 imposed, exactly.
 
@@ -339,13 +345,20 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     tau = 1/2, but the other rows of a non-symmetric problem may leave it
     free, so the row sum_k 2k a_k = m joins the system: on the column of
     b-index beta it is m (2 beta + d(m-1)).  Before any assembly, the dense
-    elimination's rows x unknowns^2 of [M; N; tau] goes to ``exactalg.refuse``.
+    elimination's rows x unknowns^2 of [M; N; tau], times the entries' bit
+    length in words of ``_WORD_BITS``, goes to ``exactalg.refuse``.
     """
     m, d = problem.m, problem.d
     (a_lo, a_hi), (b_lo, b_hi) = problem.alpha_window, problem.beta_window
     rows = a_hi - a_lo + 1 + m + 1
     unknowns = (b_hi - b_lo) // 2 + 1 if problem.symmetric else b_hi - b_lo + 1
-    refuse(rows * unknowns**2, f"a system of {rows} rows and {unknowns} unknowns", "elimination steps")
+    # an entry sums products of a smoothing coefficient, at most m^d, and a
+    # sample numerator or the samples' denominator
+    samples = problem.samples.poly
+    bits = d * (m - 1).bit_length() + 1 + max(samples.denominator, *map(abs, samples.numerators)).bit_length()
+    words = -(-bits // _WORD_BITS)
+    what = f"a system of {rows} rows and {unknowns} unknowns" + (f" of {bits}-bit entries" if words > 1 else "")
+    refuse(rows * unknowns**2 * words, what, "elimination steps")
     system = assemble(problem)
     shift_row = [sum(m * (2 * beta + d * (m - 1)) for beta in pair) for pair in system.col_labels]
     try:

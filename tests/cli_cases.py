@@ -17,10 +17,16 @@ An argument ``{name}`` stands for the path of the input file ``name``, which
 one.  Expected text is formatted the same way, so a brace that the command
 prints is written twice.  ``wall`` bounds the seconds of an in-process run.
 
-``tests/test_cli.py`` runs every case in process through ``cli.main``.  Run
-as a script, this module runs every case against the installed
-``dualsubdiv`` script, one fresh process at a time, each under a 10 second
-timeout::
+This table is the one place that pins a CLI answer: the exact answers of
+every command on the catalog masks, one asymmetric mask, a slice of the
+design grid and three sweep families are generated from compact specs at
+its end, each a ``Sha256``, and the commands of README.md's "Command line"
+block are cases too.  ``tests/test_cli.py`` runs the cases in process
+through ``cli.main``, one test per section, and ``tests/test_golden_bytes.py``
+runs the groups of ``GOLDEN`` through the same runner, one test per mask,
+derive chain and family.  Run as a script, this module runs every case
+against the installed ``dualsubdiv`` script, one fresh process at a time,
+each under a 10 second timeout::
 
     python tests/cli_cases.py                              # dualsubdiv
     python tests/cli_cases.py python -m dualsubdiv.cli     # any other command
@@ -35,14 +41,13 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
 import dualsubdiv
 from dualsubdiv import catalog
 from dualsubdiv.construct import ConstructionProblem, derive
 from dualsubdiv.samples import samples_from_shorthand
-from test_golden_bytes import DERIVE_GOLDEN, GOLDEN, SWEEP_FAMILIES, SWEEP_GOLDEN
 
 
 class Prefix(str):
@@ -94,6 +99,12 @@ def _line():
     return catalog.quinary_reference_family().to_dict()
 
 
+@functools.cache
+def _derived(m, d, k_star, samples, symmetric):
+    """The family of ``derive`` on these arguments."""
+    return derive(ConstructionProblem(m, d, k_star, samples_from_shorthand(samples), symmetric))
+
+
 FAR = 10**12
 EPS = F(1, 9 * 10**4298 + 1)
 DIGITS = "1" * 5001
@@ -103,13 +114,28 @@ DIGITS = "1" * 5001
 INPUTS = {
     "cantor": _cantor,
     "points": lambda: "0,0\n1,0\n1,1\n",
+    "square": lambda: "x,y\n0,0\n1,0\n1,1\n0,1\n",
+    # zero, negative and inexact coordinates
+    "polygon": lambda: "x,y\n0,0\n1.5,-0.25\n2.1,1.3\n0.7,2.2\n-0.9,1.1\n",
+    "segment": lambda: "x,y\n0.3,-1.7\n2.9,0.4\n",
     "deep": lambda: "[" * 100000 + "]" * 100000,
     "line": _line,
     "plane": lambda: derive(catalog.quaternary_problem(0)).to_dict(),
-    "readme_family": lambda: SWEEP_FAMILIES["readme_quinary"][0]().to_dict(),
-    "m11_mask": lambda: derive(ConstructionProblem(
-        11, 6, 45, samples_from_shorthand("dd:8"), True)).particular.to_dict(),
+    "readme_family": lambda: _derived(5, 3, 10, "dd4", True).to_dict(),
+    # the m = 6 line that the family-scan benchmark sweeps
+    "derived_m6": lambda: _derived(6, 4, 15, "mix:3/5", True).to_dict(),
+    "cantor_samples": _cantor_samples,
     "ternary_mask": lambda: catalog.ternary_cubic_mask().to_dict(),
+    "quinary_w0": lambda: catalog.quinary_family_mask(0).to_dict(),
+    "quinary_w_minus_7_5": lambda: catalog.quinary_family_mask(F(-7, 5)).to_dict(),
+    "quinary_w10": lambda: catalog.quinary_family_mask(10).to_dict(),
+    "quartic": lambda: catalog.quaternary_quartic_mask().to_dict(),
+    "quaternary_cubic": lambda: catalog.quaternary_family_mask(
+        F(1, 2), *catalog.quaternary_cubic_params(F(1, 2))).to_dict(),
+    # a member of `derive --arity 3 --smoothing 1 --kstar 4 --samples dd:2` that
+    # is not symmetric: its dd:2 lattice at depth 2 runs from -31 to 13 over 18,
+    # so neither its values nor its x magnitudes mirror
+    "asymmetric": lambda: {"arity": 3, "offset": -3, "coeffs": ["1/2", "-1/2", "1/2", "1/2", "3/2", "1/2"]},
     "huge_mask": lambda: catalog.quinary_family_mask(10**200).to_dict(),
     "huger_mask": lambda: catalog.quinary_family_mask(10**400).to_dict(),
     # the cantor mask plus (1, -1, -1, 1)/100: tau stays 1/2, the identity fails
@@ -467,6 +493,9 @@ SWEEP_MODES = [
     _both_modes("levels-total", "--levels 0 --grid 1000000", "error: need at least one level, got 0"),
     _both_modes("iterate-total", "--levels 40 --grid 1000000",
                 "error: level 8 of an iterate of 40 levels would need 1464841 entries, more than 1000000"),
+    # the total alone bounds the count, even where no float holds it
+    *(_both_modes(f"total-10-to-{n}", f"--grid {10**n}", f"error: level 1 of a sweep of {10**n} points at 3"
+                  f" levels would need {16 * 10**n} entries, more than 1000000") for n in (30, 309)),
 ]
 
 # one case per exception class that main maps to an exit code
@@ -498,7 +527,303 @@ EXCEPTIONS = [
          "error: a value is beyond the float range: integer division result too large for a float"),
 ]
 
-# answers; each sha256 is the one that tests/test_golden_bytes.py pins
+# the digest of no output: a command that writes its answer to --out
+NOTHING = Sha256(hashlib.sha256(b"").hexdigest())
+SATISFIED = {"satisfied": True, "residual": []}
+
+# the commands of README.md's "Command line" block, in its order, with its
+# mask.json as {ternary_mask} and its family.json as {readme_family}; its
+# infeasible derive is the case InfeasibleProblem and its corpus the case corpus
+README = [
+    Case("readme-derive-mask",
+         "derive --arity 3 --smoothing 4 --kstar 7 --samples dd4 --symmetric --out {out_dir}/mask.json", 0,
+         NOTHING),
+    Case("readme-verify", "verify --mask {ternary_mask} --samples dd4", 0, SATISFIED),
+    Case("readme-eval", "eval --mask {ternary_mask} --samples dd4 --depth 4 --out {out_dir}/values.csv", 0,
+         NOTHING),
+    Case("readme-regularity", "regularity --mask {ternary_mask} --order 2 --levels 3", 0,
+         Sha256("2762eb7786b51107624b96ecf7f80f6502823bcb2a18fd6ea5b65375dfeea12a")),
+    Case("readme-derive-family",
+         "derive --arity 5 --smoothing 3 --kstar 10 --samples dd4 --symmetric --out {out_dir}/family.json", 0,
+         NOTHING),
+    Case("readme-sweep", "sweep --family {readme_family} --order 0 --levels 3 --range=-2:2 --grid 65", 0,
+         Sha256("83e53e192397e03f7d8f7386c141b931c494ec8fe1d970499f93af8f28a14912")),
+    Case("readme-bisect", "sweep --family {readme_family} --order 0 --levels 3 --range=-2:2 --bisect", 0,
+         Sha256("161b2c36a92841e5aeba74aae961bc94ba288da5bebd8e2cf7a99548dd1124bb")),
+    Case("readme-reproduce", "reproduce --mask {ternary_mask} --samples dd4 --maxdeg 5 --depth 4", 0,
+         {"degree": 3}),
+    Case("readme-curve",
+         "curve --mask {ternary_mask} --points {square} --steps 4 --closed --out {out_dir}/curve.csv", 0,
+         NOTHING),
+]
+
+# the elimination's estimate counts the bits of the system's entries: on a
+# 2-CPU machine the two mix:W refusals ran 6 s and 95 s before, and the
+# smoothing-order one 69 s
+DIGIT_BUDGET = [
+    Case("derive-mix-1e100", "derive --arity 11 --smoothing 1 --kstar 45 --samples mix:1e100", 0,
+         Sha256("bc97390c419dea0e8f36c0982043db3f83bb12b4bbd98dfc744c9cee4df06e50"), wall=1),
+    Case("derive-mix-1e1000", "derive --arity 11 --smoothing 1 --kstar 45 --samples mix:1e1000", 2,
+         "error: a system of 29 rows and 80 unknowns of 3327-bit entries would need 2412800"
+         " elimination steps, more than 1000000", wall=1),
+    Case("derive-mix-1e4300", "derive --arity 11 --smoothing 1 --kstar 45 --samples mix:1e4300", 2,
+         "error: a system of 29 rows and 80 unknowns of 14289-bit entries would need 10393600"
+         " elimination steps, more than 1000000", wall=1),
+    Case("derive-smoothing-8000", "derive --arity 3 --smoothing 8000 --kstar 8001 --samples dd:2", 2,
+         "error: a system of 16005 rows and 2 unknowns of 16003-bit entries would need 4033260"
+         " elimination steps, more than 1000000", wall=1),
+]
+
+# the calls of single tests in tests/test_cli.py, which checked less of their
+# answers; each runs there under its test's name
+SINGLE_CALLS = [
+    Case("bad-shorthand", "derive --arity 3 --smoothing 1 --kstar 4 --samples dd:5", 2,
+         "error: bad sample shorthand 'dd:5': dd:N requires an even point count N >= 2"),
+    Case("bad-range", "sweep --family {line} --order 0 --levels 2 --range oops", 2,
+         "error: bad range 'oops', expected a:b"),
+    Case("verify-satisfied", "verify --mask {cantor} --samples {cantor_samples}", 0, SATISFIED),
+    Case("verify-violation", "verify --mask {cantor} --samples {bad_seed}", 3,
+         {"satisfied": False, "residual": [[0, "-1/200"], [3, "1/200"]]}),
+    Case("reproduce", "reproduce --mask {cantor} --samples {cantor_samples} --maxdeg 3 --depth 3", 0,
+         {"degree": 0}),
+    Case("regularity-json", "regularity --mask {cantor} --order 0 --levels 3", 0,
+         {"order": 0, "levels": 3, "bounds": [0.5, 0.5, 0.5], "contractive": True,
+          "holder_lower_bound": 0.6309297535714574}),
+    Case("sweep-grid", "sweep --family {line} --order 0 --levels 2 --range=-1:1 --grid 5", 0,
+         Sha256("68f6b1746eec9bab41e20cdc9f8074fd22249bf83792da3c047ceb638ffec333")),
+    Case("sweep-bisect", "sweep --family {line} --order 2 --levels 3 --range=-2.5:0 --bisect", 0,
+         {"order": 2, "levels": 3, "low": -1.6176792979240417, "high": -0.9999999403953552}),
+]
+
+# The pinned answers.  Their floats must not depend on the interpreter, so
+# each sha256, recorded on CPython 3.11, holds on every supported Python.
+
+# the sha256 of reproduce's answer {"degree": N}, by N
+REPRODUCED = {
+    0: "ab2affbf55099248e5e1436154128f73751820cdf23d4b124e5dfe2dd77140d2",
+    2: "3ccd0e825a8b7da72f19dfdf9ffae9cd1d496e36e6a07111225bdf9ba7ff2d5f",
+    3: "24cac1ba5cb0ef9f6d9a7eab1db6b5ccc23243790fcf041e659dfb92d0056b8b",
+    4: "d2d79602949da3221e2d9b405589dcf7afa614507ae37a663c181dd0a3b07ab9",
+}
+
+# catalog mask -> (its input, samples, the depth of eval and reproduce and the
+# steps of curve, the levels of regularity, the degree that reproduce finds)
+CATALOG = {
+    "cantor": ("cantor", "dd:2", 3, 6, 0),
+    "ternary": ("ternary_mask", "dd4", 3, 6, 3),
+    "quinary_w0": ("quinary_w0", "dd4", 2, 4, 2),
+    "quinary_w-7_5": ("quinary_w_minus_7_5", "dd4", 2, 4, 2),
+    "quinary_w10": ("quinary_w10", "dd4", 2, 4, 2),
+    "quartic": ("quartic", "dd6", 2, 4, 4),
+    "quaternary_cubic": ("quaternary_cubic", "mix:1/2", 2, 4, 3),
+}
+
+
+def _catalog_args(name, command):
+    mask, samples, depth, levels, _ = CATALOG[name]
+    mask = f"--mask {{{mask}}}"
+    if command.startswith("regularity-o"):
+        return f"regularity {mask} --order {command[-1]} --levels {levels}"
+    return {
+        "eval": f"eval {mask} --samples {samples} --depth {depth}",
+        "reproduce": f"reproduce {mask} --samples {samples} --maxdeg 5 --depth {depth}",
+        "curve-open": f"curve {mask} --points {{polygon}} --steps {depth}",
+        "curve-closed": f"curve {mask} --points {{polygon}} --steps {depth} --closed",
+        # one step around 2 points wraps the product in three or more blocks
+        # on every mask but Cantor's: a float sum there prints other last
+        # digits from Python 3.12 on, where sum is compensated
+        "curve-closed-2pt": f"curve {mask} --points {{segment}} --steps 1 --closed",
+    }[command]
+
+
+# '<mask>/<command>' -> the sha256 of its answer; regularity runs the orders
+# of the difference schemes that each mask admits
+CATALOG_ANSWERS = {
+    "cantor/eval": "ecf88b2414f29f50ca13f74d121f33e09276a1c6980e10f87928658d41872306",
+    "cantor/curve-open": "8776c454a5ebb8a14ef0e7ac0f307cc564ebcc27660106fbe085036806426f63",
+    "cantor/curve-closed": "d31fc334c4d13ab85f2b7a7ab7cdd4413e129f2c77cd16f16916a27ee29f2342",
+    "cantor/curve-closed-2pt": "0571e162689efc41dd1fb138247014c7463e7ace403b68282cdad71569fe14e6",
+    "cantor/regularity-o0": "027efa9ebe71e14ecc599e8f8570a890a9d5cac7fa40b5d012f17a9819ef5f31",
+    "ternary/eval": "738e55a3cde6e84417e145882967a01d1b6c2b49710ebc3cae0ddaa578370a3e",
+    "ternary/curve-open": "4ebab718b7b82056d301fcde060060c11023a4b5078b04c1c488bf50f5727ec4",
+    "ternary/curve-closed": "c6f2183ebe3ecab9086c91601889c0ac39182010d709d666812fef6f6c3f60ab",
+    "ternary/curve-closed-2pt": "64573731ca9b90e5d88fef244ce70941318e608cc642fe7ccdd2afb4c6aebfc8",
+    "ternary/regularity-o0": "038b9023041cbfcf3317dc59884c4ef70ea73b8be3aa9a5761b39d5fd8481ec3",
+    "ternary/regularity-o1": "93e0e2ca2059e2ab1b49053a6c7f090c81e3e8d343b19d2a7a385aff5073b1ca",
+    "ternary/regularity-o2": "56b03614bdcda88e04eca1468d9a8df233220e185051277cd59e58ae9572234f",
+    "quinary_w0/eval": "62d4dc3051f85ba1a05e1b128ac46fd8e9b4267e6d560b56ee4370db2feb5848",
+    "quinary_w0/curve-open": "38566df890452364ed1cb9276bcd6330d635aad9c549cd752e43d90c071e0f42",
+    "quinary_w0/curve-closed": "b9d4c9f8a03b6df58126560f9abf63dcd29456eecee89c04735b97833862100a",
+    "quinary_w0/curve-closed-2pt": "211fed96179507123440daf34591096db6d9565eef733b97782d98e6aaf72d1f",
+    "quinary_w0/regularity-o0": "a847a8d82b2e8a60d67bd3cf4d430020fff279fe764c512f61118439835085cf",
+    "quinary_w0/regularity-o1": "0ac5725730498655f8d79a8b8d6f5580b08b6de141a95906b24e293bdd965a8c",
+    "quinary_w0/regularity-o2": "1c7588f4f1345b0040d5119a92bdc3891308ae6c5b5ebfa49d62cac5375df8e9",
+    "quinary_w-7_5/eval": "0b6f114847cb78041d280a04a1a189164496be9d14fa4feefb4fac62a41e0a56",
+    "quinary_w-7_5/curve-open": "c98c2c8f7737530df1cf764e79c331a692953505a8fb86cf1d67a40eb62ccbd8",
+    "quinary_w-7_5/curve-closed": "f493eeaea7ff1a585c02de89d19876bd360303d9d2319375c7eb68456b763d15",
+    "quinary_w-7_5/curve-closed-2pt": "305ad3957ed37fe2ef2e00dc5a86e5873df50dce2163e4c96a7a98b4695d6170",
+    "quinary_w-7_5/regularity-o0": "a45dbf43d8d0486d53259481df405ba4b44fff781e6185f0285b9d338a2766f6",
+    "quinary_w-7_5/regularity-o1": "c34a5dbac9577c68ba7adc43430f19049cd52dfb404f92cde14790ebb90b985b",
+    "quinary_w-7_5/regularity-o2": "3c898845ea6b004e3f3136524d2148622f745d695d8975b763c27532879454e9",
+    "quinary_w10/eval": "fc77ce9c53b0fd119cf8bd40c73087c834f2724b19e5de656b8d96ba7968da5a",
+    "quinary_w10/curve-open": "ad576ac0427931a5f0c9aa7823e07bf31a4f9c10d8c6ba5e68676c1028a0dc03",
+    "quinary_w10/curve-closed": "447af1d619aa4fde72f2cc1034ff1c658db98c9aebd869d1d67659265a80da1a",
+    "quinary_w10/curve-closed-2pt": "b9db02ddaa80261559a23446fbf42b2bab1aadbdb10dc5a693972ab126101e5b",
+    "quinary_w10/regularity-o0": "8cafc987dba4bfbabf7687b067f4c372a9af5ddc9a923aa7dff92807f1be7c7a",
+    "quinary_w10/regularity-o1": "14dfc90db10218bd6904b6f5910908b3e5bbe3c23a20a1f2d216371549d74d19",
+    "quinary_w10/regularity-o2": "d553c8dab11590917251dcfc82fb3545c0d86600c7e6933a797fe787a7bbf02d",
+    "quartic/eval": "24dc4a79227ec1a2d5c4664a9121d58122b6b395565421c48da37946ea435453",
+    "quartic/curve-open": "859e0d2229db16f337ef91705f10cfb041d03871b9e4f50281eb79572fa084e3",
+    "quartic/curve-closed": "9a76f8ce864cab4c5e0f9b680fb3223973d998605df2c57e5769a249094b8154",
+    "quartic/curve-closed-2pt": "c3efe6875d7f24e183e7e6ea9d22fa29c7f1c9d62a100fb47c6f9e5d0da0b3d1",
+    "quartic/regularity-o0": "7cfe09e80f32e3df59463547004f92fa4268ee2b4e9abe6c1332905a79f863c8",
+    "quartic/regularity-o1": "36d9b1951fa5d0a19dd3c996d96e8c487b98d12193f53c302097a55a21596706",
+    "quartic/regularity-o2": "3eef9a8ab0787a28642ca801f9a1f2e0f3e43f284ca356b9fe21544363173133",
+    "quaternary_cubic/eval": "5260f1365035216343ad9f89652b0f21535b0b89c664c4b60b4ee374176516bf",
+    "quaternary_cubic/curve-open": "af3bcfce37899c655bc51c641eac5e8880201533c40a627d79f5525edc07d3cf",
+    "quaternary_cubic/curve-closed": "62c4afed27937764131baefbf46f22086cd5068e4742b52a88b69e51b4bfdb0d",
+    "quaternary_cubic/curve-closed-2pt": "656416d9d42fabf54bba4489606d237beee753ca74421701449fbd63deb0bb8c",
+    "quaternary_cubic/regularity-o0": "03d8a68ef0893c06ccec16d78fe5eaca5c91d3f36f9e394e255bef85edb8c66b",
+    "quaternary_cubic/regularity-o1": "3cf85b3fb36d9b6df6abac028e1671feb6b517c5f3b25c2c4b31dd60590313f1",
+    "quaternary_cubic/regularity-o2": "cc166e1233b9f3100897dd5c375f78da2989a2560ed7ea7f73ac88484d6a7f26",
+}
+
+ASYMMETRIC_ANSWERS = [
+    Case("asymmetric/eval-depth2", "eval --mask {asymmetric} --samples dd:2 --depth 2", 0,
+         Sha256("b657f56c1c2861c9021afcf8e1ceaaf96c9dd38ca5586fef5e95b6eddee239a1")),
+    Case("asymmetric/eval-depth4", "eval --mask {asymmetric} --samples dd:2 --depth 4", 0,
+         Sha256("4e9daea21a4dc1f1633d35104b8d8c1110600cf1a9741622a3d8d4bfb1d43b98")),
+    Case("asymmetric/curve-open", "curve --mask {asymmetric} --points {polygon} --steps 3", 0,
+         Sha256("2a800c895fbbc4a5ca4cfe5889e9a92a79b4000028b5e65335753ff5d73c76d0")),
+    Case("asymmetric/curve-closed", "curve --mask {asymmetric} --points {polygon} --steps 3 --closed", 0,
+         Sha256("6404c7599fe8fd5add38ece0076a098caf47af518772d7753c5a5f1fb3465cfc")),
+]
+
+# a slice of the design grid: name -> (the arguments of derive, the sha256 of
+# its answer, other samples, the sha256 of the residual on them).  verify
+# checks the derived mask (a family's particular member) in the dual and the
+# refinability form: on the derive's samples it is satisfied, and on the
+# other samples both forms print the one residual with exit 3
+DERIVE_CHAINS = {
+    "m11-d6-k45-dd8": ((11, 6, 45, "dd:8", True),
+                       "931a6409f267fc2ba5e36b4912744c0560c379c9d259d9cf85ed9269c78b35e5",
+                       "dd:6", "1f2d9b36c41df123ecfb4364c14cc473893afdf333b3008dc516fab95981a222"),
+    "m3-d1-k4-dd2-asymmetric": ((3, 1, 4, "dd:2", False),
+                                "a6cc4eef600657ead0e0110c7b43d1ec9e39fe9a274e87ba7f0632ee9477ae50",
+                                "dd4", "4bb9b376dd4a7dd02a80b6779737ba13ee4bd549d611fd4e756157fce7f72183"),
+    "m4-d3-k11-mix": ((4, 3, 11, "mix:1/2", True),
+                      "73044f4ce4bc479f62d203a88f5c3cc3c33b3e24b8e8a6e581b8a3572bd5be36",
+                      "dd6", "f5ece0e5d8d170ee36aa61403e4bd5ba5cbea0172ef788254ae623ffa4089f82"),
+    "m5-d3-k10-dd4": ((5, 3, 10, "dd4", True),
+                      "3602c707745af82956f97fb1543f9441da5a3bd389b2b326998260b47c3b21b7",
+                      "dd6", "a0028d1309bed849e14b9dbadc0246ede6f2ae1fbbd2a64aa1ce9d9ef5516f25"),
+}
+# the digest of verify's {"satisfied": true, "residual": []}
+SATISFIED_DIGEST = "78dc1cc282e9c9a74c49268bcaf17cb8fe824d0ebbbf6825564cfae088238a46"
+
+
+def _derived_mask(name):
+    return _derived(*DERIVE_CHAINS[name][0]).particular.to_dict()
+
+
+INPUTS.update({name.replace("-", "_"): functools.partial(_derived_mask, name) for name in DERIVE_CHAINS})
+
+# family -> (its input, {order: (its range, the sha256 of sweep --grid 33 at 3
+# levels, that of --bisect, and the two at 4 levels)}).  The quinary reference
+# family runs the family-scan benchmark's ranges.  On the derived m = 6 line
+# each range meets the contractive parameters of orders 0 and 1 (bisected at
+# one end or both); none is contractive at order 2, so that --bisect exits 2.
+# The README's derived quinary family runs at order 2.
+NONE_CONTRACTIVE = "error: no contractive parameter among 33 samples in [0.0, 4.0]"
+SWEEPS = {
+    "quinary": ("line", {
+        0: ("-20:16", "b61db4066b699c78fb95be31c9c92a8ff91f85dff3c280f4e07d39f9f55c7b96",
+            "49f3471f0192ac67af7f09ca2a18ef02facd3fddcf4e95485064979f4b9c8657",
+            "bbe0045cb432c0ba0dfd5a70f768a526ad72a9021b2041d15c9b895515fadc4d",
+            "26111c780c2654b36111aeb18f151ff42ad1e0ba1e6c5def17a08eb37e38b096"),
+        1: ("-8:4", "981aa5356d1c9aeab22c74c83343a028be528725028813e9a6e37f10fac7ed10",
+            "bc7834faa0ae6a5023366eb4216bb5a041b4075e8617ea64c67a51179cbaa4c4",
+            "5fff43d74cd9fc88454ea51be3eaf443439d19de3eda7caa18677e4a0f9f1a6c",
+            "b9244c3703338761c189baa4c790d58c0d9880abb35351a756ee865ed385f457"),
+        2: ("-2.5:0", "fa6d679ecd1ee3297bbda638be7b14f67e656449e1490205a61f650a086d9412",
+            "3abb2eb64a581cb853eea9ce8e1d80d7f1e097c335873e58523dfb735c8753db",
+            "c0f6e3ae8988fa3f4a7a76fdf39ba9e744fdb0391872e94bae0fea842f62bc5f",
+            "5aa002531c6199ae3056480453cd0e26006b33dc88a8f46f5d184b91facf8d94"),
+    }),
+    "derived_m6": ("derived_m6", {
+        0: ("-4:4", "709cf6ee01fb6b32e2eb4402b18c9c8a021bcc0f95ff3930c759bced8afad019",
+            "707a5f7cf13a6dbbc6a22f6f7aa5abade0ac4a75f27af361aef73dc718fc8b22",
+            "c2518850099c70d5e6b49b1336dc40cb1d7e62d9de35c4fb84ae7992d20d94d3",
+            "a2149f313b63dde0cb07b01ef27f67d80bf93e7a922924d2095af6982d01c175"),
+        1: ("0:4", "9c76ccdd90ec4a96e4f36a427fd72be76fdcc1ba7b01e8c5b5de437b7d39d72b",
+            "21dda47594ede78573911e92cf750752fc607e7dc5261ca9443baebbb10a4d52",
+            "b93c5dbb7be68c1761ddb6d9b70689ae9c0954886ca1a9c41d913021d12301a5",
+            "578354b9a5f8be604a4e317749478c731ba82dc16043458520453f2142e540e8"),
+        2: ("0:4", "795dba03a3a01e8c23864c8d4fbae3f7c2ad28eb10f3364017b6ffef269b3596", NONE_CONTRACTIVE,
+            "225aa1ec2d37e56216a8ef9039434b07a9ebfdacb8bc17fa68ab6ebc4cf71d39", NONE_CONTRACTIVE),
+    }),
+    "readme_quinary": ("readme_family", {
+        2: ("-2.5:0", "64f385218f6c1e70cc18b5cc6045501d36851d6d8e41208816ef73a5b3a51004",
+            "d03523ced780b50a6881cb8aea35a03c81e18f83a2dca3c989b97c0e8e9318cf",
+            "3772d6f70796444da0990bc947e5f8fd3a5eb790509f7d2453dc01cc8732110f",
+            "ff543027b6cfce8546f75b1294b40ae232fa7a91e6a6091c0bb4769fcbd604b4"),
+    }),
+}
+
+
+def _answer(id, args, want, code=0):
+    """A case whose answer is ``want``: a sha256, or an ``error:`` line."""
+    if want.startswith("error: "):
+        return Case(id, args, 2, want)
+    return Case(id, args, code, Sha256(want))
+
+
+def _generated():
+    """group -> the cases of the pinned answers of one catalog mask, the
+    asymmetric mask, one derive chain or one sweep family."""
+    groups = {name: [_answer(f"{name}/reproduce", _catalog_args(name, "reproduce"), REPRODUCED[degree])]
+              for name, (*_, degree) in CATALOG.items()}
+    for key, digest in CATALOG_ANSWERS.items():
+        name, command = key.split("/")
+        groups[name].append(_answer(key, _catalog_args(name, command), digest))
+    groups["asymmetric"] = list(ASYMMETRIC_ANSWERS)
+    for name, ((m, d, k_star, samples, symmetric), digest, other, residual) in DERIVE_CHAINS.items():
+        derive_args = f"--arity {m} --smoothing {d} --kstar {k_star} --samples {samples}"
+        groups[name] = [_answer(f"{name}/derive", f"derive {derive_args}{' --symmetric' * symmetric}", digest)]
+        for form in ("dual", "refinability"):
+            verify = f"verify --mask {{{name.replace('-', '_')}}} --form {form} --samples"
+            groups[name] += [_answer(f"{name}/verify-{form}", f"{verify} {samples}", SATISFIED_DIGEST),
+                             _answer(f"{name}/verify-{form}-{other}", f"{verify} {other}", residual, 3)]
+    for name, (family, ranges) in SWEEPS.items():
+        groups[name] = []
+        for order, (interval, *digests) in ranges.items():
+            for i, digest in enumerate(digests):
+                levels, bisect = 3 + i // 2, i % 2
+                args = f"sweep --family {{{family}}} --order {order} --levels {levels} --range={interval}"
+                groups[name].append(_answer(f"{name}/o{order}-l{levels}" + "-bisect" * bisect,
+                                            f"{args} --grid 33" + " --bisect" * bisect, digest))
+    return groups
+
+
+_GENERATED = _generated()
+
+# generated answers that run in the section ANSWERS under the ids of its
+# older cases, so that those test ids stay
+ANSWER_IDS = {
+    "m5-d3-k10-dd4/derive": "derive-readme-quinary",
+    # the float family line at order 2 and level 4, sampled and bisected
+    "readme_quinary/o2-l4": "sweep-readme-quinary",
+    "readme_quinary/o2-l4-bisect": "bisect-readme-quinary",
+    # its iterates are palindromes, so this runs the mirrored integer product
+    "cantor/regularity-o0": "regularity-cantor-levels-6",
+    # 81 lattice points on [-3/4, 3/4] over 54: a palindrome, printed as mirrored columns
+    "cantor/eval": "eval-cantor-depth-3",
+    # the largest design-grid shape: its family's masks are d = 6 passes of
+    # running sums over b, where the smoothing factor has 61 terms
+    "m11-d6-k45-dd8/derive": "derive-m11",
+    "m11-d6-k45-dd8/verify-dual": "verify-m11",
+}
+
 ANSWERS = [
     Case("corpus", "corpus", 0, "\n".join([
         "PASS cantor-derive: unique mask {{1/2, 1, 1, 1/2}}",
@@ -512,31 +837,17 @@ ANSWERS = [
         "PASS quaternary-quartic-half: frozen first-half coefficients",
         "PASS quaternary-identity: dual interpolatory identity",
     ])),
-    Case("derive-readme-quinary", "derive --arity 5 --smoothing 3 --kstar 10 --samples dd4 --symmetric", 0,
-         Sha256(DERIVE_GOLDEN["m5-d3-k10-dd4/derive"])),
-    # the float family line at order 2 and level 4, sampled and bisected
-    Case("sweep-readme-quinary", "sweep --family {readme_family} --order 2 --levels 4 --range=-2.5:0 --grid 33",
-         0, Sha256(SWEEP_GOLDEN["readme_quinary/o2-l4"][1])),
-    Case("bisect-readme-quinary",
-         "sweep --family {readme_family} --order 2 --levels 4 --range=-2.5:0 --grid 33 --bisect", 0,
-         Sha256(SWEEP_GOLDEN["readme_quinary/o2-l4-bisect"][1])),
-    # its iterates are palindromes, so this runs the mirrored integer product
-    Case("regularity-cantor-levels-6", "regularity --mask {cantor} --levels 6", 0,
-         Sha256(GOLDEN["cantor/regularity-o0"])),
-    # 81 lattice points on [-3/4, 3/4] over 54: a palindrome, printed as mirrored columns
-    Case("eval-cantor-depth-3", "eval --mask {cantor} --samples dd:2 --depth 3", 0,
-         Sha256(GOLDEN["cantor/eval"])),
-    # the largest design-grid shape: its family's masks are d = 6 passes of
-    # running sums over b, where the smoothing factor has 61 terms
-    Case("derive-m11", "derive --arity 11 --smoothing 6 --kstar 45 --samples dd:8 --symmetric", 0,
-         Sha256(DERIVE_GOLDEN["m11-d6-k45-dd8/derive"])),
-    Case("verify-m11", "verify --mask {m11_mask} --samples dd:8", 0, {"satisfied": True, "residual": []}),
     Case("verify-perturbed-mask", "verify --mask {perturbed} --samples dd:2", 3,
          {"satisfied": False, "residual": [[-3, "-1/200"], [0, "1/200"], [3, "-1/200"]]}),
+    *(replace(case, id=ANSWER_IDS[case.id])
+      for group in _GENERATED.values() for case in group if case.id in ANSWER_IDS),
 ]
+# group -> its other generated answers, which tests/test_golden_bytes.py runs
+GOLDEN = {name: [case for case in group if case.id not in ANSWER_IDS] for name, group in _GENERATED.items()}
 
 CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *DIGIT_LIMIT, *PHI_OF_ZERO, *DEGREE_LOOP, *USAGE,
-         *(case for pair in SWEEP_MODES for case in pair), *EXCEPTIONS, *ANSWERS]
+         *(case for pair in SWEEP_MODES for case in pair), *EXCEPTIONS, *ANSWERS, *README, *DIGIT_BUDGET,
+         *SINGLE_CALLS, *(case for group in GOLDEN.values() for case in group)]
 
 MODULE = (sys.executable, "-m", "dualsubdiv.cli")
 

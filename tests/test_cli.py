@@ -23,7 +23,6 @@ from dualsubdiv.construct import InfeasibleProblem, SolutionFamily, derive
 from dualsubdiv.exactalg import InfeasibleSystem
 from dualsubdiv.samples import samples_from_shorthand
 from dualsubdiv.scheme import Mask, shift_parameter
-from oracle import perturbed
 
 
 # exit code, stdout and stderr of ``python -m dualsubdiv.cli`` in a new interpreter
@@ -69,31 +68,6 @@ def test_derive_family_json(tmp_path):
     family = SolutionFamily.from_dict(json.loads(out.read_text()))
     assert family.dimension == 1
     assert family.contains(catalog.quinary_family_mask(10))
-
-
-def test_verify_satisfied(cantor_mask_file, cantor_samples_file, capsys):
-    code = main(["verify", "--mask", cantor_mask_file, "--samples", cantor_samples_file])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"satisfied": True, "residual": []}
-
-
-def test_verify_violation(tmp_path, cantor_mask_file, capsys):
-    bad = perturbed(catalog.cantor_samples(), 1, F(1, 100))
-    samples_file = write_json(tmp_path / "bad.json", bad.to_dict())
-    code = main(["verify", "--mask", cantor_mask_file, "--samples", samples_file])
-    assert code == 3
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["satisfied"] is False
-    assert payload["residual"]
-
-
-def test_verify_refinability_form(cantor_mask_file, cantor_samples_file, capsys):
-    code = main([
-        "verify", "--mask", cantor_mask_file, "--samples", cantor_samples_file,
-        "--form", "refinability",
-    ])
-    assert code == 0
 
 
 def test_eval_csv(tmp_path, cantor_mask_file, cantor_samples_file):
@@ -158,43 +132,6 @@ def test_curve_parameters_are_the_exact_parameters_rounded(tmp_path, mask, close
     assert column == [repr(t) for t in expected]
 
 
-def test_regularity_json(cantor_mask_file, capsys):
-    code = main(["regularity", "--mask", cantor_mask_file, "--order", "0", "--levels", "3"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["contractive"] is True
-    assert math.isclose(payload["holder_lower_bound"], math.log(2) / math.log(3), rel_tol=1e-9)
-    assert payload["bounds"] == [0.5, 0.5, 0.5]
-
-
-def test_sweep_bisect(tmp_path, capsys):
-    family_file = write_json(
-        tmp_path / "family.json", catalog.quinary_reference_family().to_dict()
-    )
-    code = main([
-        "sweep", "--family", family_file, "--order", "2", "--levels", "3",
-        "--range=-2.5:0", "--bisect",
-    ])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert math.isclose(payload["low"], -1.6177, abs_tol=2e-3)
-    assert math.isclose(payload["high"], -1.0, abs_tol=2e-3)
-
-
-def test_sweep_grid(tmp_path, capsys):
-    family_file = write_json(
-        tmp_path / "family.json", catalog.quinary_reference_family().to_dict()
-    )
-    code = main([
-        "sweep", "--family", family_file, "--order", "0", "--levels", "2",
-        "--range=-1:1", "--grid", "5",
-    ])
-    assert code == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["t"] for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert all(r["contractive"] for r in rows)
-
-
 def test_sweep_grid_matches_pointwise_profile(tmp_path, capsys):
     family = catalog.quinary_reference_family()
     family_file = write_json(tmp_path / "family.json", family.to_dict())
@@ -207,15 +144,6 @@ def test_sweep_grid_matches_pointwise_profile(tmp_path, capsys):
     expected = [contractivity_profile(family, 1, 3, [r["t"]])[0] for r in rows]
     assert [(r["t"], r["bound"]) for r in rows] == expected
     assert [r["contractive"] for r in rows] == [bound < 1.0 for _, bound in expected]
-
-
-def test_reproduce(cantor_mask_file, cantor_samples_file, capsys):
-    code = main([
-        "reproduce", "--mask", cantor_mask_file, "--samples", cantor_samples_file,
-        "--maxdeg", "3", "--depth", "3",
-    ])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out) == {"degree": 0}
 
 
 def test_reproduce_is_exact_by_default(tmp_path, capsys):
@@ -243,35 +171,10 @@ def test_curve(tmp_path, cantor_mask_file):
     assert len(lines) == 1 + 4 * 9  # four control points, two ternary steps
 
 
-def test_corpus_all_pass(capsys):
-    assert main(["corpus"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 10
-    assert all(line.startswith("PASS") for line in out)
-
-
-def test_bad_shorthand_is_input_error(capsys):
-    code = main([
-        "derive", "--arity", "3", "--smoothing", "1", "--kstar", "4",
-        "--samples", "dd:5",
-    ])
-    assert code == 2
-
-
-def test_bad_range_is_input_error(tmp_path, capsys):
-    family_file = write_json(
-        tmp_path / "family.json", catalog.quinary_reference_family().to_dict()
-    )
-    code = main([
-        "sweep", "--family", family_file, "--order", "0", "--levels", "2",
-        "--range", "oops",
-    ])
-    assert code == 2
-
-
-def _run_in_process(case, tmp_path, capsys):
+def run_in_process(case, tmp_path, capsys):
     """Run a case of the table through ``main``, check its answer and its
-    wall bound, and return its input files."""
+    wall bound, and return its input files; the one in-process runner of the
+    table, which ``tests/test_golden_bytes.py`` runs too."""
     files = cli_cases.Files(tmp_path)
     argv = case.argv(files)
     start = time.perf_counter()
@@ -287,7 +190,7 @@ def _table_test(cases):
 
     @pytest.mark.parametrize("case", cases, ids=lambda case: case.id)
     def test(case, tmp_path, capsys):
-        _run_in_process(case, tmp_path, capsys)
+        run_in_process(case, tmp_path, capsys)
 
     return test
 
@@ -301,17 +204,40 @@ test_derive_refuses_samples_without_phi_of_zero_one = _table_test(cli_cases.PHI_
 test_reproduce_degree_loop_stops_at_once = _table_test(cli_cases.DEGREE_LOOP)
 test_main_maps_each_exception_to_its_exit_code = _table_test(cli_cases.EXCEPTIONS)
 test_answers_match_their_pinned_bytes = _table_test(cli_cases.ANSWERS)
+test_readme_commands_answer_as_documented = _table_test(cli_cases.README)
+test_derive_budget_counts_the_entries_bits = _table_test(cli_cases.DIGIT_BUDGET)
+
+
+def _case_test(id):
+    """A test that runs the case ``id`` of SINGLE_CALLS in process."""
+    case, = (case for case in cli_cases.SINGLE_CALLS if case.id == id)
+
+    def test(tmp_path, capsys):
+        run_in_process(case, tmp_path, capsys)
+
+    return test
+
+
+# tests that made these calls and checked less of the answer, now each one case
+test_bad_shorthand_is_input_error = _case_test("bad-shorthand")
+test_bad_range_is_input_error = _case_test("bad-range")
+test_verify_satisfied = _case_test("verify-satisfied")
+test_verify_violation = _case_test("verify-violation")
+test_reproduce = _case_test("reproduce")
+test_regularity_json = _case_test("regularity-json")
+test_sweep_grid = _case_test("sweep-grid")
+test_sweep_bisect = _case_test("sweep-bisect")
 
 
 @pytest.mark.parametrize("pair", cli_cases.SWEEP_MODES, ids=lambda pair: pair[0].id)
 def test_both_sweep_modes_refuse_in_one_order(pair, tmp_path, capsys):
     for case in pair:
-        _run_in_process(case, tmp_path, capsys)
+        run_in_process(case, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("case", cli_cases.USAGE, ids=lambda case: case.id)
 def test_usage_errors_exit_2_with_one_error_line(case, tmp_path, capsys):
-    files = _run_in_process(case, tmp_path, capsys)
+    files = run_in_process(case, tmp_path, capsys)
     cli_cases.check(case, files, *_fresh_process(case.argv(files), tmp_path))
 
 
@@ -365,6 +291,22 @@ def test_corpus_reports_a_failed_fact(monkeypatch, capsys):
         "FAIL quinary-plane: problem 0: dimension 1 != 2",
         "FAIL ternary-k7-infeasible: k*=7 unexpectedly solvable",
         "FAIL cantor-derive: problem 0: derived mask differs",
+    ]
+
+
+def test_corpus_checks_the_derived_members(monkeypatch, capsys):
+    def derive_off(problem):
+        """Derive, except that a family's particular member is its first
+        direction, whose residue classes sum to 0, not 1."""
+        family = derive(problem)
+        return SolutionFamily(problem, family.basis[0], family.basis) if family.basis else family
+
+    monkeypatch.setattr(catalog, "derive", derive_off)
+    assert main(["corpus"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL quinary-family: problem 0: a derived mask is not a member",
+        "FAIL quaternary-families: problem 0: a derived mask is not a member",
     ]
 
 
@@ -440,7 +382,6 @@ def test_failed_write_to_own_stdout_points_it_at_devnull_without_a_leak(monkeypa
     finally:
         os.close(write_end)
     assert capsys.readouterr().err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
-
 
 
 @pytest.mark.parametrize(
