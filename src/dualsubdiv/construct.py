@@ -12,14 +12,18 @@ order, support, samples), or raises InfeasibleProblem when the system has no
 solution; no certificate of that comes with it, and the CLI prints one
 ``infeasible:`` line with exit code 1.
 
-The work runs on Python ints over one common denominator: the functionals
-are read off one integer product (``exactalg.convolve``) of the smoothing
-coefficients with the sample numerators, the assembled rows go to
-``RatMatrix`` as integers over the shared scale m^{1-d}/D, the solve
-eliminates on them, and a solution mask is the solution's numerators times
-1 + z + ... + z^{m-1}, d times, each a pass of running sums
-(``exactalg.box_sums``), kept as integers.  ``Fraction`` appears only at the
-boundary: the assembled rhs, and a mask's coefficients where they are read.
+The work runs on Python ints over one common denominator: each row M is
+read off one integer product (``exactalg.convolve``) of the smoothing
+coefficients with the sample numerators as a slice of step 2, each row N is
+a cycle of the smoothing factor's residue-class sums, and under symmetry each
+row is folded onto the mirror pairs.  The rows go to ``RatMatrix`` as
+integers over the shared scale m^{1-d}/D, ``exactalg.rref_solve`` eliminates
+on them (the rows M are banded, so most of them have no entry in a given
+pivot column, and the solve leaves those rows as they are), and a solution
+mask is the solution's numerators times 1 + z + ... + z^{m-1}, d times, each
+a pass of running sums (``exactalg.box_sums``), kept as integers.
+``Fraction`` appears only at the boundary: the assembled rhs, and a mask's
+coefficients where they are read.
 The matrix and the solution are integers only.  Membership of a given mask
 checks the rows M with ``charax.verify_refinability``.
 """
@@ -176,6 +180,18 @@ def _column_scale(m: int, d: int) -> tuple[int, int]:
     return (m, 1) if d == 0 else (1, m ** (d - 1))
 
 
+def _fold(row: list[int]) -> list[int]:
+    """A row over the b-window as one entry per mirror pair of b-indices,
+    innermost first: the order of ``_column_pairs`` under symmetry."""
+    width = len(row)
+    half = (width - 1) // 2
+    folded = [x + y for x, y in zip(row[half::-1], row[width // 2 :])]
+    if width % 2:
+        # the middle b-index is a pair of its own
+        folded[0] = row[half]
+    return folded
+
+
 def _mask(
     problem: ConstructionProblem, pairs: Sequence[tuple[int, ...]], x: Sequence[int], den: int
 ) -> LaurentPoly:
@@ -200,28 +216,37 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
     each mirror pair of b-indices is one column (innermost pair first) and
     zero or duplicate rows are pruned.  The column of b-index beta is the mask
     m^{1-d} z^beta s(z) with s = smoothing_coeffs(m, d), so every entry is
-    m^{1-d}/D times an integer read off the one product s(z^2) P(z).
+    m^{1-d}/D times an integer read off the one product s(z^2) P(z); the
+    rows are built one at a time from it.
     """
     m = problem.m
     smoothing = smoothing_coeffs(m, problem.d)
     a_lo, a_hi = problem.alpha_window
+    b_lo, b_hi = problem.beta_window
+    width = b_hi - b_lo + 1
     samples = problem.samples.poly
     D, P, o = samples.denominator, samples.numerators, samples.offset
+    # with P the sample numerators over D, the M row alpha at s(z) z^beta is
+    # entry m alpha + 1 - 2 beta of s(z^2) P(z), and the N row gamma the
+    # residue-class sum of s at gamma - beta (mod m); all over D.  So an M row
+    # is a slice of step 2 of the product, read backwards; the product is
+    # padded with zeros to every entry that a row reads
     product = convolve(smoothing, P, 2)
-    residues = [sum(smoothing[r::m]) for r in range(m)]
-
-    def values(beta: int) -> list[int]:
-        # with P the sample numerators over D, the M row alpha at s(z) z^beta is
-        # entry m alpha + 1 - 2 beta of s(z^2) P(z), and the N row gamma the
-        # residue-class sum of s at gamma - beta (mod m); all over D
-        start = m * a_lo + 1 - 2 * beta - o
-        stop = m * a_hi + 2 - 2 * beta - o
-        rows = [product[i] if 0 <= i < len(product) else 0 for i in range(start, stop, m)]
-        return rows + [D * residues[(gamma - beta) % m] for gamma in range(1, m + 1)]
+    left = max(0, 2 * b_hi + o - m * a_lo - 1)
+    right = max(0, m * a_hi + 2 - 2 * b_lo - o - len(product))
+    product = [0] * left + product + [0] * right
+    residues = [D * sum(smoothing[r::m]) for r in range(m)]
+    rows = []
+    for alpha in range(a_lo, a_hi + 1):
+        last = left + m * alpha + 1 - 2 * b_lo - o
+        rows.append(product[last - 2 * (width - 1) : last + 1 : 2][::-1])
+    for gamma in range(1, m + 1):
+        rows.append([residues[(gamma - beta) % m] for beta in range(b_lo, b_hi + 1)])
+    if problem.symmetric:
+        rows = [_fold(row) for row in rows]
 
     rhs = [P[a - o] if 0 <= a - o < len(P) else 0 for a in range(a_lo, a_hi + 1)] + [D] * m
     pairs = _column_pairs(problem)
-    columns = [[sum(v) for v in zip(*(values(beta) for beta in pair))] for pair in pairs]
     labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)]
     labels += [("N", gamma) for gamma in range(1, m + 1)]
 
@@ -230,7 +255,7 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
     kept: list[tuple[tuple[int, ...], int, RowLabel]] = []
     dropped: list[tuple[RowLabel, str]] = []
     seen: dict[tuple, RowLabel] = {}
-    for row, rhs_v, label in zip(zip(*columns), rhs, labels):
+    for row, rhs_v, label in zip(map(tuple, rows), rhs, labels):
         if problem.symmetric:
             if not any(row) and rhs_v == 0:
                 dropped.append((label, "zero"))
@@ -346,7 +371,8 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     free, so the row sum_k 2k a_k = m joins the system: on the column of
     b-index beta it is m (2 beta + d(m-1)).  Before any assembly, the dense
     elimination's rows x unknowns^2 of [M; N; tau], times the entries' bit
-    length in words of ``_WORD_BITS``, goes to ``exactalg.refuse``.
+    length in words of ``_WORD_BITS``, goes to ``exactalg.refuse``.  The
+    solve skips the banded rows' zeros, so the estimate overstates its work.
     """
     m, d = problem.m, problem.d
     (a_lo, a_hi), (b_lo, b_hi) = problem.alpha_window, problem.beta_window

@@ -3,9 +3,13 @@
 No floating point is ever introduced here.  ``Fraction`` is the boundary
 type: the work runs on Python ints over one common denominator.  A
 ``LaurentPoly`` (a mask, a sample set, a symbol) and each ``RatMatrix`` row
-are integer numerators over one denominator, and ``rref_solve`` runs one
-fraction-free elimination on the rows; a ``LinearSolution`` is numerators
-over the last pivot.  A matrix and a solution have no Fraction view.  A
+are integer numerators over one denominator.  ``rref_solve`` runs one
+fraction-free forward pass on the rows, which updates a row only where it
+has an entry in the pivot column and only right of that column, and keeps a
+stamp of the pivot of each row's last update, then a fraction-free back
+substitution on the pivot rows; its pivots and its last pivot are those of
+dense Gauss-Jordan, so a ``LinearSolution`` is the same numerators over the
+last pivot.  A matrix and a solution have no Fraction view.  A
 polynomial's ``coeffs`` is built when first read; ``terms`` and
 ``coefficient`` build only the Fractions they return.
 The product kernel ``convolve`` keeps the coefficient type it is given, so
@@ -441,10 +445,12 @@ class RatMatrix:
         return len(self.numerators[0]) if self.numerators else 0
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
+        """The rows of self, then those of other; both are already in lowest terms."""
         if self.rows and other.rows and self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
         stacked = object.__new__(RatMatrix)
-        stacked._store(self.numerators + other.numerators, self.denominators + other.denominators)
+        object.__setattr__(stacked, "numerators", self.numerators + other.numerators)
+        object.__setattr__(stacked, "denominators", self.denominators + other.denominators)
         return stacked
 
 
@@ -470,20 +476,36 @@ class LinearSolution:
 
 
 def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution:
-    """Solve M x = rhs exactly by fraction-free Gauss-Jordan (Bareiss, Math.
-    Comp. 22, 1968) on [matrix | rhs].
+    """Solve M x = rhs exactly by one fraction-free forward pass (Bareiss,
+    Math. Comp. 22, 1968) on [matrix | rhs] and a fraction-free back
+    substitution.
 
     Row i of [matrix | rhs] is scaled to integers by the lcm of the row's
-    denominator and the rhs entry's.  A step on pivot p replaces every other
-    row by (p row - f pivot_row) / p_prev, an exact division (the entries are
-    integer minors), which leaves p on the diagonal of every pivot row.  The
-    pivots are those of Gauss-Jordan on Fractions.
+    denominator and the rhs entry's.  The forward pass takes as pivot row the
+    first row at or below the rank with a nonzero entry in the column, as
+    Gauss-Jordan on Fractions does.  A step on pivot p replaces each row below
+    by (p row - f pivot_row) / p_prev, an exact division (the entries are
+    integer minors), on the columns right of the pivot only: the columns to
+    the left are 0 there.  A row whose f is 0 would only be scaled by
+    p / p_prev, so it is left as it is, with a stamp: the pivot s of its last
+    update.  It is brought up to date when it is next used: as a pivot row,
+    row * p_prev / s; under a nonzero f, (p row - f pivot_row) / s on the row
+    and its f as stored.  Every division is exact.  The dense Gauss-Jordan
+    step does the same to the rows below, and its updates of the rows above
+    never reach them, so a stored row is its dense counterpart times the
+    nonzero s / p_prev.  It has the same zeros: the pivot search picks the
+    rows that dense Gauss-Jordan picks, and the pivots and the last one, P,
+    are the same.
 
-    Raises InfeasibleSystem when inconsistent.  Otherwise returns the
-    canonical particular solution together with the RREF nullspace basis,
-    both over the last pivot p: the particular solution is the rhs column of
-    the pivot rows, and the basis vector of free column f carries p there and
-    minus column f of the pivot rows in the pivot coordinates.
+    Raises InfeasibleSystem when a row below the rank keeps a nonzero rhs.
+    Otherwise the pivot rows U_k become the rows R_k = P * RREF_k, from the
+    last up, on the free columns and the rhs only (R_k carries P in its own
+    pivot column and 0 in the others):
+    R_k = (P U_k - sum_{j > k} U_k[piv_j] R_j) / U_k[piv_k], again exactly.
+    The result is the canonical particular solution together with the RREF
+    nullspace basis, both over P: the particular solution is the rhs column
+    of the R_k, and the basis vector of free column f carries P there and
+    minus column f of the R_k in the pivot coordinates.
     """
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length does not match row count")
@@ -494,6 +516,7 @@ def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution
         k = s // den
         m.append([x * k for x in row] + [y.numerator * (s // y.denominator)])
     n_rows, n_cols = len(m), matrix.cols
+    stamps = [1] * n_rows
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -504,25 +527,43 @@ def rref_solve(matrix: RatMatrix, rhs: Sequence[RationalLike]) -> LinearSolution
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
+        stamps[r], stamps[pivot_row] = stamps[pivot_row], stamps[r]
         top = m[r]
-        p = top[c]
-        for i in range(n_rows):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        if stamps[r] != prev:
+            top[c:] = [x * prev // stamps[r] for x in top[c:]]
+        p, tail = top[c], top[c + 1 :]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            f = row[c]
+            if f:
+                # row[c] is now 0; no later step reads it, so it keeps f
+                s = stamps[i]
+                row[c + 1 :] = [(p * x - f * y) // s for x, y in zip(row[c + 1 :], tail)]
+                stamps[i] = p
         prev = p
         pivots.append(c)
         r += 1
     if any(row[n_cols] for row in m[r:]):
         raise InfeasibleSystem("inconsistent linear system")
+    free = sorted(set(range(n_cols)) - set(pivots))
+    reduced: list[list[int]] = [[]] * r
+    for k in reversed(range(r)):
+        row = m[k]
+        acc = [prev * row[j] for j in free] + [prev * row[n_cols]]
+        for j in range(k + 1, r):
+            g = row[pivots[j]]
+            if g:
+                acc = [a - g * x for a, x in zip(acc, reduced[j])]
+        d = row[pivots[k]]
+        reduced[k] = [a // d for a in acc]
     particular = [0] * n_cols
-    for row, col in zip(m, pivots):
-        particular[col] = row[n_cols]
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[-1]
     basis = []
-    for f in sorted(set(range(n_cols)) - set(pivots)):
+    for t, f in enumerate(free):
         v = [0] * n_cols
         v[f] = prev
-        for row, col in zip(m, pivots):
-            v[col] = -row[f]
+        for row, col in zip(reduced, pivots):
+            v[col] = -row[t]
         basis.append(tuple(v))
     return LinearSolution(tuple(pivots), prev, tuple(particular), tuple(basis))

@@ -574,6 +574,18 @@ DIGIT_BUDGET = [
          " elimination steps, more than 1000000", wall=1),
 ]
 
+# the two largest solves of the table, each under a 0.5 s wall bound: the
+# elimination updates only the rows below each pivot that have an entry in its
+# column, so in process on a 2-CPU machine these derives take 11 ms and 7 ms,
+# against 78 ms and 36 ms with dense Gauss-Jordan; the second is the largest k*
+# within the budget for its shape
+LARGE_SOLVES = [
+    Case("derive-m3-d4-k50-dd4", "derive --arity 3 --smoothing 4 --kstar 50 --samples dd4", 0,
+         Sha256("739c3d106bd7142cb1180166d0823044f16f55a30247c6bb1efb5d66b27c1cc9"), wall=0.5),
+    Case("derive-m3-d1-k79-dd2-symmetric", "derive --arity 3 --smoothing 1 --kstar 79 --samples dd:2 --symmetric",
+         0, Sha256("2345acf3ee6b43bd2afabf47e69861f239354dcb8d3d46084f46ac5538eaf769"), wall=0.5),
+]
+
 # the calls of single tests in tests/test_cli.py, which checked less of their
 # answers; each runs there under its test's name
 SINGLE_CALLS = [
@@ -847,7 +859,7 @@ GOLDEN = {name: [case for case in group if case.id not in ANSWER_IDS] for name, 
 
 CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *DIGIT_LIMIT, *PHI_OF_ZERO, *DEGREE_LOOP, *USAGE,
          *(case for pair in SWEEP_MODES for case in pair), *EXCEPTIONS, *ANSWERS, *README, *DIGIT_BUDGET,
-         *SINGLE_CALLS, *(case for group in GOLDEN.values() for case in group)]
+         *LARGE_SOLVES, *SINGLE_CALLS, *(case for group in GOLDEN.values() for case in group)]
 
 MODULE = (sys.executable, "-m", "dualsubdiv.cli")
 

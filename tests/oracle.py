@@ -23,7 +23,9 @@ The package keeps matrices, solutions and lattices as integers only;
 ``lattice_value`` build and read them as Fractions, and ``columns`` forms the
 column masks of an assembled system from their formula.  The dense
 matrices here (``identity``, ``matmul``, ``build_M``, ``build_N``,
-``build_O``) are plain tuples of Fraction rows.
+``build_O``) are plain tuples of Fraction rows.  ``bareiss_gauss_jordan`` is
+the dense fraction-free Gauss-Jordan that ``rref_solve``'s forward pass and
+back substitution replaced; it returns the same integer ``LinearSolution``.
 """
 
 import functools
@@ -32,7 +34,7 @@ import operator
 from fractions import Fraction as F
 
 from dualsubdiv.construct import _column_pairs, alpha_window
-from dualsubdiv.exactalg import LaurentPoly, RatMatrix, convolve, rat
+from dualsubdiv.exactalg import InfeasibleSystem, LaurentPoly, LinearSolution, RatMatrix, convolve, rat
 from dualsubdiv.samples import SampleSet, phi_poly
 from dualsubdiv.scheme import NotDivisible, symbol
 
@@ -324,6 +326,53 @@ def canonical_solution(reduced, column, pivots):
             v[c] = -reduced[i][f]
         basis.append(tuple(v))
     return tuple(particular), tuple(basis)
+
+
+def bareiss_gauss_jordan(matrix, rhs):
+    """``rref_solve`` as dense fraction-free Gauss-Jordan (Bareiss, Math. Comp.
+    22, 1968) on [matrix | rhs]: a step on pivot p replaces every other row,
+    above and below, by (p row - f pivot_row) / p_prev over its full width.
+    Returns the same ``LinearSolution`` or raises ``InfeasibleSystem``."""
+    if len(rhs) != matrix.rows:
+        raise ValueError("rhs length does not match row count")
+    m = []
+    for row, den, y in zip(matrix.numerators, matrix.denominators, rhs):
+        y = rat(y)
+        s = math.lcm(den, y.denominator)
+        m.append([x * (s // den) for x in row] + [y.numerator * (s // y.denominator)])
+    n_rows, n_cols = len(m), matrix.cols
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(n_rows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    if any(row[n_cols] for row in m[r:]):
+        raise InfeasibleSystem("inconsistent linear system")
+    particular = [0] * n_cols
+    for row, col in zip(m, pivots):
+        particular[col] = row[n_cols]
+    basis = []
+    for f in sorted(set(range(n_cols)) - set(pivots)):
+        v = [0] * n_cols
+        v[f] = prev
+        for row, col in zip(m, pivots):
+            v[col] = -row[f]
+        basis.append(tuple(v))
+    return LinearSolution(tuple(pivots), prev, tuple(particular), tuple(basis))
 
 
 def apply_row(row, mask, k_star):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -246,6 +249,33 @@ def test_derive_cantor():
 def test_derive_short_supports_infeasible(k_star, symmetric):
     with pytest.raises(InfeasibleProblem):
         derive(ConstructionProblem(3, 4, k_star, DD4, symmetric))
+
+
+# the sha256 of derive's answers over the design shapes, recorded with the dense
+# Gauss-Jordan elimination before the forward pass and back substitution
+DESIGN_SHAPES_DIGEST = "ab1f8c99eb8d09a50908397837a1780b21183cfef23c666507abe05b08ba8534"
+
+
+def test_derive_answers_across_the_design_shapes():
+    # m 3-10 x d 1-4 x four sample kinds, with and without symmetry, at the
+    # smallest k* whose window is nonempty and whose limit support holds the
+    # samples (the design grid's k_min) and two above it: 512 problems, each
+    # answer the family's to_dict JSON or the infeasible message, in turn
+    digest = hashlib.sha256()
+    for m in range(3, 11):
+        for d in range(1, 5):
+            for spec, points in {"dd4": 4, "dd6": 6, "dd:8": 8, "mix:1/5": 6}.items():
+                samples = samples_from_shorthand(spec)
+                k_min = max(math.ceil((d * (m - 1) + 1) / 2), math.ceil(((points - 1) * (m - 1) + 1) / 2))
+                for symmetric in (True, False):
+                    for k_star in (k_min, k_min + 2):
+                        problem = ConstructionProblem(m, d, k_star, samples, symmetric)
+                        try:
+                            answer = json.dumps(derive(problem).to_dict())
+                        except InfeasibleProblem as exc:
+                            answer = str(exc)
+                        digest.update(answer.encode() + b"\n")
+    assert digest.hexdigest() == DESIGN_SHAPES_DIGEST
 
 
 def test_derive_refuses_an_elimination_over_the_budget(monkeypatch):
