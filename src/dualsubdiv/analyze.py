@@ -13,6 +13,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .charax import verify_refinability
@@ -141,7 +142,9 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
         new += [0] * (math.floor(hi * Q2) + 1 - n_lo2 - len(new))
         values, Q, n_lo, scale = new, Q2, n_lo2, scale * D
     g = math.gcd(scale, *values)
-    return LatticeFunction(Q, n_lo, scale // g, tuple(v // g for v in values))
+    if g > 1:
+        values = [v // g for v in values]
+    return LatticeFunction(Q, n_lo, scale // g, tuple(values))
 
 
 def difference_scheme(mask: Mask, order: int) -> Mask:
@@ -436,15 +439,22 @@ def reproduction_degree(mask: Mask, seed: SampleSet, max_degree: int, depth: int
     """Largest D <= max_degree with sum_k k^e phi(x-k) = x^e exactly for all
     e <= D at every lattice point of refine_values(depth).
 
-    The comb sums run on the lattice's integer numerators N over their scale
-    S: for each degree e and each shift |k| <= K, K the largest shift inside
-    the window, k^e N is added into the part of the n-entry window that N
-    shifted by k Q reaches.  Each point's sum is compared with x^e as
-    acc Q^e == p^e S.  At most K + 1 shifts reach one point x, so the
-    measure sum_k phi(x-k) delta_k - delta_x has at most K + 2 nodes; once
-    its moments 0..K + 1 vanish, the Vandermonde matrix on those nodes
-    forces it to zero and every higher degree holds too.  The loop therefore
-    stops by degree K + 1.  Returns -1 when even constants are not reproduced.
+    The comb C_e(x) = sum_k k^e phi(x-k) satisfies
+    C_e(x + 1) = sum_{i <= e} binom(e, i) C_i(x).  So where C_i(x) = x^i
+    for every i <= e, C_e(x + 1) = (x + 1)^e.  The point x + 1 lies Q
+    entries after x, and every point of the n-point window is reached from
+    one of its first P = min(n, Q) points by such steps, each inside the
+    window.  By induction along x -> x + 1, the degrees <= e hold at all n
+    points exactly when they hold at those P points, so the combs are
+    summed there only.  The shifts that reach them are k = 0, -1, ..., -K,
+    K the largest shift inside the window: on the lattice's integer
+    numerators N over their scale S, entry i sums (-j)^e N[i + j Q] in one
+    pass (``_combine``) and is compared with x^e as acc Q^e == p^e S.  At
+    most K + 1 shifts reach one point x, so the measure
+    sum_k phi(x-k) delta_k - delta_x has at most K + 2 nodes; once its
+    moments 0..K + 1 vanish, the Vandermonde matrix on those nodes forces it
+    to zero and every higher degree holds too.  The loop therefore stops by
+    degree K + 1.  Returns -1 when even constants are not reproduced.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
@@ -452,18 +462,14 @@ def reproduction_degree(mask: Mask, seed: SampleSet, max_degree: int, depth: int
     Q, scale, nums = lf.denominator, lf.scale, lf.numerators
     n = len(nums)
     K = (n - 1) // Q
-    points = range(lf.offset, lf.offset + n)
+    P = min(n, Q)
+    # row j is N[j Q : j Q + P], the last one padded with zeros past the window
+    window = list(nums) + [0] * (K * Q + P - n)
+    rows = [window[j * Q : j * Q + P] for j in range(K + 1)]
+    points = range(lf.offset, lf.offset + P)
     for e in range(min(max_degree, K + 1) + 1):
-        # entry i sums k^e nums[i - k Q], i.e. k^e phi(p/Q - k)
-        combs = [0] * n
-        for k in range(-K, K + 1):
-            c = k**e
-            if c == 0:
-                continue
-            if k >= 0:
-                combs[k * Q :] = [acc + c * v for acc, v in zip(combs[k * Q :], nums)]
-            else:
-                combs[: n + k * Q] = [acc + c * v for acc, v in zip(combs, nums[-k * Q :])]
+        terms = [(c, row) for j, row in enumerate(rows) if (c := (-j) ** e)]
+        combs = _combine(terms) if terms else [0] * P
         Qe = Q**e
         for p, acc in zip(points, combs):
             if acc * Qe != p**e * scale:
@@ -476,30 +482,38 @@ def _subdivide_once(
 ) -> tuple[list[tuple[float, ...]], int]:
     """One step c'(z) = A(z) c(z^m) per coordinate, A(z) = sum_k a_k z^k.
 
-    The step is m polyphase rules c'_{mj+l} = sum_i a_{l+mi} c_{j-i}: each
-    weight a_l adds its multiple of the coordinates into every m-th entry
-    from l.  Taking l downwards adds the products of an entry in ascending
-    order of the point index j, starting from 0.0, so a zero is never
-    signed.  Open polygons index c' from m*first + k_l.  A closed polygon of
-    n points is periodic: c' is the product mod z^{mn} - 1, indexed from 0,
-    and its mn-long blocks are added in order (``_fold``).
+    The step is m polyphase rules c'_{mt+r} = sum_i a_{r+mi} c_{t-i}: each
+    residue class r is one multi-term pass (``_combine``) over the weights
+    a_{r+mi}, i descending, each on the coordinates shifted by i and padded
+    with zeros.  Its first term is 1.0 times zeros, so each entry adds its
+    products to 0.0 in ascending order of the point index t - i, and a zero
+    is never signed.  A padded entry adds a finite weight times 0.0, a zero,
+    which leaves such a sum as it is, nan and inf included.  A class that no
+    weight reaches stays 0.0.  Open polygons index c' from m*first + k_l.
+    A closed polygon of n points is periodic: c' is the product mod
+    z^{mn} - 1, indexed from 0, and its mn-long blocks are added in order
+    (``_fold``).
     """
     m, n = mask.arity, len(pts)
     weights = [x / mask.poly.denominator for x in mask.poly.numerators]
-    span = m * n
+    span, shift = m * n, (len(weights) - 1) // m
+    zeros = [0.0] * (n + shift)
     columns = []
     for coords in zip(*pts):
+        padded = zeros[:shift] + list(coords) + zeros[:shift]
         full = [0.0] * (m * (n - 1) + len(weights))
-        for l in reversed(range(len(weights))):
-            w = weights[l]
-            full[l : l + span : m] = [o + y * w for o, y in zip(full[l : l + span : m], coords)]
+        for r in range(min(m, len(weights))):
+            # class r holds n + top entries, top the largest i of a weight a_{r+mi}
+            top = (len(weights) - 1 - r) // m
+            terms = [(1.0, zeros)]
+            terms += [(weights[r + m * i], padded[shift - i : shift - i + n + top])
+                      for i in reversed(range(top + 1))]
+            full[r::m] = _combine(terms)
         columns.append(full)
     if not closed:
         return list(zip(*columns)), m * first + mask.k_left
-    wrapped = []
-    for full in columns:
-        # entry i is the coefficient of z^(i + k_l)
-        wrapped.append(_fold([0.0] * (mask.k_left % span) + full, span))
+    # entry i is the coefficient of z^(i + k_l)
+    wrapped = [_fold([0.0] * (mask.k_left % span) + full, span) for full in columns]
     return list(zip(*wrapped)), 0
 
 
@@ -532,12 +546,11 @@ def subdivide_points(
     for _ in range(steps):
         pts, first = _subdivide_once(mask, pts, first, closed)
     drift = tau * (m**steps - 1) / (m - 1)
-    # (n - drift) / m^steps as one correctly rounded int division
-    den = drift.denominator * m**steps
-    params = [
-        (n * drift.denominator - drift.numerator) / den
-        for n in range(first, first + len(pts))
-    ]
+    # (n - drift) / m^steps as one correctly rounded int division per n: with
+    # drift = p/q, the numerators n q - p step by q
+    p, q = drift.numerator, drift.denominator
+    numerators = range(first * q - p, (first + len(pts)) * q - p, q)
+    params = list(map(operator.truediv, numerators, repeat(q * m**steps)))
     return params, pts
 
 

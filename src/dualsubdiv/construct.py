@@ -152,7 +152,7 @@ class AssembledSystem:
     ``col_labels`` lists, per column, the b-indices the column stands for
     (two indices when symmetry folded a mirror pair onto one unknown); the
     unknown multiplies the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair}
-    z^beta, so a solution x is the mask ``_mask(problem, col_labels, x, 1)``.
+    z^beta, so a solution x is the mask ``_mask(problem, x, 1)``.
     ``dropped`` records pruned rows with the reason, for auditability.
     """
 
@@ -192,17 +192,17 @@ def _fold(row: list[int]) -> list[int]:
     return folded
 
 
-def _mask(
-    problem: ConstructionProblem, pairs: Sequence[tuple[int, ...]], x: Sequence[int], den: int
-) -> LaurentPoly:
+def _mask(problem: ConstructionProblem, x: Sequence[int], den: int) -> LaurentPoly:
     """The mask m^{1-d} (1+...+z^{m-1})^d b(z), b carrying x_i / den at the
-    b-indices of pairs[i]: d passes of running sums over b."""
+    b-indices of the i-th unknown (``_column_pairs``): d passes of running
+    sums over b.  Under symmetry b is x mirrored about the window's middle,
+    the inverse of ``_fold``."""
     b_lo, b_hi = problem.beta_window
     s_num, s_den = _column_scale(problem.m, problem.d)
-    b = [0] * (b_hi - b_lo + 1)
-    for pair, v in zip(pairs, x):
-        for beta in pair:
-            b[beta - b_lo] = s_num * v
+    if problem.symmetric:
+        # x[0] is the innermost pair, the middle index alone in an odd window
+        x = x[::-1] + x[(b_hi - b_lo + 1) % 2 :]
+    b = [s_num * v for v in x]
     for _ in range(problem.d):
         b = box_sums(b, problem.m)
     return LaurentPoly.from_numerators(b_lo, b, s_den * den)
@@ -398,7 +398,7 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
             f"{' and symmetry' if problem.symmetric else ''} for these samples"
         ) from None
     particular, *basis = (
-        Mask.from_poly(m, _mask(problem, system.col_labels, x, solution.denominator))
+        Mask.from_poly(m, _mask(problem, x, solution.denominator))
         for x in (solution.particular_numerators, *solution.nullbasis_numerators)
     )
     return SolutionFamily(problem, particular, tuple(basis))

@@ -264,7 +264,7 @@ class LaurentPoly:
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         object.__setattr__(self, "offset", offset + lo if nums else 0)
         object.__setattr__(self, "denominator", den // g)
-        object.__setattr__(self, "numerators", tuple(nums) if g == 1 else tuple(x // g for x in nums))
+        object.__setattr__(self, "numerators", tuple(nums) if g == 1 else tuple([x // g for x in nums]))
 
     @functools.cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -429,7 +429,7 @@ class RatMatrix:
         nums, lowest = [], []
         for row, den in zip(rows, dens):
             g = math.gcd(den, *row) if den > 0 else -math.gcd(den, *row)
-            nums.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+            nums.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
             lowest.append(den // g)
         if nums and any(len(row) != len(nums[0]) for row in nums):
             raise ValueError("ragged rows")

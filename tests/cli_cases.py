@@ -586,6 +586,15 @@ LARGE_SOLVES = [
          0, Sha256("2345acf3ee6b43bd2afabf47e69861f239354dcb8d3d46084f46ac5538eaf769"), wall=0.5),
 ]
 
+# the deepest lattice of the table, under a 0.5 s wall bound: 255,879 points on
+# Z/39366, whose combs are summed on one period of 39,366 points.  In process
+# on a 2-CPU machine it took 0.19-0.24 s, against 1.05-1.10 s with the combs
+# summed at every point, so the bound is about twice the one and half the other
+LARGE_LATTICES = [
+    Case("reproduce-ternary-depth-9", "reproduce --mask {ternary_mask} --samples dd4 --maxdeg 5 --depth 9",
+         0, {"degree": 3}, wall=0.5),
+]
+
 # the calls of single tests in tests/test_cli.py, which checked less of their
 # answers; each runs there under its test's name
 SINGLE_CALLS = [
@@ -859,7 +868,7 @@ GOLDEN = {name: [case for case in group if case.id not in ANSWER_IDS] for name, 
 
 CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *DIGIT_LIMIT, *PHI_OF_ZERO, *DEGREE_LOOP, *USAGE,
          *(case for pair in SWEEP_MODES for case in pair), *EXCEPTIONS, *ANSWERS, *README, *DIGIT_BUDGET,
-         *LARGE_SOLVES, *SINGLE_CALLS, *(case for group in GOLDEN.values() for case in group)]
+         *LARGE_SOLVES, *LARGE_LATTICES, *SINGLE_CALLS, *(case for group in GOLDEN.values() for case in group)]
 
 MODULE = (sys.executable, "-m", "dualsubdiv.cli")
 

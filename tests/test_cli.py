@@ -207,6 +207,7 @@ test_answers_match_their_pinned_bytes = _table_test(cli_cases.ANSWERS)
 test_readme_commands_answer_as_documented = _table_test(cli_cases.README)
 test_derive_budget_counts_the_entries_bits = _table_test(cli_cases.DIGIT_BUDGET)
 test_large_solves_run_within_their_wall = _table_test(cli_cases.LARGE_SOLVES)
+test_large_lattices_run_within_their_wall = _table_test(cli_cases.LARGE_LATTICES)
 
 
 def _case_test(id):

@@ -207,7 +207,7 @@ def test_derive_matches_fraction_gauss_jordan(problem):
     ]
     n = len(system.col_labels)
     units = ([int(i == j) for j in range(n)] for i in range(n))
-    assert [construct._mask(problem, system.col_labels, x, 1) for x in units] == columns
+    assert [construct._mask(problem, x, 1) for x in units] == columns
     assert list(oracle.columns(system)) == columns
     a_lo = problem.alpha_window[0]
     functionals = build_M(m, problem.samples, k_star) + build_N(m, k_star)

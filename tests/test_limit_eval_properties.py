@@ -1,8 +1,9 @@
 """Property tests of the limit-evaluation kernels against their references in
 ``oracle``: the polyphase curve step against the whole product per
-coordinate, and the windowed reproduction comb sums against the full comb
-product."""
+coordinate, and the reproduction comb sums on one lattice period against the
+full comb product at every lattice point."""
 
+import math
 import struct
 from fractions import Fraction as F
 
@@ -16,7 +17,7 @@ from dualsubdiv import catalog
 from dualsubdiv.analyze import refine_values, reproduction_degree, subdivide_points
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
 from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
-from dualsubdiv.scheme import Mask, shift_parameter
+from dualsubdiv.scheme import Mask, limit_support, shift_parameter
 from test_construct_properties import smallest_k_star
 
 coordinates = st.one_of(
@@ -24,17 +25,23 @@ coordinates = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
     # products of these with weights below 1 underflow to a zero
     st.floats(min_value=-1e-310, max_value=1e-310),
+    # with infinite coordinates, every nan of a step is the one nan that an
+    # invalid operation (zero times inf, inf - inf) makes, so that no order
+    # of a sum shows in its bits
+    st.sampled_from([math.inf, -math.inf]),
 )
 
 
 @st.composite
 def curve_cases(draw):
     """A mask of arity 2-7 up to 3 m n long, zeros inside on purpose, and a
-    polygon of n = 2-6 points in one or two dimensions."""
+    polygon of n = 2-6 points in one or two dimensions.  A mask shorter than
+    m, drawn as often as a longer one, leaves residue classes empty."""
     m = draw(st.integers(2, 7))
     n = draw(st.integers(2, 6))
     entry = st.one_of(st.just(0), st.integers(-60, 60))
-    nums = draw(st.lists(entry, min_size=1, max_size=3 * m * n).filter(any))
+    size = draw(st.one_of(st.integers(1, m - 1), st.integers(m, 3 * m * n)))
+    nums = draw(st.lists(entry, min_size=size, max_size=size).filter(any))
     mask = Mask(m, draw(st.integers(-3 * m * n, 3 * m * n)),
                 [F(x, draw(st.integers(1, 10**6))) for x in nums])
     dim = draw(st.integers(1, 2))
@@ -65,7 +72,8 @@ def test_polyphase_step_matches_the_whole_product_bit_for_bit(case):
 
 @st.composite
 def reproduction_cases(draw):
-    """A catalog mask or a member of a derived family, with its samples."""
+    """A catalog mask or a member of a derived family, symmetric or not, with
+    its samples."""
     if draw(st.booleans()):
         return draw(st.sampled_from([
             (catalog.cantor_mask(), catalog.cantor_samples()),
@@ -79,7 +87,7 @@ def reproduction_cases(draw):
     d = draw(st.integers(1, 3))
     k_star = smallest_k_star(m, d, samples) + draw(st.integers(0, 1))
     try:
-        family = derive(ConstructionProblem(m, d, k_star, samples, True))
+        family = derive(ConstructionProblem(m, d, k_star, samples, draw(st.booleans())))
     except InfeasibleProblem:
         reject()
     t = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7),
@@ -100,9 +108,43 @@ def primal_cases(draw):
     return Mask(m, -L, half[:0:-1] + half), SampleSet(1, 0, [F(1)])
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def short_window_cases(draw):
+    """A mask of arity 2-5 shorter than m: its limit support is shorter than
+    1, so at every depth its window holds at most Q points, and mostly fewer.
+    The seed on Z/T is a fixed vector of the refinement equation on the
+    lattice points of that support, from Fraction Gauss-Jordan on the
+    equation minus the identity, or zero where the equation fixes no vector.
+    Coefficients summing to 1 make a fixed vector likely."""
+    m = draw(st.integers(2, 5))
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3).filter(bool),
+                           min_size=1, max_size=m - 1))
+    if draw(st.booleans()) and sum(coeffs[:-1]) != 1:
+        coeffs[-1] = 1 - sum(coeffs[:-1])
+    mask = Mask(m, draw(st.integers(-3, 3)), coeffs)
+    tau = shift_parameter(mask)
+    T = tau.denominator * draw(st.integers(1, 3))
+    tau_T = int(tau * T)
+    lo, hi = limit_support(mask)
+    qs = range(math.ceil(lo * T), math.floor(hi * T) + 1)
+    # row q: sum_k a_k phi((m q - k T + tau T)/T) - phi(q/T)
+    rows = []
+    for q in qs:
+        row = [F(-(p == q)) for p in qs]
+        for k, a in enumerate(mask.poly.coeffs, mask.k_left):
+            p = m * q - k * T + tau_T
+            if p in qs:
+                row[p - qs.start] += a
+        rows.append(row)
+    solution = oracle.canonical_solution(*oracle.rref(rows, [0] * len(rows))) if rows else None
+    fixed = solution[1][0] if solution and solution[1] else ()
+    return mask, SampleSet(T, qs.start, fixed)
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.one_of(st.tuples(reproduction_cases(), st.integers(0, 3)),
-                 st.tuples(primal_cases(), st.just(0))), st.data())
+                 st.tuples(primal_cases(), st.just(0)),
+                 st.tuples(short_window_cases(), st.integers(0, 3))), st.data())
 def test_windowed_combs_match_the_full_comb_product(case, data):
     (mask, seed), depth = case
     lattice = refine_values(mask, seed, depth)
