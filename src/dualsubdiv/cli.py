@@ -6,6 +6,10 @@ entries serialized as "p/q" strings; point clouds and polylines travel as CSV.
 Exit codes: 0 success, 1 infeasible construction, 2 input/format errors,
 3 identity violation reported by ``verify``.  The commands only parse, call
 the library and print; ``main`` maps the library's exceptions to exit codes.
+An argv that starts with a command name is parsed by that command's own
+subparser (``parse_args``), and the JSON answers are written by ``_dumps``,
+which gives the bytes of ``json.dumps(payload, indent=2)`` without building
+an encoder per call.
 Every numeral read (an integer option, a JSON integer, a rational string,
 ``dd:N``) passes ``exactalg.refuse_digits``, and ``main`` lifts the
 interpreter's digit limit while it runs, so that every exact answer prints
@@ -23,6 +27,7 @@ import os
 import stat
 import sys
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter, truediv
 
 from . import catalog
@@ -115,6 +120,49 @@ def _print(text: str) -> None:
         raise CliError(f"cannot write standard output: {exc}") from exc
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, allow_nan=False)``.
+
+    For str dict keys and None, bool, int, float, str, list and dict values;
+    ``indent`` is the line break and indentation before a closing bracket.
+    A non-finite float raises the pure-Python encoder's ValueError, which
+    names the value.  Only ``sweep`` can meet one: ``derive`` and ``verify``
+    write no float, and ``regularity``'s bounds are finite or
+    ``contractivity_bound`` raises OverflowError.  Before Python 3.13,
+    ``json.dumps`` with an indent runs the pure-Python encoder, whose
+    closures leave a reference cycle per call; this writer leaves none.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(key) + ": " + _dumps(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(isinstance(item, str) for item in value):
+            items = map(_quote, value)  # a coefficient list
+        else:
+            items = [_dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(text: str, out: str | None) -> None:
     """Print the text, or write it with a final newline to the file ``out``.
 
@@ -153,7 +201,7 @@ def cmd_derive(args) -> int:
         payload = family.particular.to_dict()
     else:
         payload = family.to_dict()
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -170,7 +218,7 @@ def cmd_verify(args) -> int:
         "satisfied": result.satisfied,
         "residual": [[e, str(c)] for e, c in result.nonzero_terms()],
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK if result.satisfied else EXIT_VIOLATION
 
 
@@ -210,7 +258,7 @@ def cmd_regularity(args) -> int:
         "contractive": report.contractive,
         "holder_lower_bound": report.holder_lower_bound,
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -245,7 +293,7 @@ def cmd_sweep(args) -> int:
             for t, bound in contractivity_profile(family, args.order, args.levels, grid)
         ]
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = _dumps(payload)
     except ValueError as exc:
         raise CliError(f"a bound on range {args.range!r} is not finite: {exc}") from exc
     _emit(text, args.out)
@@ -311,43 +359,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify and analyze dual interpolatory subdivision schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # command name -> its subparser, for ``parse_args``
+
+    def command(name, help, fn):
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
 
     samples_help = (
         "sample values on Z/2: dd4, dd6, dd:N (N-point), mix:W (4/6-point blend"
         " with rational weight W), or a JSON file"
     )
 
-    p = sub.add_parser("derive", help="solve the construction system for a mask or family")
+    p = command("derive", "solve the construction system for a mask or family", cmd_derive)
     p.add_argument("--arity", type=_integer, required=True)
     p.add_argument("--smoothing", type=_integer, required=True, help="smoothing factor order d")
     p.add_argument("--kstar", type=_integer, required=True, help="mask support is {1-k*, ..., k*}")
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("verify", help="check a characterization identity exactly")
+    p = command("verify", "check a characterization identity exactly", cmd_verify)
     p.add_argument("--mask", required=True)
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--form", choices=["dual", "lemma", "refinability"], default="dual")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("eval", help="evaluate the limit function on a refined lattice")
+    p = command("eval", "evaluate the limit function on a refined lattice", cmd_eval)
     p.add_argument("--mask", required=True)
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--depth", type=_integer, default=4)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("regularity", help="difference-scheme contraction bounds")
+    p = command("regularity", "difference-scheme contraction bounds", cmd_regularity)
     p.add_argument("--mask", required=True)
     p.add_argument("--order", type=_integer, default=0, help="certify C^order")
     p.add_argument("--levels", type=_integer, default=3)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_regularity)
 
-    p = sub.add_parser("sweep", help="contraction bounds along a one-parameter family")
+    p = command("sweep", "contraction bounds along a one-parameter family", cmd_sweep)
     p.add_argument("--family", required=True, help="family JSON from derive")
     p.add_argument("--order", type=_integer, default=0)
     p.add_argument("--levels", type=_integer, default=3)
@@ -355,28 +405,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bisect", action="store_true", help="bisect the contractive interval")
     p.add_argument("--grid", type=_integer, default=129)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("reproduce", help="polynomial reproduction degree")
+    p = command("reproduce", "polynomial reproduction degree", cmd_reproduce)
     p.add_argument("--mask", required=True)
     p.add_argument("--samples", required=True, help=samples_help)
     p.add_argument("--maxdeg", type=_integer, default=6)
     p.add_argument("--depth", type=_integer, default=4)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_reproduce)
 
-    p = sub.add_parser("curve", help="subdivide a control polygon")
+    p = command("curve", "subdivide a control polygon", cmd_curve)
     p.add_argument("--mask", required=True)
     p.add_argument("--points", required=True, help="CSV of x,y control points")
     p.add_argument("--steps", type=_integer, default=4)
     p.add_argument("--closed", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_curve)
 
-    p = sub.add_parser("corpus", help="re-derive the reference schemes and report")
-    p.set_defaults(fn=cmd_corpus)
+    command("corpus", "re-derive the reference schemes and report", cmd_corpus)
 
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The Namespace of ``build_parser().parse_args(argv)``, which may lack
+    its ``command``.
+
+    An argv that starts with a command name is parsed by that command's
+    subparser alone, which reads the rest as the top-level parser would hand
+    it on, with one parser level less; any other argv (empty, ``--help``, an
+    option before the command, an unknown command) by the top-level parser.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -385,7 +445,7 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

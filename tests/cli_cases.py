@@ -470,6 +470,10 @@ USAGE = [
     Case("unknown", "reproduce --mask m.json --samples dd4 --tol 1e-8", 2,
          "error: unrecognized arguments: --tol 1e-8"),
     Case("no-command", "", 2, "error: the following arguments are required: command"),
+    # the list of choices after it is worded differently across Python versions
+    Case("unknown-command", "frobnicate", 2,
+         Prefix("error: argument command: invalid choice: 'frobnicate'")),
+    Case("option-before-command", "--symmetric corpus", 2, "error: unrecognized arguments: --symmetric"),
 ]
 
 

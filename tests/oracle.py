@@ -498,12 +498,23 @@ def contractivity_range(family, order, levels, search_interval, grid=129, tol=1e
 
 
 def subdivide_once(mask, pts, first, closed):
-    """One curve step as ``convolve(coords, weights, m)`` per coordinate; a
-    closed polygon of n points then folds each class r mod m n from 0.0,
+    """One curve step c'(z) = A(z) c(z^m) per coordinate, each entry j summed
+    from 0.0 over its products a_{j - m p} c_p in ascending p; a closed
+    polygon of n points then folds each class r mod m n from 0.0,
     c[r] + c[r + m n] + ... from left to right."""
     m = mask.arity
     weights = [x / mask.poly.denominator for x in mask.poly.numerators]
-    columns = [convolve(coords, weights, m) for coords in zip(*pts)]
+    size = m * (len(pts) - 1) + len(weights)
+    columns = []
+    for coords in zip(*pts):
+        column = []
+        for j in range(size):
+            acc = 0.0
+            for p, c in enumerate(coords):
+                if 0 <= j - m * p < len(weights):
+                    acc += weights[j - m * p] * c
+            column.append(acc)
+        columns.append(column)
     if not closed:
         return list(zip(*columns)), m * first + mask.k_left
     n = m * len(pts)

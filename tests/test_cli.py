@@ -1,6 +1,6 @@
-import argparse
 import errno
 import functools
+import gc
 import importlib
 import io
 import json
@@ -18,7 +18,7 @@ import cli_cases
 import dualsubdiv
 from dualsubdiv import catalog
 from dualsubdiv.analyze import contractivity_profile, refine_values
-from dualsubdiv.cli import CliError, build_parser, main
+from dualsubdiv.cli import CliError, build_parser, main, parse_args
 from dualsubdiv.construct import InfeasibleProblem, SolutionFamily, derive
 from dualsubdiv.exactalg import InfeasibleSystem
 from dualsubdiv.samples import samples_from_shorthand
@@ -253,9 +253,55 @@ def test_the_case_table_is_well_formed():
             assert type(case.expect) in (str, cli_cases.Prefix), case.id
             assert case.expect.startswith("infeasible: " if case.code == 1 else "error: ")
             assert "\n" not in case.expect
-    commands, = (action.choices for action in build_parser()._actions
-                 if isinstance(action, argparse._SubParsersAction))
-    assert set(commands) <= {case.args.split()[0] for case in cli_cases.CASES if case.args}
+    assert set(build_parser().commands) <= {case.args.split()[0] for case in cli_cases.CASES if case.args}
+
+
+class _Names(dict):
+    """Formats each ``{name}`` of a case's argv as ``name``."""
+
+    def __missing__(self, name):
+        return name
+
+
+def _parsed(parse, argv):
+    """The Namespace that ``parse(argv)`` gives without its ``command``, or
+    the text of its CliError, or its exit code."""
+    try:
+        args = vars(parse(argv))
+    except CliError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+    args.pop("command", None)
+    return "args", args
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_a_command_is_parsed_as_the_top_level_parser_parses_it(columns, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)  # help and usage lines wrap at the terminal width
+    argvs = [case.argv(_Names()) for case in cli_cases.CASES] + [
+        [], ["--help"], ["derive", "--help"], ["-h", "derive"], ["--symmetric", "corpus"],
+        ["--arity", "3", "derive"], ["frobnicate"], ["corpus", "--"], ["--", "corpus"],
+        ["derive", "--", "--arity"], ["verify", "--form=lemma", "--mask", "m", "--samples", "dd4"],
+    ]
+    for argv in argvs:
+        dispatched = _parsed(parse_args, argv), capsys.readouterr()
+        assert dispatched == (_parsed(build_parser().parse_args, argv), capsys.readouterr()), argv
+
+
+@pytest.mark.parametrize("id", ["readme-derive-mask", "readme-derive-family", "readme-verify",
+                                "verify-violation", "readme-regularity", "readme-sweep", "readme-bisect"])
+def test_an_answer_leaves_no_reference_cycles(id, tmp_path, capsys):
+    case, = (case for group in (cli_cases.README, cli_cases.SINGLE_CALLS) for case in group if case.id == id)
+    files = run_in_process(case, tmp_path, capsys)  # a warm-up call fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(case.argv(files))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    cli_cases.check(case, files, code, *capsys.readouterr())
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):
