@@ -3,7 +3,6 @@ of arbitrary arity."""
 
 from .analyze import (
     GridOverflow,
-    LatticeFunction,
     NoContractivePoint,
     Polyline,
     RegularityReport,
@@ -12,6 +11,7 @@ from .analyze import (
     contractivity_profile,
     contractivity_range,
     difference_scheme,
+    lattice_window,
     refine_values,
     reproduction_degree,
     subdivide_curve,

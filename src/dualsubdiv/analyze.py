@@ -7,7 +7,6 @@ polynomial reproduction degree, and curve subdivision.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -36,32 +35,6 @@ class GridOverflow(ValueError):
 
 
 @dataclass(frozen=True)
-class LatticeFunction:
-    """Values phi((offset + i)/denominator) = numerators[i]/scale; zero outside
-    the stored window.
-
-    The lattice is integer numerators over one scale with
-    gcd(scale, *numerators) == 1, so the pair equals
-    ``exactalg.numerators(values)`` and equality of lattices is equality of
-    values.  ``values`` builds the reduced Fractions on its first read.
-    """
-
-    denominator: int
-    offset: int
-    scale: int
-    numerators: tuple[int, ...]
-
-    @functools.cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.scale) for v in self.numerators)
-
-    @property
-    def is_exact(self) -> bool:
-        """Always true; ``perfbench/tracing.py`` reads it by name."""
-        return not self.values or isinstance(self.values[0], Fraction)
-
-
-@dataclass(frozen=True)
 class RegularityReport:
     """Per-level contraction bounds of the order-(k+1) difference scheme.
 
@@ -83,24 +56,33 @@ class Polyline:
     points: tuple[tuple[float, float], ...]
 
 
-def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
+def lattice_window(support: tuple[Fraction, Fraction], Q: int) -> tuple[int, int]:
+    """(first, n): the points first/Q, ..., (first + n - 1)/Q of Z/Q in
+    [lo, hi] = ``support``, first = ceil(lo Q); on a mask's ``limit_support``
+    they are a lattice's points, the zeros that a ``SampleSet`` trims included."""
+    lo, hi = support
+    first = math.ceil(lo * Q)
+    return first, math.floor(hi * Q) + 1 - first
+
+
+def refine_values(mask: Mask, seed: SampleSet, depth: int) -> SampleSet:
     """Values of the limit function on Z/(T m^depth) via the refinement equation.
 
     On the lattice Z/Q the refinement equation phi(x) = sum_k a_k
     phi(m x - k + tau) reads V'(z) = z^{-tau Q} A(z^Q) V(z), where
     V(z) = sum_q phi(q/Q) z^q, V' the same on Z/(mQ), A(z) = sum_k a_k z^k;
-    each level is that one product.  It runs on the stored integer
-    numerators: with D the mask's denominator and S the seed's, level L
-    holds ints over S D^L, and the product of the integer mask D a_k with
-    level L is level L+1.  The returned lattice keeps
-    the last level's numerators, divided with their scale by their gcd; no
-    Fraction is built until a caller reads ``values``.  Depth 0 returns the
-    seed as a LatticeFunction.
+    each level is that one product, which starts k_l Q - tau Q after V.  It
+    runs on the stored integer numerators: with D the mask's denominator and
+    S the seed's, level L holds ints over S D^L, and the product of the
+    integer mask D a_k with level L is level L+1.  The last level is a
+    ``SampleSet`` on Z/(T m^depth), a seed of the same kind, whose store
+    trims zero ends and divides out the common factor; no Fraction is built
+    until a caller reads ``values``.  Depth 0 returns the seed's values.
     Raises SeedInconsistent when the seed leaves the limit support or when it
     fails ``charax.verify_refinability``, naming the first lattice point where
     one level does not reproduce it.  Raises ValueError, before any level
-    runs, when ``exactalg.refuse_growth`` refuses the lattices Z/(T m^L) and
-    when ``exactalg.refuse`` refuses the identity's product.
+    runs, when ``exactalg.refuse_growth`` refuses the ``lattice_window`` of
+    a Z/(T m^L) and when ``exactalg.refuse`` refuses the identity's product.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -110,14 +92,13 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
     if tau_T.denominator != 1:
         raise ValueError(f"tau*T = {tau_T} is not an integer")
 
-    lo, hi = limit_support(mask)
+    lo, hi = support = limit_support(mask)
     s_lo, s_hi = seed.support
     if not seed.poly.is_zero and (s_lo < lo or s_hi > hi):
         raise SeedInconsistent(
             f"seed support [{s_lo}, {s_hi}] exceeds the limit support [{lo}, {hi}]"
         )
-    qs = (seed.T * m**level for level in range(1, depth + 1))
-    sizes = (math.floor(hi * q) - math.ceil(lo * q) + 1 for q in qs)
+    sizes = (lattice_window(support, seed.T * m**level)[1] for level in range(1, depth + 1))
     refuse_growth(m, seed.T, sizes, f"a lattice of depth {depth}", "points")
     residual = verify_refinability(mask, seed).nonzero_terms()
     if residual:
@@ -128,23 +109,13 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> LatticeFunction:
             f"refinement equation fails at {e // m}/{seed.T}: {v} != {v - seed.T * c}"
         )
     D, coeffs = mask.poly.denominator, mask.poly.numerators
-    Q = seed.T
-    n_lo = math.ceil(lo * Q)
-    scale, start = seed.poly.denominator, seed.offset - n_lo
-    values = [0] * (math.floor(hi * Q) + 1 - n_lo)
-    values[start : start + len(seed.poly.numerators)] = seed.poly.numerators
-
+    Q, offset, values = seed.T, seed.offset, seed.poly.numerators
     for _ in range(depth):
-        Q2 = Q * m
-        n_lo2 = math.ceil(lo * Q2)
-        # it starts at k_l Q + n_lo - tau Q = n_lo2; pad an empty window's end
-        new = convolve(coeffs, values, Q)
-        new += [0] * (math.floor(hi * Q2) + 1 - n_lo2 - len(new))
-        values, Q, n_lo, scale = new, Q2, n_lo2, scale * D
-    g = math.gcd(scale, *values)
-    if g > 1:
-        values = [v // g for v in values]
-    return LatticeFunction(Q, n_lo, scale // g, tuple(values))
+        offset += mask.k_left * Q - tau_T.numerator * (Q // seed.T)
+        values = convolve(coeffs, values, Q)
+        Q *= m
+    poly = LaurentPoly.from_numerators(offset, values, seed.poly.denominator * D**depth)
+    return SampleSet.from_poly(Q, poly)
 
 
 def difference_scheme(mask: Mask, order: int) -> Mask:
@@ -437,36 +408,39 @@ def contractivity_range(
 
 def reproduction_degree(mask: Mask, seed: SampleSet, max_degree: int, depth: int) -> int:
     """Largest D <= max_degree with sum_k k^e phi(x-k) = x^e exactly for all
-    e <= D at every lattice point of refine_values(depth).
+    e <= D at the n points of the ``lattice_window`` on Z/Q, Q = T m^depth.
 
     The comb C_e(x) = sum_k k^e phi(x-k) satisfies
     C_e(x + 1) = sum_{i <= e} binom(e, i) C_i(x).  So where C_i(x) = x^i
     for every i <= e, C_e(x + 1) = (x + 1)^e.  The point x + 1 lies Q
     entries after x, and every point of the n-point window is reached from
     one of its first P = min(n, Q) points by such steps, each inside the
-    window.  By induction along x -> x + 1, the degrees <= e hold at all n
+    window; a trimmed window would leave a residue class of a short support
+    unchecked.  By induction along x -> x + 1, the degrees <= e hold at all n
     points exactly when they hold at those P points, so the combs are
     summed there only.  The shifts that reach them are k = 0, -1, ..., -K,
     K the largest shift inside the window: on the lattice's integer
-    numerators N over their scale S, entry i sums (-j)^e N[i + j Q] in one
-    pass (``_combine``) and is compared with x^e as acc Q^e == p^e S.  At
-    most K + 1 shifts reach one point x, so the measure
-    sum_k phi(x-k) delta_k - delta_x has at most K + 2 nodes; once its
-    moments 0..K + 1 vanish, the Vandermonde matrix on those nodes forces it
-    to zero and every higher degree holds too.  The loop therefore stops by
-    degree K + 1.  Returns -1 when even constants are not reproduced.
+    numerators N over their scale S, padded with zeros to the window, entry
+    i sums (-j)^e N[i + j Q] in one pass (``_combine``) and is compared with
+    x^e as acc Q^e == p^e S.  At most K + 1 shifts reach one point x, so
+    the measure sum_k phi(x-k) delta_k - delta_x has at most K + 2 nodes;
+    once its moments 0..K + 1 vanish, the Vandermonde matrix on those nodes
+    forces it to zero and every higher degree holds too.  The loop therefore
+    stops by degree K + 1.  Returns -1 when even constants are not reproduced.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
-    lf = refine_values(mask, seed, depth)
-    Q, scale, nums = lf.denominator, lf.scale, lf.numerators
-    n = len(nums)
+    lattice = refine_values(mask, seed, depth)
+    Q, poly = lattice.T, lattice.poly
+    first, n = lattice_window(limit_support(mask), Q)
     K = (n - 1) // Q
     P = min(n, Q)
-    # row j is N[j Q : j Q + P], the last one padded with zeros past the window
-    window = list(nums) + [0] * (K * Q + P - n)
+    # row j is N[j Q : j Q + P] on the window, the last one padded with zeros
+    window = [0] * (K * Q + P)
+    start = poly.offset - first
+    window[start : start + len(poly.numerators)] = poly.numerators
     rows = [window[j * Q : j * Q + P] for j in range(K + 1)]
-    points = range(lf.offset, lf.offset + P)
+    scale, points = poly.denominator, range(first, first + P)
     for e in range(min(max_degree, K + 1) + 1):
         terms = [(c, row) for j, row in enumerate(rows) if (c := (-j) ** e)]
         combs = _combine(terms) if terms else [0] * P

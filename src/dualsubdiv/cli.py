@@ -37,6 +37,7 @@ from .analyze import (
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
+    lattice_window,
     refine_values,
     reproduction_degree,
     subdivide_curve,
@@ -45,7 +46,7 @@ from .charax import verify_dual_interpolatory, verify_lemma_form, verify_refinab
 from .construct import ConstructionProblem, InfeasibleProblem, SolutionFamily, derive
 from .exactalg import integer, refuse_digits
 from .samples import SampleSet, samples_from_shorthand
-from .scheme import Mask
+from .scheme import Mask, limit_support
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -236,12 +237,16 @@ def cmd_eval(args) -> int:
     mask = _load_json(args.mask, "mask", Mask)
     samples = _resolve_samples(args.samples)
     lattice = refine_values(mask, samples, args.depth)
+    # one row per point of the window, the zeros the lattice trims included
+    den, poly = lattice.T, lattice.poly
+    lo, n = lattice_window(limit_support(mask), den)
+    nums = [0] * n
+    start = poly.offset - lo
+    nums[start : start + len(poly.numerators)] = poly.numerators
     # each x and value is one int division, formatted by column: one repr per
     # |p| and, on a palindromic lattice, the first half of the values mirrored
-    nums, lo, den = lattice.numerators, lattice.offset, lattice.denominator
-    n = len(nums)
     half = (n + 1) // 2 if nums == nums[::-1] else n
-    values = list(map(repr, map(truediv, islice(nums, half), repeat(lattice.scale))))
+    values = list(map(repr, map(truediv, islice(nums, half), repeat(poly.denominator))))
     rows = zip(map(str, range(lo, lo + n)), repeat(str(den)), _signed_reprs(lo, lo + n - 1, den),
                chain(values, reversed(values[: n - half])))
     _emit("\n".join(chain(["numerator,denominator,x,value"], map(",".join, rows))), args.out)

@@ -38,8 +38,14 @@ from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
-# a decimal exponent e as ``Fraction`` reads it, which builds 10^|e|
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# Python 3.11's ``fractions._RATIONAL_FORMAT``, its literal ``d*`` included, so
+# that 3.10 (which refuses "1_0") to 3.13 (which reads "1 / 2") read one grammar
+_RATIONAL_FORMAT = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?|(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z
+""", re.VERBOSE | re.IGNORECASE)
+
 # the most digits a numeral may have, and the largest decimal exponent
 MAX_DIGITS = 4300
 # one numeral as int and Fraction read it: its digits, underscores and point
@@ -77,20 +83,29 @@ def rat(value: RationalLike) -> Fraction:
 
     Floats are rejected: silently converting them would smuggle binary
     rounding artifacts into computations that must stay exact.  So are bools,
-    which are ints to Python but no number in JSON.  A string is refused by
-    ``refuse_digits`` and for an exponent beyond MAX_DIGITS in magnitude.
+    which are ints to Python but no number in JSON.  A string is read with
+    Python 3.11's ``Fraction`` grammar and messages on every Python; it is
+    refused by ``refuse_digits`` and for an exponent beyond MAX_DIGITS in
+    magnitude.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing to coerce {type(value).__name__} {value!r} to an exact rational")
-    if isinstance(value, str):
-        refuse_digits(value)
-        exponent = _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > MAX_DIGITS:
-            raise ValueError(f"exponent {exponent[1]} exceeds {MAX_DIGITS} in magnitude")
-    try:
+    if not isinstance(value, str):
         return Fraction(value)
+    refuse_digits(value)
+    match = _RATIONAL_FORMAT.match(value)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    if abs(e := int(match["exp"] or 0)) > MAX_DIGITS:
+        raise ValueError(f"exponent {match['exp']} exceeds {MAX_DIGITS} in magnitude")
+    decimal = (match["decimal"] or "").replace("_", "")
+    scale = 10 ** len(decimal)
+    p = (int(match["num"] or 0) * scale + int(decimal or 0)) * 10 ** max(e, 0)
+    q = int(match["denom"] or 1) * scale * 10 ** max(-e, 0)
+    try:
+        return Fraction(-p if match["sign"] == "-" else p, q)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
 

@@ -1,10 +1,10 @@
 """Prescribed lattice values of a limit function.
 
-A SampleSet stores phi on the lattice Z/T over a finite window, as the
-integer store of ``exactalg.LaurentPoly``.  For the dual constructions T is
-always 2: integer values are the interpolation deltas and the half-integer
-values are the free data, typically borrowed from a binary interpolatory
-scheme such as the Dubuc-Deslauriers family.
+A SampleSet stores phi on the lattice Z/T as ``exactalg.LaurentPoly``'s
+integer store.  Seeds live on Z/2: integer values are the interpolation
+deltas, half-integer values the free data, typically from a binary
+interpolatory scheme such as Dubuc-Deslauriers.  ``analyze.refine_values``
+refines a seed to SampleSets on Z/(2 m^L), seeds of the same kind.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ class SampleSet:
     @property
     def values(self) -> tuple[Fraction, ...]:
         return self.poly.coeffs
+
+    @property
+    def is_exact(self) -> bool:
+        """Always true; ``perfbench/tracing.py``, its only reader, reads it by name."""
+        return not self.values or isinstance(self.values[0], Fraction)
 
     def value_at_index(self, i: int) -> Fraction:
         """phi(i/T)."""

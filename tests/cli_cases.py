@@ -164,6 +164,9 @@ INPUTS = {
     "no_values": lambda: {"T": 2, "offset": 0, "values": []},
     "zero_outside": lambda: {"T": 2, "offset": 1, "values": ["1/2"]},
     "zero_stored": lambda: {"T": 2, "offset": -1, "values": ["1/2", "0", "1/2"]},
+    # the cantor samples in other spellings of Python 3.11's rational grammar
+    "underscore_samples": lambda: {"T": 2, "offset": -1, "values": ["1_0/2_0", "1", "5_0/1_00"]},
+    "spaced_samples": lambda: {"T": 2, "offset": -1, "values": ["1 / 2", "1", "1/2"]},
     "no_offset_mask": _edit(_cantor, "offset"),
     "no_T_samples": _edit(_cantor_samples, "T"),
     "no_smoothing_family": _edit(_line, "problem", "smoothing"),
@@ -535,6 +538,14 @@ EXCEPTIONS = [
 NOTHING = Sha256(hashlib.sha256(b"").hexdigest())
 SATISFIED = {"satisfied": True, "residual": []}
 
+# one rational grammar, Python 3.11's, on every Python: 3.10's Fraction
+# refused underscores and 3.12's read "1 / 2"
+GRAMMAR = [
+    Case("verify-underscore-samples", "verify --mask {cantor} --samples {underscore_samples}", 0, SATISFIED),
+    Case("verify-spaced-samples", "verify --mask {cantor} --samples {spaced_samples}", 2,
+         "error: bad sample file {spaced_samples}: Invalid literal for Fraction: '1 / 2'"),
+]
+
 # the commands of README.md's "Command line" block, in its order, with its
 # mask.json as {ternary_mask} and its family.json as {readme_family}; its
 # infeasible derive is the case InfeasibleProblem and its corpus the case corpus
@@ -870,7 +881,7 @@ ANSWERS = [
 # group -> its other generated answers, which tests/test_golden_bytes.py runs
 GOLDEN = {name: [case for case in group if case.id not in ANSWER_IDS] for name, group in _GENERATED.items()}
 
-CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *DIGIT_LIMIT, *PHI_OF_ZERO, *DEGREE_LOOP, *USAGE,
+CASES = [*BAD_INPUT, *RUNAWAY, *FAR_IDENTITY, *DIGIT_LIMIT, *PHI_OF_ZERO, *DEGREE_LOOP, *GRAMMAR, *USAGE,
          *(case for pair in SWEEP_MODES for case in pair), *EXCEPTIONS, *ANSWERS, *README, *DIGIT_BUDGET,
          *LARGE_SOLVES, *LARGE_LATTICES, *SINGLE_CALLS, *(case for group in GOLDEN.values() for case in group)]
 

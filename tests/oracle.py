@@ -18,12 +18,12 @@ scaling, sub-symbols, the smoothing factor) have no package caller; the
 tests and the references below build their polynomials with them.
 ``sample_value``, a sample set's value at a point of its lattice, has no
 package caller either.
-The package keeps matrices, solutions and lattices as integers only;
-``rat_matrix``, ``entries``, ``particular``, ``nullbasis`` and
-``lattice_value`` build and read them as Fractions, and ``columns`` forms the
-column masks of an assembled system from their formula.  The dense
-matrices here (``identity``, ``matmul``, ``build_M``, ``build_N``,
-``build_O``) are plain tuples of Fraction rows.  ``bareiss_gauss_jordan`` is
+The package keeps matrices and solutions as integers only;
+``rat_matrix``, ``entries``, ``particular`` and ``nullbasis`` build and read
+them as Fractions, and ``columns`` forms the column masks of an assembled
+system from their formula.  The dense matrices here (``identity``,
+``matmul``, ``build_M``, ``build_N``, ``build_O``) are plain tuples of
+Fraction rows.  ``bareiss_gauss_jordan`` is
 the dense fraction-free Gauss-Jordan that ``rref_solve``'s forward pass and
 back substitution replaced; it returns the same integer ``LinearSolution``.
 """
@@ -136,12 +136,6 @@ def particular(solution):
 def nullbasis(solution):
     """The null basis of a ``LinearSolution`` as Fraction vectors."""
     return tuple(tuple(F(x, solution.denominator) for x in v) for v in solution.nullbasis_numerators)
-
-
-def lattice_value(lattice, i):
-    """phi(i / lattice.denominator) of a ``LatticeFunction``; zero off its window."""
-    j = i - lattice.offset
-    return F(lattice.numerators[j], lattice.scale) if 0 <= j < len(lattice.numerators) else F(0)
 
 
 def columns(system):
@@ -533,30 +527,31 @@ def subdivide_points(mask, control, steps, closed):
     return first, pts
 
 
-def reproduction_degree(lattice, max_degree):
-    """The exact reproduction degree of a ``LatticeFunction``, checked at
-    every degree up to max_degree, with the comb sums of degree e read off
-    the whole product of (k^e), |k| <= K, with the numerators at stride Q:
-    entry K Q + i sums k^e nums[i - k Q]."""
-    Q, scale, nums = lattice.denominator, lattice.scale, lattice.numerators
-    n = len(nums)
+def reproduction_degree(lattice, window, max_degree):
+    """The exact reproduction degree of a lattice, a ``SampleSet`` on Z/Q,
+    checked at every degree up to max_degree on every point of its
+    ``window`` (first, n), with the comb sums of degree e read off the whole
+    Fraction product of (k^e), |k| <= K, with the window's values at stride
+    Q: entry K Q + i sums k^e phi((first + i - k Q)/Q)."""
+    Q, (first, n) = lattice.T, window
+    values = [lattice.value_at_index(p) for p in range(first, first + n)]
     K = (n - 1) // Q
     for e in range(max_degree + 1):
-        combs = convolve([k**e for k in range(-K, K + 1)], nums, Q)[K * Q : K * Q + n]
-        for p, acc in zip(range(lattice.offset, lattice.offset + n), combs):
-            if acc * Q**e != p**e * scale:
+        combs = convolve([k**e for k in range(-K, K + 1)], values, Q)[K * Q : K * Q + n]
+        for p, acc in zip(range(first, first + n), combs):
+            if acc * Q**e != p**e:
                 return e - 1
     return max_degree
 
 
-def eval_csv(lattice):
-    """``eval``'s CSV text: one row per lattice point, each with its own
-    divisions and float reprs."""
+def eval_csv(lattice, window):
+    """``eval``'s CSV text of a ``SampleSet`` lattice: one row per point of
+    its ``window`` (first, n), each with its own divisions and float reprs."""
     rows = ["numerator,denominator,x,value"]
-    for i, v in enumerate(lattice.numerators):
-        p = lattice.offset + i
-        x = p / lattice.denominator
-        rows.append(f"{p},{lattice.denominator},{x},{v / lattice.scale}")
+    first, n = window
+    for p in range(first, first + n):
+        v = lattice.value_at_index(p)
+        rows.append(f"{p},{lattice.T},{p / lattice.T},{v.numerator / v.denominator}")
     return "\n".join(rows)
 
 

@@ -16,6 +16,7 @@ from dualsubdiv.analyze import (
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
+    lattice_window,
     refine_values,
     reproduction_degree,
 )
@@ -29,10 +30,10 @@ from dualsubdiv.construct import (
     derive,
 )
 from dualsubdiv.samples import dd_samples
-from dualsubdiv.scheme import Mask, shift_parameter
+from dualsubdiv.scheme import Mask, limit_support, shift_parameter
 
 import oracle
-from oracle import entries, lattice_value, sub_symbols, value_at_one
+from oracle import entries, sub_symbols, value_at_one
 
 DD4 = dd_samples(2)
 
@@ -255,11 +256,12 @@ def test_criterion_9_interpolation_and_shift_invariants():
         for depth in range(5):
             lattice = refine_values(mask, samples, depth)
             assert lattice.is_exact
-            q = lattice.denominator
-            span = 1 + math.ceil(float(-lattice.offset) / q)
+            q = lattice.T
+            first, _ = lattice_window(limit_support(mask), q)
+            span = 1 + math.ceil(float(-first) / q)
             for n in range(-span, span + 1):
                 expected = 1 if n == 0 else 0
-                ok = ok and lattice_value(lattice, n * q) == expected
+                ok = ok and lattice.value_at_index(n * q) == expected
     assert report("criterion 9 (interpolation, shift, residue sums)", ok, "exact at depths 0..4")
 
 

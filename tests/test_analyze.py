@@ -7,7 +7,6 @@ import pytest
 from dualsubdiv import analyze, catalog, exactalg
 from dualsubdiv.analyze import (
     GridOverflow,
-    LatticeFunction,
     NoContractivePoint,
     ParameterGrid,
     SeedInconsistent,
@@ -15,6 +14,7 @@ from dualsubdiv.analyze import (
     contractivity_profile,
     contractivity_range,
     difference_scheme,
+    lattice_window,
     refine_values,
     reproduction_degree,
     subdivide_curve,
@@ -30,7 +30,7 @@ from dualsubdiv.scheme import (
     shift_parameter,
     symbol,
 )
-from oracle import lattice_value, perturbed, power, smoothing_factor
+from oracle import perturbed, power, smoothing_factor
 
 
 CANTOR = catalog.cantor_mask()
@@ -41,29 +41,30 @@ DD4 = dd_samples(2)
 
 def test_refine_depth_zero_returns_seed():
     lattice = refine_values(CANTOR, CANTOR_SAMPLES, 0)
-    assert lattice.denominator == 2
-    assert lattice_value(lattice, 0) == 1
-    assert lattice_value(lattice, 1) == F(1, 2)
+    assert lattice == CANTOR_SAMPLES
+    assert lattice.T == 2
+    assert lattice.value_at_index(0) == 1
+    assert lattice.value_at_index(1) == F(1, 2)
 
 
 def test_refine_cantor_one_step():
     lattice = refine_values(CANTOR, CANTOR_SAMPLES, 1)
-    assert lattice.denominator == 6
+    assert lattice.T == 6
     # constant 1 plateau on [-1/4, 1/4]
-    assert lattice_value(lattice, 1) == 1
-    assert lattice_value(lattice, -1) == 1
-    assert lattice_value(lattice, 3) == F(1, 2)
+    assert lattice.value_at_index(1) == 1
+    assert lattice.value_at_index(-1) == 1
+    assert lattice.value_at_index(3) == F(1, 2)
     # ascending Cantor-function values on [-3/4, -1/4]
-    assert lattice_value(lattice, -3) == F(1, 2)
+    assert lattice.value_at_index(-3) == F(1, 2)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_interpolation_preserved_at_every_depth(depth):
     lattice = refine_values(TERNARY, DD4, depth)
-    q = lattice.denominator
+    q = lattice.T
     for n in range(-4, 5):
         expected = 1 if n == 0 else 0
-        assert lattice_value(lattice, n * q) == expected
+        assert lattice.value_at_index(n * q) == expected
 
 
 CATALOG_PAIRS = {
@@ -108,34 +109,39 @@ def test_refine_values_matches_pointwise_cascade(name, depth):
     mask, seed = LATTICE_CASES[name]
     lattice = refine_values(mask, seed, depth)
     Q, values = cascade(mask, seed, depth)
-    assert lattice.denominator == Q
-    assert lattice.offset == min(values)
-    assert lattice.values == tuple(values[q] for q in sorted(values))
+    assert lattice.T == Q
+    assert lattice_window(limit_support(mask), Q) == (min(values), len(values))
+    window = [values[q] for q in sorted(values)]
+    assert [lattice.value_at_index(q) for q in sorted(values)] == window
     assert_canonical(lattice)
     # reading values builds reduced Fractions, once
     assert lattice.is_exact
     assert all(type(v) is F and math.gcd(v.numerator, v.denominator) == 1 for v in lattice.values)
     assert lattice.values is lattice.values
-    # equal values are equal lattices: the oracle's values over their lcm
-    scale, nums = numerators([values[q] for q in sorted(values)])
-    expected = LatticeFunction(Q, lattice.offset, scale, tuple(nums))
+    # equal values are equal lattices: the oracle's window of values as a seed
+    expected = SampleSet(Q, min(values), window)
     assert lattice == expected and hash(lattice) == hash(expected)
 
 
 def assert_canonical(lattice):
-    """The numerators and scale are the values over their lcm, in lowest terms."""
-    assert (lattice.scale, list(lattice.numerators)) == numerators(lattice.values)
-    assert math.gcd(lattice.scale, *lattice.numerators) == 1
-    assert all(type(v) is int for v in lattice.numerators)
+    """The numerators and scale are the values over their lcm, in lowest
+    terms, trimmed to nonzero ends."""
+    p = lattice.poly
+    assert (p.denominator, list(p.numerators)) == numerators(lattice.values)
+    assert math.gcd(p.denominator, *p.numerators) == 1
+    assert all(type(v) is int for v in p.numerators)
+    assert not p.numerators or p.numerators[0] and p.numerators[-1]
 
 
 def test_ternary_peak_and_support():
     lattice = refine_values(TERNARY, DD4, 3)
     assert max(lattice.values) == 1
-    assert lattice_value(lattice, 0) == 1
-    lo = F(lattice.offset, lattice.denominator)
-    hi = F(lattice.offset + len(lattice.values) - 1, lattice.denominator)
+    assert lattice.value_at_index(0) == 1
+    first, n = lattice_window(limit_support(TERNARY), lattice.T)
+    lo, hi = F(first, lattice.T), F(first + n - 1, lattice.T)
     assert -F(13, 4) <= lo and hi <= F(13, 4)
+    s_lo, s_hi = lattice.support
+    assert lo <= s_lo and s_hi <= hi
 
 
 @pytest.mark.parametrize("mask,seed", [(CANTOR, CANTOR_SAMPLES), (TERNARY, DD4)])
@@ -143,8 +149,9 @@ def test_lattice_nesting(mask, seed):
     coarse = refine_values(mask, seed, 2)
     fine = refine_values(mask, seed, 3)
     m = mask.arity
-    for i, v in enumerate(coarse.values):
-        assert lattice_value(fine, (coarse.offset + i) * m) == v
+    first, n = lattice_window(limit_support(mask), coarse.T)
+    for p in range(first, first + n):
+        assert fine.value_at_index(p * m) == coarse.value_at_index(p)
 
 
 @pytest.mark.parametrize("depth", [0, 1])
@@ -399,20 +406,20 @@ def test_reproduction_degree_checks_degree_k_plus_1():
     # the depth-0 Cantor lattice, 1/2, 1, 1/2 on Z/2, has K = 1: the hat
     # reproduces degree 1 and first fails at degree K + 1 = 2
     lattice = refine_values(CANTOR, CANTOR_SAMPLES, 0)
-    assert (len(lattice.numerators) - 1) // lattice.denominator == 1
+    _, n = lattice_window(limit_support(CANTOR), lattice.T)
+    assert (n - 1) // lattice.T == 1
     assert reproduction_degree(CANTOR, CANTOR_SAMPLES, 9, 0) == 1
 
 
 def test_partition_of_unity_is_exact_for_ternary():
     lattice = refine_values(TERNARY, DD4, 2)
-    q = lattice.denominator
-    lo = lattice.offset
-    hi = lattice.offset + len(lattice.values) - 1
-    for i in range(len(lattice.values)):
-        p = lo + i
+    q = lattice.T
+    lo, n = lattice_window(limit_support(TERNARY), q)
+    hi = lo + n - 1
+    for p in range(lo, hi + 1):
         k_lo = math.ceil(F(p - hi, q))
         k_hi = math.floor(F(p - lo, q))
-        total = sum((lattice_value(lattice, p - k * q) for k in range(k_lo, k_hi + 1)), F(0))
+        total = sum((lattice.value_at_index(p - k * q) for k in range(k_lo, k_hi + 1)), F(0))
         assert total == 1
 
 
@@ -513,9 +520,10 @@ def test_zero_weight_product_stays_unsigned_zero(closed):
 def test_output_cap_is_checked_before_any_level(monkeypatch):
     # a cap of exactly the depth-2 lattice, or of the 2-step polylines, lets
     # them through; one point less refuses them
-    size = len(refine_values(TERNARY, DD4, 2).numerators)
+    lattice = refine_values(TERNARY, DD4, 2)
+    _, size = lattice_window(limit_support(TERNARY), lattice.T)
     monkeypatch.setattr(exactalg, "MAX_POINTS", size)
-    assert len(refine_values(TERNARY, DD4, 2).numerators) == size
+    assert refine_values(TERNARY, DD4, 2) == lattice
     monkeypatch.setattr(exactalg, "MAX_POINTS", size - 1)
     refused = f"level 2 of a lattice of depth 2 would need {size} points, more than {size - 1}$"
     with pytest.raises(ValueError, match=refused):
@@ -534,7 +542,7 @@ def test_output_cap_is_checked_before_any_level(monkeypatch):
     # Q = 2^3 passes the bound (MAX_POINTS + 1)(m - 1) = 8 and not 7
     point, seed = Mask(2, 0, [1]), SampleSet(1, 0, [1])
     monkeypatch.setattr(exactalg, "MAX_POINTS", 7)
-    assert refine_values(point, seed, 3).numerators == (1,)
+    assert refine_values(point, seed, 3) == SampleSet(8, 0, [1])
     monkeypatch.setattr(exactalg, "MAX_POINTS", 6)
     with pytest.raises(ValueError, match="depth 3 would be finer than Z/7"):
         refine_values(point, seed, 3)

@@ -57,6 +57,8 @@ def test_tracer_wraps_every_target_and_restores_it():
     finally:
         tracer.uninstall()
     assert tracer.summary()["analyze.refine_values"]["calls"] == 1
+    # the tracer reads the returned SampleSet's values and is_exact
+    assert lattice.is_exact
     assert tracer.facts["analyze.lattice_points"] == len(lattice.values)
     assert tracer.facts["analyze.lattice_max_bits"] > 0
     assert [target(module, attr) for module, attr, _, _ in tracing.TARGETS] == originals

@@ -17,12 +17,12 @@ import pytest
 import cli_cases
 import dualsubdiv
 from dualsubdiv import catalog
-from dualsubdiv.analyze import contractivity_profile, refine_values
+from dualsubdiv.analyze import contractivity_profile, lattice_window, refine_values
 from dualsubdiv.cli import CliError, build_parser, main, parse_args
 from dualsubdiv.construct import InfeasibleProblem, SolutionFamily, derive
 from dualsubdiv.exactalg import InfeasibleSystem
 from dualsubdiv.samples import samples_from_shorthand
-from dualsubdiv.scheme import Mask, shift_parameter
+from dualsubdiv.scheme import Mask, limit_support, shift_parameter
 
 
 # exit code, stdout and stderr of ``python -m dualsubdiv.cli`` in a new interpreter
@@ -101,9 +101,13 @@ def test_eval_values_are_the_lattice_fractions_rounded(tmp_path, mask, spec, dep
         "eval", "--mask", mask_file, "--samples", spec, "--depth", str(depth), "--out", str(out),
     ])
     assert code == 0
-    column = [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     lattice = refine_values(mask, samples_from_shorthand(spec), depth)
-    assert column == [repr(float(v)) for v in lattice.values]
+    # one row per point of the window, the zeros the lattice trims included
+    first, n = lattice_window(limit_support(mask), lattice.T)
+    points = range(first, first + n)
+    assert [int(row[0]) for row in rows] == list(points)
+    assert [row[3] for row in rows] == [repr(float(lattice.value_at_index(p))) for p in points]
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
@@ -202,6 +206,7 @@ test_far_identity_inputs_exit_3_at_once = _table_test(cli_cases.FAR_IDENTITY)
 test_answers_do_not_depend_on_the_digit_limit = _table_test(cli_cases.DIGIT_LIMIT)
 test_derive_refuses_samples_without_phi_of_zero_one = _table_test(cli_cases.PHI_OF_ZERO)
 test_reproduce_degree_loop_stops_at_once = _table_test(cli_cases.DEGREE_LOOP)
+test_one_rational_grammar_on_every_python = _table_test(cli_cases.GRAMMAR)
 test_main_maps_each_exception_to_its_exit_code = _table_test(cli_cases.EXCEPTIONS)
 test_answers_match_their_pinned_bytes = _table_test(cli_cases.ANSWERS)
 test_readme_commands_answer_as_documented = _table_test(cli_cases.README)

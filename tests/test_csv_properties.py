@@ -1,10 +1,11 @@
 """Property tests of the ``eval`` and ``curve`` CSV text against the row-by-row
 f-strings in ``oracle``.
 
-The commands run through ``main`` on drawn lattices and polylines, which
-stand in for ``refine_values`` and ``subdivide_curve``: lattices on every
-side of 0, palindromic or not, with numerators beyond 2^53 and values that
-round to a signed zero or overflow the float range.
+The commands run through ``main`` on drawn lattices with their windows and
+on drawn polylines, which stand in for ``refine_values``, ``lattice_window``
+and ``subdivide_curve``: windows on every side of 0, palindromic or not,
+with zero ends that the lattice trims, numerators beyond 2^53 and values
+that round to a signed zero or overflow the float range.
 """
 
 import contextlib
@@ -19,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from dualsubdiv import catalog, cli
-from dualsubdiv.analyze import LatticeFunction, Polyline
+from dualsubdiv.analyze import Polyline
+from dualsubdiv.exactalg import LaurentPoly
+from dualsubdiv.samples import SampleSet
 
 # lattice shapes: (offset, length) of the rows
 SHAPES = ("empty", "negative", "positive", "one-point", "short-left", "centred", "long-left")
@@ -62,7 +65,13 @@ def lattices(draw):
         nums = half + half[: n // 2][::-1]
     else:
         nums = draw(st.lists(numerators, min_size=n, max_size=n))
-    return LatticeFunction(draw(denominators), offset, draw(scales), tuple(nums))
+    return lattice(draw(denominators), offset, draw(scales), nums)
+
+
+def lattice(Q, offset, scale, nums):
+    """(the SampleSet of nums[i] / scale at (offset + i)/Q, its window)."""
+    poly = LaurentPoly.from_numerators(offset, nums, scale)
+    return SampleSet.from_poly(Q, poly), (offset, len(nums))
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +109,12 @@ def expect_output(call, reference):
 
 @settings(max_examples=400, deadline=None)
 @given(lattices())
-def test_eval_prints_the_row_by_row_text(inputs, lattice):
+def test_eval_prints_the_row_by_row_text(inputs, drawn):
     mask, _ = inputs
-    call = run(["eval", "--mask", mask, "--samples", "dd:2"], refine_values=lattice)
-    expect_output(call, lambda: oracle.eval_csv(lattice))
+    values, window = drawn
+    call = run(["eval", "--mask", mask, "--samples", "dd:2"], refine_values=values,
+               lattice_window=window)
+    expect_output(call, lambda: oracle.eval_csv(values, window))
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,16 +128,18 @@ def test_curve_prints_the_row_by_row_text(inputs, triples):
 
 def test_a_value_beyond_the_float_range_exits_2(inputs):
     mask, _ = inputs
-    lattice = LatticeFunction(18, -1, 1, (1, 10**400, 1))
-    code, out, err = run(["eval", "--mask", mask, "--samples", "dd:2"], refine_values=lattice)
+    values, window = lattice(18, -1, 1, (1, 10**400, 1))
+    code, out, err = run(["eval", "--mask", mask, "--samples", "dd:2"], refine_values=values,
+                         lattice_window=window)
     assert (code, out) == (2, "")
     assert err == "error: a value is beyond the float range: integer division result too large for a float\n"
 
 
 def test_a_value_below_the_float_range_prints_a_signed_zero(inputs):
     mask, _ = inputs
-    lattice = LatticeFunction(18, -1, 10**400, (-1, 10**400, -1))
-    code, out, _ = run(["eval", "--mask", mask, "--samples", "dd:2"], refine_values=lattice)
+    values, window = lattice(18, -1, 10**400, (-1, 10**400, -1))
+    code, out, _ = run(["eval", "--mask", mask, "--samples", "dd:2"], refine_values=values,
+                       lattice_window=window)
     assert code == 0
     assert out.splitlines()[1:] == ["-1,18,-0.05555555555555555,-0.0", "0,18,0.0,1.0",
                                     "1,18,0.05555555555555555,-0.0"]

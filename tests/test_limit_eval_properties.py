@@ -14,7 +14,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 import oracle
 from dualsubdiv import catalog
-from dualsubdiv.analyze import refine_values, reproduction_degree, subdivide_points
+from dualsubdiv.analyze import lattice_window, refine_values, reproduction_degree, subdivide_points
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
 from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, limit_support, shift_parameter
@@ -152,8 +152,9 @@ def short_window_cases(draw):
 def test_windowed_combs_match_the_full_comb_product(case, data):
     (mask, seed), depth = case
     lattice = refine_values(mask, seed, depth)
+    window = lattice_window(limit_support(mask), lattice.T)
     # the windowed loop stops by degree K + 1, the reference checks each one
-    K = (len(lattice.numerators) - 1) // lattice.denominator
+    K = (window[1] - 1) // lattice.T
     max_degree = data.draw(st.integers(0, 2 * K + 6))
-    expected = oracle.reproduction_degree(lattice, max_degree)
+    expected = oracle.reproduction_degree(lattice, window, max_degree)
     assert reproduction_degree(mask, seed, max_degree, depth) == expected

@@ -1,6 +1,8 @@
-"""Property test of refine_values against the Fraction cascade on random
-rational masks and seeds whose denominators do not divide one another."""
+"""Property tests of refine_values: against the Fraction cascade on random
+rational masks and seeds whose denominators do not divide one another, and
+with a refined lattice read back as the seed of the next level."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -10,13 +12,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from dualsubdiv import exactalg
-from dualsubdiv.analyze import LatticeFunction, SeedInconsistent, refine_values
-from dualsubdiv.exactalg import numerators
+from dualsubdiv.analyze import SeedInconsistent, lattice_window, refine_values
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, derive
 from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, limit_support, shift_parameter
 from oracle import perturbed
-from test_analyze import assert_canonical, cascade
+from test_analyze import CATALOG_PAIRS, assert_canonical, cascade
 from test_construct_properties import smallest_k_star
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -99,15 +100,17 @@ def test_refine_values_matches_cascade_or_raises_its_seed_error(pair, depth):
         return
     lattice = refine_values(mask, seed, depth)
     Q, values = cascade(mask, seed, depth)
-    assert lattice.denominator == Q
-    assert lattice.values == tuple(values[q] for q in sorted(values))
+    window = [values[q] for q in sorted(values)]
+    assert lattice.T == Q
+    assert [lattice.value_at_index(q) for q in sorted(values)] == window
+    first, n = lattice_window(limit_support(mask), Q)
+    assert n == len(values)
     if values:
-        assert lattice.offset == min(values)
+        assert first == min(values)
     assert all(type(v) is F for v in lattice.values)
     # S D^L may share a factor with every numerator; the lattice is in lowest terms
     assert_canonical(lattice)
-    scale, nums = numerators([values[q] for q in sorted(values)])
-    assert lattice == LatticeFunction(Q, lattice.offset, scale, tuple(nums))
+    assert lattice == SampleSet(Q, first, window)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,3 +140,33 @@ def test_depth_bound_refuses_only_one_point_supports(m, nums, offset, k, cap, de
             assert ("would be finer than" in str(exc)) == one_point
         else:
             assert not one_point or depth == 0 or seed.T * m**depth <= (cap + 1) * (m - 1)
+
+
+@st.composite
+def refinable_pairs(draw):
+    """A catalog mask with its seed, or a member of a family derived with
+    m = 3-6 with the samples it was derived from: consistent pairs."""
+    if draw(st.booleans()):
+        return CATALOG_PAIRS[draw(st.sampled_from(sorted(CATALOG_PAIRS)))]
+    m = draw(st.integers(3, 6))
+    samples = mix_samples(dd_samples(2), dd_samples(3), draw(rationals))
+    d = draw(st.integers(1, 2))
+    k_star = smallest_k_star(m, d, samples) + draw(st.integers(0, 1))
+    try:
+        family = derive(ConstructionProblem(m, d, k_star, samples, True))
+    except InfeasibleProblem:
+        reject()
+    t = draw(st.lists(rationals, min_size=family.dimension, max_size=family.dimension))
+    return family.member(t), samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(refinable_pairs(), st.integers(0, 2))
+def test_a_refined_lattice_seeds_the_next_level(pair, depth):
+    """refine_values at depth L + 1 is one level on the depth-L lattice read
+    back through its JSON form, as ``--samples`` reads it."""
+    mask, seed = pair
+    lattice = refine_values(mask, seed, depth)
+    reread = SampleSet.from_dict(json.loads(json.dumps(lattice.to_dict())))
+    assert reread == lattice
+    assert refine_values(mask, reread, 1) == refine_values(mask, seed, depth + 1)
