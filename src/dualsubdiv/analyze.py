@@ -136,29 +136,37 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
     The iterate's symbol is q_L(z) = p(z) p(z^m) ... p(z^{m^{L-1}}); the
     norm is the largest absolute coefficient sum over residue classes mod
     m^L.  A shift of p only permutes those classes, so its offset does not
-    matter.  Level L builds q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, in s-long
-    blocks: output block w is the sum of p_k times block w - k of q_{L-1}
-    over the nonzero p_k in ascending k, several products per pass
-    (``_combine``), so each entry is the left-to-right sum that
-    ``exactalg.convolve`` forms.  The last block of q_{L-1} is padded with
-    the entries' zero.  A padded term p_k 0 is a zero, which changes an
-    entry at most in the sign of a zero; where it is not (p_k infinite or
-    nan), the block's padded columns are built without it.  A palindromic p
-    has palindromic iterates: only the blocks that cover the first ceil(N/2)
-    of the N entries are built, the norm reads their ``abs`` and its mirror,
-    and the mirror of the entries is built only when a next level needs it.
-    Each level folds the absolute values' m^L-long blocks (``_fold``), so
-    class r sums |q_r| + |q_{r+m^L}| + ... from left to right.  Lazy, so a
-    caller may stop after any level; the callers check ``levels`` and the
-    iterate's size first (``_difference_symbols``).  Type-generic: integer
-    numerators over a common denominator D give the norms as ints over D^L,
-    and float coefficients give float norms.
+    matter.  q_1 is p itself, with each zero coefficient the int 0, as
+    ``exactalg.convolve`` leaves an entry that no product reaches.  Level
+    L >= 2 builds q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, in s-long blocks:
+    output block w is the sum of p_k times block w - k of q_{L-1} over the
+    nonzero p_k in ascending k, several products per pass (``_combine``), so
+    each entry is the left-to-right sum that ``convolve`` forms.  The last
+    block of q_{L-1} is padded with the entries' zero.  A padded term p_k 0
+    is a zero, which changes an entry at most in the sign of a zero; where
+    it is not (p_k infinite or nan), the block's padded columns are built
+    without it.  When every p_k is nonzero and finite, the output blocks
+    that take every block of q_{L-1} are built in one ``_combine`` call,
+    one row of coefficients per block, with the same sums.  A palindromic p
+    has palindromic iterates: only the blocks that cover the first
+    ceil(N/2) of the N entries are built, and the rest is their mirror.
+    Each level's norm is one pass over the zipped m^L-long slices of q_L
+    with the ``abs`` taken in it (``_norm``), so class r sums
+    |q_r| + |q_{r+m^L}| + ... from left to right, and the largest sum is
+    taken over the classes in order.  Lazy, so a caller may stop after any
+    level; the callers check ``levels`` and the iterate's size first
+    (``_difference_symbols``).  Type-generic: integer numerators over a
+    common denominator D give the norms as ints over D^L, and float
+    coefficients give float norms.
     """
     palindrome = coeffs == coeffs[::-1]
-    q = [1]
-    for level in range(1, levels + 1):
+    n = len(coeffs)
+    nonzero_finite = all(c and c * 0 == 0 for c in coeffs)
+    q = [c if c else 0 for c in coeffs]
+    yield _norm(q, min(m, n))
+    for level in range(2, levels + 1):
         s = m ** (level - 1)
-        size = s * (len(coeffs) - 1) + len(q)
+        size = s * (n - 1) + len(q)
         half = (size + 1) // 2 if palindrome else size
         zero = type(q[0])()
         # blocks[last - i] is block i of q_{L-1}, so block w - k is
@@ -167,66 +175,88 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
         last = len(blocks) - 1
         part = blocks[0]
         blocks[0] = part + [zero] * (s - len(part))
-        out = []
-        for w in range(-(-half // s)):
+        count = -(-half // s)
+
+        def block(w: int) -> list:
             lo = w - last if w > last else 0
             terms = [(c, x) for c, x in zip(coeffs[lo : w + 1], blocks[last - w + lo :]) if c]
             if not terms:
-                out += [zero] * s
-            elif terms[0][1] is blocks[0] and terms[0][0] * zero != zero:
+                return [zero] * s
+            cs, xs = zip(*terms)
+            if xs[0] is blocks[0] and cs[0] * zero != zero:
                 r = len(part)
-                out += _combine([(terms[0][0], part), *terms[1:]])
-                rest = [(c, x[r:]) for c, x in terms[1:]]
-                out += _combine(rest) if rest else [zero] * (s - r)
-            else:
-                out += _combine(terms)
+                rest = _combine([cs[1:]], [x[r:] for x in xs[1:]]) if xs[1:] else [zero] * (s - r)
+                return _combine([cs], [part, *xs[1:]]) + rest
+            return _combine([cs], xs)
+
+        # output blocks last..n-1 each take every block of q_{L-1}, so with
+        # every p_k nonzero and finite they are one call, one row of p_k each
+        start, stop = (min(last, count), min(n, count)) if nonzero_finite else (count, count)
+        out = []
+        for w in range(start):
+            out += block(w)
+        rows = zip(*(coeffs[i : i + stop - start] for i in range(last + 1)))
+        out += _combine(list(rows), blocks)
+        for w in range(stop, count):
+            out += block(w)
         del out[half:]
-        norms = list(map(abs, out))
-        norms += norms[: size - half][::-1]
-        yield max(_fold(norms, min(m**level, size)))
-        if level < levels:
-            q = out + out[: size - half][::-1]
+        out += out[: size - half][::-1]
+        q = out
+        yield _norm(q, min(m**level, size))
 
 
-def _combine(terms: list) -> list:
-    """The entrywise sum c_1 x_1 + c_2 x_2 + ... over the (c, x) pairs of
-    ``terms`` (at least one), cut to the shortest x.  Each entry is added
-    from left to right and starts from its first product, not from a zero:
-    one pass of up to six products, then passes of up to three more."""
-    n = len(terms)
+def _combine(rows: list, blocks: list) -> list:
+    """For each coefficient row (c_1, c_2, ...) of ``rows`` in turn, the
+    entrywise sum c_1 x_1 + c_2 x_2 + ... over ``blocks`` (x_1, x_2, ...; at
+    least one), cut to the shortest x; the rows' sums follow one another.
+    Each entry is added from left to right and starts from its first
+    product, not from a zero: one pass of up to six products, then passes of
+    up to three more.  The coefficients are the pass's own locals, so one
+    call over many rows costs one pass per entry and little per row."""
+    n = len(blocks)
     if n == 1:
-        ((a, x),) = terms
-        return [a * u for u in x]
+        (x,) = blocks
+        return [a * u for (a,) in rows for u in x]
     if n == 2:
-        (a, x), (b, y) = terms
-        return [a * u + b * v for u, v in zip(x, y)]
+        x, y = blocks
+        return [a * u + b * v for a, b in rows for u, v in zip(x, y)]
     if n == 3:
-        (a, x), (b, y), (c, z) = terms
-        return [a * u + b * v + c * w for u, v, w in zip(x, y, z)]
+        x, y, z = blocks
+        return [a * u + b * v + c * w for a, b, c in rows for u, v, w in zip(x, y, z)]
     if n == 4:
-        (a, x), (b, y), (c, z), (d, t) = terms
-        return [a * u + b * v + c * w + d * o for u, v, w, o in zip(x, y, z, t)]
+        x, y, z, t = blocks
+        return [
+            a * u + b * v + c * w + d * o for a, b, c, d in rows for u, v, w, o in zip(x, y, z, t)
+        ]
     if n == 5:
-        (a, x), (b, y), (c, z), (d, t), (e, g) = terms
-        return [a * u + b * v + c * w + d * o + e * h for u, v, w, o, h in zip(x, y, z, t, g)]
+        x, y, z, t, g = blocks
+        return [
+            a * u + b * v + c * w + d * o + e * h
+            for a, b, c, d, e in rows
+            for u, v, w, o, h in zip(x, y, z, t, g)
+        ]
     if n == 6:
-        (a, x), (b, y), (c, z), (d, t), (e, g), (f, j) = terms
+        x, y, z, t, g, j = blocks
         return [
             a * u + b * v + c * w + d * o + e * h + f * i
+            for a, b, c, d, e, f in rows
             for u, v, w, o, h, i in zip(x, y, z, t, g, j)
         ]
-    out = _combine(terms[:6])
-    for k in range(6, n, 3):
-        more = terms[k : k + 3]
-        if len(more) == 1:
-            ((a, x),) = more
-            out = [acc + a * u for acc, u in zip(out, x)]
-        elif len(more) == 2:
-            (a, x), (b, y) = more
-            out = [acc + a * u + b * v for acc, u, v in zip(out, x, y)]
-        else:
-            (a, x), (b, y), (c, z) = more
-            out = [acc + a * u + b * v + c * w for acc, u, v, w in zip(out, x, y, z)]
+    out = []
+    for row in rows:
+        acc = _combine([row[:6]], blocks[:6])
+        for k in range(6, n, 3):
+            coefs, more = row[k : k + 3], blocks[k : k + 3]
+            if len(more) == 1:
+                (a,), (x,) = coefs, more
+                acc = [p + a * u for p, u in zip(acc, x)]
+            elif len(more) == 2:
+                (a, b), (x, y) = coefs, more
+                acc = [p + a * u + b * v for p, u, v in zip(acc, x, y)]
+            else:
+                (a, b, c), (x, y, z) = coefs, more
+                acc = [p + a * u + b * v + c * w for p, u, v, w in zip(acc, x, y, z)]
+        out += acc
     return out
 
 
@@ -244,6 +274,36 @@ def _fold(values: list, n: int) -> list:
             acc = map(operator.add, acc, block)
         sums = list(acc)
     sums[: len(part)] = map(operator.add, sums, part)
+    return sums
+
+
+def _norm(q: list, n: int):
+    """The largest of the n sums |q_r| + |q_{r+n}| + ..., n <= len(q), each
+    added from left to right and compared in class order.  The classes that
+    the short last n-long slice of q reaches, then the others, are each one
+    pass over the zipped n-long slices, the ``abs`` taken in it."""
+    full, short = divmod(len(q), n)
+    sums = _abs_sums([q[i * n : i * n + short] for i in range(full + 1)])
+    sums += _abs_sums([q[i * n + short : i * n + n] for i in range(full)])
+    return max(sums)
+
+
+def _abs_sums(blocks: list) -> list:
+    """The entrywise sum |x_1| + |x_2| + ... over equal-length blocks x_i (at
+    least one), added from left to right: one pass of up to four terms, then
+    one pass for each further block."""
+    if len(blocks) == 1:
+        return list(map(abs, blocks[0]))
+    if len(blocks) == 2:
+        x, y = blocks
+        return [abs(u) + abs(v) for u, v in zip(x, y)]
+    if len(blocks) == 3:
+        x, y, z = blocks
+        return [abs(u) + abs(v) + abs(w) for u, v, w in zip(x, y, z)]
+    x, y, z, t = blocks[:4]
+    sums = [abs(u) + abs(v) + abs(w) + abs(o) for u, v, w, o in zip(x, y, z, t)]
+    for x in blocks[4:]:
+        sums = [a + abs(u) for a, u in zip(sums, x)]
     return sums
 
 
@@ -442,8 +502,9 @@ def reproduction_degree(mask: Mask, seed: SampleSet, max_degree: int, depth: int
     rows = [window[j * Q : j * Q + P] for j in range(K + 1)]
     scale, points = poly.denominator, range(first, first + P)
     for e in range(min(max_degree, K + 1) + 1):
-        terms = [(c, row) for j, row in enumerate(rows) if (c := (-j) ** e)]
-        combs = _combine(terms) if terms else [0] * P
+        # the shifts whose weight (-j)^e is not zero: all but j = 0 < e
+        js = [j for j in range(K + 1) if j or not e]
+        combs = _combine([[(-j) ** e for j in js]], [rows[j] for j in js]) if js else [0] * P
         Qe = Q**e
         for p, acc in zip(points, combs):
             if acc * Qe != p**e * scale:
@@ -479,10 +540,9 @@ def _subdivide_once(
         for r in range(min(m, len(weights))):
             # class r holds n + top entries, top the largest i of a weight a_{r+mi}
             top = (len(weights) - 1 - r) // m
-            terms = [(1.0, zeros)]
-            terms += [(weights[r + m * i], padded[shift - i : shift - i + n + top])
-                      for i in reversed(range(top + 1))]
-            full[r::m] = _combine(terms)
+            row = [1.0, *weights[r::m][::-1]]
+            blocks = [zeros] + [padded[shift - i : shift - i + n + top] for i in range(top, -1, -1)]
+            full[r::m] = _combine([row], blocks)
         columns.append(full)
     if not closed:
         return list(zip(*columns)), m * first + mask.k_left

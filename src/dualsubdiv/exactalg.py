@@ -38,11 +38,12 @@ from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
-# Python 3.11's ``fractions._RATIONAL_FORMAT``, its literal ``d*`` included, so
+# Python 3.11's ``fractions._RATIONAL_FORMAT``, with its fractional part's
+# literal ``d*`` corrected to ``\d*`` (so "1.d" is refused as a literal), so
 # that 3.10 (which refuses "1_0") to 3.13 (which reads "1 / 2") read one grammar
 _RATIONAL_FORMAT = re.compile(r"""
     \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
-    (?:(?:/(?P<denom>\d+(_\d+)*))?|(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
     \s*\Z
 """, re.VERBOSE | re.IGNORECASE)
 

@@ -122,8 +122,11 @@ INPUTS = {
     "line": _line,
     "plane": lambda: derive(catalog.quaternary_problem(0)).to_dict(),
     "readme_family": lambda: _derived(5, 3, 10, "dd4", True).to_dict(),
-    # the m = 6 line that the family-scan benchmark sweeps
+    # the m = 5 and m = 6 lines that the family-scan benchmark sweeps
+    "derived_m5": lambda: _derived(5, 4, 14, "mix:3/5", True).to_dict(),
     "derived_m6": lambda: _derived(6, 4, 15, "mix:3/5", True).to_dict(),
+    # a line whose difference symbols are not palindromes
+    "nonsymmetric_m3": lambda: _derived(3, 4, 7, "dd4", False).to_dict(),
     "cantor_samples": _cantor_samples,
     "ternary_mask": lambda: catalog.ternary_cubic_mask().to_dict(),
     "quinary_w0": lambda: catalog.quinary_family_mask(0).to_dict(),
@@ -167,6 +170,7 @@ INPUTS = {
     # the cantor samples in other spellings of Python 3.11's rational grammar
     "underscore_samples": lambda: {"T": 2, "offset": -1, "values": ["1_0/2_0", "1", "5_0/1_00"]},
     "spaced_samples": lambda: {"T": 2, "offset": -1, "values": ["1 / 2", "1", "1/2"]},
+    "letter_d_samples": lambda: {"T": 2, "offset": -1, "values": ["1.d", "1", "1/2"]},
     "no_offset_mask": _edit(_cantor, "offset"),
     "no_T_samples": _edit(_cantor_samples, "T"),
     "no_smoothing_family": _edit(_line, "problem", "smoothing"),
@@ -538,12 +542,15 @@ EXCEPTIONS = [
 NOTHING = Sha256(hashlib.sha256(b"").hexdigest())
 SATISFIED = {"satisfied": True, "residual": []}
 
-# one rational grammar, Python 3.11's, on every Python: 3.10's Fraction
-# refused underscores and 3.12's read "1 / 2"
+# one rational grammar, Python 3.11's with its "d*" typo corrected, on every
+# Python: 3.10's Fraction refused underscores, 3.12's read "1 / 2", and 3.11's
+# read a literal d after the point and then failed in int()
 GRAMMAR = [
     Case("verify-underscore-samples", "verify --mask {cantor} --samples {underscore_samples}", 0, SATISFIED),
     Case("verify-spaced-samples", "verify --mask {cantor} --samples {spaced_samples}", 2,
          "error: bad sample file {spaced_samples}: Invalid literal for Fraction: '1 / 2'"),
+    Case("verify-letter-d-samples", "verify --mask {cantor} --samples {letter_d_samples}", 2,
+         "error: bad sample file {letter_d_samples}: Invalid literal for Fraction: '1.d'"),
 ]
 
 # the commands of README.md's "Command line" block, in its order, with its
@@ -769,7 +776,9 @@ INPUTS.update({name.replace("-", "_"): functools.partial(_derived_mask, name) fo
 # family runs the family-scan benchmark's ranges.  On the derived m = 6 line
 # each range meets the contractive parameters of orders 0 and 1 (bisected at
 # one end or both); none is contractive at order 2, so that --bisect exits 2.
-# The README's derived quinary family runs at order 2.
+# On the derived m = 5 line, orders 1 and 2 bisect to inner endpoints.  The
+# non-symmetric ternary line runs the iterate without its mirror.  The
+# README's derived quinary family runs at order 2.
 NONE_CONTRACTIVE = "error: no contractive parameter among 33 samples in [0.0, 4.0]"
 SWEEPS = {
     "quinary": ("line", {
@@ -797,6 +806,34 @@ SWEEPS = {
             "578354b9a5f8be604a4e317749478c731ba82dc16043458520453f2142e540e8"),
         2: ("0:4", "795dba03a3a01e8c23864c8d4fbae3f7c2ad28eb10f3364017b6ffef269b3596", NONE_CONTRACTIVE,
             "225aa1ec2d37e56216a8ef9039434b07a9ebfdacb8bc17fa68ab6ebc4cf71d39", NONE_CONTRACTIVE),
+    }),
+    "derived_m5": ("derived_m5", {
+        0: ("-4:4", "5bb55dd2f8628496da182ec0bd619e0db8d9825706574e4879fc540119bfe8f9",
+            "2497f9cb5b799c6a4adec13abddfae96106fd2884c97bb6be16775a27bda7cc7",
+            "19f1bcc9d2410ada8e0a88053630798dfab31be7c9760646926eaad98da23372",
+            "e8f39325cb4a39757c6d15001993ff1b4c7842122b185ff32195a012d1ad922e"),
+        1: ("-4:4", "20ff3afc69a870f03420c38abc86864aa027602b109023fc8fc86ac153cb416a",
+            "20f50462e513828e6cecdf9ddc9467dbcb3e03aa6e5f8308386aa59e4ec45654",
+            "6b5336bef00d530b3d5d183bd0907af0353cb5a0eae63d37d530742106e0a7c9",
+            "82cfbbe10a46b86671691250dd0e4c7fd408f6f507bd3f31a10b78aee5045c35"),
+        2: ("-4:4", "76614db93e506ab65bbe2c4032ffa4aa3aadca0b3787a289fdfa48095dc1c414",
+            "5228882cf8efc399652e55c07421d191541648c27b587ddcfcf3c4a269faa14e",
+            "ec6cf6c89393e7faf2102923527a3b91d7bad57493b26396cb8f51648f077426",
+            "0f595c282ee70e4e5125e4ade48d175b51c0ffda397f721aefa30321596cdf32"),
+    }),
+    "nonsymmetric_m3": ("nonsymmetric_m3", {
+        0: ("-2:2", "36868caac503438ee8698377756f0c6368fda38aca0d43ba1827138b92349b06",
+            "b3198a3f811dc93a2d685f41cdf4f8f64e33aee36c32e7b640683c1809761c69",
+            "dc75d76d73ecd7cb0ef470802743f3595bb15f64c27de7604d1f50090f004c0c",
+            "c7e3bac383c96dfd9beea31378f4f3b9bbf7e1daf3dad04dff3d6c660b9ead8c"),
+        1: ("-2:2", "7f6165353cdd02bba9645a6563ee34fd0497c77330a31ada8409ad911833e6a5",
+            "8e79bbdad16620088e1acf3b8e64ee3d840ac37076be4476953c8cd1e80092d1",
+            "91c447c3d6f53f55bec8b07a93d6c9b9ccb344b6cb47b94d758e7c4cb52cab90",
+            "cc660b4e75c7d3134176ea93da8baaabe521cc71b00078fd8f03ce939504bb67"),
+        2: ("-2:2", "e1976dbe38bb808de2e55d456211e5a2a783c23ea266c401ea778cda0e8eb98c",
+            "c6382d2bc06a644b36c2d7a25eeb0fc642060ca33c128e9b4d9b381401174eef",
+            "3b489d924ec33b33bd07c2d6688fe3d7392264e6c0b608dbd6eea46a39fc9250",
+            "b7f56a7630090ff75a2fb9c29dbf4575687adeba1861eb1d82f7d5da2bb1868c"),
     }),
     "readme_quinary": ("readme_family", {
         2: ("-2.5:0", "64f385218f6c1e70cc18b5cc6045501d36851d6d8e41208816ef73a5b3a51004",

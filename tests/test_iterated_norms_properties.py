@@ -1,16 +1,19 @@
 """Property test of the stride-block iterate ``analyze._iterated_norms``
-against ``oracle.iterated_norms``, and of ``analyze._fold`` against a
-per-class fold.
+against ``oracle.iterated_norms``, and of ``analyze._fold`` and
+``analyze._norm`` against a per-class fold.
 
-The kernel builds each level in m^(L-1)-long blocks, pads the last block of
-the previous level with the entries' zero, builds only the first half of a
-palindromic level and mirrors it.  Every norm must still equal the oracle's
-``repr`` for ``repr``: its type, and every float bit, at every level,
-whether the generator is read to the end or stopped early.  The
-coefficients include zeros of both signs, values whose products overflow
-and infinities, where a padded term p_k 0 would be nan.  ``_fold`` keeps
-a shorter last block unpadded, so a sum that only that block misses keeps
-the sign of its zero.
+The kernel reads level 1 off the symbol, builds each later level in
+m^(L-1)-long blocks, pads the last block of the previous level with the
+entries' zero, builds only the first half of a palindromic level and
+mirrors it, and sums each level's classes with the ``abs`` taken in the
+pass.  Every norm must still equal the oracle's ``repr`` for ``repr``: its
+type, and every float bit, at every level, whether the generator is read
+to the end or stopped early.  The coefficients include zeros of both
+signs, values whose products overflow and infinities, where a padded term
+p_k 0 would be nan.  ``_fold`` keeps a shorter last block unpadded, so a
+sum that only that block misses keeps the sign of its zero.  ``_norm``,
+the largest class sum of the magnitudes, compares the classes in order, so
+a nan class decides it only as ``max`` over the per-class folds decides it.
 """
 
 import functools
@@ -24,7 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from dualsubdiv.analyze import _fold, _iterated_norms
+from dualsubdiv.analyze import _fold, _iterated_norms, _norm
 
 ENTRIES = {
     int: st.integers(min_value=-10**6, max_value=10**6),
@@ -59,6 +62,13 @@ PADDED_NAN = [-0.0, -1.0, -math.inf, 2.0, 0.0, 0.0, 2.0, -math.inf, -1.0, -0.0]
 # moves the norm's last bit
 THREE_TERMS = [n / 8191 for n in (569504, 637848, 671905, -229722, 802909, -229722, 671905,
                                   637848, 569504)]
+# level 1 is the symbol itself, each zero the int 0: with only zeros of both
+# signs and types the norm is the int 0, and zeros at the ends stay in place
+ZEROS = [-0.0, 0, 0.0]
+ENDS = [0, -0.0, 1.5, -2.25, 0.0, 0]
+# the nan classes follow class 0 at every level, so the largest sum is finite
+# only when the classes are compared in order
+LATER_NAN = [2.0, math.nan]
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,6 +76,9 @@ THREE_TERMS = [n / 8191 for n in (569504, 637848, 671905, -229722, 802909, -2297
        st.integers(min_value=1, max_value=5))
 @hypothesis.example(PADDED_NAN, 5, 4, 4)
 @hypothesis.example(THREE_TERMS, 2, 2, 1)
+@hypothesis.example(ZEROS, 2, 1, 1)
+@hypothesis.example(ENDS, 4, 1, 1)
+@hypothesis.example(LATER_NAN, 2, 3, 3)
 def test_iterated_norms_match_the_oracle(coeffs, m, levels, stop):
     # the largest level holds (len - 1)(m^L - 1)/(m - 1) + 1 entries
     hypothesis.assume((len(coeffs) - 1) * (m**levels - 1) // (m - 1) < 20_000)
@@ -92,3 +105,13 @@ def per_class(values, n):
        st.integers(min_value=1, max_value=12))
 def test_fold_matches_the_per_class_fold(values, n):
     assert [repr(x) for x in _fold(values, n)] == [repr(x) for x in per_class(values, n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0, 0.0, -0.0, 1.5, -2.25, 1e300, math.inf, -math.inf, math.nan]),
+                min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=12))
+def test_norm_is_the_largest_per_class_fold_of_the_magnitudes(values, n):
+    hypothesis.assume(n <= len(values))
+    want = max(per_class(list(map(abs, values)), n))
+    assert repr(_norm(values, n)) == repr(want)
