@@ -135,74 +135,53 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
 
     The iterate's symbol is q_L(z) = p(z) p(z^m) ... p(z^{m^{L-1}}); the
     norm is the largest absolute coefficient sum over residue classes mod
-    m^L.  A shift of p only permutes those classes, so its offset does not
-    matter.  q_1 is p itself, with each zero coefficient the int 0, as
-    ``exactalg.convolve`` leaves an entry that no product reaches.  Level
-    L >= 2 builds q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, in s-long blocks:
-    output block w is the sum of p_k times block w - k of q_{L-1} over the
-    nonzero p_k in ascending k, several products per pass (``_combine``), so
-    each entry is the left-to-right sum that ``convolve`` forms.  The last
-    block of q_{L-1} is padded with the entries' zero.  A padded term p_k 0
-    is a zero, which changes an entry at most in the sign of a zero; where
-    it is not (p_k infinite or nan), the block's padded columns are built
-    without it.  When every p_k is nonzero and finite, the output blocks
-    that take every block of q_{L-1} are built in one ``_combine`` call,
-    one row of coefficients per block, with the same sums.  A palindromic p
-    has palindromic iterates: only the blocks that cover the first
-    ceil(N/2) of the N entries are built, and the rest is their mirror.
-    Each level's norm is one pass over the zipped m^L-long slices of q_L
-    with the ``abs`` taken in it (``_norm``), so class r sums
-    |q_r| + |q_{r+m^L}| + ... from left to right, and the largest sum is
-    taken over the classes in order.  Lazy, so a caller may stop after any
-    level; the callers check ``levels`` and the iterate's size first
-    (``_difference_symbols``).  Type-generic: integer numerators over a
-    common denominator D give the norms as ints over D^L, and float
-    coefficients give float norms.
+    m^L, whatever the offset of p.  Each level is one step
+    q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, from q_0 = [1], each entry the
+    left-to-right sum of ``exactalg.convolve``.  A symbol with a zero, an
+    infinite or a nan coefficient takes ``convolve(p, q, s)``.  Any other
+    runs in s-long blocks, the last block of q_{L-1} padded with zeros:
+    output block w sums p_k times block w - k in ascending k, the blocks
+    that take every block of q_{L-1} in one ``_combine`` call and each edge
+    block in one call over the blocks that meet it.  A padded term, a
+    finite nonzero p_k times a zero, is a zero: it can change only the sign
+    of a zero entry, which the norm's ``abs`` drops.  A palindromic p has
+    palindromic iterates, whose first ceil(N/2) entries are built and then
+    mirrored.  ``_norm`` sums each class from left to right and compares
+    the classes in order.  Lazy, so a caller may stop after any level; the
+    callers check ``levels`` and the iterate's size first
+    (``_difference_symbols``).  Integer numerators over a common
+    denominator D give the norms as ints over D^L, floats give floats.
     """
-    palindrome = coeffs == coeffs[::-1]
     n = len(coeffs)
-    nonzero_finite = all(c and c * 0 == 0 for c in coeffs)
-    q = [c if c else 0 for c in coeffs]
-    yield _norm(q, min(m, n))
-    for level in range(2, levels + 1):
+    blocked = all(c and c * 0 == 0 for c in coeffs)
+    palindrome = coeffs == coeffs[::-1]
+    q = [1]
+    for level in range(1, levels + 1):
         s = m ** (level - 1)
-        size = s * (n - 1) + len(q)
-        half = (size + 1) // 2 if palindrome else size
-        zero = type(q[0])()
-        # blocks[last - i] is block i of q_{L-1}, so block w - k is
-        # blocks[last - w + k] and ascending k reads the list forwards
-        blocks = [q[i : i + s] for i in range(0, len(q), s)][::-1]
-        last = len(blocks) - 1
-        part = blocks[0]
-        blocks[0] = part + [zero] * (s - len(part))
-        count = -(-half // s)
-
-        def block(w: int) -> list:
-            lo = w - last if w > last else 0
-            terms = [(c, x) for c, x in zip(coeffs[lo : w + 1], blocks[last - w + lo :]) if c]
-            if not terms:
-                return [zero] * s
-            cs, xs = zip(*terms)
-            if xs[0] is blocks[0] and cs[0] * zero != zero:
-                r = len(part)
-                rest = _combine([cs[1:]], [x[r:] for x in xs[1:]]) if xs[1:] else [zero] * (s - r)
-                return _combine([cs], [part, *xs[1:]]) + rest
-            return _combine([cs], xs)
-
-        # output blocks last..n-1 each take every block of q_{L-1}, so with
-        # every p_k nonzero and finite they are one call, one row of p_k each
-        start, stop = (min(last, count), min(n, count)) if nonzero_finite else (count, count)
-        out = []
-        for w in range(start):
-            out += block(w)
-        rows = zip(*(coeffs[i : i + stop - start] for i in range(last + 1)))
-        out += _combine(list(rows), blocks)
-        for w in range(stop, count):
-            out += block(w)
-        del out[half:]
-        out += out[: size - half][::-1]
-        q = out
-        yield _norm(q, min(m**level, size))
+        if blocked:
+            size = s * (n - 1) + len(q)
+            half = (size + 1) // 2 if palindrome else size
+            # blocks[last - i] is block i of q_{L-1}, so block w - k is
+            # blocks[last - w + k] and ascending k reads the list forwards
+            blocks = [q[i : i + s] for i in range(0, len(q), s)][::-1]
+            last = len(blocks) - 1
+            blocks[0] = blocks[0] + [type(q[0])()] * (s - len(blocks[0]))
+            count = -(-half // s)
+            # output blocks last..n-1 take every block: q_{L-1} has at most n
+            start, stop = min(last, count), min(n, count)
+            rows = zip(*(coeffs[i : i + stop - start] for i in range(last + 1)))
+            out = []
+            for w in range(start):
+                out += _combine([coeffs[: w + 1]], blocks[last - w :])
+            out += _combine(list(rows), blocks)
+            for w in range(stop, count):
+                out += _combine([coeffs[w - last :]], blocks[: n + last - w])
+            del out[half:]
+            out += out[: size - half][::-1]
+            q = out
+        else:
+            q = convolve(coeffs, q, s)
+        yield _norm(q, min(m**level, len(q)))
 
 
 def _combine(rows: list, blocks: list) -> list:
@@ -337,16 +316,21 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
     symbol over its denominator D, so the level-L norm is an int n over D^L,
     and contractivity is n < D^L, decided exactly.  Contractivity of any
     level certifies C^order membership with Holder lower bound
-    order - log_m(best bound).  Raises OverflowError when a norm n / D^L is
-    beyond the float range.
+    order - log_m(best bound); where a rooted bound underflows to 0.0 it
+    is order - min_L log_m(n / D^L) / L, from the logs of the exact ints.
+    Raises OverflowError when a norm n / D^L is beyond the float range.
     """
     (p,) = _difference_symbols([mask], order, levels)
     norms = list(enumerate(_iterated_norms(p.numerators, mask.arity, levels), start=1))
     contractive = any(n < p.denominator**L for L, n in norms)
     bounds = tuple((n / p.denominator**L) ** (1.0 / L) for L, n in norms)
     holder = None
-    if contractive:
+    if contractive and min(bounds):
         holder = order - math.log(min(bounds)) / math.log(mask.arity)
+    elif contractive:
+        # a rooted bound underflowed to 0.0: take the logs of the exact norms
+        log_m, log_D = math.log(mask.arity), math.log(p.denominator)
+        holder = order - min((math.log(n) - L * log_D) / (L * log_m) for L, n in norms)
     return RegularityReport(order, levels, bounds, contractive, holder)
 
 

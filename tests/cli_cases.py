@@ -140,6 +140,8 @@ INPUTS = {
     # so neither its values nor its x magnitudes mirror
     "asymmetric": lambda: {"arity": 3, "offset": -3, "coeffs": ["1/2", "-1/2", "1/2", "1/2", "3/2", "1/2"]},
     "huge_mask": lambda: catalog.quinary_family_mask(10**200).to_dict(),
+    # its level-2 rooted norm, (1 / 10^400)^(1/2), underflows to 0.0
+    "tiny_mask": lambda: {"arity": 3, "offset": 0, "coeffs": ["1e-200", "1e-200", "1e-200"]},
     "huger_mask": lambda: catalog.quinary_family_mask(10**400).to_dict(),
     # the cantor mask plus (1, -1, -1, 1)/100: tau stays 1/2, the identity fails
     "perturbed": lambda: {"arity": 3, "offset": -1, "coeffs": ["51/100", "99/100", "99/100", "51/100"]},
@@ -632,6 +634,9 @@ SINGLE_CALLS = [
     Case("regularity-json", "regularity --mask {cantor} --order 0 --levels 3", 0,
          {"order": 0, "levels": 3, "bounds": [0.5, 0.5, 0.5], "contractive": True,
           "holder_lower_bound": 0.6309297535714574}),
+    Case("regularity-underflowing-bound", "regularity --mask {tiny_mask} --levels 2", 0,
+         {"order": 0, "levels": 2, "bounds": [1e-200, 0.0], "contractive": True,
+          "holder_lower_bound": 419.1806548578769}),
     Case("sweep-grid", "sweep --family {line} --order 0 --levels 2 --range=-1:1 --grid 5", 0,
          Sha256("68f6b1746eec9bab41e20cdc9f8074fd22249bf83792da3c047ceb638ffec333")),
     Case("sweep-bisect", "sweep --family {line} --order 2 --levels 3 --range=-2.5:0 --bisect", 0,

@@ -8,7 +8,9 @@ membership in a derived family as row functionals applied to the mask, and
 smoothing-factor division as ``LaurentPoly.divide``'s long division.  Every
 product and sum there is a ``Fraction`` operation.  The float contractivity
 references below keep the per-class norm sums and the per-parameter
-``Fraction`` conversions that the family-line kernel replaced.  The limit
+``Fraction`` conversions that the family-line kernel replaced, and form
+each iterate with ``strided_product``, ``exactalg.convolve`` written one
+product at a time from its docstring.  The limit
 evaluation references are the curve step as a whole product per coordinate
 wrapped by per-class folds, and the reproduction comb sums read from the
 full comb product.  The CSV references format ``eval`` and ``curve`` rows
@@ -407,16 +409,40 @@ def divide_smoothing(poly, m, order):
     return quotient
 
 
+def strided_product(a, b, stride):
+    """Coefficients of A(z^stride) B(z), as ``exactalg.convolve``'s docstring
+    defines them, one product at a time: entry stride*i + j adds a[i] b[j]
+    over ascending i, a zero a[i] skipped, starting from its first product;
+    an entry that no product reaches is ``type(b[0])()``.  When both
+    operands are palindromes only the first ceil(N/2) entries are summed and
+    the rest is their mirror."""
+    if not a or not b:
+        return []
+    size = stride * (len(a) - 1) + len(b)
+    half = (size + 1) // 2 if a == a[::-1] and b == b[::-1] else size
+    sums = {}
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            e = stride * i + j
+            if e < half:
+                sums[e] = sums[e] + x * y if e in sums else x * y
+    out = [sums.get(e, type(b[0])()) for e in range(half)]
+    return out + out[: size - half][::-1]
+
+
 def iterated_norms(coeffs, m, levels):
     """Norms of p(z) p(z^m) ... p(z^{m^{L-1}}), L = 1..levels, one residue
     class at a time: class r adds |q_r|, |q_{r+m^L}|, ... from left to right.
+    Each iterate is q_L = ``strided_product``(p, q_{L-1}, m^{L-1}), q_0 = [1].
 
     The left-to-right fold is ``sum(..., abs(q[r]))`` on Python 3.10 and
     3.11; from 3.12 ``sum`` compensates float rounding, so it is spelled out.
     """
     norms, q = [], [1]
     for level in range(1, levels + 1):
-        q = convolve(coeffs, q, m ** (level - 1))
+        q = strided_product(coeffs, q, m ** (level - 1))
         modulus = m**level
         norms.append(max(
             functools.reduce(operator.add, map(abs, q[r + modulus :: modulus]), abs(q[r]))

@@ -5,10 +5,11 @@
 for every parameter.  The kernel builds the float line once, adds whole
 blocks of classes and stops a bisection probe at the first contractive
 level; every float it returns must equal the reference's bit for bit.  The
-reference forms each iterate with the same ``exactalg.convolve``, so the
-float iterate of a symmetric member, whose second half is the mirror of its
-first, is part of the reference; ``tests/test_convolve_properties.py``
-checks that kernel against a double sum.
+reference forms each iterate with ``oracle.strided_product``, which sums
+``exactalg.convolve``'s products in its order, so the float iterate of a
+symmetric member, whose second half is the mirror of its first, is part of
+the reference; ``tests/test_convolve_properties.py`` checks ``convolve``
+against it and against a double sum.
 """
 
 import functools

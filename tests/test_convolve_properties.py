@@ -7,8 +7,16 @@ everywhere for other operands, and on the first ceil(N/2) entries of a
 palindromic product, whose second half must be the exact mirror.  The
 oracle's own second half may differ there in the last bit, since it rounds
 each entry's sum in its own order.
+
+The double sum has no infinity or nan.  ``oracle.strided_product`` is
+``convolve`` written from its docstring, one product at a time: zero rows
+skipped, each entry started from its first product, the unreached entries
+``type(b[0])()``, a palindromic product summed to half and mirrored.  On
+ints and on floats with signed zeros, overflowing products, infinities
+and nan, every entry of ``convolve`` must equal it ``repr`` for ``repr``.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from dualsubdiv.exactalg import convolve
 
 ENTRIES = {
@@ -97,3 +106,24 @@ def test_float_palindrome_product_is_mirrored():
     out = convolve(a, b)
     assert out[:4] == expected[:4]
     assert out == out[::-1]
+
+
+# the int 0 and 1 too: the difference iterate starts from the int product [1]
+SPECIAL = [0, 1, 0.0, -0.0, 1.5, -2.25, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def special_operand(draw, max_half):
+    """Ints, or floats with specials, palindromic or not."""
+    entry = draw(st.sampled_from([st.integers(min_value=-50, max_value=50), st.sampled_from(SPECIAL)]))
+    half = draw(st.lists(entry, max_size=max_half))
+    if not draw(st.booleans()):
+        return half + draw(st.lists(entry, max_size=max_half))
+    return half + draw(st.lists(entry, max_size=1)) + half[::-1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(special_operand(4), special_operand(5), st.integers(min_value=1, max_value=7))
+def test_convolve_matches_the_strided_product(a, b, stride):
+    want = [repr(x) for x in oracle.strided_product(a, b, stride)]
+    assert [repr(x) for x in convolve(a, b, stride)] == want

@@ -2,18 +2,24 @@
 against ``oracle.iterated_norms``, and of ``analyze._fold`` and
 ``analyze._norm`` against a per-class fold.
 
-The kernel reads level 1 off the symbol, builds each later level in
-m^(L-1)-long blocks, pads the last block of the previous level with the
-entries' zero, builds only the first half of a palindromic level and
-mirrors it, and sums each level's classes with the ``abs`` taken in the
-pass.  Every norm must still equal the oracle's ``repr`` for ``repr``: its
-type, and every float bit, at every level, whether the generator is read
-to the end or stopped early.  The coefficients include zeros of both
-signs, values whose products overflow and infinities, where a padded term
-p_k 0 would be nan.  ``_fold`` keeps a shorter last block unpadded, so a
-sum that only that block misses keeps the sign of its zero.  ``_norm``,
-the largest class sum of the magnitudes, compares the classes in order, so
-a nan class decides it only as ``max`` over the per-class folds decides it.
+The kernel builds each level of a symbol whose coefficients are all
+nonzero and finite in m^(L-1)-long blocks, the last block of the level
+before padded with zeros, and takes ``exactalg.convolve`` for any other
+symbol.  It builds only the first half of a palindromic level and mirrors
+it, and sums each level's classes with the ``abs`` taken in the pass.  The
+oracle forms each iterate with ``oracle.strided_product``, not with
+``convolve``.  Every norm must equal the oracle's ``repr`` for ``repr``:
+its type, and every float bit, at every level, whether the generator is
+read to the end or stopped early.  The coefficients include zeros of both
+signs, values whose products overflow and infinities.  The examples pin,
+on the block path, a finite symbol whose iterate overflows to inf and nan
+and the long edge blocks at m = 2 of an int symbol and of a float symbol
+whose edge sums show their order; and, on the ``convolve`` path, an int
+symbol with an interior zero and a float symbol with a nan.  ``_fold``
+keeps a shorter last block unpadded, so a sum that only that block misses
+keeps the sign of its zero.  ``_norm``, the largest class sum of the
+magnitudes, compares the classes in order, so a nan class decides it only
+as ``max`` over the per-class folds decides it.
 """
 
 import functools
@@ -55,20 +61,33 @@ def symbols(draw):
     return coeffs
 
 
-# an iterate whose padded term would be -inf 0 = nan: padded, its level-4
-# norm reads 0.0 instead of inf
+# infinite coefficients, on the convolve path: a padded term -inf 0 = nan
+# would make its level-4 norm read 0.0 instead of inf
 PADDED_NAN = [-0.0, -1.0, -math.inf, 2.0, 0.0, 0.0, 2.0, -math.inf, -1.0, -0.0]
 # a level-2 block of three products at m = 2, whose sum in another order
 # moves the norm's last bit
 THREE_TERMS = [n / 8191 for n in (569504, 637848, 671905, -229722, 802909, -229722, 671905,
                                   637848, 569504)]
-# level 1 is the symbol itself, each zero the int 0: with only zeros of both
+# level 1 leaves the int 0 at each zero coefficient: with only zeros of both
 # signs and types the norm is the int 0, and zeros at the ends stay in place
 ZEROS = [-0.0, 0, 0.0]
 ENDS = [0, -0.0, 1.5, -2.25, 0.0, 0]
 # the nan classes follow class 0 at every level, so the largest sum is finite
 # only when the classes are compared in order
 LATER_NAN = [2.0, math.nan]
+# finite and nonzero, so on the block path, where its iterate overflows: the
+# norms are 2e+200, inf, nan, nan, nan
+OVERFLOW = [1.5, -2.0, 1e200, 0.25, 1e200, -2.0, 1.5]
+# at m = 2 the level before has the most blocks, so the edges are longest
+EDGES = [3, -1, 4, 1, -5, 9, 2, -6]
+# left and right edge blocks of three or more float products, whose sums in
+# another order move the last bit of the level-4 norm
+EDGE_SUMS = [n / 8191 for n in (621809, -278862, -958113, 30562, 868588)]
+# an interior zero sends an int symbol to the convolve path
+INTERIOR_ZERO = [2, 0, -3, 0, 0, 5, 1]
+# so does a nan coefficient: a padded term nan 0 would make the level-2 norm
+# 6.0 instead of 9.0
+NAN_COEFF = [1.0, math.nan, 3.0, -1.0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,6 +98,11 @@ LATER_NAN = [2.0, math.nan]
 @hypothesis.example(ZEROS, 2, 1, 1)
 @hypothesis.example(ENDS, 4, 1, 1)
 @hypothesis.example(LATER_NAN, 2, 3, 3)
+@hypothesis.example(OVERFLOW, 2, 5, 5)
+@hypothesis.example(EDGES, 2, 5, 3)
+@hypothesis.example(EDGE_SUMS, 2, 4, 4)
+@hypothesis.example(INTERIOR_ZERO, 3, 4, 4)
+@hypothesis.example(NAN_COEFF, 3, 2, 2)
 def test_iterated_norms_match_the_oracle(coeffs, m, levels, stop):
     # the largest level holds (len - 1)(m^L - 1)/(m - 1) + 1 entries
     hypothesis.assume((len(coeffs) - 1) * (m**levels - 1) // (m - 1) < 20_000)
