@@ -10,7 +10,6 @@ from .analyze import (
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
-    difference_scheme,
     lattice_window,
     refine_values,
     reproduction_degree,

@@ -118,18 +118,6 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> SampleSet:
     return SampleSet.from_poly(Q, poly)
 
 
-def difference_scheme(mask: Mask, order: int) -> Mask:
-    """Mask of the order-k difference scheme.
-
-    Its symbol is m^k (1-z)^k (1-z^m)^{-k} A(z), which is exactly the
-    quotient of A by the k-th power of the smoothing factor; raises
-    NotDivisible when the factorization does not exist.
-    """
-    if order == 0:
-        return mask
-    return Mask.from_poly(mask.arity, factor_smoothing(mask, order) * mask.arity)
-
-
 def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
     """Infinity norms of the L-times iterated scheme, yielded for L = 1..levels.
 

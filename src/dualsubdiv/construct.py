@@ -16,7 +16,9 @@ The work runs on Python ints over one common denominator: each row M is
 read off one integer product (``exactalg.convolve``) of the smoothing
 coefficients with the sample numerators as a slice of step 2, each row N is
 a cycle of the smoothing factor's residue-class sums, and under symmetry each
-row is folded onto the mirror pairs.  The rows go to ``RatMatrix`` as
+row is folded onto the mirror pairs.  Zero and repeated rows are dropped: for
+d >= 1 every residue class of the smoothing factor sums to m^{d-1}, so the m
+rows N are one.  The rows go to ``RatMatrix`` as
 integers over the shared scale m^{1-d}/D, ``exactalg.rref_solve`` eliminates
 on them (the rows M are banded, so most of them have no entry in a given
 pivot column, and the solve leaves those rows as they are), and a solution
@@ -153,7 +155,8 @@ class AssembledSystem:
     (two indices when symmetry folded a mirror pair onto one unknown); the
     unknown multiplies the mask m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair}
     z^beta, so a solution x is the mask ``_mask(problem, x, 1)``.
-    ``dropped`` records pruned rows with the reason, for auditability.
+    ``dropped`` records pruned rows with the reason, for auditability; its
+    labels and ``row_labels`` together are the rows of [M; N].
     """
 
     problem: ConstructionProblem
@@ -164,14 +167,21 @@ class AssembledSystem:
     dropped: tuple[tuple[RowLabel, str], ...]
 
 
+def _unknowns(problem: ConstructionProblem) -> int:
+    """``len(_column_pairs(problem))`` without building the pairs, so that a
+    budget refusal costs nothing for any k*."""
+    b_lo, b_hi = problem.beta_window
+    return (b_hi - b_lo) // (1 + problem.symmetric) + 1
+
+
 def _column_pairs(problem: ConstructionProblem) -> tuple[tuple[int, ...], ...]:
     """The b-indices per unknown; under symmetry the mirror pairs, innermost first."""
     b_lo, b_hi = problem.beta_window
     if not problem.symmetric:
-        return tuple((beta,) for beta in range(b_lo, b_hi + 1))
+        return tuple((b_lo + i,) for i in range(_unknowns(problem)))
     return tuple(
         (b_lo + i,) if 2 * i == b_hi - b_lo else (b_lo + i, b_hi - i)
-        for i in reversed(range((b_hi - b_lo) // 2 + 1))
+        for i in reversed(range(_unknowns(problem)))
     )
 
 
@@ -211,10 +221,11 @@ def _mask(problem: ConstructionProblem, x: Sequence[int], den: int) -> LaurentPo
 def assemble(problem: ConstructionProblem) -> AssembledSystem:
     """Materialize the finite construction system for the problem.
 
-    Without symmetry this is the plain windowed system (no pruning), of
-    dimension (alpha_hi - alpha_lo + 1 + m) x (2k* - d(m-1)).  With symmetry,
-    each mirror pair of b-indices is one column (innermost pair first) and
-    zero or duplicate rows are pruned.  The column of b-index beta is the mask
+    The windowed system [M; N] has alpha_hi - alpha_lo + 1 + m rows and one
+    column per b-index, 2k* - d(m-1) of them; with symmetry each mirror pair
+    of b-indices is one column (innermost pair first).  For every problem a
+    zero row with a zero rhs, and a row whose (row, rhs) repeats an earlier
+    kept row, is dropped.  The column of b-index beta is the mask
     m^{1-d} z^beta s(z) with s = smoothing_coeffs(m, d), so every entry is
     m^{1-d}/D times an integer read off the one product s(z^2) P(z); the
     rows are built one at a time from it.
@@ -256,14 +267,13 @@ def assemble(problem: ConstructionProblem) -> AssembledSystem:
     dropped: list[tuple[RowLabel, str]] = []
     seen: dict[tuple, RowLabel] = {}
     for row, rhs_v, label in zip(map(tuple, rows), rhs, labels):
-        if problem.symmetric:
-            if not any(row) and rhs_v == 0:
-                dropped.append((label, "zero"))
-                continue
-            first = seen.setdefault((row, rhs_v), label)
-            if first != label:
-                dropped.append((label, f"duplicate of {first[0]}[{first[1]}]"))
-                continue
+        if not any(row) and rhs_v == 0:
+            dropped.append((label, "zero"))
+            continue
+        first = seen.setdefault((row, rhs_v), label)
+        if first != label:
+            dropped.append((label, f"duplicate of {first[0]}[{first[1]}]"))
+            continue
         kept.append((row, rhs_v, label))
 
     s_num, s_den = _column_scale(m, problem.d)
@@ -375,9 +385,9 @@ def derive(problem: ConstructionProblem) -> SolutionFamily:
     solve skips the banded rows' zeros, so the estimate overstates its work.
     """
     m, d = problem.m, problem.d
-    (a_lo, a_hi), (b_lo, b_hi) = problem.alpha_window, problem.beta_window
+    a_lo, a_hi = problem.alpha_window
     rows = a_hi - a_lo + 1 + m + 1
-    unknowns = (b_hi - b_lo) // 2 + 1 if problem.symmetric else b_hi - b_lo + 1
+    unknowns = _unknowns(problem)
     # an entry sums products of a smoothing coefficient, at most m^d, and a
     # sample numerator or the samples' denominator
     samples = problem.samples.poly

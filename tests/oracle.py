@@ -13,7 +13,9 @@ each iterate with ``strided_product``, ``exactalg.convolve`` written one
 product at a time from its docstring.  The limit
 evaluation references are the curve step as a whole product per coordinate
 wrapped by per-class folds, and the reproduction comb sums read from the
-full comb product.  The CSV references format ``eval`` and ``curve`` rows
+full comb product, also a ``strided_product``.  The rows of M and the mirror
+pairs of a symmetric problem come from their definitions, not from
+``construct``.  The CSV references format ``eval`` and ``curve`` rows
 one f-string per row, with a division per lattice point.  The
 Laurent-polynomial helpers at the top (powers, shifts, monomials, exponent
 scaling, sub-symbols, the smoothing factor) have no package caller; the
@@ -35,10 +37,9 @@ import math
 import operator
 from fractions import Fraction as F
 
-from dualsubdiv.construct import _column_pairs, alpha_window
-from dualsubdiv.exactalg import InfeasibleSystem, LaurentPoly, LinearSolution, RatMatrix, convolve, rat
+from dualsubdiv.exactalg import InfeasibleSystem, LaurentPoly, LinearSolution, RatMatrix, rat
 from dualsubdiv.samples import SampleSet, phi_poly
-from dualsubdiv.scheme import NotDivisible, symbol
+from dualsubdiv.scheme import NotDivisible, support_interval, symbol
 
 
 def power(p, n):
@@ -179,10 +180,17 @@ def value_at_one(poly):
     return sum(poly.coeffs, F(0))
 
 
+def row_window(m, k_star):
+    """(first, last) numerator alpha of the points alpha/2 of Z/2 in the limit
+    support ``support_interval(m, k_star)``: the rows of M and of its rhs."""
+    lo, hi = support_interval(m, k_star)
+    return math.ceil(2 * lo), math.floor(2 * hi)
+
+
 def build_M(m, samples, k_star):
     """Refinement-evaluation matrix M(a, b) = phi((m a + 1)/2 - b): rows a in
-    the alpha window, columns b over the mask support [1-k*, k*]."""
-    a_lo, a_hi = alpha_window(m, k_star)
+    ``row_window``, columns b over the mask support [1-k*, k*]."""
+    a_lo, a_hi = row_window(m, k_star)
     # on the Z/2 lattice, (m*alpha + 1)/2 - beta has numerator m*alpha + 1 - 2*beta
     return tuple(
         tuple(samples.value_at_index(m * alpha + 1 - 2 * beta) for beta in range(1 - k_star, k_star + 1))
@@ -191,8 +199,8 @@ def build_M(m, samples, k_star):
 
 
 def build_rhs(samples, m, k_star):
-    """c(a) = phi(a/2) on the row window, followed by the m ones."""
-    a_lo, a_hi = alpha_window(m, k_star)
+    """c(a) = phi(a/2) on ``row_window``, followed by the m ones."""
+    a_lo, a_hi = row_window(m, k_star)
     return tuple([samples.value_at_index(alpha) for alpha in range(a_lo, a_hi + 1)] + [F(1)] * m)
 
 
@@ -390,7 +398,10 @@ def contains(problem, mask):
     b_lo, b_hi = problem.beta_window
     if not b_poly.is_zero and (b_poly.degree_low < b_lo or b_poly.degree_high > b_hi):
         return False
-    if any(len({b_poly.coefficient(beta) for beta in pair}) > 1 for pair in _column_pairs(problem)):
+    # under symmetry b is its own mirror: b_beta = b_{b_lo + b_hi - beta}
+    if problem.symmetric and any(
+        b_poly.coefficient(beta) != b_poly.coefficient(b_lo + b_hi - beta) for beta in range(b_lo, b_hi + 1)
+    ):
         return False
     rows = build_M(m, problem.samples, k_star) + build_N(m, k_star)
     a = mask.poly
@@ -557,13 +568,13 @@ def reproduction_degree(lattice, window, max_degree):
     """The exact reproduction degree of a lattice, a ``SampleSet`` on Z/Q,
     checked at every degree up to max_degree on every point of its
     ``window`` (first, n), with the comb sums of degree e read off the whole
-    Fraction product of (k^e), |k| <= K, with the window's values at stride
-    Q: entry K Q + i sums k^e phi((first + i - k Q)/Q)."""
+    Fraction product ``strided_product`` of (k^e), |k| <= K, with the
+    window's values at stride Q: entry K Q + i sums k^e phi((first + i - k Q)/Q)."""
     Q, (first, n) = lattice.T, window
     values = [lattice.value_at_index(p) for p in range(first, first + n)]
     K = (n - 1) // Q
     for e in range(max_degree + 1):
-        combs = convolve([k**e for k in range(-K, K + 1)], values, Q)[K * Q : K * Q + n]
+        combs = strided_product([k**e for k in range(-K, K + 1)], values, Q)[K * Q : K * Q + n]
         for p, acc in zip(range(first, first + n), combs):
             if acc * Q**e != p**e:
                 return e - 1

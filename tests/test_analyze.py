@@ -13,14 +13,13 @@ from dualsubdiv.analyze import (
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
-    difference_scheme,
     lattice_window,
     refine_values,
     reproduction_degree,
     subdivide_curve,
     subdivide_points,
 )
-from dualsubdiv.exactalg import convolve, numerators
+from dualsubdiv.exactalg import LaurentPoly, convolve, numerators
 from dualsubdiv.samples import SampleSet, dd_samples
 from dualsubdiv.scheme import (
     Mask,
@@ -28,9 +27,8 @@ from dualsubdiv.scheme import (
     factor_smoothing,
     limit_support,
     shift_parameter,
-    symbol,
 )
-from oracle import perturbed, power, smoothing_factor
+from oracle import perturbed
 
 
 CANTOR = catalog.cantor_mask()
@@ -169,23 +167,9 @@ def test_fractional_shift_lattice_rejected():
 
 
 def test_difference_scheme_cantor():
-    d1 = difference_scheme(CANTOR, 1)
-    assert d1 == Mask(3, -1, [F(3, 2), F(3, 2)])
-    assert difference_scheme(CANTOR, 0) == CANTOR
-
-
-def test_difference_scheme_requires_divisibility():
-    with pytest.raises(NotDivisible):
-        difference_scheme(Mask(2, 0, [2]), 1)
-    difference_scheme(TERNARY, 4)
-    with pytest.raises(NotDivisible):
-        difference_scheme(TERNARY, 5)
-
-
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_difference_scheme_symbol_relation(order):
-    diff = difference_scheme(TERNARY, order)
-    assert symbol(diff) * power(smoothing_factor(3), order) == symbol(TERNARY)
+    # the Cantor mask's order-1 difference scheme is m B(z), where
+    # A(z) = ((1 + z + z^2)/3) B(z)
+    assert factor_smoothing(CANTOR, 1) * 3 == LaurentPoly(-1, [F(3, 2), F(3, 2)])
 
 
 def test_contractivity_cantor():
@@ -587,12 +571,13 @@ BOX = Mask(3, -1, [1, 1, 1])
 
 
 def forbid_levels(monkeypatch):
-    """Fail the test when an analysis builds any level product."""
+    """Fail the test when an analysis completes any level: every level of the
+    iterate, built by ``convolve`` or in blocks, ends in one ``_norm`` call."""
 
     def level(*args):
         raise AssertionError("a level ran before the refusal")
 
-    monkeypatch.setattr(analyze, "convolve", level)
+    monkeypatch.setattr(analyze, "_norm", level)
 
 
 def test_one_coefficient_iterate_is_refused_one_level_after_its_last(monkeypatch):

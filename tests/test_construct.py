@@ -47,6 +47,10 @@ def test_alpha_window_values():
     assert alpha_window(3, 7) == (-6, 6)
     assert alpha_window(5, 10) == (-4, 4)
     assert alpha_window(3, 2) == (-1, 1)
+    # the rows are the points of Z/2 in the limit support
+    for m in range(2, 8):
+        for k_star in range(1, 20):
+            assert alpha_window(m, k_star) == oracle.row_window(m, k_star)
 
 
 def test_problem_validation():
@@ -146,6 +150,24 @@ def _oracle_system(problem):
     return matrix, dense_columns
 
 
+def _pruned(rows, rhs, labels):
+    """(kept rows, kept rhs, kept labels, dropped) of a dense system: a zero
+    row with a zero rhs goes as "zero", and a (row, rhs) seen before as a
+    duplicate of the first row that had it."""
+    kept, dropped, first = [], [], {}
+    for row, rhs_v, label in zip(rows, rhs, labels):
+        key = (tuple(row), rhs_v)
+        if all(x == 0 for x in row) and rhs_v == 0:
+            dropped.append((label, "zero"))
+        elif key in first:
+            dropped.append((label, "duplicate of {}[{}]".format(*first[key])))
+        else:
+            first[key] = label
+            kept.append((list(row), rhs_v, label))
+    rows, rhs, labels = (list(part) for part in zip(*kept))
+    return rows, rhs, tuple(labels), tuple(dropped)
+
+
 @pytest.mark.parametrize(
     "m,d,k_star,samples",
     [
@@ -163,8 +185,12 @@ def test_assemble_matches_dense_band_power_oracle(m, d, k_star, samples):
     sample_set = samples_from_shorthand(samples)
     plain = assemble(ConstructionProblem(m, d, k_star, sample_set, False))
     matrix, dense_columns = _oracle_system(plain.problem)
-    assert [list(row) for row in entries(plain.matrix)] == matrix
-    assert plain.rhs == build_rhs(sample_set, m, k_star)
+    rhs = build_rhs(sample_set, m, k_star)
+    a_lo, a_hi = alpha_window(m, k_star)
+    labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)] + [("N", gamma) for gamma in range(1, m + 1)]
+    assert _pruned(matrix, rhs, labels) == (
+        [list(row) for row in entries(plain.matrix)], list(plain.rhs), plain.row_labels, plain.dropped
+    )
     b_lo, b_hi = plain.problem.beta_window
     assert plain.col_labels == tuple((beta,) for beta in range(b_lo, b_hi + 1))
     # each column is the mask m^{1-d} (1+...+z^{m-1})^d z^beta
@@ -178,18 +204,10 @@ def test_assemble_matches_dense_band_power_oracle(m, d, k_star, samples):
     assert folded.col_labels == tuple(pairs)
     for pair, column in zip(pairs, columns(folded)):
         assert column == sum((columns(plain)[beta - b_lo] for beta in pair), LaurentPoly.zero())
-    kept, kept_rhs, seen = [], [], set()
-    for row, rhs_v in zip(matrix, plain.rhs):
-        row = [sum(row[beta - b_lo] for beta in pair) for pair in pairs]
-        if (all(x == 0 for x in row) and rhs_v == 0) or (tuple(row), rhs_v) in seen:
-            continue
-        seen.add((tuple(row), rhs_v))
-        kept.append(row)
-        kept_rhs.append(rhs_v)
-    assert [list(row) for row in entries(folded.matrix)] == kept
-    assert list(folded.rhs) == kept_rhs
-    assert len(folded.row_labels) + len(folded.dropped) == len(plain.row_labels)
-    assert set(folded.row_labels) | {label for label, _ in folded.dropped} == set(plain.row_labels)
+    folded_matrix = [[sum(row[beta - b_lo] for beta in pair) for pair in pairs] for row in matrix]
+    assert _pruned(folded_matrix, rhs, labels) == (
+        [list(row) for row in entries(folded.matrix)], list(folded.rhs), folded.row_labels, folded.dropped
+    )
 
 
 PRINTED_MATRIX = (
@@ -215,9 +233,19 @@ def test_assemble_symmetric_ternary_matches_reference_system():
 
 
 def test_assemble_full_ternary_shape():
+    # the 16 x 6 windowed system less its four zero rows M and the rows N[2],
+    # N[3], which repeat N[1]: each residue class of (1 + z + z^2)^4 sums to 27
     system = assemble(ConstructionProblem(3, 4, 7, DD4, False))
-    assert (system.matrix.rows, system.matrix.cols) == (16, 6)
-    assert system.dropped == ()
+    assert (system.matrix.rows, system.matrix.cols) == (10, 6)
+    assert system.row_labels == tuple(("M", alpha) for alpha in range(-4, 5)) + (("N", 1),)
+    assert system.dropped == (
+        (("M", -6), "zero"),
+        (("M", -5), "zero"),
+        (("M", 5), "zero"),
+        (("M", 6), "zero"),
+        (("N", 2), "duplicate of N[1]"),
+        (("N", 3), "duplicate of N[1]"),
+    )
 
 
 @pytest.mark.parametrize(
@@ -225,10 +253,11 @@ def test_assemble_full_ternary_shape():
     [(3, 4, 7), (3, 1, 5), (4, 3, 11), (5, 3, 10), (6, 2, 9)],
 )
 def test_full_dimensions_match_closed_form(m, d, k_star):
+    # the closed form counts the windowed rows: those kept and those pruned
     problem = ConstructionProblem(m, d, k_star, DD4, False)
     system = assemble(problem)
     a_lo, a_hi = alpha_window(m, k_star)
-    assert system.matrix.rows == a_hi - a_lo + 1 + m
+    assert len(system.row_labels) + len(system.dropped) == a_hi - a_lo + 1 + m
     assert system.matrix.cols == 2 * k_star - d * (m - 1)
 
 

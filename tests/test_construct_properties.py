@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from oracle import build_M, build_N, build_rhs
@@ -15,7 +15,7 @@ from dualsubdiv.charax import verify_dual_interpolatory
 from dualsubdiv import construct
 from dualsubdiv.construct import ConstructionProblem, InfeasibleProblem, assemble, derive
 from dualsubdiv.exactalg import LaurentPoly, rref_solve
-from dualsubdiv.samples import dd_samples, mix_samples
+from dualsubdiv.samples import SampleSet, dd_samples, mix_samples
 from dualsubdiv.scheme import Mask, shift_parameter
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -133,16 +133,18 @@ def test_symmetric_problems_are_feasible_iff_their_twins_are(problem):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 7), st.integers(0, 3), sample_sets(), st.integers(16, 48))
 def test_unfolded_system_shape_beyond_the_criterion_10_grid(m, d, samples, k_star):
-    """The non-symmetric system keeps every row: it is (a_hi - a_lo + 1 + m)
-    x (2k* - d(m-1)), here for k* from 16 on (criterion 10 stops at 15)."""
+    """The non-symmetric system's kept and pruned rows together are
+    (a_hi - a_lo + 1 + m) x (2k* - d(m-1)), one label each, here for k* from
+    16 on (criterion 10 stops at 15)."""
     k_star = max(k_star, smallest_k_star(m, d, samples))
     problem = ConstructionProblem(m, d, k_star, samples, False)
     system = assemble(problem)
     a_lo, a_hi = problem.alpha_window
-    shape = (a_hi - a_lo + 1 + m, 2 * k_star - d * (m - 1))
-    assert (system.matrix.rows, system.matrix.cols) == shape
-    assert (len(system.row_labels), len(system.col_labels)) == shape
-    assert system.dropped == ()
+    assert system.matrix.rows == len(system.row_labels)
+    assert system.matrix.cols == len(system.col_labels) == 2 * k_star - d * (m - 1)
+    labels = system.row_labels + tuple(label for label, _ in system.dropped)
+    windowed = [("M", alpha) for alpha in range(a_lo, a_hi + 1)] + [("N", gamma) for gamma in range(1, m + 1)]
+    assert sorted(labels) == windowed
 
 
 @st.composite
@@ -192,12 +194,15 @@ def test_contains_matches_the_fraction_row_functionals(problem, data):
 
 @settings(max_examples=60, deadline=None)
 @given(problems(min_d=0))
+# asymmetric samples: the rows M[-1] and M[0] are equal and their rhs are not
+@example(ConstructionProblem(4, 1, 2, SampleSet(2, -1, [F(-3, 2), 1]), False))
 def test_derive_matches_fraction_gauss_jordan(problem):
-    """derive equals Gauss-Jordan on Fractions: the rows of [M; N] that
-    assemble keeps and tau = 1/2 (sum_k 2k a_k = m), applied to the column
-    masks m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta, with the masks
-    formed as sum_i x_i columns_i; infeasible exactly when that elimination
-    leaves a nonzero rhs below the rank."""
+    """derive equals Gauss-Jordan on Fractions: every windowed row of [M; N],
+    kept or dropped by assemble, and tau = 1/2 (sum_k 2k a_k = m), applied to
+    the column masks m^{1-d} (1+...+z^{m-1})^d sum_{beta in pair} z^beta,
+    with the masks formed as sum_i x_i columns_i; infeasible exactly when
+    that elimination leaves a nonzero rhs below the rank.  Each dropped row
+    is zero with a zero rhs, or equals the kept row that its reason names."""
     m, d, k_star = problem.m, problem.d, problem.k_star
     system = assemble(problem)
     smoothing = oracle.power(LaurentPoly(0, [1] * m), d) * F(m) ** (1 - d)
@@ -209,17 +214,24 @@ def test_derive_matches_fraction_gauss_jordan(problem):
     units = ([int(i == j) for j in range(n)] for i in range(n))
     assert [construct._mask(problem, x, 1) for x in units] == columns
     assert list(oracle.columns(system)) == columns
-    a_lo = problem.alpha_window[0]
+    a_lo, a_hi = problem.alpha_window
+    labels = [("M", alpha) for alpha in range(a_lo, a_hi + 1)] + [("N", gamma) for gamma in range(1, m + 1)]
     functionals = build_M(m, problem.samples, k_star) + build_N(m, k_star)
-    rhs_all = build_rhs(problem.samples, m, k_star)
-    index = [alpha - a_lo if kind == "M" else len(functionals) - m + alpha - 1
-             for kind, alpha in system.row_labels]
-    rows = [[oracle.apply_row(functionals[i], column, k_star) for column in columns] for i in index]
-    assert [list(row) for row in oracle.entries(system.matrix)] == rows
-    assert list(system.rhs) == [rhs_all[i] for i in index]
+    rows = [[oracle.apply_row(row, column, k_star) for column in columns] for row in functionals]
+    rhs = list(build_rhs(problem.samples, m, k_star))
+    equation = {label: (row, c) for label, row, c in zip(labels, rows, rhs)}
+    assert [list(row) for row in oracle.entries(system.matrix)] == [equation[label][0] for label in system.row_labels]
+    assert list(system.rhs) == [equation[label][1] for label in system.row_labels]
+    assert sorted(system.row_labels + tuple(label for label, _ in system.dropped)) == labels
+    named = {f"duplicate of {kind}[{i}]": (kind, i) for kind, i in system.row_labels}
+    for label, reason in system.dropped:
+        if reason == "zero":
+            assert equation[label] == ([0] * len(columns), 0)
+        else:
+            assert equation[label] == equation[named[reason]]
 
     tau_row = [2 * column.derivative_at_one() for column in columns]
-    solution = oracle.canonical_solution(*oracle.rref(rows + [tau_row], list(system.rhs) + [m]))
+    solution = oracle.canonical_solution(*oracle.rref(rows + [tau_row], rhs + [m]))
     try:
         family = derive(problem)
     except InfeasibleProblem:
