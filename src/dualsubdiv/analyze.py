@@ -12,6 +12,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
@@ -118,30 +119,27 @@ def refine_values(mask: Mask, seed: SampleSet, depth: int) -> SampleSet:
     return SampleSet.from_poly(Q, poly)
 
 
-def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
-    """Infinity norms of the L-times iterated scheme, yielded for L = 1..levels.
+def _iterates(coeffs: Sequence, m: int, levels: int) -> Iterator[list]:
+    """The iterates q_L(z) = p(z) p(z^m) ... p(z^{m^{L-1}}) of the symbol p
+    with coefficients ``coeffs``, yielded for L = 1..levels.
 
-    The iterate's symbol is q_L(z) = p(z) p(z^m) ... p(z^{m^{L-1}}); the
-    norm is the largest absolute coefficient sum over residue classes mod
-    m^L, whatever the offset of p.  Each level is one step
-    q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, from q_0 = [1], each entry the
-    left-to-right sum of ``exactalg.convolve``.  A symbol with a zero, an
-    infinite or a nan coefficient takes ``convolve(p, q, s)``.  Any other
-    runs in s-long blocks, the last block of q_{L-1} padded with zeros:
-    output block w sums p_k times block w - k in ascending k, the blocks
-    that take every block of q_{L-1} in one ``_combine`` call and each edge
-    block in one call over the blocks that meet it.  A padded term, a
-    finite nonzero p_k times a zero, is a zero: it can change only the sign
-    of a zero entry, which the norm's ``abs`` drops.  A palindromic p has
-    palindromic iterates, whose first ceil(N/2) entries are built and then
-    mirrored.  ``_norm`` sums each class from left to right and compares
-    the classes in order.  Lazy, so a caller may stop after any level; the
-    callers check ``levels`` and the iterate's size first
-    (``_difference_symbols``).  Integer numerators over a common
-    denominator D give the norms as ints over D^L, floats give floats.
+    Each level is one step q_L = q_{L-1}(z) p(z^s), s = m^{L-1}, from
+    q_0 = [1], each entry the left-to-right sum of ``exactalg.convolve``.
+    A symbol with a zero, an infinite or a nan coefficient takes
+    ``convolve(p, q, s)``.  Any other (``_blocked``) runs in s-long blocks,
+    the last block of q_{L-1} padded with zeros: output block w sums p_k
+    times block w - k in ascending k, the blocks that take every block of
+    q_{L-1} in one ``_combine`` call and each edge block in one call over
+    the blocks that meet it.  A padded term, a finite nonzero p_k times a
+    zero, is a zero: it can change only the sign of a zero entry, which a
+    norm's ``abs`` drops.  Only the first half = ceil(N/2) entries of a
+    palindromic p's level, itself a palindrome, are built, the last block
+    cut at half, and then mirrored.  Lazy, so a caller may stop after any
+    level; the callers check ``levels`` and the iterate's size first
+    (``_difference_symbols``).
     """
     n = len(coeffs)
-    blocked = all(c and c * 0 == 0 for c in coeffs)
+    blocked = _blocked(coeffs)
     palindrome = coeffs == coeffs[::-1]
     q = [1]
     for level in range(1, levels + 1):
@@ -154,22 +152,74 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
             blocks = [q[i : i + s] for i in range(0, len(q), s)][::-1]
             last = len(blocks) - 1
             blocks[0] = blocks[0] + [type(q[0])()] * (s - len(blocks[0]))
-            count = -(-half // s)
+            # output blocks 0..cut - 1 are whole, block cut ends at half
+            cut = (half - 1) // s
             # output blocks last..n-1 take every block: q_{L-1} has at most n
-            start, stop = min(last, count), min(n, count)
+            start, stop = min(last, cut), min(n, cut)
             rows = zip(*(coeffs[i : i + stop - start] for i in range(last + 1)))
             out = []
             for w in range(start):
                 out += _combine([coeffs[: w + 1]], blocks[last - w :])
             out += _combine(list(rows), blocks)
-            for w in range(stop, count):
+            for w in range(stop, cut):
                 out += _combine([coeffs[w - last :]], blocks[: n + last - w])
-            del out[half:]
+            lo, hi = max(0, cut - last), min(cut, n - 1) + 1
+            ends = [x[: half - cut * s] for x in blocks[last - cut + lo : last - cut + hi]]
+            out += _combine([coeffs[lo:hi]], ends)
             out += out[: size - half][::-1]
             q = out
         else:
             q = convolve(coeffs, q, s)
+        yield q
+
+
+def _blocked(coeffs: Sequence) -> bool:
+    """Whether ``_iterates`` builds the iterates of ``coeffs`` in blocks:
+    every coefficient nonzero and finite."""
+    return all(c and c * 0 == 0 for c in coeffs)
+
+
+def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
+    """Infinity norms of the L-times iterated scheme, yielded for L = 1..levels.
+
+    The norm of the iterate q_L that ``_iterates`` yields is the largest
+    absolute coefficient sum over residue classes mod m^L, whatever the
+    offset of p: ``_norm`` sums each class from left to right and compares
+    the classes in order.  Lazy, as ``_iterates`` is.  Integer numerators
+    over a common denominator D give the norms as ints over D^L, floats
+    give floats.
+    """
+    for level, q in enumerate(_iterates(coeffs, m, levels), start=1):
         yield _norm(q, min(m**level, len(q)))
+
+
+def _next_class_sum(coeffs: Sequence, q: list, s: int, r: int, n: int):
+    """Class r mod n of ``_class_sums`` over the next level q(z) p(z^s) that
+    ``_iterates`` builds in blocks from q, without building that level.
+
+    Each entry j of the class adds its products p_k q_{j - ks} in
+    ascending k, the first product first, as the blocks do; past the first
+    half of a palindromic p's level of N entries, entry j is entry
+    N - 1 - j, as the mirror reads it.  The blocks' padded terms are left
+    out, and an entry that no product reaches is a zero: either changes
+    only the sign of a zero entry, which the ``abs`` drops.  The class then
+    adds the magnitudes from left to right (``_class_sum``), so the sum is
+    that of ``_class_sums`` over the built level, bit for bit."""
+    size = s * (len(coeffs) - 1) + len(q)
+    half = (size + 1) // 2 if coeffs == coeffs[::-1] else size
+    entries = []
+    for j in range(r, size, n):
+        i = j if j < half else size - 1 - j
+        lo, hi = max(0, (i - len(q)) // s + 1), min(len(coeffs) - 1, i // s)
+        terms = map(operator.mul, coeffs[lo : hi + 1], q[i - hi * s : i - lo * s + 1 : s][::-1])
+        entries.append(reduce(operator.add, terms) if lo <= hi else type(q[0])())
+    return _class_sum(entries, 0, 1)
+
+
+def _class_sum(values: list, r: int, n: int):
+    """|values[r]| + |values[r + n]| + ..., added from left to right: class r
+    of ``_class_sums(values, n)``."""
+    return reduce(operator.add, map(abs, values[r::n]))
 
 
 def _combine(rows: list, blocks: list) -> list:
@@ -245,14 +295,19 @@ def _fold(values: list, n: int) -> list:
 
 
 def _norm(q: list, n: int):
-    """The largest of the n sums |q_r| + |q_{r+n}| + ..., n <= len(q), each
-    added from left to right and compared in class order.  The classes that
-    the short last n-long slice of q reaches, then the others, are each one
-    pass over the zipped n-long slices, the ``abs`` taken in it."""
+    """The largest of ``_class_sums(q, n)``, compared in class order."""
+    return max(_class_sums(q, n))
+
+
+def _class_sums(q: list, n: int) -> list:
+    """The n sums |q_r| + |q_{r+n}| + ..., n <= len(q), each added from left
+    to right.  The classes that the short last n-long slice of q reaches,
+    then the others, are each one pass over the zipped n-long slices, the
+    ``abs`` taken in it."""
     full, short = divmod(len(q), n)
     sums = _abs_sums([q[i * n : i * n + short] for i in range(full + 1)])
     sums += _abs_sums([q[i * n + short : i * n + n] for i in range(full)])
-    return max(sums)
+    return sums
 
 
 def _abs_sums(blocks: list) -> list:
@@ -324,30 +379,24 @@ def contractivity_bound(mask: Mask, order: int, levels: int) -> RegularityReport
 
 def _family_line(
     family: SolutionFamily, order: int, levels: int, parameters: Sequence[float]
-) -> Callable[[float], Iterator[float]]:
-    """t -> rooted norms, level by level, of the member at t of a one-parameter
-    family, whose float difference symbol is a + t b on the common window of
-    the particular member's a and the direction's b.  Refuses a family of another
-    dimension than 1, then as ``_difference_symbols`` does, then the sweep."""
+) -> Callable[[float], list[float]]:
+    """t -> the float difference symbol a + t b of the member at t of a
+    one-parameter family, on the common window of the particular member's a
+    and the direction's b.  Refuses a family of another dimension than 1,
+    then as ``_difference_symbols`` does, then the sweep."""
     if family.dimension != 1:
         raise ValueError("parameter sweeps need a one-dimensional family")
     symbols = _difference_symbols((family.particular, *family.basis), order, levels)
     lo, hi = min(p.offset for p in symbols), max(p.degree_high for p in symbols)
-    m = family.problem.m
     # __len__, not len: a grid may count more points than an index holds
-    _refuse_iterates(hi + 1 - lo, m, levels, parameters.__len__())
+    _refuse_iterates(hi + 1 - lo, family.problem.m, levels, parameters.__len__())
     dp, dv = (
         [0.0] * (p.offset - lo)
         + [x / p.denominator for x in p.numerators]
         + [0.0] * (hi - p.degree_high)
         for p in symbols
     )
-
-    def norms(t: float) -> Iterator[float]:
-        iterated = _iterated_norms([a + t * b for a, b in zip(dp, dv)], m, levels)
-        return (n ** (1.0 / L) for L, n in enumerate(iterated, start=1))
-
-    return norms
+    return lambda t: [a + t * b for a, b in zip(dp, dv)]
 
 
 class ParameterGrid(Sequence[float]):
@@ -381,8 +430,13 @@ def contractivity_profile(
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family; the
     sweep is refused before any parameter is read."""
-    norms = _family_line(family, order, levels, parameters)
-    return [(t, min(norms(t))) for t in parameters]
+    symbol, m = _family_line(family, order, levels, parameters), family.problem.m
+
+    def best(t: float) -> float:
+        norms = _iterated_norms(symbol(t), m, levels)
+        return min(n ** (1.0 / L) for L, n in enumerate(norms, start=1))
+
+    return [(t, best(t)) for t in parameters]
 
 
 _BISECT_TOL = 1e-6
@@ -402,13 +456,49 @@ def contractivity_range(
     clamp to the grid's ends when the contractive region touches them.  The
     family and the sweep are refused as in ``contractivity_profile``, and
     then a grid with grid.a < grid.b false.
+
+    A level's norm is the largest of its class sums, so one class whose sum
+    is at least 1 shows that the level is not contractive.  Within one call,
+    each level keeps a witness: the class of the largest sum the last time
+    its norm was computed in full.  Below the last level the witness class
+    of the built level is summed first (``_class_sum``); at the last level
+    of a symbol built in blocks it is summed from the level before
+    (``_next_class_sum``), and that level is then never built.  A witness
+    sum c >= 1.0 rejects the level; any other case (no witness yet, c below
+    1.0 or nan, the last level of a ``convolve`` symbol) computes the level's
+    norm in full and takes its largest class as the new witness.  This
+    cannot change an answer: c is ``_class_sums``' sum for that class, bit
+    for bit, and ``max`` over the sums is then either at least c or, with
+    class 0's sum nan, nan.  Either way the rooted norm is not below 1.0,
+    as the full level decides.
     """
-    norms = _family_line(family, order, levels, grid)
+    symbol = _family_line(family, order, levels, grid)
     if not grid.a < grid.b:
         raise ValueError("empty search interval")
+    m = family.problem.m
+    witness: list[int | None] = [None] * levels
 
     def contractive(t: float) -> bool:
-        return any(x < 1.0 for x in norms(t))
+        coeffs = symbol(t)
+        iterates = _iterates(coeffs, m, levels)
+        q = [1]
+        for level, r in enumerate(witness, start=1):
+            if r is not None and level == levels and _blocked(coeffs):
+                s = m ** (level - 1)
+                n = min(m * s, s * (len(coeffs) - 1) + len(q))
+                if _next_class_sum(coeffs, q, s, r, n) >= 1.0:
+                    return False
+                r = None
+            q = next(iterates)
+            n = min(m**level, len(q))
+            if r is not None and _class_sum(q, r, n) >= 1.0:
+                continue
+            sums = _class_sums(q, n)
+            norm = max(sums)
+            witness[level - 1] = sums.index(norm)
+            if norm ** (1.0 / level) < 1.0:
+                return True
+        return False
 
     flags = [contractive(t) for t in grid]
     if not any(flags):

@@ -571,13 +571,14 @@ BOX = Mask(3, -1, [1, 1, 1])
 
 
 def forbid_levels(monkeypatch):
-    """Fail the test when an analysis completes any level: every level of the
-    iterate, built by ``convolve`` or in blocks, ends in one ``_norm`` call."""
+    """Fail the test when an analysis starts any level: every level of the
+    iterate, built by ``convolve`` or in blocks or decided by a witness class
+    sum from the level before, follows one call of ``_iterates``."""
 
-    def level(*args):
+    def levels(*args):
         raise AssertionError("a level ran before the refusal")
 
-    monkeypatch.setattr(analyze, "_norm", level)
+    monkeypatch.setattr(analyze, "_iterates", levels)
 
 
 def test_one_coefficient_iterate_is_refused_one_level_after_its_last(monkeypatch):

@@ -9,7 +9,9 @@ reference forms each iterate with ``oracle.strided_product``, which sums
 ``exactalg.convolve``'s products in its order, so the float iterate of a
 symmetric member, whose second half is the mirror of its first, is part of
 the reference; ``tests/test_convolve_properties.py`` checks ``convolve``
-against it and against a double sum.
+against it and against a double sum.  A range search rejects a level whose
+witness class sums to at least 1 and builds no last level that it rejects
+so; two tests count the levels that its probes build.
 """
 
 import functools
@@ -18,10 +20,11 @@ from fractions import Fraction as F
 import pytest
 
 import oracle
-from dualsubdiv import catalog
+from dualsubdiv import analyze, catalog
 from dualsubdiv.analyze import (
     NoContractivePoint,
     ParameterGrid,
+    _iterated_norms,
     contractivity_bound,
     contractivity_profile,
     contractivity_range,
@@ -104,6 +107,52 @@ def test_range_probe_at_a_bound_of_exactly_one_is_not_contractive():
     left, right = contractivity_range(family, 0, 3, ParameterGrid(-4.0, 2.0, 7))
     assert (left, right) == oracle.contractivity_range(family, 0, 3, (-4.0, 2.0), grid=7)
     assert -3 < left < -3 + 1e-6 and 1 - 1e-6 < right < 1
+
+
+def count_levels(monkeypatch):
+    """(probes, built): the symbol of each probe of a range search, in turn,
+    and how many of its levels ``analyze._iterates`` built."""
+    iterates, probes, built = analyze._iterates, [], []
+
+    def counted(coeffs, m, levels):
+        probes.append(coeffs)
+        built.append(0)
+        for q in iterates(coeffs, m, levels):
+            built[-1] += 1
+            yield q
+
+    monkeypatch.setattr(analyze, "_iterates", counted)
+    return probes, built
+
+
+def test_range_builds_fewer_last_levels_than_its_probes_reach(monkeypatch):
+    # a probe reaches level 4 when none of levels 1-3 is contractive; the
+    # witness class, summed from level 3, rejects some of those without
+    # building level 4 (of 75 probes, 51 reach it and 27 build it)
+    family = catalog.quinary_reference_family()
+    probes, built = count_levels(monkeypatch)
+    got = contractivity_range(family, 0, 4, ParameterGrid(*QUINARY_SEARCH[0], 33))
+    monkeypatch.undo()
+    assert got == oracle.contractivity_range(family, 0, 4, QUINARY_SEARCH[0], grid=33)
+    reached = [
+        not any(n ** (1.0 / L) < 1.0 for L, n in enumerate(_iterated_norms(p, 5, 3), start=1))
+        for p in probes
+    ]
+    assert built.count(4) < reached.count(True)
+
+
+def test_range_witness_sum_of_exactly_one_rejects_the_last_level(monkeypatch):
+    # the family of the probe test above: every class with an entry sums to
+    # |1 + t|^L / 2^L at level L, exactly 1.0 at t = -3 and t = 1, so once
+    # t = -4 has set the witnesses those probes, and t = 2, build levels 1
+    # and 2 only; t = -2, -1 and 0 are contractive at level 1
+    half = [F(c, 2) for c in convolve([1] * 5, [1, 1])]
+    family = SolutionFamily(
+        catalog.quinary_problem(), Mask(5, 0, half), (Mask(5, 0, half),)
+    )
+    probes, built = count_levels(monkeypatch)
+    contractivity_range(family, 0, 3, ParameterGrid(-4.0, 2.0, 7))
+    assert built[:7] == [3, 2, 1, 1, 1, 2, 2]
 
 
 CATALOG_MASKS = {

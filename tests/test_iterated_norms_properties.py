@@ -1,6 +1,8 @@
 """Property test of the stride-block iterate ``analyze._iterated_norms``
-against ``oracle.iterated_norms``, and of ``analyze._fold`` and
-``analyze._norm`` against a per-class fold.
+against ``oracle.iterated_norms``, of the witness class sums
+``analyze._next_class_sum`` and ``analyze._class_sum`` against the built
+level, and of ``analyze._fold`` and ``analyze._norm`` against a per-class
+fold.
 
 The kernel builds each level of a symbol whose coefficients are all
 nonzero and finite in m^(L-1)-long blocks, the last block of the level
@@ -11,11 +13,17 @@ oracle forms each iterate with ``oracle.strided_product``, not with
 ``convolve``.  Every norm must equal the oracle's ``repr`` for ``repr``:
 its type, and every float bit, at every level, whether the generator is
 read to the end or stopped early.  The coefficients include zeros of both
-signs, values whose products overflow and infinities.  The examples pin,
+signs, values whose products overflow, infinities and nan.  The examples pin,
 on the block path, a finite symbol whose iterate overflows to inf and nan
 and the long edge blocks at m = 2 of an int symbol and of a float symbol
 whose edge sums show their order; and, on the ``convolve`` path, an int
-symbol with an interior zero and a float symbol with a nan.  ``_fold``
+symbol with an interior zero and a float symbol with a nan.  On the block
+path, each class sum of a level taken from the level before, as
+``contractivity_range``'s witness reads it, and the same class summed on
+the built level must equal ``analyze._class_sums``' sum for that class
+for ``repr``, inf and nan included; the overflow and edge-sum examples
+are pinned there too, with a palindrome whose mirrored entries differ in
+the last bit from the same entries summed directly.  ``_fold``
 keeps a shorter last block unpadded, so a sum that only that block misses
 keeps the sign of its zero.  ``_norm``, the largest class sum of the
 magnitudes, compares the classes in order, so a nan class decides it only
@@ -33,7 +41,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from dualsubdiv.analyze import _fold, _iterated_norms, _norm
+from dualsubdiv.analyze import (
+    _blocked,
+    _class_sum,
+    _class_sums,
+    _fold,
+    _iterated_norms,
+    _iterates,
+    _next_class_sum,
+    _norm,
+)
 
 ENTRIES = {
     int: st.integers(min_value=-10**6, max_value=10**6),
@@ -42,7 +59,7 @@ ENTRIES = {
 }
 SPECIAL = {
     int: [0],
-    float: [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf],
+    float: [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan],
 }
 
 
@@ -83,6 +100,9 @@ EDGES = [3, -1, 4, 1, -5, 9, 2, -6]
 # left and right edge blocks of three or more float products, whose sums in
 # another order move the last bit of the level-4 norm
 EDGE_SUMS = [n / 8191 for n in (621809, -278862, -958113, 30562, 868588)]
+# a palindrome whose level-2 entries past the first half, summed on their
+# own, differ in the last bit from the mirrored entries that the level holds
+MIRRORED = [n / 8191 for n in (1, -1, 2, 2, -1, 1)]
 # an interior zero sends an int symbol to the convolve path
 INTERIOR_ZERO = [2, 0, -3, 0, 0, 5, 1]
 # so does a nan coefficient: a padded term nan 0 would make the level-2 norm
@@ -111,6 +131,26 @@ def test_iterated_norms_match_the_oracle(coeffs, m, levels, stop):
     # read lazily, stopping after level `stop`
     early = itertools.islice(_iterated_norms(coeffs, m, levels), min(stop, levels))
     assert [repr(n) for n in early] == want[:stop]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols(), st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=5))
+@hypothesis.example(OVERFLOW, 2, 5)
+@hypothesis.example(EDGE_SUMS, 2, 4)
+@hypothesis.example(MIRRORED, 2, 2)
+def test_next_class_sums_match_the_built_level(coeffs, m, levels):
+    # every class sum of level L, taken from level L - 1 and from level L
+    # itself, is _class_sums' sum of that class over the built level L
+    hypothesis.assume(_blocked(coeffs))
+    hypothesis.assume((len(coeffs) - 1) * (m**levels - 1) // (m - 1) < 5_000)
+    q = [1]
+    for level, built in enumerate(_iterates(coeffs, m, levels), start=1):
+        s = m ** (level - 1)
+        n = min(m * s, len(built))
+        want = [repr(x) for x in _class_sums(built, n)]
+        assert [repr(_next_class_sum(coeffs, q, s, r, n)) for r in range(n)] == want
+        assert [repr(_class_sum(built, r, n)) for r in range(n)] == want
+        q = built
 
 
 def per_class(values, n):
