@@ -184,13 +184,15 @@ def _iterated_norms(coeffs: Sequence, m: int, levels: int) -> Iterator:
 
     The norm of the iterate q_L that ``_iterates`` yields is the largest
     absolute coefficient sum over residue classes mod m^L, whatever the
-    offset of p: ``_norm`` sums each class from left to right and compares
-    the classes in order.  Lazy, as ``_iterates`` is.  Integer numerators
+    offset of p: ``_level_norm``, which sums each class from left to right
+    and compares the classes in order, and sums half the classes of a
+    palindromic p's levels.  Lazy, as ``_iterates`` is.  Integer numerators
     over a common denominator D give the norms as ints over D^L, floats
     give floats.
     """
+    palindrome = coeffs == coeffs[::-1]
     for level, q in enumerate(_iterates(coeffs, m, levels), start=1):
-        yield _norm(q, min(m**level, len(q)))
+        yield _level_norm(q, min(m**level, len(q)), palindrome)[0]
 
 
 def _next_class_sum(coeffs: Sequence, q: list, s: int, r: int, n: int):
@@ -294,9 +296,51 @@ def _fold(values: list, n: int) -> list:
     return sums
 
 
-def _norm(q: list, n: int):
-    """The largest of ``_class_sums(q, n)``, compared in class order."""
-    return max(_class_sums(q, n))
+def _level_norm(q: list, n: int, palindrome: bool) -> tuple:
+    """(norm, r): the largest of ``_class_sums(q, n)``, compared in class
+    order as ``max`` compares them, and the first class r whose sum it is.
+
+    A ``palindrome`` q is its own mirror, entry for entry, as every level
+    that ``_iterates`` builds from a palindromic p is: its second half is a
+    copy of its first.  With N = len(q) and short = N mod n, the mirror
+    r -> (short - 1 - r) mod n reverses each of the class ranges [0, short)
+    and [short, n), and class r' = mirror(r) holds class r's entries in
+    reverse order.  So only the first half of each range is summed, in the
+    ``_abs_sums`` passes of ``_class_sums`` on half-width slices; their
+    largest sum is the half maximum top.  An int top is the norm: ints add
+    exactly, and the levels of a float p hold no int but a zero.  A float
+    top that is nan or inf takes ``_class_sums`` in full.  Otherwise the
+    mirror of each class whose sum is at least top (1 - J 2^-50),
+    J = ceil(N/n) its most entries, is summed (``_class_sum``) and kept
+    where larger.  No answer changes: J nonnegative terms added from left
+    to right carry a relative error of at most (J - 1) 2^-53 / (1 - (J - 1)
+    2^-53), underflow adding none (Higham, Accuracy and Stability of
+    Numerical Algorithms, 4.2), so a skipped mirror sums to less than top,
+    and one that could overflow is summed.
+    """
+    if not palindrome:
+        sums = _class_sums(q, n)
+        norm = max(sums)
+        return norm, sums.index(norm)
+    full, short = divmod(len(q), n)
+    low, high = (short + 1) // 2, (n - short + 1) // 2
+    sums = _abs_sums([q[i * n : i * n + low] for i in range(full + 1)])
+    sums += _abs_sums([q[i * n + short : i * n + short + high] for i in range(full)])
+    norm = max(sums)
+    k = sums.index(norm)
+    r = k if k < low else k - low + short
+    if type(norm) is int:
+        return norm, r
+    if not math.isfinite(norm):
+        return _level_norm(q, n, False)
+    floor = norm * (1 - -(-len(q) // n) * 2.0**-50)
+    for k, s in enumerate(sums):
+        if s >= floor:
+            mirror = (short - 1 - (k if k < low else k - low + short)) % n
+            t = _class_sum(q, mirror, n)
+            if t > norm or t == norm and mirror < r:
+                norm, r = t, mirror
+    return norm, r
 
 
 def _class_sums(q: list, n: int) -> list:
@@ -429,12 +473,39 @@ def contractivity_profile(
     family: SolutionFamily, order: int, levels: int, parameters: Sequence[float]
 ) -> list[tuple[float, float]]:
     """(parameter, best rooted norm bound) along a one-parameter family; the
-    sweep is refused before any parameter is read."""
+    sweep is refused before any parameter is read.
+
+    The best bound is ``min`` over the levels' rooted norms n_L^(1/L) in
+    level order, as ``_iterated_norms`` yields them, but a level below the
+    last that cannot set it is not summed.  Each point builds its levels
+    through ``_iterates`` and takes the last level's rooted norm r first
+    (``_level_norm``).  Within one call, each level L >= 2 below the last
+    keeps a witness: the class that attained its norm the last time it was
+    summed in full.  When the witness class sums to c on this point's level
+    (``_class_sum``) and c^(1/L) > r (1 + 2^-36), the level is skipped;
+    level 1 is always summed, and a nan or an infinite r skips nothing.
+    No answer changes: n_L >= c, or n_L is nan, since c is ``_class_sums``'
+    sum for that class bit for bit; any libm ``pow`` is accurate to far less
+    than 2^-36, so n_L^(1/L) > r, and ``min`` selects no nan after level 1.
+    ``min`` is then taken over the values that can set it, in level order.
+    """
     symbol, m = _family_line(family, order, levels, parameters), family.problem.m
+    witness: list[int | None] = [None] * levels
 
     def best(t: float) -> float:
-        norms = _iterated_norms(symbol(t), m, levels)
-        return min(n ** (1.0 / L) for L, n in enumerate(norms, start=1))
+        coeffs = symbol(t)
+        palindrome = coeffs == coeffs[::-1]
+        *lower, q = _iterates(coeffs, m, levels)
+        last = _level_norm(q, min(m**levels, len(q)), palindrome)[0] ** (1.0 / levels)
+        cap = last * (1 + 2.0**-36)
+        bounds = []
+        for level, q in enumerate(lower, start=1):
+            n, r = min(m**level, len(q)), witness[level - 1]
+            if level > 1 and r is not None and _class_sum(q, r, n) ** (1.0 / level) > cap:
+                continue
+            norm, witness[level - 1] = _level_norm(q, n, palindrome)
+            bounds.append(norm ** (1.0 / level))
+        return min([*bounds, last])
 
     return [(t, best(t)) for t in parameters]
 
@@ -466,7 +537,8 @@ def contractivity_range(
     (``_next_class_sum``), and that level is then never built.  A witness
     sum c >= 1.0 rejects the level; any other case (no witness yet, c below
     1.0 or nan, the last level of a ``convolve`` symbol) computes the level's
-    norm in full and takes its largest class as the new witness.  This
+    norm in full (``_level_norm``, half the classes of a palindromic level)
+    and takes the class that attains it as the new witness.  This
     cannot change an answer: c is ``_class_sums``' sum for that class, bit
     for bit, and ``max`` over the sums is then either at least c or, with
     class 0's sum nan, nan.  Either way the rooted norm is not below 1.0,
@@ -480,6 +552,7 @@ def contractivity_range(
 
     def contractive(t: float) -> bool:
         coeffs = symbol(t)
+        palindrome = coeffs == coeffs[::-1]
         iterates = _iterates(coeffs, m, levels)
         q = [1]
         for level, r in enumerate(witness, start=1):
@@ -493,9 +566,7 @@ def contractivity_range(
             n = min(m**level, len(q))
             if r is not None and _class_sum(q, r, n) >= 1.0:
                 continue
-            sums = _class_sums(q, n)
-            norm = max(sums)
-            witness[level - 1] = sums.index(norm)
+            norm, witness[level - 1] = _level_norm(q, n, palindrome)
             if norm ** (1.0 / level) < 1.0:
                 return True
         return False

@@ -22,12 +22,28 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
 @st.composite
-def sample_sets(draw):
-    kind = draw(st.sampled_from(["dd4", "dd6", "mix"]))
+def asymmetric_samples(draw):
+    """Samples on Z/2: 1 at 0, 0 at the other integers, and 2 or 4 values at
+    the half-integers -(2w - 1)/2, ..., (2w - 1)/2 that are not their own
+    mirror image, so phi(x) = phi(-x) fails somewhere."""
+    w = draw(st.sampled_from([1, 2]))
+    halves = draw(st.lists(rationals, min_size=2 * w, max_size=2 * w))
+    hypothesis.assume(halves != halves[::-1])
+    values = [int(i == w - 1) for i in range(2 * w - 1)]
+    # entry 2i is the half-integer (2(i - w) + 1)/2, entry 2i + 1 the integer i - w + 1
+    return SampleSet(2, 1 - 2 * w, [x for pair in zip(halves, values) for x in pair] + halves[-1:])
+
+
+@st.composite
+def sample_sets(draw, symmetric=False):
+    kinds = ["dd4", "dd6", "mix"] + ([] if symmetric else ["asymmetric"])
+    kind = draw(st.sampled_from(kinds))
     if kind == "dd4":
         return dd_samples(2)
     if kind == "dd6":
         return dd_samples(3)
+    if kind == "asymmetric":
+        return draw(asymmetric_samples())
     return mix_samples(dd_samples(2), dd_samples(3), draw(rationals))
 
 
@@ -42,10 +58,10 @@ def smallest_k_star(m, d, samples):
 
 
 @st.composite
-def problems(draw, min_d=1):
+def problems(draw, min_d=1, symmetric_samples=False):
     m = draw(st.integers(3, 7))
     d = draw(st.integers(min_d, 3))
-    samples = draw(sample_sets())
+    samples = draw(sample_sets(symmetric_samples))
     k_star = smallest_k_star(m, d, samples) + draw(st.integers(0, 3))
     return ConstructionProblem(m, d, k_star, samples, draw(st.booleans()))
 
@@ -106,7 +122,7 @@ def test_contains_checks_mirror_symmetry_and_every_row(problem, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(problems(min_d=0))
+@given(problems(min_d=0, symmetric_samples=True))
 def test_symmetric_problems_are_feasible_iff_their_twins_are(problem):
     """On symmetric samples the system is mirror-invariant about 1/2, so the
     mirror image a_{1-k} of a solution of the non-symmetric twin solves it

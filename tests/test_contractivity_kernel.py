@@ -11,7 +11,10 @@ symmetric member, whose second half is the mirror of its first, is part of
 the reference; ``tests/test_convolve_properties.py`` checks ``convolve``
 against it and against a double sum.  A range search rejects a level whose
 witness class sums to at least 1 and builds no last level that it rejects
-so; two tests count the levels that its probes build.
+so; two tests count the levels that its probes build.  A sweep sums level 1
+and the last level at every point, and a level in between only when its
+witness class roots to more than the last level's bound (1 + 2^-36); two
+tests count the levels whose norm it sums.
 """
 
 import functools
@@ -153,6 +156,48 @@ def test_range_witness_sum_of_exactly_one_rejects_the_last_level(monkeypatch):
     probes, built = count_levels(monkeypatch)
     contractivity_range(family, 0, 3, ParameterGrid(-4.0, 2.0, 7))
     assert built[:7] == [3, 2, 1, 1, 1, 2, 2]
+
+
+def count_norms(monkeypatch):
+    """The lengths of the levels whose norm ``analyze._level_norm`` sums."""
+    level_norm, lengths = analyze._level_norm, []
+
+    def counted(q, n, palindrome):
+        lengths.append(len(q))
+        return level_norm(q, n, palindrome)
+
+    monkeypatch.setattr(analyze, "_level_norm", counted)
+    return lengths
+
+
+def test_profile_sums_fewer_lower_levels_than_it_builds(monkeypatch):
+    # the last level sets the best bound at most points, so a lower level's
+    # witness class often roots to more and its norm is not summed (levels 2
+    # and 3 are summed 5 times in 66); level 1 is summed at every point
+    family = catalog.quinary_reference_family()
+    ts = ParameterGrid(*QUINARY_SEARCH[0], 33)
+    lengths = count_norms(monkeypatch)
+    got = contractivity_profile(family, 0, 4, ts)
+    monkeypatch.undo()
+    assert got == oracle.contractivity_profile(family, 0, 4, list(ts))
+    # the quinary order-0 symbol has 16 coefficients: 16, 91, 466, 2341 entries
+    assert [lengths.count(n) for n in (16, 2341)] == [33, 33]
+    assert lengths.count(91) + lengths.count(466) < 2 * 33
+    assert len(lengths) - 33 < 33 * 3
+
+
+def test_profile_sums_every_level_whose_rooted_norm_ties_the_last(monkeypatch):
+    # every member's rooted norm is |1 + t|/2 at each level, so the levels'
+    # floats agree to within a few ulps; on this grid four lower levels root
+    # to more than the last level, inside the margin, and are still summed
+    half = [F(c, 2) for c in convolve([1] * 5, [1, 1])]
+    family = SolutionFamily(
+        catalog.quinary_problem(), Mask(5, 0, half), (Mask(5, 0, half),)
+    )
+    ts = ParameterGrid(-4.0, 2.0, 33)
+    lengths = count_norms(monkeypatch)
+    contractivity_profile(family, 0, 4, ts)
+    assert len(lengths) == 33 * 4
 
 
 CATALOG_MASKS = {

@@ -1,8 +1,8 @@
 """Property test of the stride-block iterate ``analyze._iterated_norms``
 against ``oracle.iterated_norms``, of the witness class sums
 ``analyze._next_class_sum`` and ``analyze._class_sum`` against the built
-level, and of ``analyze._fold`` and ``analyze._norm`` against a per-class
-fold.
+level, of the level norm ``analyze._level_norm`` against all the class
+sums, and of ``analyze._fold`` against a per-class fold.
 
 The kernel builds each level of a symbol whose coefficients are all
 nonzero and finite in m^(L-1)-long blocks, the last block of the level
@@ -25,9 +25,13 @@ for ``repr``, inf and nan included; the overflow and edge-sum examples
 are pinned there too, with a palindrome whose mirrored entries differ in
 the last bit from the same entries summed directly.  ``_fold``
 keeps a shorter last block unpadded, so a sum that only that block misses
-keeps the sign of its zero.  ``_norm``, the largest class sum of the
-magnitudes, compares the classes in order, so a nan class decides it only
-as ``max`` over the per-class folds decides it.
+keeps the sign of its zero.  ``_level_norm``, the largest class sum of the
+magnitudes and the first class that attains it, compares the classes in
+order, so a nan class decides it only as ``max`` over the per-class folds
+decides it.  On a palindromic level it sums half the classes and the mirror
+of each class near their maximum; its norm and class must be those of all
+the class sums for ``repr``, and an example pins a level whose norm only a
+mirror class attains.
 """
 
 import functools
@@ -48,8 +52,8 @@ from dualsubdiv.analyze import (
     _fold,
     _iterated_norms,
     _iterates,
+    _level_norm,
     _next_class_sum,
-    _norm,
 )
 
 ENTRIES = {
@@ -103,6 +107,9 @@ EDGE_SUMS = [n / 8191 for n in (621809, -278862, -958113, 30562, 868588)]
 # a palindrome whose level-2 entries past the first half, summed on their
 # own, differ in the last bit from the mirrored entries that the level holds
 MIRRORED = [n / 8191 for n in (1, -1, 2, 2, -1, 1)]
+# a palindrome whose level-2 class 1 at m = 2, the mirror of class 0, holds
+# class 0's entries in reverse order and sums to one ulp more: it sets the norm
+MIRROR_WINS = [n / 8191 for n in (-242530, -129878, -129878, -242530)]
 # an interior zero sends an int symbol to the convolve path
 INTERIOR_ZERO = [2, 0, -3, 0, 0, 5, 1]
 # so does a nan coefficient: a padded term nan 0 would make the level-2 norm
@@ -153,6 +160,37 @@ def test_next_class_sums_match_the_built_level(coeffs, m, levels):
         q = built
 
 
+@settings(max_examples=200, deadline=None)
+@given(symbols(), st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=5))
+@hypothesis.example(OVERFLOW, 2, 5)
+@hypothesis.example(EDGE_SUMS, 2, 4)
+@hypothesis.example(MIRRORED, 2, 2)
+@hypothesis.example(MIRROR_WINS, 2, 2)
+@hypothesis.example(ZEROS, 2, 1)
+@hypothesis.example(PADDED_NAN, 5, 4)
+def test_level_norm_is_the_largest_class_sum(coeffs, m, levels):
+    # on every level of a palindromic symbol half the classes are summed
+    # first; the norm and its class must be those of all the class sums
+    hypothesis.assume((len(coeffs) - 1) * (m**levels - 1) // (m - 1) < 5_000)
+    palindrome = coeffs == coeffs[::-1]
+    for level, q in enumerate(_iterates(coeffs, m, levels), start=1):
+        n = min(m**level, len(q))
+        sums = _class_sums(q, n)
+        want = max(sums)
+        norm, r = _level_norm(q, n, palindrome)
+        assert (repr(norm), r) == (repr(want), sums.index(want))
+        assert repr(sums[r]) == repr(norm)
+
+
+def test_a_mirror_class_sets_the_norm():
+    # class 0 is summed, and its mirror, class 1, sums to more and is the norm
+    *_, q = _iterates(MIRROR_WINS, 2, 2)
+    sums = _class_sums(q, 4)
+    assert sums[1] > sums[0] == max(sums[0], sums[2], sums[3])
+    assert _level_norm(q, 4, True) == (sums[1], 1)
+    assert _level_norm(q, 4, False) == (sums[1], 1)
+
+
 def per_class(values, n):
     """values[r] + values[r + n] + ... for r < n, each from its first entry;
     the entries' unsigned zero where no entry reaches."""
@@ -177,5 +215,7 @@ def test_fold_matches_the_per_class_fold(values, n):
        st.integers(min_value=1, max_value=12))
 def test_norm_is_the_largest_per_class_fold_of_the_magnitudes(values, n):
     hypothesis.assume(n <= len(values))
-    want = max(per_class(list(map(abs, values)), n))
-    assert repr(_norm(values, n)) == repr(want)
+    sums = per_class(list(map(abs, values)), n)
+    want = max(sums)
+    norm, r = _level_norm(values, n, values == values[::-1])
+    assert (repr(norm), r) == (repr(want), sums.index(want))

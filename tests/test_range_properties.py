@@ -1,5 +1,7 @@
-"""Property test of ``analyze.contractivity_range`` against
-``oracle.contractivity_range`` on random float family lines.
+"""Property tests of ``analyze.contractivity_range`` against
+``oracle.contractivity_range``, and of ``analyze.contractivity_profile``
+against the streaming minimum of ``analyze._iterated_norms``, on random
+float family lines.
 
 Within one call the kernel keeps, for each level, the class of the largest
 sum from the last time that level's norm was computed in full, and rejects
@@ -12,6 +14,14 @@ symbols are small integers over one denominator, palindromic or not; a
 member whose symbol has a zero coefficient takes the ``convolve`` path at
 that parameter.  Both ends of the range must agree bit for bit, and so must
 a refusal of an empty or split sampled set.
+
+A sweep takes the last level's rooted norm first and, within one call,
+skips a lower level L >= 2 whose witness class, the class that attained its
+norm the last time it was summed, roots to more than the last level's bound
+(1 + 2^-36).  Every point's best bound must equal the minimum over all
+levels' rooted norms in level order for ``repr``, at parameters whose norms
+overflow to inf and nan too.  The example pins a point whose last level is
+nan while level 2, with a witness set at the point before, sets the bound.
 """
 
 from fractions import Fraction as F
@@ -22,7 +32,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from dualsubdiv.analyze import NoContractivePoint, ParameterGrid, contractivity_range
+from dualsubdiv import catalog
+from dualsubdiv.analyze import (
+    NoContractivePoint,
+    ParameterGrid,
+    _family_line,
+    _iterated_norms,
+    contractivity_profile,
+    contractivity_range,
+)
 from dualsubdiv.construct import ConstructionProblem, SolutionFamily
 from dualsubdiv.exactalg import convolve
 from dualsubdiv.samples import samples_from_shorthand
@@ -37,10 +55,10 @@ def mask_with_difference_symbol(m, order, d):
 
 
 @st.composite
-def float_lines(draw):
+def float_lines(draw, max_m=5, max_levels=4, max_entries=400):
     """(family, order, levels, lo, hi, points): a line of difference symbols
     c/D + t b/D with at most 8 coefficients, sampled on [lo, hi]."""
-    m = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=2, max_value=max_m))
     palindrome = draw(st.booleans())
     width = draw(st.integers(min_value=1, max_value=4 if palindrome else 8))
     odd = draw(st.sampled_from([0, 1]))
@@ -57,8 +75,8 @@ def float_lines(draw):
     family = SolutionFamily(
         ConstructionProblem(m, 1, 10, samples_from_shorthand("dd4")), masks[0], (masks[1],)
     )
-    levels = draw(st.integers(min_value=1, max_value=4))
-    hypothesis.assume((len(c) - 1) * (m**levels - 1) // (m - 1) < 400)
+    levels = draw(st.integers(min_value=1, max_value=max_levels))
+    hypothesis.assume((len(c) - 1) * (m**levels - 1) // (m - 1) < max_entries)
     lo = draw(st.integers(min_value=-6, max_value=2))
     hi = lo + draw(st.integers(min_value=1, max_value=6))
     return family, order, levels, lo, hi, draw(st.integers(min_value=3, max_value=17))
@@ -73,3 +91,32 @@ def test_range_matches_the_oracle_on_random_lines(line):
     except (NoContractivePoint, ValueError):
         got = None
     assert got == oracle.contractivity_range(family, order, levels, (lo, hi), grid=points)
+
+
+# parameters on the search scale, and large enough for norms that overflow
+PARAMETERS = st.one_of(
+    st.floats(min_value=-8, max_value=8),
+    st.sampled_from([1e80, -1e80, 1e105, -1e105, 1e150, 1e200, -1e300]),
+)
+
+
+def streaming_profile(family, order, levels, ts):
+    """Each point's minimum over all its levels' rooted norms, in level order."""
+    symbol, m = _family_line(family, order, levels, ts), family.problem.m
+    return [
+        (t, min(n ** (1.0 / L) for L, n in enumerate(_iterated_norms(symbol(t), m, levels), 1)))
+        for t in ts
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_lines(max_m=6, max_levels=5, max_entries=2_000), st.lists(PARAMETERS, max_size=8))
+@hypothesis.example(
+    (catalog.quinary_reference_family(), 0, 3, None, None, None), [0.0, 1e105]
+)
+def test_profile_matches_the_streaming_minimum(line, ts):
+    family, order, levels, *_ = line
+    got = contractivity_profile(family, order, levels, ts)
+    assert [(t, repr(b)) for t, b in got] == [
+        (t, repr(b)) for t, b in streaming_profile(family, order, levels, ts)
+    ]
